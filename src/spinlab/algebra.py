@@ -83,10 +83,6 @@ class LieAlgebra:
                 c[j - 1, i - 1, k - 1] -= val
         return cls(dim, c)
 
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Coefficient vector of ``[u, v]`` for coefficient vectors u, v."""
-        return np.einsum("i,j,ijk->k", u, v, self.c)
-
 
 def jacobi_violation(alg: LieAlgebra) -> float:
     """Maximum absolute entry of the Jacobi tensor of ``alg``."""

@@ -209,8 +209,6 @@ def cmd_heisenberg(args) -> tuple[str, int]:
 
 
 def cmd_verify_appendix(args) -> tuple[str, int]:
-    if args.samples < 1:
-        raise InvalidParameterError("--samples must be >= 1")
     results = []
     for idx, (tag, x) in enumerate(FAMILY_GRID):
         fam = BianchiFamily(tag, x)
@@ -451,19 +449,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Fill in the fallback seed and reject out-of-range sampling arguments."""
+    if args.seed is None:
+        args.seed = _default_seed()
+    if args.seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {args.seed}")
+    if getattr(args, "samples", 1) < 1:
+        raise InvalidParameterError(f"--samples must be >= 1, got {args.samples}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     raw = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(raw)
     args.tol_given = any(a == "--tol" or a.startswith("--tol=") for a in raw)
-    if args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except SpinlabError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        _check_args(args)
         text, code = args.func(args)
+        if args.output:
+            Path(args.output).write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -476,10 +483,6 @@ def main(argv: list[str] | None = None) -> int:
     except SpinlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
     return code
 
 

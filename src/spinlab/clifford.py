@@ -24,9 +24,11 @@ The lift of a skew matrix ``omega`` to a spinor operator uses
 ``e_i`` to ``e_j`` (entry ``(j, i) = +1``); this normalisation is the one
 for which ``[lift(omega), v.] = (omega v).`` holds as operators.
 
-Operators are materialised as dense ``2**n x 2**n`` complex matrices up to
-``n = 8``; beyond that the signed-permutation form keeps single-vector
-actions available without the quadratic memory cost.
+All actions are matrix-free and take one coefficient vector or a stack of
+them as columns.  Dense ``2**n x 2**n`` operators are those actions applied
+to the identity, available up to ``n = 8``; beyond that the
+signed-permutation form keeps vector actions available without the
+quadratic memory cost.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 
-_DENSE_LIMIT = 8  # largest n for which frame matrices are materialised
+_DENSE_LIMIT = 8  # largest n for which dense operators are built
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,6 @@ class CliffordModule:
         self.dim_spinor = 2**n
         self.dim_frame = 2 * n + 1
         self._perm, self._coef = self._build(flip_contraction_sign)
-        self._dense_cache: dict[int, np.ndarray] = {}
 
     def _build(self, flip: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
         masks = np.arange(self.dim_spinor, dtype=np.int64)
@@ -129,24 +130,24 @@ class CliffordModule:
         if not 1 <= i <= self.dim_frame:
             raise IndexError(f"frame index {i} out of range 1..{self.dim_frame}")
 
+    def _identity(self) -> np.ndarray:
+        if self.n > _DENSE_LIMIT:
+            raise UnsupportedDimensionError(
+                f"dense operators disabled for n > {_DENSE_LIMIT}; "
+                "use the matrix-free apply_* methods instead"
+            )
+        return np.eye(self.dim_spinor)
+
     def vector_matrix(self, i: int) -> np.ndarray:
         """Dense matrix of the action of frame vector ``e_i`` (1-based)."""
-        self._check_index(i)
-        if i not in self._dense_cache:
-            if self.n > _DENSE_LIMIT:
-                raise UnsupportedDimensionError(
-                    f"dense operators disabled for n > {_DENSE_LIMIT}"
-                )
-            mat = np.zeros((self.dim_spinor, self.dim_spinor), dtype=complex)
-            mat[self._perm[i - 1], np.arange(self.dim_spinor)] = self._coef[i - 1]
-            self._dense_cache[i] = mat
-        return self._dense_cache[i]
+        return self.apply_vector(i, self._identity())
 
     def apply_vector(self, i: int, coeffs: np.ndarray) -> np.ndarray:
-        """Apply ``e_i`` to a coefficient vector."""
+        """Apply ``e_i`` to a coefficient vector or to each column of a stack."""
         self._check_index(i)
-        out = np.zeros(self.dim_spinor, dtype=complex)
-        out[self._perm[i - 1]] = self._coef[i - 1] * coeffs
+        coeffs = np.asarray(coeffs)
+        out = np.zeros(coeffs.shape, dtype=complex)
+        out[self._perm[i - 1]] = _rowwise(self._coef[i - 1], coeffs)
         return out
 
     def apply_combo(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -184,14 +185,17 @@ class CliffordModule:
 
     def spin_lift(self, omega: np.ndarray) -> np.ndarray:
         """Dense spinor operator of the skew frame matrix ``omega``."""
+        return self.apply_spin_lift(omega, self._identity())
+
+    def apply_spin_lift(self, omega: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Apply the lift of ``omega`` to a coefficient vector or stack, matrix-free.
+
+        Costs O(nonzero pairs * 2**n) per column, so it stays usable past
+        the dense operator cutoff.
+        """
         omega = self._require_skew(omega)
-        if self.n > _DENSE_LIMIT:
-            raise UnsupportedDimensionError(
-                f"dense operators disabled for n > {_DENSE_LIMIT}; "
-                "use apply_spin_lift instead"
-            )
-        out = np.zeros((self.dim_spinor, self.dim_spinor), dtype=complex)
-        masks = np.arange(self.dim_spinor)
+        coeffs = np.asarray(coeffs)
+        out = np.zeros(coeffs.shape, dtype=complex)
         for a in range(self.dim_frame):
             pa, ca = self._perm[a], self._coef[a]
             for b in range(a + 1, self.dim_frame):
@@ -200,26 +204,13 @@ class CliffordModule:
                     continue
                 pb, cb = self._perm[b], self._coef[b]
                 # e_a e_b applied as: b first, then a
-                np.add.at(out, (pa[pb], masks), 0.5 * w * cb * ca[pb])
+                out[pa[pb]] += _rowwise((0.5 * w) * cb * ca[pb], coeffs)
         return out
 
-    def apply_spin_lift(self, omega: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Apply the lift of ``omega`` to a coefficient vector, matrix-free.
 
-        Costs O(nonzero pairs * 2**n), so it stays usable past the dense
-        operator cutoff.
-        """
-        omega = self._require_skew(omega)
-        out = np.zeros(self.dim_spinor, dtype=complex)
-        for a in range(self.dim_frame):
-            pa, ca = self._perm[a], self._coef[a]
-            for b in range(a + 1, self.dim_frame):
-                w = omega[b, a]
-                if w == 0.0:
-                    continue
-                pb, cb = self._perm[b], self._coef[b]
-                out[pa[pb]] += (0.5 * w) * cb * ca[pb] * coeffs
-        return out
+def _rowwise(coef: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Scale row ``S`` of a coefficient vector or column stack by ``coef[S]``."""
+    return (coef * coeffs.T).T
 
 
 @lru_cache(maxsize=16)

@@ -1,13 +1,14 @@
 """Solving the generalised Killing equation for invariant spinors.
 
 Given a metric Lie algebra of odd dimension and a nonzero invariant spinor
-``psi``, the solver finds, for each frame vector ``e_i``, the unique frame
-vector ``v`` with ``v . psi = lift(L_i) . psi`` (the map ``v -> v . psi``
-is injective) and assembles the columns into a matrix ``A``.  The spinor is
-generalised Killing precisely when the fit is exact and ``A`` is symmetric;
-in dimension 3 the same ``A`` then works for every invariant spinor, so the
-space of invariant generalised Killing spinors is either all of the spinor
-space or zero.
+``psi``, the solver finds, for each frame vector ``e_i``, the frame vector
+``v`` closest to solving ``v . psi = lift(L_i) . psi`` and assembles the
+columns into a matrix ``A``.  The map ``v -> v . psi`` is ``|psi|`` times
+an isometry, so ``v`` is an exact orthogonal projection.  The spinor is
+generalised Killing precisely when the projection leaves no misfit and
+``A`` is symmetric; in dimension 3 the same ``A`` then works for every
+invariant spinor, so the space of invariant generalised Killing spinors is
+either all of the spinor space or zero.
 """
 
 from __future__ import annotations
@@ -76,32 +77,16 @@ def _odd_module(dim: int) -> CliffordModule:
     return get_module((dim - 1) // 2)
 
 
-def _realify(cols: np.ndarray) -> np.ndarray:
-    return np.vstack([cols.real, cols.imag])
+def _project(
+    mla: MetricLieAlgebra, psi: Spinor, nm: NomizuMap | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Exact projection of the Killing equation onto ``v -> v . psi``.
 
-
-def _lifted_columns(
-    mod: CliffordModule, nm: NomizuMap, coeffs: np.ndarray
-) -> np.ndarray:
-    """Stack ``lift(L_i) . psi`` over the frame as columns (matrix-free)."""
-    return np.column_stack(
-        [mod.apply_spin_lift(nm.mats[i], coeffs) for i in range(nm.dim)]
-    )
-
-
-def solve_endomorphism(
-    mla: MetricLieAlgebra,
-    psi: Spinor,
-    tol: float = DEFAULT_TOL,
-    _nm: NomizuMap | None = None,
-) -> tuple[np.ndarray, float]:
-    """Least-squares fit of the endomorphism in the generalised Killing equation.
-
-    Column ``i`` of the returned matrix is the frame vector ``v`` minimising
-    ``|v . psi - lift(L_i) . psi|``; the residual is the worst per-column
-    misfit relative to ``max(1, |rhs|)``.  The candidate is an actual
-    generalised Killing endomorphism only when the residual is below ``tol``
-    and the matrix is symmetric.
+    With real and imaginary parts stacked, the moment matrix ``M`` of
+    ``v -> v . psi`` satisfies ``M^T M = |psi|^2 I`` (the frame vectors
+    anticommute and square to ``-1``), so the best frame vector for column
+    ``i`` of ``R = [lift(L_i) . psi]`` is column ``i`` of ``M^T R / |psi|^2``.
+    Returns that matrix ``A``, ``R``, the misfit ``M A - R`` and ``|psi|^2``.
     """
     d = mla.dim
     mod = _odd_module(d)
@@ -111,20 +96,37 @@ def solve_endomorphism(
         )
     if psi.norm == 0.0:
         raise InvalidSpinorError("cannot solve the Killing equation on the zero spinor")
-    nm = _nm if _nm is not None else nomizu(mla)
-    m = _realify(
-        np.column_stack([mod.apply_vector(i, psi.coeffs) for i in range(1, d + 1)])
+    nm = nm if nm is not None else nomizu(mla)
+    m = mod.moment_matrix(psi)
+    cols = np.column_stack(
+        [mod.apply_spin_lift(nm.mats[i], psi.coeffs) for i in range(d)]
     )
-    rhs = _realify(_lifted_columns(mod, nm, psi.coeffs))
-    sol, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
-    if rank < d:
-        raise InvalidSpinorError(
-            f"moment matrix is rank-deficient ({rank} < {d}) for the given spinor"
-        )
-    misfit = m @ sol - rhs
+    rhs = np.vstack([cols.real, cols.imag])
+    norm2 = psi.norm**2
+    a = m.T @ rhs / norm2
+    return a, rhs, m @ a - rhs, norm2
+
+
+def solve_endomorphism(
+    mla: MetricLieAlgebra,
+    psi: Spinor,
+    tol: float = DEFAULT_TOL,
+    _nm: NomizuMap | None = None,
+) -> tuple[np.ndarray, float]:
+    """Endomorphism of the generalised Killing equation by exact projection.
+
+    Column ``i`` of the returned matrix is the frame vector ``v`` minimising
+    ``|v . psi - lift(L_i) . psi|``, obtained in closed form because
+    ``v -> v . psi`` scales every frame vector by ``|psi|`` and keeps them
+    orthogonal; the residual is the worst per-column misfit relative to
+    ``max(1, |rhs|)``.  The candidate is an actual generalised Killing
+    endomorphism only when the residual is below ``tol`` and the matrix is
+    symmetric.
+    """
+    a, rhs, misfit, _ = _project(mla, psi, _nm)
     col_res = np.linalg.norm(misfit, axis=0)
     col_scale = np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    return sol, float(np.max(col_res / col_scale))
+    return a, float(np.max(col_res / col_scale))
 
 
 def solve_symmetric_endomorphism(
@@ -134,38 +136,18 @@ def solve_symmetric_endomorphism(
 ) -> tuple[np.ndarray, float]:
     """Best symmetric endomorphism for the Killing equation, with misfit.
 
-    All frame directions are stacked into one least-squares problem over
-    symmetric matrices; the returned residual is the absolute 2-norm of the
-    stacked misfit (for a unit spinor this equals the Frobenius norm of the
-    skew part of the unconstrained solution).  A residual well above zero
-    certifies that no symmetric solution exists.
+    Since ``v -> v . psi`` is ``|psi|`` times an isometry, the symmetric
+    matrix closest to solving all frame directions at once is the
+    symmetric part of the unconstrained solution ``A``; the returned
+    residual is the absolute norm of its stacked misfit,
+    ``sqrt(|M A - R|^2 + |psi|^2 |skew A|^2)`` (for a unit spinor with an
+    exact fit, the Frobenius norm of the skew part of ``A``).  A residual
+    well above zero certifies that no symmetric solution exists.
     """
-    d = mla.dim
-    mod = _odd_module(d)
-    if psi.norm == 0.0:
-        raise InvalidSpinorError("cannot solve the Killing equation on the zero spinor")
-    nm = _nm if _nm is not None else nomizu(mla)
-    m = _realify(
-        np.column_stack([mod.apply_vector(i, psi.coeffs) for i in range(1, d + 1)])
-    )
-    pairs = [(k, l) for k in range(d) for l in range(k, d)]
-    rows = m.shape[0]
-    big = np.zeros((rows * d, len(pairs)))
-    rhs = _realify(_lifted_columns(mod, nm, psi.coeffs)).T.ravel()
-    for col, (k, l) in enumerate(pairs):
-        for i in range(d):
-            block = slice(rows * i, rows * (i + 1))
-            if l == i:
-                big[block, col] += m[:, k]
-            if k == i and k != l:
-                big[block, col] += m[:, l]
-    sol, _, _, _ = np.linalg.lstsq(big, rhs, rcond=None)
-    a_sym = np.zeros((d, d))
-    for col, (k, l) in enumerate(pairs):
-        a_sym[k, l] = sol[col]
-        a_sym[l, k] = sol[col]
-    residual = float(np.linalg.norm(big @ sol - rhs))
-    return a_sym, residual
+    a, _, misfit, norm2 = _project(mla, psi, _nm)
+    skew = 0.5 * (a - a.T)
+    residual = float(np.sqrt(np.sum(misfit**2) + norm2 * np.sum(skew**2)))
+    return 0.5 * (a + a.T), residual
 
 
 def explicit_A_3d(ortho_c: np.ndarray) -> np.ndarray:

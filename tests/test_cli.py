@@ -168,15 +168,32 @@ def test_env_seed_fallback():
     with_flag = run_cli("sweep", "--algebra", "L3(6)", "--samples", "20", "--seed", "11")
     assert with_env.returncode == with_flag.returncode == 0
     assert with_env.stdout == with_flag.stdout
+    negative = run_cli(
+        "sweep", "--algebra", "L3(6)", "--samples", "20",
+        env_extra={"SPINLAB_SEED": "-3"},
+    )
+    assert negative.returncode == 2
+    assert "Traceback" not in negative.stderr
 
 
-def test_exit_codes():
-    res = run_cli("analyze", "--algebra", '{"dim": 3, "brackets": [')
-    assert res.returncode == 3
-    res = run_cli("analyze", "--algebra", "no_such_file.json")
-    assert res.returncode == 3
-    res = run_cli("analyze", "--algebra", "L3(2,7)")
-    assert res.returncode == 2
+def test_exit_codes(tmp_path):
+    missing_dir = tmp_path / "missing" / "report.json"
+    cases = [
+        (("analyze", "--algebra", '{"dim": 3, "brackets": ['), 3),
+        (("analyze", "--algebra", "no_such_file.json"), 3),
+        (("analyze", "--algebra", "L3(2,7)"), 2),
+        (("analyze", "--algebra", "L3(1)", "--output", str(missing_dir)), 3),
+        (("table1", "--samples", "0"), 2),
+        (("sweep", "--algebra", "L3(6)", "--samples", "-5"), 2),
+        (("verify-appendix", "--samples", "0"), 2),
+        (("sweep", "--algebra", "L3(6)", "--samples", "5", "--seed", "-1"), 2),
+        (("selftest", "--seed", "-1"), 2),
+    ]
+    for args, code in cases:
+        res = run_cli(*args)
+        assert res.returncode == code, args
+        assert res.stdout == "", args
+        assert "Traceback" not in res.stderr, args
 
 
 def test_jacobi_failure_exit(tmp_path):

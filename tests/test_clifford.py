@@ -173,3 +173,56 @@ def test_apply_combo_matches_matrix_sum():
     direct = mod.apply_combo(v, vec)
     mats = sum(v[i] * mod.vector_matrix(i + 1) for i in range(7))
     np.testing.assert_allclose(direct, mats @ vec, atol=1e-14)
+
+
+def _add_at_spin_lift(mod, omega):
+    """Dense lift accumulated entry by entry from the signed permutations."""
+    out = np.zeros((mod.dim_spinor, mod.dim_spinor), dtype=complex)
+    masks = np.arange(mod.dim_spinor)
+    for a in range(mod.dim_frame):
+        pa, ca = mod._perm[a], mod._coef[a]
+        for b in range(a + 1, mod.dim_frame):
+            w = omega[b, a]
+            if w == 0.0:
+                continue
+            pb, cb = mod._perm[b], mod._coef[b]
+            np.add.at(out, (pa[pb], masks), 0.5 * w * cb * ca[pb])
+    return out
+
+
+def test_dense_operators_match_add_at_reference():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        mod = get_module(n)
+        d = mod.dim_frame
+        for _ in range(3):
+            g = rng.uniform(-1, 1, size=(d, d))
+            g[rng.random(size=(d, d)) < 0.3] = 0.0
+            omega = g - g.T
+            np.testing.assert_array_equal(mod.spin_lift(omega), _add_at_spin_lift(mod, omega))
+        for i in range(1, d + 1):
+            ref = np.zeros((mod.dim_spinor, mod.dim_spinor), dtype=complex)
+            ref[mod._perm[i - 1], np.arange(mod.dim_spinor)] = mod._coef[i - 1]
+            np.testing.assert_array_equal(mod.vector_matrix(i), ref)
+
+
+def test_actions_on_a_stack_match_columns():
+    rng = np.random.default_rng(8)
+    mod = get_module(3)
+    d = mod.dim_frame
+    stack = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+    g = rng.uniform(-1, 1, size=(d, d))
+    omega = g - g.T
+    for i in range(1, d + 1):
+        cols = np.column_stack([mod.apply_vector(i, c) for c in stack.T])
+        np.testing.assert_array_equal(mod.apply_vector(i, stack), cols)
+    cols = np.column_stack([mod.apply_spin_lift(omega, c) for c in stack.T])
+    np.testing.assert_array_equal(mod.apply_spin_lift(omega, stack), cols)
+
+
+def test_dense_operators_disabled_past_cutoff():
+    mod = CliffordModule(9)
+    with pytest.raises(UnsupportedDimensionError):
+        mod.vector_matrix(1)
+    with pytest.raises(UnsupportedDimensionError):
+        mod.spin_lift(np.zeros((19, 19)))

@@ -7,11 +7,13 @@ from spinlab.catalog import (
     HeisenbergParams,
     heisenberg_gk_eigenvalues,
     heisenberg_metric,
+    is_symmetric_family,
     make_bianchi,
     reference_A,
     reference_asymmetry,
 )
-from spinlab.clifford import Spinor
+from spinlab.clifford import Spinor, get_module
+from spinlab.connection import nomizu
 from spinlab.errors import InvalidSpinorError, StructureError, UnsupportedDimensionError
 from spinlab.gks import (
     dirac_trace_3d,
@@ -24,6 +26,7 @@ from spinlab.gks import (
     solve_symmetric_endomorphism,
     symmetry_conditions_3d,
 )
+from spinlab.selftest import FAMILY_GRID
 
 
 def unit_h3():
@@ -251,6 +254,80 @@ def test_symmetric_solve_certifies_obstruction():
     assert residual > 1e-3
     assert residual == pytest.approx(np.linalg.norm(0.5 * (a - a.T)), rel=1e-10)
     np.testing.assert_allclose(a_sym, 0.5 * (a + a.T), atol=1e-10)
+
+
+def _oracle_inputs():
+    """(exact GK spinor expected, metric, spinor) over the three oracle sets."""
+    rng = np.random.default_rng(404)
+    for tag, x in FAMILY_GRID:
+        fam = BianchiFamily(tag, x)
+        alg = make_bianchi(fam)
+        for _ in range(5):
+            mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
+            yield is_symmetric_family(fam), mla, Spinor.one(1)
+    for n in range(1, 9):
+        yield True, heisenberg_metric(HeisenbergParams.defaults(n)), Spinor.one(n)
+    for n in range(1, 5):
+        for _ in range(5):
+            params = HeisenbergParams(
+                n,
+                tuple(np.exp(rng.uniform(-1, 1, size=n))),
+                tuple(np.exp(rng.uniform(-1, 1, size=n))),
+                float(np.exp(rng.uniform(-1, 1))),
+            )
+            coeffs = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            yield False, heisenberg_metric(params), Spinor(n, coeffs)
+
+
+def _moment_and_rhs(mla, psi):
+    mod = get_module(psi.n)
+    nm = nomizu(mla)
+    cols = np.column_stack(
+        [mod.apply_spin_lift(nm.mats[i], psi.coeffs) for i in range(mla.dim)]
+    )
+    return mod.moment_matrix(psi), np.vstack([cols.real, cols.imag])
+
+
+def _stacked_symmetric_lstsq(m, rhs):
+    """Least-squares solve over symmetric matrices with all directions stacked."""
+    rows, d = m.shape
+    pairs = [(k, l) for k in range(d) for l in range(k, d)]
+    big = np.zeros((rows * d, len(pairs)))
+    for col, (k, l) in enumerate(pairs):
+        for i in range(d):
+            block = slice(rows * i, rows * (i + 1))
+            if l == i:
+                big[block, col] += m[:, k]
+            if k == i and k != l:
+                big[block, col] += m[:, l]
+    target = rhs.T.ravel()
+    sol = np.linalg.lstsq(big, target, rcond=None)[0]
+    a_sym = np.zeros((d, d))
+    for col, (k, l) in enumerate(pairs):
+        a_sym[k, l] = a_sym[l, k] = sol[col]
+    return a_sym, float(np.linalg.norm(big @ sol - target))
+
+
+def test_projection_matches_least_squares_oracle():
+    for exact, mla, psi in _oracle_inputs():
+        m, rhs = _moment_and_rhs(mla, psi)
+        ref = np.linalg.lstsq(m, rhs, rcond=None)[0]
+        a, residual = solve_endomorphism(mla, psi)
+        assert np.max(np.abs(a - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        col_res = np.linalg.norm(m @ ref - rhs, axis=0)
+        ref_res = np.max(col_res / np.maximum(1.0, np.linalg.norm(rhs, axis=0)))
+        assert abs(residual - ref_res) <= 1e-12
+        if exact:
+            assert residual <= 1e-12
+
+
+def test_symmetric_projection_matches_stacked_least_squares():
+    for _, mla, psi in _oracle_inputs():
+        m, rhs = _moment_and_rhs(mla, psi)
+        ref, ref_res = _stacked_symmetric_lstsq(m, rhs)
+        a_sym, residual = solve_symmetric_endomorphism(mla, psi)
+        assert np.max(np.abs(a_sym - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert abs(residual - ref_res) <= 1e-12 * max(1.0, ref_res)
 
 
 def test_asymmetry_matches_table_and_ignores_most_of_the_frame():
