@@ -104,6 +104,21 @@ def check_jacobi(alg: LieAlgebra, tol: float = 1e-9) -> tuple[bool, float]:
     return violation <= tol * scale, violation
 
 
+def random_frames(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Stack of ``count`` random well-conditioned ``(dim, dim)`` frame matrices.
+
+    Each sample draws its diagonal log-uniform on ``[1/e, e]`` first, then its
+    strict upper triangle uniform on ``[-1, 1]`` row-major: a seeded generator
+    gives the same frames drawn in one stack or one at a time."""
+    draws = rng.uniform(-1.0, 1.0, size=(count, dim + dim * (dim - 1) // 2))
+    frames = np.zeros((count, dim, dim))
+    diag = np.arange(dim)
+    frames[:, diag, diag] = np.exp(draws[:, :dim])
+    rows, cols = np.triu_indices(dim, 1)
+    frames[:, rows, cols] = draws[:, dim:]
+    return frames
+
+
 @dataclass(frozen=True)
 class FrameChange:
     """Upper-triangular positive-diagonal change of basis.
@@ -119,6 +134,8 @@ class FrameChange:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidFrameError(f"frame matrix must be square, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidFrameError("frame matrix entries must be finite")
         if np.any(np.abs(np.tril(m, -1)) > 0):
             raise InvalidFrameError("frame matrix must be upper-triangular")
         if np.any(np.diag(m) <= 0):
@@ -151,17 +168,8 @@ class FrameChange:
 
     @classmethod
     def random(cls, dim: int, rng: np.random.Generator) -> "FrameChange":
-        """Sample a well-conditioned frame change.
-
-        Diagonal entries are log-uniform on ``[1/e, e]`` (drawn first, in
-        order), strict upper-triangular entries uniform on ``[-1, 1]``
-        (drawn row-major), so a seeded generator reproduces the sample.
-        """
-        m = np.diag(np.exp(rng.uniform(-1.0, 1.0, size=dim)))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                m[i, j] = rng.uniform(-1.0, 1.0)
-        return cls(m)
+        """Sample a well-conditioned frame change: ``random_frames`` with one sample."""
+        return cls(random_frames(dim, rng, 1)[0])
 
     def _entry(self, i: int, j: int) -> float:
         if self.dim != 3:
@@ -214,11 +222,7 @@ class MetricLieAlgebra:
         d = self.algebra.dim
         if gram.shape != (d, d) or frame.shape != (d, d) or oc.shape != (d, d, d):
             raise StructureError("inconsistent shapes in metric Lie algebra")
-        resid = float(np.max(np.abs(frame.T @ gram @ frame - np.eye(d))))
-        if resid > _ORTHONORMALITY_GUARD:
-            raise InvalidMetricError(
-                f"frame is not gram-orthonormal (residual {resid:.3e})"
-            )
+        _check_orthonormal(gram, frame)
         object.__setattr__(self, "gram", _freeze(gram.copy()))
         object.__setattr__(self, "frame", _freeze(frame.copy()))
         object.__setattr__(self, "ortho_c", _freeze(oc.copy()))
@@ -228,12 +232,35 @@ class MetricLieAlgebra:
         return self.algebra.dim
 
 
+def _check_orthonormal(gram: np.ndarray, frame: np.ndarray) -> None:
+    """Raise unless ``frame^T gram frame = Id``, for one frame or a stack."""
+    defect = frame.swapaxes(-1, -2) @ gram @ frame - np.eye(frame.shape[-1])
+    resid = float(np.max(np.abs(defect), initial=0.0))
+    if resid > _ORTHONORMALITY_GUARD:
+        raise InvalidMetricError(f"frame is not gram-orthonormal (residual {resid:.3e})")
+
+
 def _orthonormal_structure(alg: LieAlgebra, frame: np.ndarray) -> np.ndarray:
-    """Structure constants in the frame whose columns are given in f-coords."""
-    finv = np.linalg.inv(frame)
-    oc = np.einsum("km,ai,bj,abm->ijk", finv, frame, frame, alg.c, optimize=True)
+    """Structure constants in the frame (leading batch axes allowed) given in f-coords."""
+    p = frame[..., None, :, :]
+    s = p.swapaxes(-1, -2) @ alg.c.transpose(2, 0, 1) @ p  # (P^T c_m P)_ij at [..., m, i, j]
+    oc = np.linalg.inv(frame) @ s.reshape(*s.shape[:-2], alg.dim**2)  # m contracted with P^-1
+    oc = np.moveaxis(oc.reshape(s.shape), -3, -1)
     # exact antisymmetry, so metricity of the connection cancels bit-exactly
-    return 0.5 * (oc - oc.transpose(1, 0, 2))
+    return 0.5 * (oc - oc.swapaxes(-3, -2))
+
+
+def frame_structure(alg: LieAlgebra, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices ``inv(P P^T)`` and orthonormal structure constants of frames ``P``.
+
+    ``frames`` is one frame matrix or a ``(N, d, d)`` stack; raises
+    ``InvalidMetricError`` if any frame fails the orthonormality guard.
+    """
+    pinv = np.linalg.inv(frames)
+    gram = pinv.swapaxes(-1, -2) @ pinv
+    gram = 0.5 * (gram + gram.swapaxes(-1, -2))
+    _check_orthonormal(gram, frames)
+    return gram, _orthonormal_structure(alg, frames)
 
 
 def orthonormalize(alg: LieAlgebra, gram: np.ndarray) -> MetricLieAlgebra:
@@ -247,6 +274,8 @@ def orthonormalize(alg: LieAlgebra, gram: np.ndarray) -> MetricLieAlgebra:
     d = alg.dim
     if gram.shape != (d, d):
         raise InvalidMetricError(f"gram matrix has shape {gram.shape}, expected {(d, d)}")
+    if not np.all(np.isfinite(gram)):
+        raise InvalidMetricError("gram matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(gram))))
     if float(np.max(np.abs(gram - gram.T))) > 1e-9 * scale:
         raise InvalidMetricError("gram matrix is not symmetric")
@@ -269,8 +298,5 @@ def metric_from_frame_change(alg: LieAlgebra, p: FrameChange) -> MetricLieAlgebr
         raise InvalidFrameError(
             f"frame dimension {p.dim} does not match algebra dimension {alg.dim}"
         )
-    frame = np.asarray(p.matrix, dtype=float)
-    pinv = np.linalg.inv(frame)
-    gram = pinv.T @ pinv
-    gram = 0.5 * (gram + gram.T)
-    return MetricLieAlgebra(alg, gram, frame, _orthonormal_structure(alg, frame))
+    gram, ortho_c = frame_structure(alg, p.matrix)
+    return MetricLieAlgebra(alg, gram, p.matrix, ortho_c)

@@ -133,8 +133,8 @@ class HeisenbergParams:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
         if len(self.a) != self.n or len(self.b) != self.n:
             raise InvalidParameterError("a and b must each have n entries")
-        if self.c <= 0 or any(v <= 0 for v in self.a) or any(v <= 0 for v in self.b):
-            raise InvalidParameterError("Heisenberg metric parameters must be positive")
+        if not all(0.0 < v < float("inf") for v in (self.c, *self.a, *self.b)):
+            raise InvalidParameterError("Heisenberg metric parameters must be positive and finite")
 
     @classmethod
     def defaults(cls, n: int) -> "HeisenbergParams":

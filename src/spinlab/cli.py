@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import FrameChange, check_jacobi, metric_from_frame_change
+from .algebra import FrameChange, check_jacobi, random_frames
 from .catalog import (
     BianchiFamily,
     HeisenbergParams,
@@ -35,8 +35,6 @@ from .catalog import (
     is_symmetric_family,
     make_bianchi,
     make_heisenberg,
-    reference_A,
-    reference_asymmetry,
     reference_eigenvalues,
 )
 from .clifford import Spinor
@@ -45,13 +43,14 @@ from .gks import (
     DEFAULT_GAP_TOL,
     DEFAULT_TOL,
     eigen_analysis,
-    explicit_A_3d,
     full_report,
     genericity_sweep,
     solve_endomorphism,
+    sweep_frames,
     symmetry_conditions_3d,
+    table1_rows,
 )
-from .selftest import FAMILY_GRID, run_selftest
+from .selftest import FAMILY_GRID, closed_form_deviations, run_selftest
 from .serialize import (
     algebra_from_obj,
     format_table_float,
@@ -60,18 +59,6 @@ from .serialize import (
 )
 
 _HEISENBERG_RE = re.compile(r"^H\(\s*(\d+)\s*\)$")
-
-TABLE1_ROWS: tuple[tuple[str, tuple[float | None, ...], str], ...] = (
-    ("L3(-1)", (None,), ""),
-    ("L3(1)", (None,), ""),
-    ("L3(2,x)", (-1.0,), "x = -1"),
-    ("L3(2,x)", (-0.5, 0.5, 1.0), "x != -1"),
-    ("L3(3)", (None,), ""),
-    ("L3(4,x)", (0.0,), "x = 0"),
-    ("L3(4,x)", (0.5, 1.0, 2.0), "x != 0"),
-    ("L3(5)", (None,), ""),
-    ("L3(6)", (None,), ""),
-)
 
 
 def _default_seed() -> int:
@@ -214,31 +201,15 @@ def cmd_verify_appendix(args) -> tuple[str, int]:
         fam = BianchiFamily(tag, x)
         alg = make_bianchi(fam)
         expected_sym = is_symmetric_family(fam)
-        rng = np.random.default_rng([args.seed, idx])
-        a_dev = asym_dev = explicit_dev = 0.0
+        frames = random_frames(3, np.random.default_rng([args.seed, idx]), args.samples)
+        batch = sweep_frames(alg, frames, args.tol, args.gap_tol)
+        devs = np.zeros(3)
         eigen_dev: float | None = None
-        verdicts_ok = True
-        for _ in range(args.samples):
-            p = FrameChange.random(3, rng)
-            mla = metric_from_frame_change(alg, p)
-            a_solved, _ = solve_endomorphism(mla, Spinor.one(1), args.tol)
-            a_ref = reference_A(fam, p)
-            scale = max(1.0, float(np.max(np.abs(a_ref))))
-            a_dev = max(a_dev, float(np.max(np.abs(a_solved - a_ref))) / scale)
-            asym_dev = max(
-                asym_dev,
-                float(np.max(np.abs((a_solved - a_solved.T) - reference_asymmetry(fam, p)))),
-            )
-            explicit_dev = max(
-                explicit_dev, float(np.max(np.abs(a_solved - explicit_A_3d(mla.ortho_c))))
-            )
-            observed_sym = float(
-                np.max(np.abs(a_solved - a_solved.T))
-            ) <= args.tol * max(1.0, float(np.max(np.abs(a_solved))))
-            if observed_sym != expected_sym:
-                verdicts_ok = False
-            if symmetry_conditions_3d(mla.ortho_c, args.tol) != expected_sym:
-                verdicts_ok = False
+        verdicts_ok = bool(np.all(batch.symmetric == expected_sym))
+        for frame, ortho_c, a_solved in zip(frames, batch.ortho_c, batch.A):
+            p = FrameChange(frame)
+            devs = np.maximum(devs, closed_form_deviations(fam, p, a_solved, ortho_c))
+            verdicts_ok &= symmetry_conditions_3d(ortho_c, args.tol) == expected_sym
             closed = reference_eigenvalues(fam, p)
             if closed is not None:
                 solved_vals, _ = eigen_analysis(a_solved, args.gap_tol)
@@ -246,6 +217,7 @@ def cmd_verify_appendix(args) -> tuple[str, int]:
                 escale = max(1.0, float(np.max(np.abs(ref_vals))))
                 dev = float(np.max(np.abs(solved_vals - ref_vals))) / escale
                 eigen_dev = dev if eigen_dev is None else max(eigen_dev, dev)
+        a_dev, asym_dev, explicit_dev = (float(v) for v in devs)
         entry_pass = (
             a_dev <= args.tol
             and asym_dev <= args.tol
@@ -302,52 +274,6 @@ def cmd_sweep(args) -> tuple[str, int]:
         f"fraction_r_lt_3: {stats['fraction_r_lt_3']}",
     ]
     return "\n".join(lines), 0
-
-
-def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dict]:
-    """Eigenvalue-count table per family, via seeded metric sweeps."""
-    rows = []
-    for row_idx, (tag, xs, case) in enumerate(TABLE1_ROWS):
-        sym_counts = []
-        modal_rs = []
-        below_total = 0
-        sym_total = 0
-        for x_idx, x in enumerate(xs):
-            fam = BianchiFamily(tag, x)
-            stats = genericity_sweep(fam, samples, [seed, row_idx, x_idx], gap_tol, tol)
-            sym_counts.append(stats["symmetric_count"])
-            modal_rs.append(stats["modal_r"])
-            sym_total += stats["symmetric_count"]
-            if stats["modal_r"] is not None:
-                below_total += sum(
-                    cnt for r, cnt in stats["r_counts"].items() if int(r) < stats["modal_r"]
-                )
-        if all(c == samples for c in sym_counts):
-            gk_dim = 2
-        elif all(c == 0 for c in sym_counts):
-            gk_dim = 0
-        else:
-            raise SpinlabError(
-                f"inconsistent symmetry verdicts within row {tag} {case!r}: {sym_counts}"
-            )
-        if gk_dim == 2:
-            if len(set(modal_rs)) != 1:
-                raise SpinlabError(f"inconsistent generic r within row {tag}: {modal_rs}")
-            r = modal_rs[0]
-            degenerate = below_total / sym_total
-        else:
-            r = None
-            degenerate = None
-        rows.append(
-            {
-                "family": tag,
-                "case": case,
-                "gk_dim": gk_dim,
-                "r": r,
-                "degenerate_fraction": degenerate,
-            }
-        )
-    return rows
 
 
 def cmd_table1(args) -> tuple[str, int]:
@@ -450,7 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Fill in the fallback seed and reject out-of-range sampling arguments."""
+    """Fill in the fallback seed and reject out-of-range tolerance and sampling arguments."""
+    for flag, value in (("--tol", args.tol), ("--gap-tol", args.gap_tol)):
+        if not 0.0 < value < float("inf"):
+            raise InvalidParameterError(f"{flag} must be finite and > 0, got {value}")
     if args.seed is None:
         args.seed = _default_seed()
     if args.seed < 0:

@@ -33,7 +33,7 @@ from .errors import UnsupportedDimensionError
 
 @dataclass(frozen=True)
 class NomizuMap:
-    """Stack of skew matrices ``mats[i] = L_i`` in the orthonormal frame."""
+    """Stack of skew matrices ``mats[..., i, :, :] = L_i`` in the orthonormal frame."""
 
     mats: np.ndarray
 
@@ -44,7 +44,7 @@ class NomizuMap:
 
     @property
     def dim(self) -> int:
-        return self.mats.shape[0]
+        return self.mats.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ class CurvatureData:
             object.__setattr__(self, name, arr)
 
 
-def nomizu(mla: MetricLieAlgebra) -> NomizuMap:
-    """Nomizu map of the Levi-Civita connection of ``mla``."""
-    c = mla.ortho_c
-    raw = 0.5 * (c.transpose(0, 2, 1) - c.transpose(2, 1, 0) + c.transpose(1, 0, 2))
+def nomizu(mla: MetricLieAlgebra | np.ndarray) -> NomizuMap:
+    """Nomizu map of ``mla``, or of orthonormal structure constants with any batch axes."""
+    c = mla.ortho_c if isinstance(mla, MetricLieAlgebra) else np.asarray(mla, dtype=float)
+    raw = 0.5 * (c.swapaxes(-1, -2) - c.swapaxes(-3, -1) + c.swapaxes(-3, -2))
     # skew-symmetrise so metricity holds bit-exactly
-    return NomizuMap(0.5 * (raw - raw.transpose(0, 2, 1)))
+    return NomizuMap(0.5 * (raw - raw.swapaxes(-1, -2)))
 
 
 def spin_nomizu(nm: NomizuMap, module: CliffordModule | None = None) -> list[np.ndarray]:

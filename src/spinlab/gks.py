@@ -9,19 +9,24 @@ generalised Killing precisely when the projection leaves no misfit and
 ``A`` is symmetric; in dimension 3 the same ``A`` then works for every
 invariant spinor, so the space of invariant generalised Killing spinors is
 either all of the spinor space or zero.
+
+Sweeps (``genericity_sweep``, ``table1_rows``) analyse all their metrics in
+one array pass of ``sweep_frames`` over a stack from ``random_frames``,
+which draws the same frames, in the same order, as ``FrameChange.random``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import FrameChange, MetricLieAlgebra, metric_from_frame_change
+from .algebra import LieAlgebra, MetricLieAlgebra, frame_structure, random_frames
 from .catalog import BianchiFamily, make_bianchi
 from .clifford import CliffordModule, Spinor, get_module
 from .connection import NomizuMap, curvature, nomizu
-from .errors import InvalidSpinorError, StructureError, UnsupportedDimensionError
+from .errors import InvalidSpinorError, SpinlabError, StructureError, UnsupportedDimensionError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GAP_TOL = 1e-7
@@ -202,16 +207,17 @@ def eigen_analysis(
 
     Eigenvalues closer than ``gap_tol * max(1, spectral radius)`` are
     clustered together.  Raises if the input is not symmetric within
-    ``sym_tol`` (relative).
+    ``sym_tol`` (relative).  A ``(N, d, d)`` stack gives ``(N, d)``
+    eigenvalues and an array of ``N`` counts.
     """
     a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > sym_tol * scale:
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    if np.any(np.max(np.abs(a - a.swapaxes(-1, -2)), axis=(-2, -1)) > sym_tol * scale):
         raise StructureError("eigen analysis requires a symmetric matrix")
-    vals = np.linalg.eigvalsh(0.5 * (a + a.T))
-    spread = max(1.0, float(np.max(np.abs(vals))))
-    distinct = 1 + int(np.count_nonzero(np.diff(vals) > gap_tol * spread))
-    return vals, distinct
+    vals = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))
+    spread = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
+    distinct = 1 + np.count_nonzero(np.diff(vals) > gap_tol * spread, axis=-1)
+    return vals, distinct if a.ndim > 2 else int(distinct)
 
 
 def gk_equation_residual(
@@ -295,6 +301,60 @@ def full_report(
     return GKReport(**report_kwargs)
 
 
+@lru_cache(maxsize=None)
+def _unit_spinor_tensors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moment matrix ``M`` of the unit spinor and its lift tensor ``W``, once per size.
+
+    Column ``b * d + a`` of ``W`` is the realified ``lift(E_ba) . psi`` for
+    the elementary skew matrix ``E_ba`` (entry ``(b, a) = 1``) when
+    ``a < b``, and zero otherwise, so ``W @ L.ravel()`` is ``lift(L) . psi``."""
+    mod, psi = get_module(n), Spinor.one(n)
+    d, eye = mod.dim_frame, np.eye(mod.dim_frame)
+    w = np.zeros((2 * mod.dim_spinor, d, d))
+    for a, b in zip(*np.triu_indices(d, 1)):
+        col = mod.apply_spin_lift(np.outer(eye[b], eye[a]) - np.outer(eye[a], eye[b]), psi.coeffs)
+        w[:, b, a] = np.concatenate([col.real, col.imag])
+    m, w = mod.moment_matrix(psi), w.reshape(-1, d * d)
+    m.setflags(write=False)
+    w.setflags(write=False)
+    return m, w
+
+
+@dataclass(frozen=True)
+class FrameSweep:
+    """Per-sample arrays of ``sweep_frames``; ``distinct_count`` is 0 where ``A`` is not symmetric."""
+
+    ortho_c: np.ndarray
+    A: np.ndarray
+    solve_residual: np.ndarray
+    symmetric: np.ndarray
+    distinct_count: np.ndarray
+
+
+def sweep_frames(
+    alg: LieAlgebra, frames: np.ndarray, tol: float = DEFAULT_TOL, gap_tol: float = DEFAULT_GAP_TOL
+) -> FrameSweep:
+    """The unit-spinor solve and verdicts of ``full_report`` for a ``(N, d, d)`` frame stack.
+
+    Per sample: ``solve_endomorphism`` on the unit spinor (norm 1, so
+    ``A = M^T R``), the symmetry verdict of ``full_report`` and, where ``A``
+    is symmetric, ``eigen_analysis``.  Raises ``InvalidMetricError`` if any
+    frame fails the orthonormality guard of ``MetricLieAlgebra``."""
+    d = alg.dim
+    m, w = _unit_spinor_tensors(_odd_module(d).n)
+    _, oc = frame_structure(alg, frames)
+    lam = nomizu(oc).mats.reshape(len(frames), d, d * d)
+    rhs = w @ lam.swapaxes(-1, -2)
+    a = m.T @ rhs
+    col_res = np.linalg.norm(m @ a - rhs, axis=-2)
+    residual = np.max(col_res / np.maximum(1.0, np.linalg.norm(rhs, axis=-2)), axis=-1)
+    asym = np.max(np.abs(a - a.swapaxes(-1, -2)), axis=(-2, -1))
+    symmetric = asym <= tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    distinct = np.zeros(len(frames), dtype=int)
+    distinct[symmetric] = eigen_analysis(a[symmetric], gap_tol)[1]
+    return FrameSweep(oc, a, residual, symmetric, distinct)
+
+
 def genericity_sweep(
     family: BianchiFamily,
     samples: int,
@@ -304,21 +364,15 @@ def genericity_sweep(
 ) -> dict:
     """Eigenvalue-multiplicity statistics over random metrics on a family.
 
-    Draws ``samples`` frame changes with the documented sampler and runs the
-    full analysis on each; reports the distribution of the distinct count
+    Draws ``samples`` frames with ``random_frames`` and analyses them in one
+    ``sweep_frames`` pass; reports the distribution of the distinct count
     ``r`` over the symmetric cases and the fraction with ``r < 3``.
     """
-    alg = make_bianchi(family)
-    rng = np.random.default_rng(seed)
-    r_counts: dict[int, int] = {}
-    symmetric_count = 0
-    for _ in range(samples):
-        p = FrameChange.random(3, rng)
-        report = full_report(metric_from_frame_change(alg, p), tol=tol, gap_tol=gap_tol)
-        if report.is_symmetric:
-            symmetric_count += 1
-            r = int(report.distinct_count)
-            r_counts[r] = r_counts.get(r, 0) + 1
+    frames = random_frames(3, np.random.default_rng(seed), samples)
+    batch = sweep_frames(make_bianchi(family), frames, tol, gap_tol)
+    rs, counts = np.unique(batch.distinct_count[batch.symmetric], return_counts=True)
+    r_counts = {int(r): int(cnt) for r, cnt in zip(rs, counts)}
+    symmetric_count = int(np.count_nonzero(batch.symmetric))
     below = sum(cnt for r, cnt in r_counts.items() if r < 3)
     modal_r = max(r_counts, key=lambda r: (r_counts[r], r)) if r_counts else None
     return {
@@ -329,3 +383,52 @@ def genericity_sweep(
         "r_counts": {str(r): r_counts[r] for r in sorted(r_counts)},
         "fraction_r_lt_3": below / symmetric_count if symmetric_count else None,
     }
+
+
+TABLE1_ROWS: tuple[tuple[str, tuple[float | None, ...], str], ...] = (
+    ("L3(-1)", (None,), ""),
+    ("L3(1)", (None,), ""),
+    ("L3(2,x)", (-1.0,), "x = -1"),
+    ("L3(2,x)", (-0.5, 0.5, 1.0), "x != -1"),
+    ("L3(3)", (None,), ""),
+    ("L3(4,x)", (0.0,), "x = 0"),
+    ("L3(4,x)", (0.5, 1.0, 2.0), "x != 0"),
+    ("L3(5)", (None,), ""),
+    ("L3(6)", (None,), ""),
+)
+
+
+def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dict]:
+    """Eigenvalue-count table per family, via seeded metric sweeps."""
+    rows = []
+    for row_idx, (tag, xs, case) in enumerate(TABLE1_ROWS):
+        stats = [
+            genericity_sweep(BianchiFamily(tag, x), samples, [seed, row_idx, x_idx], gap_tol, tol)
+            for x_idx, x in enumerate(xs)
+        ]
+        sym_counts = [st["symmetric_count"] for st in stats]
+        modal_rs = [st["modal_r"] for st in stats]
+        r = degenerate = None
+        if all(c == samples for c in sym_counts):
+            gk_dim = 2
+            if len(set(modal_rs)) != 1:
+                raise SpinlabError(f"inconsistent generic r within row {tag}: {modal_rs}")
+            r = modal_rs[0]
+            below = sum(c for st in stats for k, c in st["r_counts"].items() if int(k) < r)
+            degenerate = below / sum(sym_counts)
+        elif all(c == 0 for c in sym_counts):
+            gk_dim = 0
+        else:
+            raise SpinlabError(
+                f"inconsistent symmetry verdicts within row {tag} {case!r}: {sym_counts}"
+            )
+        rows.append(
+            {
+                "family": tag,
+                "case": case,
+                "gk_dim": gk_dim,
+                "r": r,
+                "degenerate_fraction": degenerate,
+            }
+        )
+    return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FrameChange, check_jacobi, metric_from_frame_change
+from .algebra import FrameChange, check_jacobi, metric_from_frame_change, random_frames
 from .catalog import (
     BianchiFamily,
     HeisenbergParams,
@@ -32,7 +32,7 @@ from .connection import (
     ricci_spinorial_check,
     torsion_violation,
 )
-from .gks import dirac_trace_3d, explicit_A_3d, solve_endomorphism
+from .gks import dirac_trace_3d, explicit_A_3d, solve_endomorphism, sweep_frames
 
 # (family tag, parameter) grid covering all seven families including the
 # symmetric boundary parameters x = -1 and x = 0
@@ -105,15 +105,26 @@ def _catalog_jacobi() -> float:
     return worst
 
 
+def closed_form_deviations(fam: BianchiFamily, p: FrameChange, a, ortho_c) -> np.ndarray:
+    """Worst-entry deviations of a solved 3-d ``A`` from its three closed forms.
+
+    In order: ``reference_A`` (relative to its size), ``reference_asymmetry``
+    of ``A - A^T``, and ``explicit_A_3d`` of ``ortho_c``."""
+    ref = reference_A(fam, p)
+    asym = np.max(np.abs((a - a.T) - reference_asymmetry(fam, p)))
+    explicit = np.max(np.abs(a - explicit_A_3d(ortho_c)))
+    return np.array([np.max(np.abs(a - ref)) / max(1.0, np.max(np.abs(ref))), asym, explicit])
+
+
 def _metric_sweep(seed, per_family: int = 20):
-    """All (family, metric) pairs of the seeded closed-form verification sweep."""
+    """(family, metric, frame change, engine A) of the seeded verification sweep."""
     out = []
     for idx, fam in enumerate(family_grid()):
         alg = make_bianchi(fam)
-        rng = np.random.default_rng([seed, idx])
-        for _ in range(per_family):
-            p = FrameChange.random(3, rng)
-            out.append((fam, metric_from_frame_change(alg, p), p))
+        frames = random_frames(3, np.random.default_rng([seed, idx]), per_family)
+        for frame, a in zip(frames, sweep_frames(alg, frames).A):
+            p = FrameChange(frame)
+            out.append((fam, metric_from_frame_change(alg, p), p, a))
     return out
 
 
@@ -148,9 +159,10 @@ def run_selftest(
 
     sweep = _metric_sweep([seed, 2])
     torsion = metricity = spinorial = 0.0
-    solver_dev = explicit_dev = asym_dev = ricci_dev = dirac_dev = 0.0
+    ricci_dev = dirac_dev = 0.0
+    closed_dev = np.zeros(3)
     basis = (Spinor.one(1), Spinor.basis(1, 1))
-    for fam, mla, p in sweep:
+    for fam, mla, p, a_solved in sweep:
         nm = nomizu(mla)
         c = mla.ortho_c
         metricity = max(metricity, metricity_violation(nm))
@@ -158,17 +170,7 @@ def run_selftest(
         for psi in basis:
             _, res = ricci_spinorial_check(nm, mla, psi)
             spinorial = max(spinorial, res)
-        a_solved, _ = solve_endomorphism(mla, Spinor.one(1))
-        a_ref = reference_A(fam, p)
-        scale = max(1.0, float(np.max(np.abs(a_ref))))
-        solver_dev = max(solver_dev, float(np.max(np.abs(a_solved - a_ref))) / scale)
-        explicit_dev = max(
-            explicit_dev, float(np.max(np.abs(a_solved - explicit_A_3d(mla.ortho_c))))
-        )
-        asym_dev = max(
-            asym_dev,
-            float(np.max(np.abs((a_solved - a_solved.T) - reference_asymmetry(fam, p)))),
-        )
+        closed_dev = np.maximum(closed_dev, closed_form_deviations(fam, p, a_solved, c))
         dirac_dev = max(dirac_dev, abs(float(np.trace(a_solved)) - dirac_trace_3d(c)))
         if is_symmetric_family(fam):
             ric = curvature(nm, mla).ricci
@@ -179,9 +181,9 @@ def run_selftest(
     checks.append(_check("nomizu_torsion_free", torsion, t(1e-12)))
     checks.append(_check("nomizu_metricity", metricity, t(1e-12)))
     checks.append(_check("spinorial_ricci_identity", spinorial, t(1e-9)))
-    checks.append(_check("solver_vs_family_closed_form", solver_dev, t(1e-9)))
-    checks.append(_check("solver_vs_explicit_3d_form", explicit_dev, t(1e-10)))
-    checks.append(_check("asymmetry_vs_closed_form", asym_dev, t(1e-10)))
+    checks.append(_check("solver_vs_family_closed_form", closed_dev[0], t(1e-9)))
+    checks.append(_check("solver_vs_explicit_3d_form", closed_dev[2], t(1e-10)))
+    checks.append(_check("asymmetry_vs_closed_form", closed_dev[1], t(1e-10)))
     checks.append(_check("ricci_vs_closed_form_symmetric", ricci_dev, t(1e-9)))
     checks.append(_check("dirac_trace_identity", dirac_dev, t(1e-12)))
 

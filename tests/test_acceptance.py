@@ -11,7 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from spinlab.algebra import FrameChange, LieAlgebra, check_jacobi, metric_from_frame_change
+from spinlab.algebra import (
+    FrameChange,
+    LieAlgebra,
+    check_jacobi,
+    metric_from_frame_change,
+    random_frames,
+)
 from spinlab.catalog import (
     BianchiFamily,
     HeisenbergParams,
@@ -61,8 +67,8 @@ def family_sweep():
         fam = BianchiFamily(tag, x)
         alg = make_bianchi(fam)
         rng = np.random.default_rng([SWEEP_SEED, idx])
-        for _ in range(SWEEP_SAMPLES):
-            p = FrameChange.random(3, rng)
+        for frame in random_frames(3, rng, SWEEP_SAMPLES):
+            p = FrameChange(frame)
             out.append((fam, p, metric_from_frame_change(alg, p)))
     return out
 

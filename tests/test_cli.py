@@ -188,12 +188,25 @@ def test_exit_codes(tmp_path):
         (("verify-appendix", "--samples", "0"), 2),
         (("sweep", "--algebra", "L3(6)", "--samples", "5", "--seed", "-1"), 2),
         (("selftest", "--seed", "-1"), 2),
+        (("analyze", "--algebra", "L3(1)", "--tol", "nan"), 2),
+        (("analyze", "--algebra", "L3(1)", "--tol", "-1"), 2),
+        (("analyze", "--algebra", "L3(1)", "--tol", "inf"), 2),
+        (("sweep", "--algebra", "L3(6)", "--samples", "5", "--gap-tol", "nan"), 2),
+        (("table1", "--samples", "5", "--gap-tol", "0"), 2),
+        (("heisenberg", "--n", "2", "--a", "1,nan"), 2),
+        (("heisenberg", "--n", "1", "--c", "inf"), 2),
+        (("analyze", "--algebra", "L3(1)", "--metric", '{"frame_P": {"alpha": NaN}}'), 2),
+        (("analyze", "--algebra", "L3(1)", "--metric",
+          '{"frame_P": [[1, 0, 0], [0, 1, Infinity], [0, 0, 1]]}'), 2),
+        (("analyze", "--algebra", "L3(1)", "--metric",
+          '{"gram": [[1, 0, 0], [0, NaN, 0], [0, 0, 1]]}'), 2),
     ]
     for args, code in cases:
         res = run_cli(*args)
         assert res.returncode == code, args
         assert res.stdout == "", args
         assert "Traceback" not in res.stderr, args
+        assert len(res.stderr.strip().splitlines()) == 1, args
 
 
 def test_jacobi_failure_exit(tmp_path):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from spinlab.algebra import FrameChange, LieAlgebra, metric_from_frame_change, orthonormalize
+from spinlab.algebra import (
+    FrameChange,
+    LieAlgebra,
+    metric_from_frame_change,
+    orthonormalize,
+    random_frames,
+)
 from spinlab.catalog import (
     BianchiFamily,
     HeisenbergParams,
@@ -9,12 +15,18 @@ from spinlab.catalog import (
     heisenberg_metric,
     is_symmetric_family,
     make_bianchi,
+    make_heisenberg,
     reference_A,
     reference_asymmetry,
 )
 from spinlab.clifford import Spinor, get_module
 from spinlab.connection import nomizu
-from spinlab.errors import InvalidSpinorError, StructureError, UnsupportedDimensionError
+from spinlab.errors import (
+    InvalidMetricError,
+    InvalidSpinorError,
+    StructureError,
+    UnsupportedDimensionError,
+)
 from spinlab.gks import (
     dirac_trace_3d,
     eigen_analysis,
@@ -24,6 +36,7 @@ from spinlab.gks import (
     gk_equation_residual,
     solve_endomorphism,
     solve_symmetric_endomorphism,
+    sweep_frames,
     symmetry_conditions_3d,
 )
 from spinlab.selftest import FAMILY_GRID
@@ -384,6 +397,108 @@ def test_frame_change_example_downstream_A():
     )
     a, _ = solve_endomorphism(mla, Spinor.one(1))
     np.testing.assert_allclose(a, np.diag([-0.125, 0.125, 0.125]), atol=1e-14)
+
+
+def _scalar_frame(dim, rng):
+    """The frame sampler drawn one scalar at a time: diagonal, then row-major."""
+    m = np.diag(np.exp(rng.uniform(-1.0, 1.0, size=dim)))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m[i, j] = rng.uniform(-1.0, 1.0)
+    return m
+
+
+def test_batched_sampler_reproduces_the_draw_order():
+    for dim in (3, 5):
+        for seed in (0, 1, [7, 2, 1]):
+            frames = random_frames(dim, np.random.default_rng(seed), 40)
+            rng = np.random.default_rng(seed)
+            one_at_a_time = [FrameChange.random(dim, rng).matrix for _ in range(40)]
+            rng = np.random.default_rng(seed)
+            scalar = [_scalar_frame(dim, rng) for _ in range(40)]
+            np.testing.assert_array_equal(frames, one_at_a_time)
+            np.testing.assert_array_equal(frames, scalar)
+
+
+def test_sweep_frames_matches_scalar_pipeline():
+    rng = np.random.default_rng(606)
+    algebras = [make_bianchi(BianchiFamily(tag, x)) for tag, x in FAMILY_GRID]
+    for alg in algebras + [make_heisenberg(2)]:
+        frames = random_frames(alg.dim, rng, 25)
+        batch = sweep_frames(alg, frames)
+        n = (alg.dim - 1) // 2
+        for k, frame in enumerate(frames):
+            mla = metric_from_frame_change(alg, FrameChange(frame))
+            a, residual = solve_endomorphism(mla, Spinor.one(n))
+            assert np.max(np.abs(batch.A[k] - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+            assert np.max(np.abs(batch.ortho_c[k] - mla.ortho_c)) <= 1e-12 * max(
+                1.0, np.max(np.abs(mla.ortho_c))
+            )
+            # in dimension 3 every frame direction is solved exactly
+            assert abs(batch.solve_residual[k] - residual) <= 1e-12
+            assert alg.dim > 3 or batch.solve_residual[k] <= 1e-12
+            report = full_report(mla)
+            assert batch.symmetric[k] == report.is_symmetric
+            assert batch.distinct_count[k] == (report.distinct_count or 0)
+
+
+def test_sweep_frames_keeps_the_orthonormality_guard():
+    alg = make_bianchi(BianchiFamily("L3(6)"))
+    bad = np.array([[1.0, 1e8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(InvalidMetricError):
+        metric_from_frame_change(alg, FrameChange(bad))
+    frames = random_frames(3, np.random.default_rng(5), 6)
+    frames[3] = bad
+    with pytest.raises(InvalidMetricError):
+        sweep_frames(alg, frames)
+
+
+def _per_sample_genericity_sweep(family, samples, seed, gap_tol=1e-7, tol=1e-9):
+    """Reference sweep: one ``full_report`` per drawn frame change."""
+    alg = make_bianchi(family)
+    rng = np.random.default_rng(seed)
+    r_counts: dict[int, int] = {}
+    symmetric_count = 0
+    for _ in range(samples):
+        p = FrameChange.random(3, rng)
+        report = full_report(metric_from_frame_change(alg, p), tol=tol, gap_tol=gap_tol)
+        if report.is_symmetric:
+            symmetric_count += 1
+            r = int(report.distinct_count)
+            r_counts[r] = r_counts.get(r, 0) + 1
+    below = sum(cnt for r, cnt in r_counts.items() if r < 3)
+    modal_r = max(r_counts, key=lambda r: (r_counts[r], r)) if r_counts else None
+    return {
+        "family": family.label,
+        "samples": samples,
+        "symmetric_count": symmetric_count,
+        "modal_r": modal_r,
+        "r_counts": {str(r): r_counts[r] for r in sorted(r_counts)},
+        "fraction_r_lt_3": below / symmetric_count if symmetric_count else None,
+    }
+
+
+def test_genericity_sweep_matches_per_sample_loop():
+    # the configurations of the sweep tests here and in the CLI tests, then
+    # every grid family over the seeds those tests use
+    cases = [
+        (BianchiFamily("L3(6)"), 100, 7),
+        (BianchiFamily("L3(1)"), 100, 1),
+        (BianchiFamily("L3(3)"), 50, 2),
+        (BianchiFamily("L3(1)"), 50, 4),
+        (BianchiFamily("L3(5)"), 20, 6),
+        (BianchiFamily("L3(6)"), 25, 9),
+        (BianchiFamily("L3(6)"), 20, 11),
+    ]
+    cases += [
+        (BianchiFamily(tag, x), 15, seed)
+        for tag, x in FAMILY_GRID
+        for seed in (1, 2, 4, 6, 7, 9, 11, [3, 5, 0])
+    ]
+    for fam, samples, seed in cases:
+        assert genericity_sweep(fam, samples, seed) == _per_sample_genericity_sweep(
+            fam, samples, seed
+        ), (fam.label, seed)
 
 
 def test_genericity_sweep_l36():
