@@ -236,7 +236,7 @@ def _check_orthonormal(gram: np.ndarray, frame: np.ndarray) -> None:
     """Raise unless ``frame^T gram frame = Id``, for one frame or a stack."""
     defect = frame.swapaxes(-1, -2) @ gram @ frame - np.eye(frame.shape[-1])
     resid = float(np.max(np.abs(defect), initial=0.0))
-    if resid > _ORTHONORMALITY_GUARD:
+    if not resid <= _ORTHONORMALITY_GUARD:  # also rejects a NaN residual
         raise InvalidMetricError(f"frame is not gram-orthonormal (residual {resid:.3e})")
 
 

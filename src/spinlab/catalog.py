@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FrameChange, LieAlgebra, MetricLieAlgebra
+from .clifford import check_slots
 from .errors import InvalidParameterError
 
 FAMILY_TAGS = ("L3(-1)", "L3(1)", "L3(2,x)", "L3(3)", "L3(4,x)", "L3(5)", "L3(6)")
@@ -111,6 +112,7 @@ def make_heisenberg(n: int) -> LieAlgebra:
     """
     if n < 1:
         raise InvalidParameterError(f"Heisenberg index must be >= 1, got {n}")
+    check_slots(n)  # every analysis needs its n-slot spinors; refuse before the dense tensor
     brackets = {(2 * p, 2 * p + 1): {1: 1.0} for p in range(1, n + 1)}
     return LieAlgebra.from_brackets(2 * n + 1, brackets)
 
@@ -135,6 +137,13 @@ class HeisenbergParams:
             raise InvalidParameterError("a and b must each have n entries")
         if not all(0.0 < v < float("inf") for v in (self.c, *self.a, *self.b)):
             raise InvalidParameterError("Heisenberg metric parameters must be positive and finite")
+        with np.errstate(all="ignore"):
+            ratios = np.float64(self.c) / (np.asarray(self.a) * np.asarray(self.b))
+        if not np.all((ratios > 0.0) & (ratios < np.inf)):
+            raise InvalidParameterError(
+                "Heisenberg metric parameters out of floating-point range: "
+                "every c / (a_p b_p) must be positive and finite"
+            )
 
     @classmethod
     def defaults(cls, n: int) -> "HeisenbergParams":

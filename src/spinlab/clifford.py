@@ -24,11 +24,15 @@ The lift of a skew matrix ``omega`` to a spinor operator uses
 ``e_i`` to ``e_j`` (entry ``(j, i) = +1``); this normalisation is the one
 for which ``[lift(omega), v.] = (omega v).`` holds as operators.
 
-All actions are matrix-free and take one coefficient vector or a stack of
-them as columns.  Dense ``2**n x 2**n`` operators are those actions applied
-to the identity, available up to ``n = 8``; beyond that the
-signed-permutation form keeps vector actions available without the
-quadratic memory cost.
+All actions are matrix-free and act as a matrix product would: on one
+coefficient vector ``(2**n,)`` or on column stacks ``(..., 2**n, k)``.  The
+spin lift and the vector combination also take a stack of skew matrices
+``(..., d, d)`` or of frame vectors ``(..., d)``, one operator per stack
+entry, broadcast against the coefficient stacks.  Dense ``2**n x 2**n``
+operators are those actions applied to the identity, available up to
+``n = 8``; beyond that the signed-permutation form keeps vector actions
+available without the quadratic memory cost.  Modules are capped at
+``n = 16`` slots (see ``MAX_SLOTS``).
 """
 
 from __future__ import annotations
@@ -45,6 +49,27 @@ from .errors import (
 )
 
 _DENSE_LIMIT = 8  # largest n for which dense operators are built
+
+# Largest n a module is built for.  A full report at n = 16 (2**16-entry
+# spinors, dimension 33) peaks near 0.3 GB, and every further slot doubles
+# that; refusing larger modules up front turns an allocation failure deep in
+# numpy into a domain error.
+MAX_SLOTS = 16
+
+
+def check_slots(n: int) -> None:
+    """Refuse spinors with more than ``MAX_SLOTS`` slots, before anything is allocated."""
+    if n > MAX_SLOTS:
+        raise UnsupportedDimensionError(
+            f"spinors with {n} slots (dimension {2 * n + 1}) exceed the "
+            f"supported maximum of {MAX_SLOTS} slots (dimension {2 * MAX_SLOTS + 1})"
+        )
+
+
+def _zeros(n: int) -> np.ndarray:
+    """Zero coefficient vector for ``n`` slots."""
+    check_slots(n)
+    return np.zeros(2**n, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -66,12 +91,12 @@ class Spinor:
 
     @classmethod
     def zero(cls, n: int) -> "Spinor":
-        return cls(n, np.zeros(2**n, dtype=complex))
+        return cls(n, _zeros(n))
 
     @classmethod
     def one(cls, n: int) -> "Spinor":
         """The unit spinor (coefficient 1 on the empty subset)."""
-        coeffs = np.zeros(2**n, dtype=complex)
+        coeffs = _zeros(n)
         coeffs[0] = 1.0
         return cls(n, coeffs)
 
@@ -85,7 +110,7 @@ class Spinor:
             if mask & (1 << (p - 1)):
                 raise InvalidSpinorError(f"repeated slot {p}")
             mask |= 1 << (p - 1)
-        coeffs = np.zeros(2**n, dtype=complex)
+        coeffs = _zeros(n)
         coeffs[mask] = 1.0
         return cls(n, coeffs)
 
@@ -98,12 +123,16 @@ class CliffordModule:
     """Precomputed Clifford action of the frame of a (2n+1)-dim algebra.
 
     Each frame vector is stored as a signed permutation ``(perm, coef)``
-    with ``(e_i psi)[perm[S]] = coef[S] * psi[S]``.
+    with ``(e_i psi)[perm[S]] = coef[S] * psi[S]``.  Every ``perm`` flips a
+    fixed set of bits, so it and all its compositions are their own
+    inverses: the actions gather ``psi[perm]`` instead of scattering into
+    ``out[perm]``.
     """
 
     def __init__(self, n: int, flip_contraction_sign: bool = False):
         if n < 1:
             raise UnsupportedDimensionError(f"spinor module needs n >= 1, got {n}")
+        check_slots(n)
         self.n = n
         self.dim_spinor = 2**n
         self.dim_frame = 2 * n + 1
@@ -145,19 +174,25 @@ class CliffordModule:
     def apply_vector(self, i: int, coeffs: np.ndarray) -> np.ndarray:
         """Apply ``e_i`` to a coefficient vector or to each column of a stack."""
         self._check_index(i)
-        coeffs = np.asarray(coeffs)
-        out = np.zeros(coeffs.shape, dtype=complex)
-        out[self._perm[i - 1]] = _rowwise(self._coef[i - 1], coeffs)
-        return out
+        rows = _as_rows(coeffs)
+        return _as_columns((self._coef[i - 1] * rows).take(self._perm[i - 1], axis=-1), coeffs)
 
     def apply_combo(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Apply the Clifford action of the real frame vector ``sum v_i e_i``."""
+        """Apply the Clifford action of the real frame vector ``sum v_i e_i``.
+
+        ``v`` may carry leading batch axes ``(..., d)``; a frame index is
+        skipped when its coefficient is zero in every vector of the stack.
+        """
         v = np.asarray(v, dtype=float)
-        out = np.zeros(self.dim_spinor, dtype=complex)
-        for i, vi in enumerate(v):
-            if vi != 0.0:
-                out[self._perm[i]] += vi * self._coef[i] * coeffs
-        return out
+        rows = _as_rows(coeffs)
+        lead = _lead(v.shape[:-1], coeffs)
+        out = np.zeros(np.broadcast_shapes(lead + rows.shape[-1:], rows.shape), dtype=complex)
+        live = (v != 0.0).any(axis=tuple(range(v.ndim - 1))).tolist()
+        for i, on in enumerate(live):
+            if on:
+                w = v[..., i].reshape(lead + (1,))
+                out += (w * self._coef[i] * rows).take(self._perm[i], axis=-1)
+        return _as_columns(out, coeffs)
 
     def moment_matrix(self, psi: Spinor) -> np.ndarray:
         """Real ``2**(n+1) x (2n+1)`` matrix of ``v -> v . psi``.
@@ -174,43 +209,63 @@ class CliffordModule:
     def _require_skew(self, omega: np.ndarray) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
         d = self.dim_frame
-        if omega.shape != (d, d):
+        if omega.shape[-2:] != (d, d):
             raise InvalidOperatorError(
-                f"expected a {d}x{d} matrix, got shape {omega.shape}"
+                f"expected {d}x{d} matrices, got shape {omega.shape}"
             )
-        scale = max(1.0, float(np.max(np.abs(omega))))
-        if float(np.max(np.abs(omega + omega.T))) > 1e-12 * scale:
+        scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
+        defect = np.abs(omega + omega.swapaxes(-1, -2)).max(axis=(-2, -1))
+        if (defect > 1e-12 * scale).any():
             raise InvalidOperatorError("spin lift requires a skew-symmetric matrix")
         return omega
 
     def spin_lift(self, omega: np.ndarray) -> np.ndarray:
-        """Dense spinor operator of the skew frame matrix ``omega``."""
+        """Dense spinor operator of the skew frame matrix ``omega``, or a stack of them."""
         return self.apply_spin_lift(omega, self._identity())
 
     def apply_spin_lift(self, omega: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Apply the lift of ``omega`` to a coefficient vector or stack, matrix-free.
 
-        Costs O(nonzero pairs * 2**n) per column, so it stays usable past
-        the dense operator cutoff.
+        ``omega`` is one skew matrix or a stack ``(..., d, d)``; the result is
+        ``lift(omega) @ coeffs`` with matmul broadcasting.  A pair ``(a, b)``
+        is skipped when ``omega[..., b, a]`` is zero in every matrix of the
+        stack.  Costs O(nonzero pairs * 2**n) per column and stack entry, so
+        it stays usable past the dense operator cutoff.
         """
         omega = self._require_skew(omega)
-        coeffs = np.asarray(coeffs)
-        out = np.zeros(coeffs.shape, dtype=complex)
+        rows = _as_rows(coeffs)
+        lead = _lead(omega.shape[:-2], coeffs)
+        out = np.zeros(np.broadcast_shapes(lead + rows.shape[-1:], rows.shape), dtype=complex)
+        live = (omega != 0.0).any(axis=tuple(range(omega.ndim - 2))).tolist()
         for a in range(self.dim_frame):
             pa, ca = self._perm[a], self._coef[a]
             for b in range(a + 1, self.dim_frame):
-                w = omega[b, a]
-                if w == 0.0:
+                if not live[b][a]:
                     continue
                 pb, cb = self._perm[b], self._coef[b]
                 # e_a e_b applied as: b first, then a
-                out[pa[pb]] += _rowwise((0.5 * w) * cb * ca[pb], coeffs)
-        return out
+                w = (0.5 * omega[..., b, a]).reshape(lead + (1,))
+                out += (w * cb * ca[pb] * rows).take(pa[pb], axis=-1)
+        return _as_columns(out, coeffs)
 
 
-def _rowwise(coef: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Scale row ``S`` of a coefficient vector or column stack by ``coef[S]``."""
-    return (coef * coeffs.T).T
+def _as_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Spinor axis last: a vector as is, a column stack ``(..., S, k)`` as ``(..., k, S)``.
+
+    The stack is copied to C order: on a strided view, broadcast products and
+    ``take`` along the spinor axis run several times slower."""
+    coeffs = np.asarray(coeffs)
+    return coeffs if coeffs.ndim == 1 else np.ascontiguousarray(coeffs.swapaxes(-1, -2))
+
+
+def _as_columns(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of ``_as_rows`` for the result of an action on ``coeffs``."""
+    return rows if np.ndim(coeffs) == 1 else rows.swapaxes(-1, -2)
+
+
+def _lead(batch: tuple[int, ...], coeffs: np.ndarray) -> tuple[int, ...]:
+    """Shape of per-operator weights against ``_as_rows(coeffs)``: one more axis for columns."""
+    return batch + (1,) * (np.ndim(coeffs) > 1)
 
 
 @lru_cache(maxsize=16)
@@ -250,11 +305,11 @@ def cliff_relations_check(
 
 
 def spin_lift(omega: np.ndarray) -> np.ndarray:
-    """Lift a skew ``(2n+1) x (2n+1)`` matrix to a spinor operator."""
+    """Lift a skew ``(2n+1) x (2n+1)`` matrix, or a stack of them, to spinor operators."""
     omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1] or omega.shape[0] % 2 == 0:
+    if omega.ndim < 2 or omega.shape[-1] != omega.shape[-2] or omega.shape[-1] % 2 == 0:
         raise UnsupportedDimensionError(
-            f"spin lift needs an odd-dimensional square matrix, got {omega.shape}"
+            f"spin lift needs odd-dimensional square matrices, got {omega.shape}"
         )
-    n = (omega.shape[0] - 1) // 2
+    n = (omega.shape[-1] - 1) // 2
     return get_module(n).spin_lift(omega)

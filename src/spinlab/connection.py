@@ -18,6 +18,10 @@ the sign conventions are pinned by the spinorial identity
 
 which ``ricci_spinorial_check`` verifies with both sides computed
 independently.
+
+Every function takes a ``MetricLieAlgebra`` or its orthonormal structure
+constants, which may carry leading batch axes ``(..., d, d, d)``; a batch
+gives per-entry results, and one metric is the batch-of-one case.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class NomizuMap:
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Curvature operators ``operators[i, j] = R(e_i, e_j)`` and Ricci matrix."""
+    """Curvature operators ``operators[..., i, j, :, :] = R(e_i, e_j)`` and Ricci matrices."""
 
     operators: np.ndarray
     ricci: np.ndarray
@@ -61,83 +65,89 @@ class CurvatureData:
             object.__setattr__(self, name, arr)
 
 
+def _structure(mla: MetricLieAlgebra | np.ndarray) -> np.ndarray:
+    return mla.ortho_c if isinstance(mla, MetricLieAlgebra) else np.asarray(mla, dtype=float)
+
+
+def _worst(x: np.ndarray, axes: int) -> float | np.ndarray:
+    """Largest ``|x|`` over the trailing ``axes`` axes: a float, or an array over batch axes."""
+    worst = np.max(np.abs(x), axis=tuple(range(-axes, 0)))
+    return float(worst) if worst.ndim == 0 else worst
+
+
 def nomizu(mla: MetricLieAlgebra | np.ndarray) -> NomizuMap:
     """Nomizu map of ``mla``, or of orthonormal structure constants with any batch axes."""
-    c = mla.ortho_c if isinstance(mla, MetricLieAlgebra) else np.asarray(mla, dtype=float)
+    c = _structure(mla)
     raw = 0.5 * (c.swapaxes(-1, -2) - c.swapaxes(-3, -1) + c.swapaxes(-3, -2))
     # skew-symmetrise so metricity holds bit-exactly
     return NomizuMap(0.5 * (raw - raw.swapaxes(-1, -2)))
 
 
-def spin_nomizu(nm: NomizuMap, module: CliffordModule | None = None) -> list[np.ndarray]:
-    """Spin lifts of the Nomizu matrices as dense spinor operators."""
+def spin_nomizu(nm: NomizuMap, module: CliffordModule | None = None) -> np.ndarray:
+    """Spin lifts of the Nomizu matrices as a stack of dense spinor operators."""
     d = nm.dim
     if d % 2 == 0:
         raise UnsupportedDimensionError(f"spin lift needs odd dimension, got {d}")
     mod = module if module is not None else get_module((d - 1) // 2)
-    return [mod.spin_lift(nm.mats[i]) for i in range(d)]
+    return mod.spin_lift(nm.mats)
 
 
-def metricity_violation(nm: NomizuMap) -> float:
-    """Worst entry of ``L_i + L_i^T`` (exactly zero by construction)."""
+def metricity_violation(nm: NomizuMap) -> float | np.ndarray:
+    """Worst entry of ``L_i + L_i^T`` (exactly zero by construction); an array for a batch."""
     lam = nm.mats
-    return float(np.max(np.abs(lam + lam.transpose(0, 2, 1))))
+    return _worst(lam + lam.swapaxes(-1, -2), 3)
 
 
-def torsion_violation(nm: NomizuMap, mla: MetricLieAlgebra) -> float:
-    """Worst entry of ``(L_i)_{kj} - (L_j)_{ki} - c_ij^k`` over all indices."""
-    lam, c = nm.mats, mla.ortho_c
-    worst = 0.0
-    for i in range(nm.dim):
-        for j in range(nm.dim):
-            diff = lam[i][:, j] - lam[j][:, i] - c[i, j]
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
-
-
-def curvature(nm: NomizuMap, mla: MetricLieAlgebra) -> CurvatureData:
-    """Curvature operators and Ricci matrix of the connection."""
+def torsion_violation(
+    nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray
+) -> float | np.ndarray:
+    """Worst entry of ``(L_i)_{kj} - (L_j)_{ki} - c_ij^k``; an array for a batch."""
     lam = nm.mats
-    prod = np.einsum("iab,jbc->ijac", lam, lam)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    ops = comm - np.einsum("ijk,kab->ijab", mla.ortho_c, lam)
-    ricci = np.einsum("jxjy->xy", ops)
+    # axes (i, j, k) of (L_i)_{kj} and of (L_j)_{ki}
+    return _worst(lam.swapaxes(-1, -2) - np.moveaxis(lam, -1, -3) - _structure(mla), 3)
+
+
+def curvature(nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray) -> CurvatureData:
+    """Curvature operators and Ricci matrix of the connection, per batch entry."""
+    lam = nm.mats
+    prod = np.einsum("...iab,...jbc->...ijac", lam, lam)
+    comm = prod - prod.swapaxes(-4, -3)
+    ops = comm - np.einsum("...ijk,...kab->...ijab", _structure(mla), lam)
+    ricci = np.einsum("...jxjy->...xy", ops)
     return CurvatureData(operators=ops, ricci=ricci)
 
 
 def ricci_spinorial_check(
     nm: NomizuMap,
-    mla: MetricLieAlgebra,
+    mla: MetricLieAlgebra | np.ndarray,
     psi: Spinor,
     tol: float = 1e-9,
-) -> tuple[bool, float]:
+) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Verify the spinorial Ricci identity on ``psi`` for every frame direction.
 
     The left side uses spin-lifted curvature operators assembled from the
     lifted Nomizu operators; the right side uses the Ricci matrix from the
     frame-level curvature.  Returns ``(ok, max_residual)`` with the residual
-    relative to ``max(1, |rhs|)`` per direction.
+    relative to ``max(1, |rhs|)`` per direction; for structure constants
+    with batch axes, both are arrays over the batch.
     """
-    d = mla.dim
+    c = _structure(mla)
+    d = c.shape[-1]
     if d % 2 == 0:
         raise UnsupportedDimensionError(f"spinor check needs odd dimension, got {d}")
     mod = get_module((d - 1) // 2)
-    ric = curvature(nm, mla).ricci
-    c = mla.ortho_c
-    vec = psi.coeffs
-    lifted = [mod.apply_spin_lift(nm.mats[j], vec) for j in range(d)]
-    worst = 0.0
-    for i in range(d):
-        lhs = np.zeros(mod.dim_spinor, dtype=complex)
-        for j in range(d):
-            rv = mod.apply_spin_lift(nm.mats[i], lifted[j]) - mod.apply_spin_lift(
-                nm.mats[j], lifted[i]
-            )
-            for k in range(d):
-                if c[i, j, k] != 0.0:
-                    rv = rv - c[i, j, k] * lifted[k]
-            lhs += mod.apply_vector(j + 1, rv)
-        rhs = -0.5 * mod.apply_combo(ric[:, i], vec)
-        denom = max(1.0, float(np.max(np.abs(rhs))))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / denom)
+    lam, vec = nm.mats, psi.coeffs
+    lifted = mod.apply_spin_lift(lam, vec)  # [..., j, :] = lift(L_j) psi
+    # twice[..., i, :, j] = lift(L_i) lift(L_j) psi, so that
+    # rv[..., i, :, j] = R(e_i, e_j) . psi
+    twice = mod.apply_spin_lift(lam, lifted.swapaxes(-1, -2)[..., None, :, :])
+    rv = twice - twice.swapaxes(-3, -1)
+    for k in range(d):
+        rv = rv - c[..., :, None, :, k] * lifted[..., None, k, :, None]
+    lhs = sum(mod.apply_vector(j + 1, rv[..., j : j + 1]) for j in range(d))[..., 0]
+    rhs = -0.5 * mod.apply_combo(curvature(nm, c).ricci.swapaxes(-1, -2), vec)
+    denom = np.maximum(1.0, np.max(np.abs(rhs), axis=-1))
+    worst = np.max(np.max(np.abs(lhs - rhs), axis=-1) / denom, axis=-1)
+    if worst.ndim == 0:
+        return bool(worst <= tol), float(worst)
     return worst <= tol, worst

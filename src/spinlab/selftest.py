@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FrameChange, check_jacobi, metric_from_frame_change, random_frames
+from .algebra import FrameChange, check_jacobi, random_frames
 from .catalog import (
     BianchiFamily,
     HeisenbergParams,
@@ -74,23 +74,27 @@ def _clifford_relations(n_max: int, broken: bool) -> float:
     return worst
 
 
+def _skew_vector_pairs(rng: np.random.Generator, d: int, pairs: int):
+    """``pairs`` random ``(omega, v)`` in one draw: per pair a ``(d, d)`` matrix
+    ``g`` with ``omega = g - g^T``, then ``v``, the order of one draw per pair."""
+    draws = rng.uniform(-1.0, 1.0, size=(pairs, d * d + d))
+    g = draws[:, : d * d].reshape(pairs, d, d)
+    return g - g.swapaxes(-1, -2), draws[:, d * d :]
+
+
 def _equivariance(seed, n_max: int = 4, pairs: int = 100) -> float:
-    """Worst deviation of [lift(omega), v.] from (omega v). over random draws."""
+    """Worst deviation of [lift(omega), v.] from (omega v). over random draws,
+    all pairs of one module size checked in one stacked commutator."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(1, n_max + 1):
         mod = get_module(n)
-        d = mod.dim_frame
-        mats = [mod.vector_matrix(i) for i in range(1, d + 1)]
-        for _ in range(pairs):
-            g = rng.uniform(-1.0, 1.0, size=(d, d))
-            omega = g - g.T
-            v = rng.uniform(-1.0, 1.0, size=d)
-            lift = mod.spin_lift(omega)
-            ev = sum(v[i] * mats[i] for i in range(d))
-            target = omega @ v
-            et = sum(target[i] * mats[i] for i in range(d))
-            worst = max(worst, float(np.max(np.abs(lift @ ev - ev @ lift - et))))
+        eye = np.eye(mod.dim_spinor)
+        omega, v = _skew_vector_pairs(rng, mod.dim_frame, pairs)
+        lift = mod.spin_lift(omega)
+        ev = mod.apply_combo(v, eye)
+        et = mod.apply_combo((omega @ v[..., None])[..., 0], eye)
+        worst = max(worst, float(np.max(np.abs(lift @ ev - ev @ lift - et))))
     return worst
 
 
@@ -117,15 +121,18 @@ def closed_form_deviations(fam: BianchiFamily, p: FrameChange, a, ortho_c) -> np
 
 
 def _metric_sweep(seed, per_family: int = 20):
-    """(family, metric, frame change, engine A) of the seeded verification sweep."""
-    out = []
+    """Families, frame changes, ``ortho_c`` and engine ``A`` of the seeded verification sweep.
+
+    The last two are stacked over all samples, family after family."""
+    fams, changes, ortho_c, a = [], [], [], []
     for idx, fam in enumerate(family_grid()):
-        alg = make_bianchi(fam)
         frames = random_frames(3, np.random.default_rng([seed, idx]), per_family)
-        for frame, a in zip(frames, sweep_frames(alg, frames).A):
-            p = FrameChange(frame)
-            out.append((fam, metric_from_frame_change(alg, p), p, a))
-    return out
+        batch = sweep_frames(make_bianchi(fam), frames)
+        fams += [fam] * per_family
+        changes += [FrameChange(frame) for frame in frames]
+        ortho_c.append(batch.ortho_c)
+        a.append(batch.A)
+    return fams, changes, np.concatenate(ortho_c), np.concatenate(a)
 
 
 def _heisenberg_sweep(seed, n_max: int = 6, per_n: int = 5):
@@ -157,23 +164,21 @@ def run_selftest(
     checks.append(_check("spin_lift_equivariance_n_upto4", _equivariance([seed, 1]), t(1e-12)))
     checks.append(_check("catalog_jacobi", _catalog_jacobi(), t(1e-10)))
 
-    sweep = _metric_sweep([seed, 2])
-    torsion = metricity = spinorial = 0.0
+    fams, changes, ortho_c, a_stack = _metric_sweep([seed, 2])
+    nm = nomizu(ortho_c)
+    metricity = float(np.max(metricity_violation(nm)))
+    torsion = float(np.max(torsion_violation(nm, ortho_c)))
+    spinorial = max(
+        float(np.max(ricci_spinorial_check(nm, ortho_c, psi)[1]))
+        for psi in (Spinor.one(1), Spinor.basis(1, 1))
+    )
+    ricci = curvature(nm, ortho_c).ricci
     ricci_dev = dirac_dev = 0.0
     closed_dev = np.zeros(3)
-    basis = (Spinor.one(1), Spinor.basis(1, 1))
-    for fam, mla, p, a_solved in sweep:
-        nm = nomizu(mla)
-        c = mla.ortho_c
-        metricity = max(metricity, metricity_violation(nm))
-        torsion = max(torsion, torsion_violation(nm, mla))
-        for psi in basis:
-            _, res = ricci_spinorial_check(nm, mla, psi)
-            spinorial = max(spinorial, res)
+    for fam, p, c, a_solved, ric in zip(fams, changes, ortho_c, a_stack, ricci):
         closed_dev = np.maximum(closed_dev, closed_form_deviations(fam, p, a_solved, c))
         dirac_dev = max(dirac_dev, abs(float(np.trace(a_solved)) - dirac_trace_3d(c)))
         if is_symmetric_family(fam):
-            ric = curvature(nm, mla).ricci
             ref = reference_ricci_3d(c)
             rscale = max(1.0, float(np.max(np.abs(ref))))
             ricci_dev = max(ricci_dev, float(np.max(np.abs(ric - ref))) / rscale)

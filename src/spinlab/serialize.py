@@ -84,6 +84,8 @@ def algebra_from_obj(obj) -> LieAlgebra:
         entries = obj["brackets"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"algebra document missing/invalid field: {exc}") from exc
+    if dim < 1:
+        raise FormatError(f"'dim' must be a positive integer, got {dim}")
     if not isinstance(entries, list):
         raise FormatError("'brackets' must be a list")
     c = np.zeros((dim, dim, dim))

@@ -200,6 +200,17 @@ def test_exit_codes(tmp_path):
           '{"frame_P": [[1, 0, 0], [0, 1, Infinity], [0, 0, 1]]}'), 2),
         (("analyze", "--algebra", "L3(1)", "--metric",
           '{"gram": [[1, 0, 0], [0, NaN, 0], [0, 0, 1]]}'), 2),
+        # spinor modules past the size cap are refused before allocation
+        (("heisenberg", "--n", "40"), 2),
+        (("analyze", "--algebra", "H(81)"), 2),
+        (("heisenberg", "--n", "1", "--a", "1e-200", "--b", "1e-200", "--c", "1e200"), 2),
+        (("analyze", "--algebra", '{"dim": -3, "brackets": []}'), 3),
+        (("analyze", "--algebra", '{"dim": 0, "brackets": []}'), 3),
+        # reports that overflow, and frames whose guard residual overflows
+        (("analyze", "--algebra", "L3(6)", "--metric",
+          '{"gram": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}'), 2),
+        (("analyze", "--algebra", "L3(1)", "--metric",
+          '{"frame_P": {"alpha": 1e200, "iota": 1e-200}}'), 2),
     ]
     for args, code in cases:
         res = run_cli(*args)
@@ -247,3 +258,39 @@ def test_table_format_renders():
     assert res.returncode == 0
     assert "A (orthonormal frame):" in res.stdout
     assert "gks_space_dim: 2" in res.stdout
+
+
+def test_non_finite_report_rejected():
+    res = run_cli(
+        "analyze", "--algebra", "L3(6)", "--format", "table",
+        "--metric", '{"gram": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+    )
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: report is not finite (commutator_norm)")
+
+
+def test_in_process_main_matches_fresh_processes(capsys, monkeypatch):
+    from spinlab import cli
+
+    runs = [
+        (("sweep", "--algebra", "L3(6)", "--samples", "20"), {"SPINLAB_SEED": "11"}),
+        (("sweep", "--algebra", "L3(6)", "--samples", "20"), {}),
+        (("table1", "--samples", "5"), {"SPINLAB_SEED": "4"}),
+        (("verify-appendix", "--samples", "3", "--seed", "2"), {"SPINLAB_SEED": "9"}),
+        (("analyze", "--algebra", "L3(5)", "--format", "table"), {}),
+        (("heisenberg", "--n", "2"), {"SPINLAB_SEED": "3"}),
+        (("selftest", "--seed", "-1"), {}),
+        (("table1", "--samples", "5"), {}),
+    ]
+    for args, env in runs:
+        monkeypatch.delenv("SPINLAB_SEED", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code = cli.main(list(args))
+        out = capsys.readouterr().out
+        fresh = run_cli(*args, env_extra=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), args
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "cmd_table1", lambda args: (f"patched {args.seed}", 0))
+    assert cli.main(["table1", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == "patched 5\n"

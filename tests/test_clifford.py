@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinlab.catalog import make_heisenberg
 from spinlab.clifford import (
+    MAX_SLOTS,
     CliffordModule,
     Spinor,
+    check_slots,
     cliff_relations_check,
     cliff_vector,
     get_module,
@@ -226,3 +229,67 @@ def test_dense_operators_disabled_past_cutoff():
         mod.vector_matrix(1)
     with pytest.raises(UnsupportedDimensionError):
         mod.spin_lift(np.zeros((19, 19)))
+
+
+def test_stacked_spin_lift_matches_per_matrix_calls():
+    rng = np.random.default_rng(31)
+    for n in range(1, 5):
+        mod = get_module(n)
+        d, size = mod.dim_frame, mod.dim_spinor
+        g = rng.uniform(-1, 1, size=(4, 3, d, d))
+        g[rng.random(size=g.shape) < 0.3] = 0.0
+        g[..., 1, 0] = g[..., 0, 1] = 0.0  # a pair that is zero in every matrix
+        omega = g - g.swapaxes(-1, -2)
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        cols = rng.normal(size=(size, 2)) + 1j * rng.normal(size=(size, 2))
+        per_entry = rng.normal(size=(4, 3, size, 2)) + 1j * rng.normal(size=(4, 3, size, 2))
+        on_vec = mod.apply_spin_lift(omega, vec)
+        on_cols = mod.apply_spin_lift(omega, cols)
+        on_entries = mod.apply_spin_lift(omega, per_entry)
+        dense = mod.spin_lift(omega)
+        assert on_vec.shape == (4, 3, size) and on_cols.shape == (4, 3, size, 2)
+        assert on_entries.shape == (4, 3, size, 2) and dense.shape == (4, 3, size, size)
+        for idx in np.ndindex(4, 3):
+            np.testing.assert_array_equal(on_vec[idx], mod.apply_spin_lift(omega[idx], vec))
+            np.testing.assert_array_equal(on_cols[idx], mod.apply_spin_lift(omega[idx], cols))
+            np.testing.assert_array_equal(
+                on_entries[idx], mod.apply_spin_lift(omega[idx], per_entry[idx])
+            )
+            np.testing.assert_array_equal(dense[idx], mod.spin_lift(omega[idx]))
+            np.testing.assert_array_equal(dense[idx], _add_at_spin_lift(mod, omega[idx]))
+    np.testing.assert_array_equal(spin_lift(omega), dense)
+    with pytest.raises(InvalidOperatorError):
+        mod.spin_lift(np.stack([omega[0, 0], np.eye(d)]))
+
+
+def test_stacked_vector_actions_match_per_entry_calls():
+    rng = np.random.default_rng(12)
+    mod = get_module(3)
+    d, size = mod.dim_frame, mod.dim_spinor
+    v = rng.normal(size=(5, d))
+    v[:, 2] = 0.0
+    v[1, 4] = 0.0
+    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+    stacks = rng.normal(size=(2, 5, size, 3)) + 1j * rng.normal(size=(2, 5, size, 3))
+    on_vec, on_stacks = mod.apply_combo(v, vec), mod.apply_combo(v, stacks)
+    assert on_vec.shape == (5, size) and on_stacks.shape == (2, 5, size, 3)
+    for k in range(5):
+        np.testing.assert_array_equal(on_vec[k], mod.apply_combo(v[k], vec))
+        for j in range(2):
+            cols = [mod.apply_combo(v[k], c) for c in stacks[j, k].T]
+            np.testing.assert_array_equal(on_stacks[j, k], np.column_stack(cols))
+    for i in range(1, d + 1):
+        applied = mod.apply_vector(i, stacks)
+        for idx in np.ndindex(2, 5):
+            np.testing.assert_array_equal(applied[idx], mod.apply_vector(i, stacks[idx]))
+
+
+def test_module_size_cap():
+    check_slots(MAX_SLOTS)  # the largest ladder size the benchmark runs
+    assert MAX_SLOTS >= 16
+    # each is refused before the 2**n coefficient array or dense tensor exists
+    for build in (CliffordModule, get_module, Spinor.one, Spinor.zero, make_heisenberg):
+        with pytest.raises(UnsupportedDimensionError):
+            build(MAX_SLOTS + 1)
+        with pytest.raises(UnsupportedDimensionError):
+            build(40)

@@ -1,6 +1,13 @@
 import numpy as np
 
-from spinlab.algebra import FrameChange, LieAlgebra, metric_from_frame_change, orthonormalize
+from spinlab.algebra import (
+    FrameChange,
+    LieAlgebra,
+    frame_structure,
+    metric_from_frame_change,
+    orthonormalize,
+    random_frames,
+)
 from spinlab.catalog import (
     BianchiFamily,
     HeisenbergParams,
@@ -9,7 +16,7 @@ from spinlab.catalog import (
     make_bianchi,
     reference_ricci_3d,
 )
-from spinlab.clifford import Spinor
+from spinlab.clifford import Spinor, get_module
 from spinlab.connection import (
     curvature,
     metricity_violation,
@@ -175,3 +182,77 @@ def test_spinorial_ricci_identity_heisenberg_higher():
     mla = heisenberg_metric(HeisenbergParams(2, (1.0, 4.0), (2.0, 1.0), 3.0))
     ok, residual = ricci_spinorial_check(nomizu(mla), mla, Spinor.one(2))
     assert ok and residual <= 1e-12
+
+
+def ricci_spinorial_loop(nm, c, psi):
+    """Per-direction loop form of ``ricci_spinorial_check`` on one metric's
+    ``ortho_c``: the reference for the stacked form, one matrix per spin-lift call."""
+    d = c.shape[-1]
+    mod = get_module((d - 1) // 2)
+    ric = curvature(nm, c).ricci
+    lifted = [mod.apply_spin_lift(nm.mats[j], psi.coeffs) for j in range(d)]
+    worst = 0.0
+    for i in range(d):
+        lhs = np.zeros(mod.dim_spinor, dtype=complex)
+        for j in range(d):
+            rv = mod.apply_spin_lift(nm.mats[i], lifted[j]) - mod.apply_spin_lift(
+                nm.mats[j], lifted[i]
+            )
+            for k in range(d):
+                if c[i, j, k] != 0.0:
+                    rv = rv - c[i, j, k] * lifted[k]
+            lhs += mod.apply_vector(j + 1, rv)
+        rhs = -0.5 * mod.apply_combo(ric[:, i], psi.coeffs)
+        denom = max(1.0, float(np.max(np.abs(rhs))))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / denom)
+    return worst
+
+
+def torsion_loop(nm, c):
+    """Pair-by-pair form of ``torsion_violation`` on one metric's ``ortho_c``."""
+    lam, worst = nm.mats, 0.0
+    for i in range(nm.dim):
+        for j in range(nm.dim):
+            worst = max(worst, float(np.max(np.abs(lam[i][:, j] - lam[j][:, i] - c[i, j]))))
+    return worst
+
+
+def _batched_cases():
+    """(stacked ortho_c, spinors): 13 families x 20 frames, and random H(5) metrics."""
+    rng = np.random.default_rng(44)
+    for fam in family_grid():
+        _, oc = frame_structure(make_bianchi(fam), random_frames(3, rng, 20))
+        yield oc, (Spinor.one(1), Spinor.basis(1, 1))
+    params = [HeisenbergParams(2, (1.0, 4.0), (1.0, 1.0), 1.0)] + [
+        HeisenbergParams(2, tuple(np.exp(rng.uniform(-1, 1, 2))),
+                         tuple(np.exp(rng.uniform(-1, 1, 2))), float(np.exp(rng.uniform(-1, 1))))
+        for _ in range(7)
+    ]
+    oc = np.stack([heisenberg_metric(p).ortho_c for p in params])
+    psi = Spinor(2, rng.normal(size=4) + 1j * rng.normal(size=4))
+    yield oc, (Spinor.one(2), Spinor.basis(2, 1), Spinor.basis(2, 1, 2), psi)
+
+
+def test_batched_connection_matches_per_sample_calls():
+    for oc, spinors in _batched_cases():
+        nm = nomizu(oc)
+        metricity, torsion = metricity_violation(nm), torsion_violation(nm, oc)
+        curv = curvature(nm, oc)
+        checks = [ricci_spinorial_check(nm, oc, psi) for psi in spinors]
+        assert metricity.shape == torsion.shape == (len(oc),)
+        for k, c in enumerate(oc):
+            nm_k = nomizu(c)
+            np.testing.assert_array_equal(nm.mats[k], nm_k.mats)
+            assert metricity[k] == metricity_violation(nm_k) == 0.0
+            assert torsion[k] == torsion_violation(nm_k, c) == torsion_loop(nm_k, c)
+            assert torsion[k] <= 1e-12
+            single = curvature(nm_k, c)
+            np.testing.assert_allclose(curv.ricci[k], single.ricci, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(curv.operators[k], single.operators, rtol=1e-12, atol=1e-15)
+            for psi, (ok, residual) in zip(spinors, checks):
+                ok_k, residual_k = ricci_spinorial_check(nm_k, c, psi)
+                assert isinstance(ok_k, bool) and isinstance(residual_k, float)
+                assert ok[k] == ok_k is True
+                assert abs(residual[k] - residual_k) <= 1e-15
+                assert abs(residual[k] - ricci_spinorial_loop(nm_k, c, psi)) <= 1e-15
+
