@@ -27,16 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import FrameChange, check_jacobi, random_frames
+from .algebra import check_jacobi
 from .catalog import (
     BianchiFamily,
     HeisenbergParams,
     heisenberg_gk_eigenvalues,
     heisenberg_metric,
-    is_symmetric_family,
     make_bianchi,
     make_heisenberg,
-    reference_eigenvalues,
 )
 from .clifford import Spinor
 from .errors import FormatError, InvalidParameterError, SpinlabError
@@ -47,11 +45,9 @@ from .gks import (
     full_report,
     genericity_sweep,
     solve_endomorphism,
-    sweep_frames,
-    symmetry_conditions_3d,
     table1_rows,
 )
-from .selftest import FAMILY_GRID, closed_form_deviations, run_selftest
+from .selftest import run_selftest, verify_appendix
 from .serialize import (
     algebra_from_obj,
     format_table_float,
@@ -60,6 +56,10 @@ from .serialize import (
 )
 
 _HEISENBERG_RE = re.compile(r"^H\(\s*(\d+)\s*\)$")
+
+# Largest --samples: verify-appendix, the most memory per sample, peaks near
+# 0.5 GB there (table1 near 0.25 GB).
+MAX_SAMPLES = 200_000
 
 
 def _default_seed() -> int:
@@ -212,67 +212,19 @@ def cmd_heisenberg(args) -> tuple[str, int]:
 
 
 def cmd_verify_appendix(args) -> tuple[str, int]:
-    results = []
-    for idx, (tag, x) in enumerate(FAMILY_GRID):
-        fam = BianchiFamily(tag, x)
-        alg = make_bianchi(fam)
-        expected_sym = is_symmetric_family(fam)
-        frames = random_frames(3, np.random.default_rng([args.seed, idx]), args.samples)
-        batch = sweep_frames(alg, frames, args.tol, args.gap_tol)
-        devs = np.zeros(3)
-        eigen_dev: float | None = None
-        verdicts_ok = bool(np.all(batch.symmetric == expected_sym))
-        for frame, ortho_c, a_solved in zip(frames, batch.ortho_c, batch.A):
-            p = FrameChange(frame)
-            devs = np.maximum(devs, closed_form_deviations(fam, p, a_solved, ortho_c))
-            verdicts_ok &= symmetry_conditions_3d(ortho_c, args.tol) == expected_sym
-            closed = reference_eigenvalues(fam, p)
-            if closed is not None:
-                solved_vals, _ = eigen_analysis(a_solved, args.gap_tol)
-                ref_vals = np.sort(np.asarray(closed))
-                escale = max(1.0, float(np.max(np.abs(ref_vals))))
-                dev = float(np.max(np.abs(solved_vals - ref_vals))) / escale
-                eigen_dev = dev if eigen_dev is None else max(eigen_dev, dev)
-        a_dev, asym_dev, explicit_dev = (float(v) for v in devs)
-        entry_pass = (
-            a_dev <= args.tol
-            and asym_dev <= args.tol
-            and explicit_dev <= args.tol
-            and verdicts_ok
-            and (eigen_dev is None or eigen_dev <= args.tol)
-        )
-        results.append(
-            {
-                "family": fam.label,
-                "samples": args.samples,
-                "max_A_deviation": a_dev,
-                "max_asymmetry_deviation": asym_dev,
-                "max_explicit_A_deviation": explicit_dev,
-                "max_eigenvalue_deviation": eigen_dev,
-                "symmetry_expected": expected_sym,
-                "symmetry_verdicts_ok": verdicts_ok,
-                "pass": entry_pass,
-            }
-        )
-    all_pass = all(r["pass"] for r in results)
-    payload = {
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-        "results": results,
-        "all_pass": all_pass,
-    }
+    payload = verify_appendix(args.samples, args.seed, args.tol, args.gap_tol)
+    code = 0 if payload["all_pass"] else 2
     if args.format == "json":
-        return to_json(payload), 0 if all_pass else 2
+        return to_json(payload), code
     lines = [f"{'family':<12} {'max|dA|':>10} {'max|dAsym|':>10} {'sym':>5} {'ok':>4}"]
-    for r in results:
+    for r in payload["results"]:
         lines.append(
             f"{r['family']:<12} {format_table_float(r['max_A_deviation']):>10} "
             f"{format_table_float(r['max_asymmetry_deviation']):>10} "
             f"{str(r['symmetry_expected']):>5} {('yes' if r['pass'] else 'NO'):>4}"
         )
-    lines.append(f"all_pass: {all_pass}")
-    return "\n".join(lines), 0 if all_pass else 2
+    lines.append(f"all_pass: {payload['all_pass']}")
+    return "\n".join(lines), code
 
 
 def cmd_sweep(args) -> tuple[str, int]:
@@ -401,8 +353,10 @@ def _check_args(args) -> None:
         args.seed = _default_seed()
     if args.seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {args.seed}")
-    if getattr(args, "samples", 1) < 1:
-        raise InvalidParameterError(f"--samples must be >= 1, got {args.samples}")
+    if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"--samples must be between 1 and {MAX_SAMPLES}, got {args.samples}"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -178,20 +178,21 @@ def explicit_A_3d(ortho_c: np.ndarray) -> np.ndarray:
     )
 
 
-def symmetry_conditions_3d(ortho_c: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """The three structure-constant identities equivalent to ``A`` symmetric."""
+def symmetry_conditions_3d(ortho_c: np.ndarray, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
+    """The three structure-constant identities equivalent to ``A`` symmetric, per stack entry."""
     c = np.asarray(ortho_c, dtype=float)
-    if c.shape != (3, 3, 3):
+    if c.shape[-3:] != (3, 3, 3):
         raise UnsupportedDimensionError(
             f"symmetry conditions need dimension 3, got shape {c.shape}"
         )
     conds = (
-        c[0, 2, 0] + c[1, 2, 1],
-        c[0, 1, 0] - c[1, 2, 2],
-        c[0, 1, 1] + c[0, 2, 2],
+        c[..., 0, 2, 0] + c[..., 1, 2, 1],
+        c[..., 0, 1, 0] - c[..., 1, 2, 2],
+        c[..., 0, 1, 1] + c[..., 0, 2, 2],
     )
-    scale = max(1.0, float(np.max(np.abs(c))))
-    return all(abs(v) <= tol * scale for v in conds)
+    scale = np.maximum(1.0, np.max(np.abs(c), axis=(-3, -2, -1)))
+    ok = np.all([np.abs(v) <= tol * scale for v in conds], axis=0)
+    return ok if c.ndim > 3 else bool(ok)
 
 
 def dirac_trace_3d(ortho_c: np.ndarray) -> float:

@@ -5,6 +5,10 @@ independent route (closed forms, direct definitions, or exact algebraic
 cancellations) and reports its worst deviation together with the tolerance
 it is held to.  All randomness is drawn from child seeds of the given seed,
 so runs are reproducible.
+
+The 3-d closed-form comparison is one pass, ``closed_form_sweep``, shared by
+``verify_appendix`` (the ``verify-appendix`` command) and ``run_selftest``;
+each adds its own checks on the pass's per-sample stacks.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .catalog import (
     make_heisenberg,
     reference_A,
     reference_asymmetry,
+    reference_eigenvalues,
     reference_ricci_3d,
 )
 from .clifford import Spinor, cliff_relations_check, get_module
@@ -32,24 +37,22 @@ from .connection import (
     ricci_spinorial_check,
     torsion_violation,
 )
-from .gks import dirac_trace_3d, explicit_A_3d, solve_endomorphism, sweep_frames
+from .gks import (
+    DEFAULT_GAP_TOL,
+    DEFAULT_TOL,
+    TABLE1_ROWS,
+    dirac_trace_3d,
+    eigen_analysis,
+    explicit_A_3d,
+    solve_endomorphism,
+    sweep_frames,
+    symmetry_conditions_3d,
+)
 
-# (family tag, parameter) grid covering all seven families including the
-# symmetric boundary parameters x = -1 and x = 0
-FAMILY_GRID: tuple[tuple[str, float | None], ...] = (
-    ("L3(-1)", None),
-    ("L3(1)", None),
-    ("L3(2,x)", -1.0),
-    ("L3(2,x)", -0.5),
-    ("L3(2,x)", 0.5),
-    ("L3(2,x)", 1.0),
-    ("L3(3)", None),
-    ("L3(4,x)", 0.0),
-    ("L3(4,x)", 0.5),
-    ("L3(4,x)", 1.0),
-    ("L3(4,x)", 2.0),
-    ("L3(5)", None),
-    ("L3(6)", None),
+# every (family tag, parameter) of Table 1's rows: all seven families, including
+# the symmetric boundary parameters x = -1 and x = 0
+FAMILY_GRID: tuple[tuple[str, float | None], ...] = tuple(
+    (tag, x) for tag, xs, _ in TABLE1_ROWS for x in xs
 )
 
 
@@ -120,19 +123,56 @@ def closed_form_deviations(fam: BianchiFamily, p: FrameChange, a, ortho_c) -> np
     return np.array([np.max(np.abs(a - ref)) / max(1.0, np.max(np.abs(ref))), asym, explicit])
 
 
-def _metric_sweep(seed, per_family: int = 20):
-    """Families, frame changes, ``ortho_c`` and engine ``A`` of the seeded verification sweep.
+def closed_form_sweep(seed, samples: int, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL):
+    """The seeded comparison of the solver with the closed forms, one family at a time.
 
-    The last two are stacked over all samples, family after family."""
-    fams, changes, ortho_c, a = [], [], [], []
+    Family ``idx`` of ``FAMILY_GRID`` gets ``samples`` frames from
+    ``default_rng([seed, idx])`` and one ``sweep_frames`` pass; yields its
+    ``(family, FrameChange list, FrameSweep, (samples, 3) closed_form_deviations)``."""
     for idx, fam in enumerate(family_grid()):
-        frames = random_frames(3, np.random.default_rng([seed, idx]), per_family)
-        batch = sweep_frames(make_bianchi(fam), frames)
-        fams += [fam] * per_family
-        changes += [FrameChange(frame) for frame in frames]
-        ortho_c.append(batch.ortho_c)
-        a.append(batch.A)
-    return fams, changes, np.concatenate(ortho_c), np.concatenate(a)
+        frames = random_frames(3, np.random.default_rng([seed, idx]), samples)
+        batch = sweep_frames(make_bianchi(fam), frames, tol, gap_tol)
+        changes = [FrameChange(frame) for frame in frames]
+        devs = [closed_form_deviations(fam, *x) for x in zip(changes, batch.A, batch.ortho_c)]
+        yield fam, changes, batch, np.array(devs)
+
+
+def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict:
+    """Solver against the closed forms of every ``FAMILY_GRID`` family.
+
+    Per family: the worst deviation from each closed form, whether every
+    symmetry verdict (the engine's and ``symmetry_conditions_3d``) matches
+    ``is_symmetric_family``, and, where ``reference_eigenvalues`` has a
+    display, the worst eigenvalue deviation relative to its size."""
+    results = []
+    for fam, changes, batch, devs in closed_form_sweep(seed, samples, tol, gap_tol):
+        expected_sym = is_symmetric_family(fam)
+        verdicts = np.concatenate([batch.symmetric, symmetry_conditions_3d(batch.ortho_c, tol)])
+        verdicts_ok = bool(np.all(verdicts == expected_sym))
+        a_dev, asym_dev, explicit_dev = (float(v) for v in np.max(devs, axis=0))
+        eigen_dev: float | None = None
+        closed = [reference_eigenvalues(fam, p) for p in changes]
+        if None not in closed:
+            ref = np.sort(closed, axis=-1)
+            vals = eigen_analysis(batch.A, gap_tol)[0]
+            escale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
+            eigen_dev = float(np.max(np.max(np.abs(vals - ref), axis=-1) / escale))
+        worst = (a_dev, asym_dev, explicit_dev, eigen_dev)
+        results.append(
+            {
+                "family": fam.label,
+                "samples": samples,
+                "max_A_deviation": a_dev,
+                "max_asymmetry_deviation": asym_dev,
+                "max_explicit_A_deviation": explicit_dev,
+                "max_eigenvalue_deviation": eigen_dev,
+                "symmetry_expected": expected_sym,
+                "symmetry_verdicts_ok": verdicts_ok,
+                "pass": verdicts_ok and all(v <= tol for v in worst if v is not None),
+            }
+        )
+    all_pass = all(r["pass"] for r in results)
+    return {"samples": samples, "seed": seed, "tol": tol, "results": results, "all_pass": all_pass}
 
 
 def _heisenberg_sweep(seed, n_max: int = 6, per_n: int = 5):
@@ -164,7 +204,9 @@ def run_selftest(
     checks.append(_check("spin_lift_equivariance_n_upto4", _equivariance([seed, 1]), t(1e-12)))
     checks.append(_check("catalog_jacobi", _catalog_jacobi(), t(1e-10)))
 
-    fams, changes, ortho_c, a_stack = _metric_sweep([seed, 2])
+    fams, _, batches, devs = zip(*closed_form_sweep([seed, 2], 20))
+    ortho_c = np.concatenate([batch.ortho_c for batch in batches])
+    a_stack = np.concatenate([batch.A for batch in batches])
     nm = nomizu(ortho_c)
     metricity = float(np.max(metricity_violation(nm)))
     torsion = float(np.max(torsion_violation(nm, ortho_c)))
@@ -173,10 +215,10 @@ def run_selftest(
         for psi in (Spinor.one(1), Spinor.basis(1, 1))
     )
     ricci = curvature(nm, ortho_c).ricci
+    closed_dev = np.max(np.concatenate(devs), axis=0)
     ricci_dev = dirac_dev = 0.0
-    closed_dev = np.zeros(3)
-    for fam, p, c, a_solved, ric in zip(fams, changes, ortho_c, a_stack, ricci):
-        closed_dev = np.maximum(closed_dev, closed_form_deviations(fam, p, a_solved, c))
+    per_sample = [fam for fam, batch in zip(fams, batches) for _ in batch.A]
+    for fam, c, a_solved, ric in zip(per_sample, ortho_c, a_stack, ricci):
         dirac_dev = max(dirac_dev, abs(float(np.trace(a_solved)) - dirac_trace_3d(c)))
         if is_symmetric_family(fam):
             ref = reference_ricci_3d(c)

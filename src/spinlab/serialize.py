@@ -28,7 +28,8 @@ from .algebra import (
     metric_from_frame_change,
     orthonormalize,
 )
-from .errors import FormatError
+from .clifford import MAX_SLOTS
+from .errors import FormatError, UnsupportedDimensionError
 
 
 def format_float(x: float) -> str:
@@ -82,10 +83,14 @@ def algebra_from_obj(obj) -> LieAlgebra:
     try:
         dim = int(obj["dim"])
         entries = obj["brackets"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"algebra document missing/invalid field: {exc}") from exc
     if dim < 1:
         raise FormatError(f"'dim' must be a positive integer, got {dim}")
+    if dim > 2 * MAX_SLOTS + 1:  # refused before the dim^3 tensor is allocated
+        raise UnsupportedDimensionError(
+            f"algebra dimension {dim} exceeds the supported maximum of {2 * MAX_SLOTS + 1}"
+        )
     if not isinstance(entries, list):
         raise FormatError("'brackets' must be a list")
     c = np.zeros((dim, dim, dim))
@@ -93,7 +98,7 @@ def algebra_from_obj(obj) -> LieAlgebra:
         try:
             i, j = int(entry["i"]), int(entry["j"])
             coeffs = [float(v) for v in entry["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad bracket entry {entry!r}") from exc
         if not (1 <= i < j <= dim):
             raise FormatError(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i}, {j})")

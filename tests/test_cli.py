@@ -206,6 +206,16 @@ def test_exit_codes(tmp_path):
         (("heisenberg", "--n", "1", "--a", "1e-200", "--b", "1e-200", "--c", "1e200"), 2),
         (("analyze", "--algebra", '{"dim": -3, "brackets": []}'), 3),
         (("analyze", "--algebra", '{"dim": 0, "brackets": []}'), 3),
+        (("analyze", "--algebra", '{"dim": 1e400, "brackets": []}'), 3),
+        (("analyze", "--algebra",
+          '{"dim": 3, "brackets": [{"i": 1e400, "j": 2, "coeffs": [0, 0, 0]}]}'), 3),
+        # JSON algebras past the spinor size cap, refused before the dim^3 tensor
+        (("analyze", "--algebra", '{"dim": 1000000, "brackets": []}'), 2),
+        (("analyze", "--algebra", '{"dim": 35, "brackets": []}'), 2),
+        # sample counts past the cap, refused before anything is drawn
+        (("sweep", "--algebra", "L3(6)", "--samples", "100000000000000"), 2),
+        (("table1", "--samples", "100000000000000"), 2),
+        (("verify-appendix", "--samples", "100000000000000"), 2),
         # reports that overflow, and frames whose guard residual overflows
         (("analyze", "--algebra", "L3(6)", "--metric",
           '{"gram": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}'), 2),

@@ -179,6 +179,23 @@ def test_symmetry_conditions_match_matrix_symmetry():
             assert symmetry_conditions_3d(mla.ortho_c) == direct
 
 
+def test_stacked_symmetry_conditions_match_per_sample_calls():
+    seen = set()
+    for idx, (tag, x) in enumerate(FAMILY_GRID):
+        frames = random_frames(3, np.random.default_rng([11, idx]), 20)
+        oc = sweep_frames(make_bianchi(BianchiFamily(tag, x)), frames).ortho_c
+        for tol in (1e-9, 1e-300, 1.0):
+            stacked = symmetry_conditions_3d(oc, tol)
+            assert stacked.shape == (20,) and stacked.dtype == bool
+            per_sample = [symmetry_conditions_3d(c, tol) for c in oc]
+            assert all(type(v) is bool for v in per_sample)
+            assert stacked.tolist() == per_sample, (tag, x, tol)
+            seen.update(per_sample)
+    assert seen == {True, False}
+    with pytest.raises(UnsupportedDimensionError):
+        symmetry_conditions_3d(np.zeros((4, 3, 3)))
+
+
 def test_eigen_analysis():
     vals, r = eigen_analysis(np.diag([-0.25, 0.25, 0.25]))
     np.testing.assert_allclose(vals, [-0.25, 0.25, 0.25])

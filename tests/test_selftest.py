@@ -1,18 +1,28 @@
 import numpy as np
 from test_connection import ricci_spinorial_loop
 
-from spinlab.algebra import FrameChange, metric_from_frame_change
+from spinlab import cli
+from spinlab.algebra import FrameChange, metric_from_frame_change, random_frames
 from spinlab.catalog import (
+    BianchiFamily,
     heisenberg_gk_eigenvalues,
     heisenberg_metric,
     is_symmetric_family,
     make_bianchi,
+    reference_eigenvalues,
     reference_ricci_3d,
 )
 from spinlab.clifford import Spinor, get_module
 from spinlab.connection import curvature, metricity_violation, nomizu, torsion_violation
-from spinlab.gks import dirac_trace_3d, solve_endomorphism
+from spinlab.gks import (
+    dirac_trace_3d,
+    eigen_analysis,
+    solve_endomorphism,
+    sweep_frames,
+    symmetry_conditions_3d,
+)
 from spinlab.selftest import (
+    FAMILY_GRID,
     _catalog_jacobi,
     _check,
     _clifford_relations,
@@ -21,6 +31,7 @@ from spinlab.selftest import (
     closed_form_deviations,
     family_grid,
     run_selftest,
+    verify_appendix,
 )
 
 
@@ -112,3 +123,75 @@ def test_stacked_selftest_matches_per_sample_suite():
         for got, want in zip(stacked, reference):
             assert got["tol"] == want["tol"] and got["pass"] == want["pass"] is True, got
             assert abs(got["deviation"] - want["deviation"]) <= 1e-15, (seed, got, want)
+
+
+def verify_appendix_per_sample(samples, seed, tol, gap_tol):
+    """One frame change, symmetry verdict and eigen analysis per sample: the
+    reference for ``verify_appendix``'s single pass."""
+    results = []
+    for idx, (tag, x) in enumerate(FAMILY_GRID):
+        fam = BianchiFamily(tag, x)
+        expected_sym = is_symmetric_family(fam)
+        frames = random_frames(3, np.random.default_rng([seed, idx]), samples)
+        batch = sweep_frames(make_bianchi(fam), frames, tol, gap_tol)
+        devs = np.zeros(3)
+        eigen_dev = None
+        verdicts_ok = bool(np.all(batch.symmetric == expected_sym))
+        for frame, ortho_c, a_solved in zip(frames, batch.ortho_c, batch.A):
+            p = FrameChange(frame)
+            devs = np.maximum(devs, closed_form_deviations(fam, p, a_solved, ortho_c))
+            verdicts_ok &= symmetry_conditions_3d(ortho_c, tol) == expected_sym
+            closed = reference_eigenvalues(fam, p)
+            if closed is not None:
+                solved_vals, _ = eigen_analysis(a_solved, gap_tol)
+                ref_vals = np.sort(np.asarray(closed))
+                escale = max(1.0, float(np.max(np.abs(ref_vals))))
+                dev = float(np.max(np.abs(solved_vals - ref_vals))) / escale
+                eigen_dev = dev if eigen_dev is None else max(eigen_dev, dev)
+        a_dev, asym_dev, explicit_dev = (float(v) for v in devs)
+        entry_pass = (
+            a_dev <= tol
+            and asym_dev <= tol
+            and explicit_dev <= tol
+            and verdicts_ok
+            and (eigen_dev is None or eigen_dev <= tol)
+        )
+        results.append(
+            {
+                "family": fam.label,
+                "samples": samples,
+                "max_A_deviation": a_dev,
+                "max_asymmetry_deviation": asym_dev,
+                "max_explicit_A_deviation": explicit_dev,
+                "max_eigenvalue_deviation": eigen_dev,
+                "symmetry_expected": expected_sym,
+                "symmetry_verdicts_ok": verdicts_ok,
+                "pass": entry_pass,
+            }
+        )
+    all_pass = all(r["pass"] for r in results)
+    return {"samples": samples, "seed": seed, "tol": tol, "results": results, "all_pass": all_pass}
+
+
+def test_verify_appendix_matches_per_sample_loop():
+    for seed in range(1, 6):
+        payload = verify_appendix(10, seed, 1e-9, 1e-7)
+        assert payload == verify_appendix_per_sample(10, seed, 1e-9, 1e-7), seed
+        assert payload["all_pass"] is True
+        eigen = [r["max_eigenvalue_deviation"] is not None for r in payload["results"]]
+        assert sum(eigen) == 3  # L3(1), L3(2,-1) and L3(4,0) have closed-form eigenvalues
+    failing = verify_appendix(10, 3, 1e-300, 1e-7)
+    assert failing == verify_appendix_per_sample(10, 3, 1e-300, 1e-7)
+    assert not any(r["pass"] for r in failing["results"])
+
+
+def test_verify_appendix_command_formats_the_payload(capsys):
+    for extra, code in (((), 0), (("--tol", "1e-300"), 2)):
+        argv = ["verify-appendix", "--samples", "10", "--seed", "4", *extra]
+        assert cli.main(argv) == code
+        payload = verify_appendix(10, 4, float(extra[-1]) if extra else 1e-9, 1e-7)
+        assert capsys.readouterr().out == cli.to_json(payload) + "\n"
+        assert cli.main([*argv, "--format", "table"]) == code
+        table = capsys.readouterr().out.splitlines()
+        assert len(table) == 2 + len(FAMILY_GRID)
+        assert table[-1] == f"all_pass: {code == 0}"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinlab.catalog import BianchiFamily, make_bianchi, make_heisenberg
-from spinlab.errors import FormatError
+from spinlab.errors import FormatError, UnsupportedDimensionError
 from spinlab.serialize import (
     algebra_from_obj,
     algebra_to_obj,
@@ -76,3 +76,11 @@ def test_metric_frame_matrix_form():
     mat = np.diag([1.0, 1.0, 2.0, 1.0, 0.5]).tolist()
     mla = metric_from_obj(alg, {"frame_P": mat})
     np.testing.assert_array_equal(mla.frame, np.diag([1.0, 1.0, 2.0, 1.0, 0.5]))
+
+
+def test_algebra_dimension_cap():
+    bracket = {"i": 1, "j": 33, "coeffs": [0.0] * 33}
+    assert algebra_from_obj({"dim": 33, "brackets": [bracket]}).dim == 33
+    for dim in (34, 35, 10**6):
+        with pytest.raises(UnsupportedDimensionError):
+            algebra_from_obj({"dim": dim, "brackets": []})
