@@ -28,7 +28,9 @@ All actions are matrix-free and act as a matrix product would: on one
 coefficient vector ``(2**n,)`` or on column stacks ``(..., 2**n, k)``.  The
 spin lift and the vector combination also take a stack of skew matrices
 ``(..., d, d)`` or of frame vectors ``(..., d)``, one operator per stack
-entry, broadcast against the coefficient stacks.  Dense ``2**n x 2**n``
+entry, broadcast against the coefficient stacks.  ``apply_vector`` and
+``apply_spin_lift`` can evaluate a given set of output rows only, such as
+the rows a sparse spinor reaches (``reachable_rows``).  Dense ``2**n x 2**n``
 operators are those actions applied to the identity, available up to
 ``n = 8``; beyond that the signed-permutation form keeps vector actions
 available without the quadratic memory cost.  Modules are capped at
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -51,9 +54,10 @@ from .errors import (
 _DENSE_LIMIT = 8  # largest n for which dense operators are built
 
 # Largest n a module is built for.  A full report at n = 16 (2**16-entry
-# spinors, dimension 33) peaks near 0.3 GB, and every further slot doubles
-# that; refusing larger modules up front turns an allocation failure deep in
-# numpy into a domain error.
+# spinors, dimension 33) peaks near 80 MB in a fresh process, most of it the
+# module's perm/phase tables, and every further slot doubles those tables;
+# refusing larger modules up front turns an allocation failure deep in numpy
+# into a domain error.
 MAX_SLOTS = 16
 
 
@@ -122,11 +126,11 @@ class Spinor:
 class CliffordModule:
     """Precomputed Clifford action of the frame of a (2n+1)-dim algebra.
 
-    Each frame vector is stored as a signed permutation ``(perm, coef)``
-    with ``(e_i psi)[perm[S]] = coef[S] * psi[S]``.  Every ``perm`` flips a
-    fixed set of bits, so it and all its compositions are their own
-    inverses: the actions gather ``psi[perm]`` instead of scattering into
-    ``out[perm]``.
+    Each frame vector is stored as a signed permutation ``(perm, phase)``
+    with ``(e_i psi)[S] = phase[S] * psi[perm[S]]``, indexed by output row,
+    so every action is a gather and any set of output rows can be evaluated
+    alone.  Every ``perm`` flips a fixed set of bits, so it and all its
+    compositions are their own inverses.
     """
 
     def __init__(self, n: int, flip_contraction_sign: bool = False):
@@ -136,24 +140,28 @@ class CliffordModule:
         self.n = n
         self.dim_spinor = 2**n
         self.dim_frame = 2 * n + 1
-        self._perm, self._coef = self._build(flip_contraction_sign)
+        self._perm, self._phase = self._build(flip_contraction_sign)
+        a, b = np.triu_indices(self.dim_frame, 1)  # frame pairs a < b, a-major
+        self._pairs = list(zip(a.tolist(), b.tolist()))
+        self._pair_entries = b * self.dim_frame + a  # omega[b, a] in a flattened omega
 
     def _build(self, flip: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
         masks = np.arange(self.dim_spinor, dtype=np.int64)
         parity = np.bitwise_count(masks) & 1
         perms = [masks.copy()]
-        coefs = [1j * (1.0 - 2.0 * parity)]
+        phases = [1j * (1.0 - 2.0 * parity)]
         cont = -1.0 if flip else 1.0
         for p in range(1, self.n + 1):
             bit = 1 << (p - 1)
+            # output row S reads S ^ bit: contraction there when S lacks the bit
             has = (masks & bit) != 0
             koszul = 1.0 - 2.0 * (np.bitwise_count(masks & (bit - 1)) & 1)
             target = masks ^ bit
             perms.append(target)
-            coefs.append(1j * koszul * np.where(has, cont, 1.0))  # e_{2p}
+            phases.append(1j * koszul * np.where(has, 1.0, cont))  # e_{2p}
             perms.append(target.copy())
-            coefs.append(koszul * np.where(has, -cont, 1.0))  # e_{2p+1}
-        return perms, coefs
+            phases.append(koszul * np.where(has, 1.0, -cont))  # e_{2p+1}
+        return perms, phases
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.dim_frame:
@@ -171,11 +179,39 @@ class CliffordModule:
         """Dense matrix of the action of frame vector ``e_i`` (1-based)."""
         return self.apply_vector(i, self._identity())
 
-    def apply_vector(self, i: int, coeffs: np.ndarray) -> np.ndarray:
-        """Apply ``e_i`` to a coefficient vector or to each column of a stack."""
+    def reachable_rows(self, coeffs: np.ndarray) -> np.ndarray | None:
+        """Sorted rows on which some ``e_j psi`` or ``e_a e_b psi`` can be nonzero.
+
+        A frame vector flips no slot bit (``e_1``) or one, so these rows are
+        ``supp(psi)`` XOR no bit, one slot bit or two of them: ``1 + n +
+        n(n-1)/2`` rows for a basis spinor.  ``None`` (every row) when the
+        support is too large for the set to be smaller.
+        """
+        flips = _flip_masks(self.n)
+        if len(flips) >= self.dim_spinor:  # n <= 2: any one row reaches all of them
+            return None
+        support = np.flatnonzero(coeffs)
+        if len(support) * len(flips) >= self.dim_spinor:
+            return None
+        # a mask, not np.unique or np.sort: np.unique imports numpy.ma (1.6 MB
+        # of RSS), and the first sort faults in its code pages
+        hit = np.zeros(self.dim_spinor, dtype=bool)
+        hit[np.bitwise_xor.outer(support, flips)] = True
+        return np.flatnonzero(hit)
+
+    def apply_vector(
+        self, i: int, coeffs: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Apply ``e_i`` to a coefficient vector or to each column of a stack.
+
+        With ``rows``, only those output entries are evaluated (in that
+        order along the spinor axis); ``None`` evaluates all of them.
+        """
         self._check_index(i)
-        rows = _as_rows(coeffs)
-        return _as_columns((self._coef[i - 1] * rows).take(self._perm[i - 1], axis=-1), coeffs)
+        perm, phase = self._perm[i - 1], self._phase[i - 1]
+        if rows is not None:
+            perm, phase = perm[rows], phase[rows]
+        return _as_columns(phase * _as_rows(coeffs).take(perm, axis=-1), coeffs)
 
     def apply_combo(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Apply the Clifford action of the real frame vector ``sum v_i e_i``.
@@ -191,18 +227,19 @@ class CliffordModule:
         for i, on in enumerate(live):
             if on:
                 w = v[..., i].reshape(lead + (1,))
-                out += (w * self._coef[i] * rows).take(self._perm[i], axis=-1)
+                out += w * self._phase[i] * rows.take(self._perm[i], axis=-1)
         return _as_columns(out, coeffs)
 
-    def moment_matrix(self, psi: Spinor) -> np.ndarray:
+    def moment_matrix(self, psi: Spinor, rows: np.ndarray | None = None) -> np.ndarray:
         """Real ``2**(n+1) x (2n+1)`` matrix of ``v -> v . psi``.
 
         Columns are the actions of the frame vectors on ``psi`` with real
         and imaginary parts stacked; it has full column rank for any
-        nonzero ``psi``.
+        nonzero ``psi``.  With ``rows``, only those spinor entries are kept
+        (``2 len(rows)`` matrix rows).
         """
         cols = np.column_stack(
-            [self.apply_vector(i, psi.coeffs) for i in range(1, self.dim_frame + 1)]
+            [self.apply_vector(i, psi.coeffs, rows) for i in range(1, self.dim_frame + 1)]
         )
         return np.vstack([cols.real, cols.imag])
 
@@ -223,30 +260,42 @@ class CliffordModule:
         """Dense spinor operator of the skew frame matrix ``omega``, or a stack of them."""
         return self.apply_spin_lift(omega, self._identity())
 
-    def apply_spin_lift(self, omega: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    def apply_spin_lift(
+        self, omega: np.ndarray, coeffs: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
         """Apply the lift of ``omega`` to a coefficient vector or stack, matrix-free.
 
         ``omega`` is one skew matrix or a stack ``(..., d, d)``; the result is
         ``lift(omega) @ coeffs`` with matmul broadcasting.  A pair ``(a, b)``
         is skipped when ``omega[..., b, a]`` is zero in every matrix of the
-        stack.  Costs O(nonzero pairs * 2**n) per column and stack entry, so
-        it stays usable past the dense operator cutoff.
+        stack.  With ``rows``, only those output entries are evaluated, as
+        in ``apply_vector``.  Costs O(nonzero pairs * rows) per column and
+        stack entry, so it stays usable past the dense operator cutoff.
         """
         omega = self._require_skew(omega)
-        rows = _as_rows(coeffs)
+        vecs = _as_rows(coeffs)
         lead = _lead(omega.shape[:-2], coeffs)
-        out = np.zeros(np.broadcast_shapes(lead + rows.shape[-1:], rows.shape), dtype=complex)
-        live = (omega != 0.0).any(axis=tuple(range(omega.ndim - 2))).tolist()
-        for a in range(self.dim_frame):
-            pa, ca = self._perm[a], self._coef[a]
-            for b in range(a + 1, self.dim_frame):
-                if not live[b][a]:
-                    continue
-                pb, cb = self._perm[b], self._coef[b]
-                # e_a e_b applied as: b first, then a
-                w = (0.5 * omega[..., b, a]).reshape(lead + (1,))
-                out += (w * cb * ca[pb] * rows).take(pa[pb], axis=-1)
+        width = (self.dim_spinor if rows is None else len(rows),)
+        out = np.zeros(np.broadcast_shapes(lead + width, vecs.shape[:-1] + width), dtype=complex)
+        live = (omega != 0.0).any(axis=tuple(range(omega.ndim - 2))).ravel()
+        for a, b in compress(self._pairs, live[self._pair_entries].tolist()):
+            pa, fa = self._perm[a], self._phase[a]
+            if rows is not None:
+                pa, fa = pa[rows], fa[rows]
+            # e_a e_b applied as: b first, then a; output row r reads row pa[r]
+            # of e_b psi, which reads psi[src[r]]
+            src = self._perm[b][pa]
+            w = (0.5 * omega[..., b, a]).reshape(lead + (1,))
+            out += w * (fa * self._phase[b][pa]) * vecs.take(src, axis=-1)
         return _as_columns(out, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _flip_masks(n: int) -> np.ndarray:
+    """Bits flipped by a frame vector or a product of two: none, one slot bit, or two."""
+    bits = [1 << p for p in range(n)]
+    pairs = [x | y for k, x in enumerate(bits) for y in bits[k + 1 :]]
+    return np.array([0, *bits, *pairs], dtype=np.int64)
 
 
 def _as_rows(coeffs: np.ndarray) -> np.ndarray:

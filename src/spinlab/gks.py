@@ -8,7 +8,9 @@ an isometry, so ``v`` is an exact orthogonal projection.  The spinor is
 generalised Killing precisely when the projection leaves no misfit and
 ``A`` is symmetric; in dimension 3 the same ``A`` then works for every
 invariant spinor, so the space of invariant generalised Killing spinors is
-either all of the spinor space or zero.
+either all of the spinor space or zero.  The projection runs only on the
+spinor rows that ``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a
+basis spinor), so the ``H(2n+1)`` ladder costs no ``2**n`` work per column.
 
 Sweeps (``genericity_sweep``, ``table1_rows``) analyse all their metrics in
 one array pass of ``sweep_frames`` over a stack from ``random_frames``,
@@ -91,7 +93,10 @@ def _project(
     ``v -> v . psi`` satisfies ``M^T M = |psi|^2 I`` (the frame vectors
     anticommute and square to ``-1``), so the best frame vector for column
     ``i`` of ``R = [lift(L_i) . psi]`` is column ``i`` of ``M^T R / |psi|^2``.
-    Returns that matrix ``A``, ``R``, the misfit ``M A - R`` and ``|psi|^2``.
+    ``M`` and ``R`` are built only on the spinor rows ``psi`` can reach
+    (``CliffordModule.reachable_rows``); every other row of both is zero, so
+    nothing is dropped.  Returns that matrix ``A``, ``R``, the misfit
+    ``M A - R`` (on the same rows) and ``|psi|^2``.
     """
     d = mla.dim
     mod = _odd_module(d)
@@ -102,9 +107,10 @@ def _project(
     if psi.norm == 0.0:
         raise InvalidSpinorError("cannot solve the Killing equation on the zero spinor")
     nm = nm if nm is not None else nomizu(mla)
-    m = mod.moment_matrix(psi)
+    rows = mod.reachable_rows(psi.coeffs)
+    m = mod.moment_matrix(psi, rows)
     cols = np.column_stack(
-        [mod.apply_spin_lift(nm.mats[i], psi.coeffs) for i in range(d)]
+        [mod.apply_spin_lift(nm.mats[i], psi.coeffs, rows) for i in range(d)]
     )
     rhs = np.vstack([cols.real, cols.imag])
     norm2 = psi.norm**2
@@ -208,8 +214,9 @@ def eigen_analysis(
 
     Eigenvalues closer than ``gap_tol * max(1, spectral radius)`` are
     clustered together.  Raises if the input is not symmetric within
-    ``sym_tol`` (relative).  A ``(N, d, d)`` stack gives ``(N, d)``
-    eigenvalues and an array of ``N`` counts.
+    ``sym_tol`` (relative): the rule of the symmetry verdict, so
+    ``full_report`` and ``sweep_frames`` pass their ``tol``.  A ``(N, d, d)``
+    stack gives ``(N, d)`` eigenvalues and an array of ``N`` counts.
     """
     a = np.asarray(a, dtype=float)
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
@@ -263,7 +270,7 @@ def full_report(
     eigenvalues: list[float] | None = None
     distinct: int | None = None
     if symmetric:
-        vals, distinct = eigen_analysis(a, gap_tol)
+        vals, distinct = eigen_analysis(a, gap_tol, sym_tol=tol)
         eigenvalues = [float(v) for v in vals]
 
     ric = curvature(nm, mla).ricci
@@ -352,7 +359,7 @@ def sweep_frames(
     asym = np.max(np.abs(a - a.swapaxes(-1, -2)), axis=(-2, -1))
     symmetric = asym <= tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
     distinct = np.zeros(len(frames), dtype=int)
-    distinct[symmetric] = eigen_analysis(a[symmetric], gap_tol)[1]
+    distinct[symmetric] = eigen_analysis(a[symmetric], gap_tol, sym_tol=tol)[1]
     return FrameSweep(oc, a, residual, symmetric, distinct)
 
 

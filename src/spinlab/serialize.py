@@ -76,15 +76,22 @@ def to_json(obj, indent: int = 2) -> str:
     return _emit(obj, indent, 0)
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer as is; floats (``3.0`` too), booleans and other types are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"'{name}' must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def algebra_from_obj(obj) -> LieAlgebra:
     """Build a Lie algebra from the documented JSON mapping."""
     if not isinstance(obj, dict):
         raise FormatError("algebra document must be a JSON object")
     try:
-        dim = int(obj["dim"])
+        dim = _json_int(obj["dim"], "dim")
         entries = obj["brackets"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"algebra document missing/invalid field: {exc}") from exc
+    except KeyError as exc:
+        raise FormatError(f"algebra document missing field: {exc}") from exc
     if dim < 1:
         raise FormatError(f"'dim' must be a positive integer, got {dim}")
     if dim > 2 * MAX_SLOTS + 1:  # refused before the dim^3 tensor is allocated
@@ -96,7 +103,7 @@ def algebra_from_obj(obj) -> LieAlgebra:
     c = np.zeros((dim, dim, dim))
     for entry in entries:
         try:
-            i, j = int(entry["i"]), int(entry["j"])
+            i, j = _json_int(entry["i"], "i"), _json_int(entry["j"], "j")
             coeffs = [float(v) for v in entry["coeffs"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad bracket entry {entry!r}") from exc

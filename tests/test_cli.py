@@ -209,6 +209,15 @@ def test_exit_codes(tmp_path):
         (("analyze", "--algebra", '{"dim": 1e400, "brackets": []}'), 3),
         (("analyze", "--algebra",
           '{"dim": 3, "brackets": [{"i": 1e400, "j": 2, "coeffs": [0, 0, 0]}]}'), 3),
+        # dimensions and bracket indices are JSON integers: no floats, no booleans
+        (("analyze", "--algebra",
+          '{"dim": 3.9, "brackets": [{"i": 2, "j": 3, "coeffs": [1, 0, 0]}]}'), 3),
+        (("analyze", "--algebra", '{"dim": true, "brackets": []}'), 3),
+        (("analyze", "--algebra", '{"dim": 3.0, "brackets": []}'), 3),
+        (("analyze", "--algebra",
+          '{"dim": 3, "brackets": [{"i": 2.7, "j": 3, "coeffs": [1, 0, 0]}]}'), 3),
+        (("analyze", "--algebra",
+          '{"dim": 3, "brackets": [{"i": 2, "j": false, "coeffs": [1, 0, 0]}]}'), 3),
         # JSON algebras past the spinor size cap, refused before the dim^3 tensor
         (("analyze", "--algebra", '{"dim": 1000000, "brackets": []}'), 2),
         (("analyze", "--algebra", '{"dim": 35, "brackets": []}'), 2),
@@ -304,3 +313,29 @@ def test_in_process_main_matches_fresh_processes(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_table1", lambda args: (f"patched {args.seed}", 0))
     assert cli.main(["table1", "--seed", "5"]) == 0
     assert capsys.readouterr().out == "patched 5\n"
+
+
+def test_eigen_analysis_follows_the_symmetry_verdict(capsys, monkeypatch):
+    from spinlab import cli, gks
+
+    # a loose --tol counts a non-symmetric A as symmetric; it is then analysed
+    # under the same rule instead of being refused by a fixed one
+    assert cli.main(["sweep", "--algebra", "L3(3)", "--samples", "5", "--tol", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["symmetric_count"] >= 1
+    assert cli.main(["analyze", "--algebra", "L3(3)", "--tol", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["distinct_count"] is not None
+    # at the default --tol the verdict is stricter than the old fixed rule
+    # (sym_tol = 1e-8), so every default-tolerance output stays as it was
+    runs = [("sweep", "--algebra", fam, "--samples", "30", "--seed", "5")
+            for fam in ("L3(-1)", "L3(1)", "L3(2,-1)", "L3(3)", "L3(4,0)", "L3(5)", "L3(6)")]
+    runs += [("table1", "--samples", "10"), ("analyze", "--algebra", "L3(5)"),
+             ("analyze", "--algebra", "H(7)", "--format", "table")]
+    now = []
+    for args in runs:
+        assert cli.main(list(args)) == 0, args
+        now.append(capsys.readouterr().out)
+    fixed = gks.eigen_analysis
+    monkeypatch.setattr(gks, "eigen_analysis", lambda a, gap_tol, sym_tol: fixed(a, gap_tol))
+    for args, out in zip(runs, now):
+        assert cli.main(list(args)) == 0, args
+        assert capsys.readouterr().out == out, args

@@ -183,13 +183,14 @@ def _add_at_spin_lift(mod, omega):
     out = np.zeros((mod.dim_spinor, mod.dim_spinor), dtype=complex)
     masks = np.arange(mod.dim_spinor)
     for a in range(mod.dim_frame):
-        pa, ca = mod._perm[a], mod._coef[a]
+        pa, fa = mod._perm[a], mod._phase[a]
         for b in range(a + 1, mod.dim_frame):
             w = omega[b, a]
             if w == 0.0:
                 continue
-            pb, cb = mod._perm[b], mod._coef[b]
-            np.add.at(out, (pa[pb], masks), 0.5 * w * cb * ca[pb])
+            pb, fb = mod._perm[b], mod._phase[b]
+            # (e_a e_b psi)[S] = fa[S] fb[pa[S]] psi[pb[pa[S]]]
+            np.add.at(out, (masks, pb[pa]), 0.5 * w * fa * fb[pa])
     return out
 
 
@@ -205,7 +206,7 @@ def test_dense_operators_match_add_at_reference():
             np.testing.assert_array_equal(mod.spin_lift(omega), _add_at_spin_lift(mod, omega))
         for i in range(1, d + 1):
             ref = np.zeros((mod.dim_spinor, mod.dim_spinor), dtype=complex)
-            ref[mod._perm[i - 1], np.arange(mod.dim_spinor)] = mod._coef[i - 1]
+            ref[np.arange(mod.dim_spinor), mod._perm[i - 1]] = mod._phase[i - 1]
             np.testing.assert_array_equal(mod.vector_matrix(i), ref)
 
 
@@ -282,6 +283,45 @@ def test_stacked_vector_actions_match_per_entry_calls():
         applied = mod.apply_vector(i, stacks)
         for idx in np.ndindex(2, 5):
             np.testing.assert_array_equal(applied[idx], mod.apply_vector(i, stacks[idx]))
+
+
+def test_actions_on_reachable_rows_match_full_actions():
+    rng = np.random.default_rng(77)
+    for n in range(1, 8):
+        mod = get_module(n)
+        d, size = mod.dim_frame, mod.dim_spinor
+        for support in (1, 2, size):
+            coeffs = np.zeros(size, dtype=complex)
+            picks = rng.choice(size, size=support, replace=False)
+            coeffs[picks] = rng.normal(size=support) + 1j * rng.normal(size=support)
+            rows = mod.reachable_rows(coeffs)
+            if rows is None:  # every row: the full actions themselves
+                assert support * (1 + n + n * (n - 1) // 2) >= size
+                continue
+            assert np.all(np.diff(rows) > 0)
+            outside = np.setdiff1d(np.arange(size), rows)
+            g = rng.uniform(-1, 1, size=(3, d, d))
+            omega = g - g.swapaxes(-1, -2)
+            stack = np.stack([coeffs, 2 * coeffs], axis=-1)
+            full = mod.apply_spin_lift(omega[0], stack)
+            part = mod.apply_spin_lift(omega[0], stack, rows)
+            np.testing.assert_array_equal(part, full[rows])
+            full = mod.apply_spin_lift(omega, coeffs)
+            part = mod.apply_spin_lift(omega, coeffs, rows)
+            np.testing.assert_array_equal(part, full[..., rows])
+            np.testing.assert_array_equal(full[..., outside], 0.0)
+            for i in range(1, d + 1):
+                full = mod.apply_vector(i, coeffs)
+                np.testing.assert_array_equal(mod.apply_vector(i, coeffs, rows), full[rows])
+                np.testing.assert_array_equal(full[outside], 0.0)
+            psi = Spinor(n, coeffs)
+            both = np.concatenate([rows, size + rows])  # real parts, then imaginary
+            np.testing.assert_array_equal(
+                mod.moment_matrix(psi, rows), mod.moment_matrix(psi)[both]
+            )
+    # a basis spinor reaches 1 + n + n(n-1)/2 rows
+    for n, count in ((3, 7), (8, 37), (16, 137)):
+        assert len(get_module(n).reachable_rows(Spinor.basis(n, 2).coeffs)) == count
 
 
 def test_module_size_cap():

@@ -208,6 +208,60 @@ def ricci_spinorial_loop(nm, c, psi):
     return worst
 
 
+def ricci_via_operators(nm, c):
+    """Ricci matrix through the full curvature-operator tensor: the reference
+    for the direct contraction of ``curvature``.
+
+    ``ops[i, j] = R(e_i, e_j) = [L_i, L_j] - sum_k c_ij^k L_k`` (``d^4`` entries),
+    then ``Ric_xy = sum_j R(e_j, e_x)_{jy}``."""
+    lam = nm.mats
+    prod = np.einsum("iab,jbc->ijac", lam, lam)
+    ops = prod - prod.swapaxes(0, 1) - np.einsum("ijk,kab->ijab", c, lam)
+    return np.einsum("jxjy->xy", ops)
+
+
+def heisenberg_ricci_milnor(params):
+    """Closed-form Ricci matrix of a metric Heisenberg algebra in the frame
+    ``(Z, E_1, F_1, ..., E_n, F_n)`` (Milnor, Adv. Math. 21 (1976), 2-step
+    nilpotent case): with ``[E_p, F_p] = lambda_p Z``,
+    ``Ric(Z, Z) = sum lambda_p^2 / 2``, ``Ric(E_p, E_p) = Ric(F_p, F_p) =
+    -lambda_p^2 / 2`` and every off-diagonal entry 0."""
+    lam2 = [params.c / (a * b) for a, b in zip(params.a, params.b)]
+    return np.diag([0.5 * sum(lam2)] + [-0.5 * v for v in lam2 for _ in range(2)])
+
+
+def test_ricci_matches_milnor_heisenberg_form():
+    rng = np.random.default_rng(71)
+    for n in range(1, 17):
+        params = [HeisenbergParams.defaults(n)] + [
+            HeisenbergParams(n, tuple(np.exp(rng.uniform(-1, 1, n))),
+                             tuple(np.exp(rng.uniform(-1, 1, n))),
+                             float(np.exp(rng.uniform(-1, 1))))
+            for _ in range(3)
+        ]
+        for p in params:
+            mla = heisenberg_metric(p)
+            ric = curvature(nomizu(mla), mla).ricci
+            ref = heisenberg_ricci_milnor(p)
+            assert np.max(np.abs(ric - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            if n <= 6:
+                np.testing.assert_allclose(ric, ricci_via_operators(nomizu(mla), mla.ortho_c),
+                                           rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+
+def test_ricci_matches_operator_route_on_random_structure_constants():
+    # the contraction does not use the Jacobi identity: random skew c in d = 5, 7, 9
+    rng = np.random.default_rng(72)
+    for d in (5, 7, 9):
+        c = rng.normal(size=(6, d, d, d))
+        c = c - c.swapaxes(-3, -2)
+        nm = nomizu(c)
+        ric = curvature(nm, c).ricci
+        for k in range(len(c)):
+            ref = ricci_via_operators(nomizu(c[k]), c[k])
+            assert np.max(np.abs(ric[k] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 def torsion_loop(nm, c):
     """Pair-by-pair form of ``torsion_violation`` on one metric's ``ortho_c``."""
     lam, worst = nm.mats, 0.0
@@ -248,7 +302,10 @@ def test_batched_connection_matches_per_sample_calls():
             assert torsion[k] <= 1e-12
             single = curvature(nm_k, c)
             np.testing.assert_allclose(curv.ricci[k], single.ricci, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(curv.operators[k], single.operators, rtol=1e-12, atol=1e-15)
+            ref = ricci_via_operators(nm_k, c)
+            scale = max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(curv.ricci[k] - ref)) <= 1e-12 * scale
+            assert np.max(np.abs(single.ricci - ref)) <= 1e-12 * scale
             for psi, (ok, residual) in zip(spinors, checks):
                 ok_k, residual_k = ricci_spinorial_check(nm_k, c, psi)
                 assert isinstance(ok_k, bool) and isinstance(residual_k, float)

@@ -360,6 +360,60 @@ def test_symmetric_projection_matches_stacked_least_squares():
         assert abs(residual - ref_res) <= 1e-12 * max(1.0, ref_res)
 
 
+def _dense_project(mla, psi):
+    """The projection on all ``2**(n+1)`` realified rows: the reference for the
+    reachable-row solve of ``solve_endomorphism`` and ``solve_symmetric_endomorphism``."""
+    m, rhs = _moment_and_rhs(mla, psi)
+    norm2 = psi.norm**2
+    a = m.T @ rhs / norm2
+    return a, rhs, m @ a - rhs, norm2
+
+
+def _basis_spinor_inputs():
+    """(metric, spinor) with basis spinors of nonzero mask and sparse spinors."""
+    rng = np.random.default_rng(505)
+    for tag, x in FAMILY_GRID:
+        alg = make_bianchi(BianchiFamily(tag, x))
+        mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
+        yield mla, Spinor.basis(1, 1)
+    for n in range(1, 8):
+        params = HeisenbergParams(
+            n,
+            tuple(np.exp(rng.uniform(-1, 1, size=n))),
+            tuple(np.exp(rng.uniform(-1, 1, size=n))),
+            float(np.exp(rng.uniform(-1, 1))),
+        )
+        mla = heisenberg_metric(params)
+        for slots in ((1,), (n,), tuple(range(1, n + 1)), tuple(range(1, n + 1, 2))):
+            yield mla, Spinor.basis(n, *sorted(set(slots)))
+        coeffs = np.zeros(2**n, dtype=complex)
+        picks = rng.choice(2**n, size=min(3, 2**n), replace=False)
+        coeffs[picks] = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
+        yield mla, Spinor(n, coeffs)
+
+
+def test_reachable_row_projection_matches_dense_projection():
+    strict = 0
+    cases = [(mla, psi) for _, mla, psi in _oracle_inputs()] + list(_basis_spinor_inputs())
+    for mla, psi in cases:
+        ref, rhs, misfit, norm2 = _dense_project(mla, psi)
+        scale = max(1.0, np.max(np.abs(ref)))
+        a, residual = solve_endomorphism(mla, psi)
+        assert np.max(np.abs(a - ref)) <= 1e-12 * scale
+        col_res = np.linalg.norm(misfit, axis=0)
+        ref_res = np.max(col_res / np.maximum(1.0, np.linalg.norm(rhs, axis=0)))
+        assert abs(residual - ref_res) <= 1e-12
+        a_sym, sym_res = solve_symmetric_endomorphism(mla, psi)
+        skew = 0.5 * (ref - ref.T)
+        ref_sym_res = np.sqrt(np.sum(misfit**2) + norm2 * np.sum(skew**2))
+        assert np.max(np.abs(a_sym - 0.5 * (ref + ref.T))) <= 1e-12 * scale
+        assert abs(sym_res - ref_sym_res) <= 1e-12 * max(1.0, ref_sym_res)
+        strict += get_module(psi.n).reachable_rows(psi.coeffs) is not None
+    # a strict subset of the rows: the ladder and the basis spinors for n >= 3,
+    # and the 3-entry spinor at n = 7
+    assert strict == 6 + 4 * 5 + 1
+
+
 def test_asymmetry_matches_table_and_ignores_most_of_the_frame():
     rng = np.random.default_rng(55)
     for tag, x in [("L3(-1)", None), ("L3(2,x)", 0.5), ("L3(3)", None), ("L3(4,x)", 1.5)]:

@@ -1,11 +1,12 @@
-"""The benchmark's tracer stays in step with the package.
+"""The benchmark's tracer and gates stay in step with the package.
 
 ``perfbench/run.py`` is imported read-only, with ``perfbench/`` on the path.
 Its self-check patches every traced function, runs one symmetric and one
 non-symmetric 3-d ``analyze`` and compares the call counts of ``full_report``
 with their exact expected values, so renaming or deleting a traced function,
 or changing what one report calls, fails here and not only in a traced
-benchmark run.
+benchmark run.  The ``heisenberg_large`` cycle is also run through its
+own output gates, the n = 12..16 eigenvalue ladders among them.
 """
 
 import importlib.util
@@ -24,3 +25,15 @@ def test_tracer_self_check_is_clean(monkeypatch):
     spec.loader.exec_module(run)
     tracer = sys.modules["tracer"]
     assert run.tracer_self_check(cli.main, tracer.Tracer()) == []
+
+
+def test_heisenberg_cycle_passes_its_gates(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    wl = importlib.import_module("workloads")
+    cycle = wl.heisenberg_cycle(1, 0)
+    assert {inv.argv[0] for inv in cycle} == {"heisenberg", "analyze"}
+    for inv in cycle:
+        assert cli.main(list(inv.argv)) == 0, inv.slot
+        doc = wl.parse_output(capsys.readouterr().out)
+        wl.check_finite(doc)
+        inv.gate(doc)
