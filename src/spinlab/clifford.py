@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -250,9 +249,13 @@ class CliffordModule:
             raise InvalidOperatorError(
                 f"expected {d}x{d} matrices, got shape {omega.shape}"
             )
-        scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
-        defect = np.abs(omega + omega.swapaxes(-1, -2)).max(axis=(-2, -1))
-        if (defect > 1e-12 * scale).any():
+        if omega.ndim == 2:  # one matrix: the same test without per-matrix reductions
+            bad = abs(omega + omega.T).max() > 1e-12 * max(1.0, abs(omega).max())
+        else:
+            scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
+            defect = np.abs(omega + omega.swapaxes(-1, -2)).max(axis=(-2, -1))
+            bad = (defect > 1e-12 * scale).any()
+        if bad:
             raise InvalidOperatorError("spin lift requires a skew-symmetric matrix")
         return omega
 
@@ -277,8 +280,11 @@ class CliffordModule:
         lead = _lead(omega.shape[:-2], coeffs)
         width = (self.dim_spinor if rows is None else len(rows),)
         out = np.zeros(np.broadcast_shapes(lead + width, vecs.shape[:-1] + width), dtype=complex)
-        live = (omega != 0.0).any(axis=tuple(range(omega.ndim - 2))).ravel()
-        for a, b in compress(self._pairs, live[self._pair_entries].tolist()):
+        live = omega != 0.0
+        if omega.ndim > 2:
+            live = live.any(axis=tuple(range(omega.ndim - 2)))
+        for k in np.flatnonzero(live.take(self._pair_entries)).tolist():
+            a, b = self._pairs[k]
             pa, fa = self._perm[a], self._phase[a]
             if rows is not None:
                 pa, fa = pa[rows], fa[rows]

@@ -2,7 +2,10 @@
 
 Floats are printed with 17 significant digits (round-trip safe) and keys
 keep their construction order, so identical inputs produce byte-identical
-documents.  Tables use 6 significant digits.
+documents.  Tables use 6 significant digits.  Emission is one pass over the
+document: a list made only of Python floats, which is what every row of a
+float array becomes, is written with one ``"%.17g"`` template join instead
+of one call per number; every other value is written on its own.
 
 Algebra documents look like::
 
@@ -10,9 +13,15 @@ Algebra documents look like::
 
 listing only pairs with ``i < j`` (1-based); the antisymmetric completion
 is implicit.  Metric documents carry either a Gram matrix
-``{"gram": [[...]]}`` or a 3-dimensional frame change
+``{"gram": [[...]]}`` or a frame change: a 3-dimensional one as
 ``{"frame_P": {"alpha": ..., "beta": ..., "gamma": ..., "epsilon": ...,
-"zeta": ..., "iota": ...}}``.
+"zeta": ..., "iota": ...}}``, or any as an upper-triangular matrix.
+
+Documents that break the schema raise ``FormatError`` (CLI exit 3): ``dim``,
+``i`` and ``j`` that are not JSON integers; bracket coefficients, ``gram``
+and ``frame_P`` entries that are not JSON numbers (``true``, ``"1"``,
+``null``, a nested list); matrices with rows of unequal length; and a
+bracket pair ``(i, j)`` given more than once.
 """
 
 from __future__ import annotations
@@ -66,6 +75,11 @@ def _emit(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == {float}:
+            # a row of plain floats (an array row after tolist) in one template
+            # pass: "%.17g" % x is format(x, ".17g") for every double
+            body = (",\n" + inner).join(["%.17g"] * len(obj)) % tuple(obj)
+            return "[\n" + inner + body + "\n" + pad + "]"
         items = [f"{inner}{_emit(v, indent, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialise object of type {type(obj)!r}")
@@ -81,6 +95,31 @@ def _json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"'{name}' must be a JSON integer, got {json.dumps(value)}")
     return value
+
+
+def _json_real(value, name: str) -> float:
+    """A JSON number as a float; booleans, strings and other types are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"'{name}' entries must be JSON numbers, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal past the float range
+        raise FormatError(f"'{name}' entry {value} is out of floating-point range") from exc
+
+
+def _json_reals(value, name: str) -> np.ndarray:
+    """A JSON number or rectangular nested lists of them as a float array."""
+    cells = np.array(value, dtype=object)  # rows of unequal length stay lists
+    kinds = set(map(type, cells.flat))
+    if list in kinds:
+        raise FormatError(f"'{name}' must be a rectangular array of numbers")
+    if not kinds <= {int, float}:
+        for v in cells.flat:
+            _json_real(v, name)  # refuses the first entry that is not a number
+    try:
+        return cells.astype(float)
+    except OverflowError as exc:  # an integer literal past the float range
+        raise FormatError(f"'{name}' has an entry out of floating-point range") from exc
 
 
 def algebra_from_obj(obj) -> LieAlgebra:
@@ -101,14 +140,18 @@ def algebra_from_obj(obj) -> LieAlgebra:
     if not isinstance(entries, list):
         raise FormatError("'brackets' must be a list")
     c = np.zeros((dim, dim, dim))
+    seen = set()
     for entry in entries:
         try:
             i, j = _json_int(entry["i"], "i"), _json_int(entry["j"], "j")
-            coeffs = [float(v) for v in entry["coeffs"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            coeffs = [_json_real(v, "coeffs") for v in entry["coeffs"]]
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"bad bracket entry {entry!r}") from exc
         if not (1 <= i < j <= dim):
             raise FormatError(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i}, {j})")
+        if (i, j) in seen:
+            raise FormatError(f"bracket ({i}, {j}) is given more than once")
+        seen.add((i, j))
         if len(coeffs) != dim:
             raise FormatError(f"bracket ({i}, {j}) needs {dim} coefficients, got {len(coeffs)}")
         c[i - 1, j - 1, :] = coeffs
@@ -140,13 +183,14 @@ def frame_change_from_obj(obj, dim: int) -> FrameChange:
             raise FormatError(f"unknown frame_P entries {sorted(unknown)}")
         if dim != 3:
             raise FormatError("named frame_P entries are for 3-dimensional algebras")
-        try:
-            vals = {k: float(obj.get(k, 1.0 if k in ("alpha", "epsilon", "iota") else 0.0)) for k in _GREEK}
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad frame_P entry: {exc}") from exc
+        vals = {
+            k: _json_real(obj[k], "frame_P") if k in obj
+            else (1.0 if k in ("alpha", "epsilon", "iota") else 0.0)
+            for k in _GREEK
+        }
         return FrameChange.from_entries(**vals)
     if isinstance(obj, list):
-        return FrameChange(np.asarray(obj, dtype=float))
+        return FrameChange(_json_reals(obj, "frame_P"))
     raise FormatError("frame_P must be an object with named entries or a matrix")
 
 
@@ -157,11 +201,7 @@ def metric_from_obj(alg: LieAlgebra, obj) -> MetricLieAlgebra:
     if not isinstance(obj, dict):
         raise FormatError("metric document must be a JSON object")
     if "gram" in obj:
-        try:
-            gram = np.asarray(obj["gram"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad gram matrix: {exc}") from exc
-        return orthonormalize(alg, gram)
+        return orthonormalize(alg, _json_reals(obj["gram"], "gram"))
     if "frame_P" in obj:
         return metric_from_frame_change(alg, frame_change_from_obj(obj["frame_P"], alg.dim))
     raise FormatError("metric document needs a 'gram' or 'frame_P' field")

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spinlab.catalog import BianchiFamily, make_bianchi, make_heisenberg
+from spinlab.serialize import algebra_to_obj
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -339,3 +347,206 @@ def test_eigen_analysis_follows_the_symmetry_verdict(capsys, monkeypatch):
     for args, out in zip(runs, now):
         assert cli.main(list(args)) == 0, args
         assert capsys.readouterr().out == out, args
+
+
+def _run_in_process(argv):
+    """``cli.main`` in this process: (exit code, stdout, stderr); an exception propagates."""
+    from spinlab import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_schema_errors_exit_3(monkeypatch):
+    monkeypatch.delenv("SPINLAB_SEED", raising=False)
+    bracket = '{"i": 2, "j": 3, "coeffs": [1, 0, 0]}'
+    cases = [
+        # frame_P matrices with a non-numeric or a missing entry
+        ("L3(6)", '{"frame_P": [[1, "a", 0], [0, 1, 0], [0, 0, 1]]}'),
+        ("L3(6)", '{"frame_P": [[1, 0, 0], [0, 1], [0, 0, 1]]}'),
+        ("L3(6)", '{"frame_P": [[1, 0, 0], [0, [1], 0], [0, 0, 1]]}'),
+        ("L3(6)", '{"gram": [[1, 0, 0], [0, 1], [0, 0, 1]]}'),
+        # booleans, strings and null where a real number belongs
+        ("L3(6)", '{"frame_P": {"alpha": true}}'),
+        ("L3(6)", '{"frame_P": {"beta": null}}'),
+        ("L3(6)", '{"frame_P": [[1, 0, 0], [0, true, 0], [0, 0, 1]]}'),
+        ("L3(6)", '{"gram": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+        ("L3(6)", '{"gram": [[1, 0, 0], [0, 1, 0], [0, 0, "2"]]}'),
+        ('{"dim": 3, "brackets": [{"i": 2, "j": 3, "coeffs": [true, 0, 0]}]}', "identity"),
+        ('{"dim": 3, "brackets": [{"i": 2, "j": 3, "coeffs": ["1", 0, 0]}]}', "identity"),
+        # an integer literal past the float range
+        ("L3(6)", '{"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1%s]]}' % ("0" * 400)),
+        # a bracket pair given twice
+        ('{"dim": 3, "brackets": [%s, %s]}' % (bracket, bracket), "identity"),
+        ('{"dim": 3, "brackets": [%s, {"i": 2, "j": 3, "coeffs": [0, 1, 0]}]}' % bracket,
+         "identity"),
+    ]
+    for algebra, metric in cases:
+        for fmt in ("json", "table"):
+            args = ("analyze", "--algebra", algebra, "--metric", metric, "--format", fmt)
+            code, out, err = _run_in_process(args)
+            assert (code, out) == (3, ""), args
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), args
+
+
+# ---- in-process CLI fuzzing ------------------------------------------------
+
+_FAMILIES = ("L3(-1)", "L3(1)", "L3(2,-1)", "L3(2,0.5)", "L3(3)", "L3(4,0)", "L3(5)", "L3(6)")
+_GREEK = ("alpha", "beta", "gamma", "epsilon", "zeta", "iota")
+_NUMBERS = st.one_of(
+    st.integers(-3, 3), st.floats(-4.0, 4.0), st.sampled_from([0.5, 1e-300, 1e300, -1e300])
+)
+# JSON values that are not numbers, planted where the schema wants a number
+_NOT_NUMBERS = st.sampled_from([True, False, None, "1", "a", [1.0], {"x": 1}])
+# at most one fault is planted per command line: schema faults exit 3, flag faults 2
+_FAULTS = (None,) * 5 + ("coeffs", "duplicate", "dim", "metric entry", "metric ragged", "flag")
+
+
+@st.composite
+def _algebra_doc(draw, fault, lie):
+    """An ``--algebra`` value and its dimension; ``lie`` keeps to Lie algebras."""
+    kinds = ["name", "catalog", "abelian"] + ([] if lie else ["random"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "name" and fault not in ("coeffs", "duplicate", "dim"):
+        name = draw(st.sampled_from(_FAMILIES + ("H(3)", "H(5)", "H(9)")))
+        return name, 3 if name.startswith("L3") else int(name[2:-1])
+    if kind in ("name", "catalog"):
+        alg = draw(st.one_of(
+            st.sampled_from(_FAMILIES).map(lambda f: make_bianchi(BianchiFamily.parse(f))),
+            st.integers(1, 4).map(make_heisenberg),
+        ))
+        doc = algebra_to_obj(alg)
+        scale = draw(st.sampled_from([1.0, 2.5, 1e-3]))
+        for entry in doc["brackets"]:
+            entry["coeffs"] = [scale * v for v in entry["coeffs"]]
+    elif kind == "abelian":
+        doc = {"dim": draw(st.integers(2 if fault in ("coeffs", "duplicate") else 1, 9)),
+               "brackets": []}
+    else:
+        dim = draw(st.integers(2, 9))
+        pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+        doc = {"dim": dim, "brackets": [
+            {"i": i, "j": j, "coeffs": draw(st.lists(_NUMBERS, min_size=dim, max_size=dim))}
+            for i, j in chosen
+        ]}
+    dim, brackets = doc["dim"], doc["brackets"]
+    if fault in ("coeffs", "duplicate") and not brackets:
+        brackets.append({"i": 1, "j": 2, "coeffs": [0.0] * dim})
+    if fault == "coeffs":
+        coeffs = draw(st.sampled_from(brackets))["coeffs"]
+        coeffs[draw(st.integers(0, dim - 1))] = draw(_NOT_NUMBERS)
+    elif fault == "duplicate":
+        first = draw(st.sampled_from(brackets))
+        again = draw(st.lists(_NUMBERS, min_size=dim, max_size=dim))
+        brackets.insert(draw(st.integers(0, len(brackets))),
+                        {"i": first["i"], "j": first["j"], "coeffs": again})
+    elif fault == "dim":
+        doc["dim"] = draw(st.sampled_from([True, float(dim), str(dim)]))
+    return json.dumps(doc), dim
+
+
+@st.composite
+def _metric_doc(draw, dim, fault):
+    """A ``--metric`` value for a ``dim``-dimensional algebra; True when it breaks the schema."""
+    kinds = ["gram", "frame_matrix", "frame_named"] + ([] if fault else ["identity"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return "identity", False
+    if kind == "frame_named":
+        keys = draw(st.lists(st.sampled_from(_GREEK), unique=True, min_size=bool(fault)))
+        doc = {k: draw(_NUMBERS) for k in keys}
+        if fault:
+            doc[draw(st.sampled_from(keys))] = draw(_NOT_NUMBERS)
+        return json.dumps({"frame_P": doc}), bool(fault) or dim != 3
+    size = max(1, dim + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    diag = st.sampled_from([0.5, 1.0, 3.0, 1.0, 2.0, -1.0, 1e-300])
+    off = st.sampled_from([0.0, 0.0, 0.0, 0.1, -0.1, 0.3, -4.0, 1e300])
+    rows = [[draw(diag) if c == r else (0.0 if kind == "frame_matrix" and c < r
+             else draw(off)) for c in range(size)] for r in range(size)]
+    if kind == "gram":
+        rows = [[rows[min(r, c)][max(r, c)] for c in range(size)] for r in range(size)]
+    if fault == "metric ragged" and size >= 2:
+        rows[draw(st.integers(0, size - 1))].append(1.0)
+    elif fault:
+        rows[draw(st.integers(0, size - 1))][draw(st.integers(0, size - 1))] = draw(_NOT_NUMBERS)
+    return json.dumps({"gram" if kind == "gram" else "frame_P": rows}), bool(fault)
+
+
+@st.composite
+def _cli_case(draw):
+    """One command line and the exit codes it may end with."""
+    fault = draw(st.sampled_from(_FAULTS))
+    command = "analyze" if fault not in (None, "flag") else draw(
+        st.sampled_from(["analyze", "analyze", "analyze", "sweep", "table1", "heisenberg"])
+    )
+    codes = {0, 2}
+    if command == "analyze":
+        metric_fault = fault if fault in ("metric entry", "metric ragged") else None
+        # a JSON algebra is checked for Jacobi (exit 2) before the metric is read
+        algebra, dim = draw(_algebra_doc(fault, lie=metric_fault is not None))
+        metric, bad_metric = draw(_metric_doc(dim, metric_fault))
+        args = ["analyze", "--algebra", algebra, "--metric", metric]
+        if fault in ("coeffs", "duplicate", "dim") or bad_metric:
+            codes = {3}
+    elif command == "heisenberg":
+        args = ["heisenberg", "--n", str(draw(st.integers(-1, 4)))]
+        for flag in ("--a", "--b"):
+            values = draw(st.lists(st.sampled_from(["1", "0.25", "4", "0", "-1", "nan", "x"]),
+                                   min_size=1, max_size=4))
+            if draw(st.booleans()):  # "=": argparse reads "-1,1" after a space as a flag
+                args.append(f"{flag}={','.join(values)}")
+        if draw(st.booleans()):
+            args.append("--c=" + draw(st.sampled_from(["1", "0.5", "-1", "inf"])))
+    else:
+        args = [command, "--samples", draw(st.sampled_from(["-1", "0", "1", "7", "20"]))]
+        if command == "sweep":
+            args += ["--algebra", draw(st.sampled_from(_FAMILIES))]
+    flags = {
+        "--tol": draw(st.sampled_from([None, None, "1e-9", "1e-3", "0.5"])),
+        "--gap-tol": draw(st.sampled_from([None, None, "1e-7", "1e-3", "0.5"])),
+        "--seed": draw(st.sampled_from([None, "0", "5"])),
+        "--format": draw(st.sampled_from(["json", "table"])),
+    }
+    if fault == "flag":
+        flag = draw(st.sampled_from(["--tol", "--gap-tol", "--seed"]))
+        bad = ["-1", "-7"] if flag == "--seed" else ["0", "-1", "nan", "inf", "-1e-9"]
+        flags[flag] = draw(st.sampled_from(bad))
+        codes = {2}  # flags are checked before anything is read
+    args += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    return args, codes
+
+
+def _assert_finite(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            _assert_finite(v)
+    elif isinstance(value, list):
+        for v in value:
+            _assert_finite(v)
+    elif isinstance(value, float):
+        assert np.isfinite(value)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_cli_case())
+def test_cli_fuzz_ends_in_a_report_or_one_error_line(monkeypatch, case):
+    """Every input exits 0 with a finite report, or 2 or 3 with one stderr line.
+
+    Planted schema faults (non-numbers where numbers belong, ragged matrices,
+    repeated bracket pairs, non-integer dimensions) must exit 3.
+    """
+    monkeypatch.delenv("SPINLAB_SEED", raising=False)
+    args, codes = case
+    code, out, err = _run_in_process(args)
+    assert code in codes, (code, err)
+    if code != 0:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    elif "--format=json" in args:
+        _assert_finite(json.loads(out))
+    else:
+        assert not re.search(r"\b(nan|inf)\b", out), out

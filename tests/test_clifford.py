@@ -263,6 +263,26 @@ def test_stacked_spin_lift_matches_per_matrix_calls():
         mod.spin_lift(np.stack([omega[0, 0], np.eye(d)]))
 
 
+def test_single_matrix_skew_check_matches_the_stacked_check():
+    mod = get_module(2)
+    rng = np.random.default_rng(5)
+    for size in (0.3, 1.0, 40.0):
+        base = rng.normal(size=(5, 5)) * size
+        base = base - base.T
+        scale = max(1.0, np.abs(base).max())
+        for excess in (0.0, 0.5e-12, 0.99e-12, 1.01e-12, 2e-12, np.nan, np.inf):
+            omega = base.copy()
+            omega[1, 3] = -omega[3, 1] + excess * scale
+            verdicts = []
+            for arg in (omega, omega[None], np.stack([base, omega])):
+                try:
+                    mod.apply_spin_lift(arg, np.ones(4))
+                    verdicts.append(True)
+                except InvalidOperatorError:
+                    verdicts.append(False)
+            assert len(set(verdicts)) == 1, (size, excess, verdicts)
+
+
 def test_stacked_vector_actions_match_per_entry_calls():
     rng = np.random.default_rng(12)
     mod = get_module(3)

@@ -1,10 +1,14 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from spinlab import cli
 from spinlab.catalog import BianchiFamily, make_bianchi, make_heisenberg
 from spinlab.errors import FormatError, UnsupportedDimensionError
 from spinlab.serialize import (
@@ -14,6 +18,96 @@ from spinlab.serialize import (
     metric_from_obj,
     to_json,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _reference_emit(obj, indent: int, level: int) -> str:
+    """One recursive call per value, each float formatted on its own: the
+    emitter before rows of floats were written in one template pass."""
+    pad = " " * (indent * level)
+    inner = " " * (indent * (level + 1))
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {_reference_emit(v, indent, level + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{_reference_emit(v, indent, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialise object of type {type(obj)!r}")
+
+
+_EDGE_FLOATS = (-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                float("nan"), float("inf"), -float("inf"), 1.0 / 3.0)
+_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), _floats, st.text(max_size=4),
+    _floats.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), _arrays,
+    st.lists(_floats, max_size=6),  # all-float rows, the template path
+    st.lists(st.one_of(st.integers(-5, 5), _floats), max_size=6),  # mixed rows, the general path
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_payloads, st.sampled_from([0, 1, 2, 4]))
+def test_to_json_matches_the_per_value_emitter(payload, indent):
+    assert to_json(payload, indent) == _reference_emit(payload, indent, 0)
+
+
+def test_to_json_refuses_what_the_per_value_emitter_refuses():
+    for obj in (np.array([1j]), [1.0, 1j], {"x": object()}, {1.5}):
+        with pytest.raises(TypeError):
+            _reference_emit(obj, 2, 0)
+        with pytest.raises(TypeError):
+            to_json(obj)
+
+
+def test_heisenberg_cycle_stdout_matches_the_per_value_emitter(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    wl = importlib.import_module("workloads")
+    payloads = []
+
+    def recording(obj, indent=2):
+        payloads.append(obj)
+        return to_json(obj, indent)
+
+    monkeypatch.setattr(cli, "to_json", recording)
+    for inv in wl.heisenberg_cycle(1, 0):
+        assert cli.main(list(inv.argv)) == 0, inv.slot
+        assert capsys.readouterr().out == _reference_emit(payloads[-1], 2, 0) + "\n", inv.slot
+    assert len(payloads) == len(wl.heisenberg_cycle(1, 0))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
