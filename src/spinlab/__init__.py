@@ -3,7 +3,8 @@
 Builds spinor modules over odd-dimensional metric Lie algebras, computes
 the frame form of the Levi-Civita connection and its spin lift, solves for
 the endomorphism of the generalised Killing equation, and cross-checks the
-results against the closed-form family catalog.
+results against the closed-form family catalog.  The names imported below
+are the public API.
 """
 
 from .algebra import (
@@ -70,58 +71,3 @@ from .gks import (
     solve_symmetric_endomorphism,
     symmetry_conditions_3d,
 )
-
-__all__ = [
-    "BianchiFamily",
-    "CliffordModule",
-    "CurvatureData",
-    "FAMILY_TAGS",
-    "FormatError",
-    "FrameChange",
-    "GKReport",
-    "HeisenbergParams",
-    "InvalidFrameError",
-    "InvalidMetricError",
-    "InvalidOperatorError",
-    "InvalidParameterError",
-    "InvalidSpinorError",
-    "LieAlgebra",
-    "MetricLieAlgebra",
-    "NomizuMap",
-    "Spinor",
-    "SpinlabError",
-    "StructureError",
-    "UnsupportedDimensionError",
-    "check_jacobi",
-    "cliff_relations_check",
-    "cliff_vector",
-    "curvature",
-    "dirac_trace_3d",
-    "eigen_analysis",
-    "explicit_A_3d",
-    "full_report",
-    "genericity_sweep",
-    "get_module",
-    "gk_equation_residual",
-    "heisenberg_gk_eigenvalues",
-    "heisenberg_metric",
-    "is_symmetric_family",
-    "jacobi_violation",
-    "make_bianchi",
-    "make_heisenberg",
-    "metric_from_frame_change",
-    "metricity_violation",
-    "nomizu",
-    "orthonormalize",
-    "reference_A",
-    "reference_asymmetry",
-    "reference_eigenvalues",
-    "reference_ricci_3d",
-    "ricci_spinorial_check",
-    "solve_endomorphism",
-    "solve_symmetric_endomorphism",
-    "spin_lift",
-    "spin_nomizu",
-    "symmetry_conditions_3d",
-    "torsion_violation",
-]

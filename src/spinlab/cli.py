@@ -74,9 +74,12 @@ def _default_seed() -> int:
 
 def _load_json_arg(text: str):
     """Parse an argument that is inline JSON or a path to a JSON file."""
-    if text.lstrip().startswith(("{", "[")):
+    if not text.lstrip().startswith(("{", "[")):
+        text = Path(text).read_text(encoding="utf-8")
+    try:
         return json.loads(text)
-    return json.loads(Path(text).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise FormatError("malformed JSON: nested deeper than the parser allows") from None
 
 
 def _resolve_algebra(name: str, tol: float):
@@ -288,8 +291,16 @@ def cmd_selftest(args) -> tuple[str, int]:
     return "\n".join(lines), code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line with exit code 2, without
+    the usage block; subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinlab",
         description="Invariant generalised Killing spinors on metric Lie algebras.",
     )
@@ -361,7 +372,10 @@ def _check_args(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(raw)
+    try:
+        args = _parser().parse_args(raw)
+    except SystemExit as exc:  # help (0) or a usage error (2), already printed
+        return exc.code
     args.tol_given = any(a == "--tol" or a.startswith("--tol=") for a in raw)
     try:
         _check_args(args)

@@ -30,11 +30,11 @@ spin lift and the vector combination also take a stack of skew matrices
 ``(..., d, d)`` or of frame vectors ``(..., d)``, one operator per stack
 entry, broadcast against the coefficient stacks.  ``apply_vector`` and
 ``apply_spin_lift`` can evaluate a given set of output rows only, such as
-the rows a sparse spinor reaches (``reachable_rows``).  Dense ``2**n x 2**n``
+the rows a sparse spinor reaches (``reachable_rows``); the gather sources
+and phases come from bitmask rules on just those rows, so a module holds
+no ``2**n`` array until an action asks for every row.  Dense ``2**n x 2**n``
 operators are those actions applied to the identity, available up to
-``n = 8``; beyond that the signed-permutation form keeps vector actions
-available without the quadratic memory cost.  Modules are capped at
-``n = 16`` slots (see ``MAX_SLOTS``).
+``n = 8``.  Modules are capped at ``n = 16`` slots (see ``MAX_SLOTS``).
 """
 
 from __future__ import annotations
@@ -51,12 +51,14 @@ from .errors import (
 )
 
 _DENSE_LIMIT = 8  # largest n for which dense operators are built
+_ROW_SETS = 8  # row sets whose tables a module keeps
+_PAIR_CACHE_ROWS = 256  # largest row set whose per-pair tables are kept
 
-# Largest n a module is built for.  A full report at n = 16 (2**16-entry
-# spinors, dimension 33) peaks near 80 MB in a fresh process, most of it the
-# module's perm/phase tables, and every further slot doubles those tables;
-# refusing larger modules up front turns an allocation failure deep in numpy
-# into a domain error.
+# Largest n a module is built for (dimension 33).  A unit-spinor report there
+# stays on 137 rows, but an action on every row (a dense spinor, apply_combo)
+# builds (2n+1) x 2**n tables: 52 MB kept and 87 MB at peak at n = 16, and
+# each further slot doubles them; refusing larger modules up front turns an
+# allocation failure deep in numpy into a domain error.
 MAX_SLOTS = 16
 
 
@@ -123,13 +125,15 @@ class Spinor:
 
 
 class CliffordModule:
-    """Precomputed Clifford action of the frame of a (2n+1)-dim algebra.
+    """Clifford action of the frame of a (2n+1)-dim algebra, computed on the rows it touches.
 
-    Each frame vector is stored as a signed permutation ``(perm, phase)``
-    with ``(e_i psi)[S] = phase[S] * psi[perm[S]]``, indexed by output row,
-    so every action is a gather and any set of output rows can be evaluated
-    alone.  Every ``perm`` flips a fixed set of bits, so it and all its
-    compositions are their own inverses.
+    Each frame vector acts as ``(e_i psi)[S] = phase * psi[S ^ bit]``, indexed
+    by output row ``S``; ``_frame_rule`` gives the flipped bit and the phase
+    for any set of rows, so no ``2**n`` table exists until an action asks for
+    every row.  Per row set the module keeps, in a small bounded cache, the
+    per-frame ``(perm, phase)`` and, filled as pairs are used, the per-pair
+    ``(src, coef)`` of ``e_a e_b``.  Every ``perm`` flips a fixed set of bits,
+    so it and all its compositions are their own inverses.
     """
 
     def __init__(self, n: int, flip_contraction_sign: bool = False):
@@ -139,28 +143,41 @@ class CliffordModule:
         self.n = n
         self.dim_spinor = 2**n
         self.dim_frame = 2 * n + 1
-        self._perm, self._phase = self._build(flip_contraction_sign)
+        self._flip = flip_contraction_sign
         a, b = np.triu_indices(self.dim_frame, 1)  # frame pairs a < b, a-major
         self._pairs = list(zip(a.tolist(), b.tolist()))
         self._pair_entries = b * self.dim_frame + a  # omega[b, a] in a flattened omega
+        self._row_sets: dict[bytes | None, tuple] = {}
 
-    def _build(self, flip: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        masks = np.arange(self.dim_spinor, dtype=np.int64)
-        parity = np.bitwise_count(masks) & 1
-        perms = [masks.copy()]
-        phases = [1j * (1.0 - 2.0 * parity)]
-        cont = -1.0 if flip else 1.0
-        for p in range(1, self.n + 1):
-            bit = 1 << (p - 1)
-            # output row S reads S ^ bit: contraction there when S lacks the bit
-            has = (masks & bit) != 0
-            koszul = 1.0 - 2.0 * (np.bitwise_count(masks & (bit - 1)) & 1)
-            target = masks ^ bit
-            perms.append(target)
-            phases.append(1j * koszul * np.where(has, 1.0, cont))  # e_{2p}
-            perms.append(target.copy())
-            phases.append(koszul * np.where(has, 1.0, -cont))  # e_{2p+1}
-        return perms, phases
+    def _frames(self, rows: np.ndarray | None) -> tuple:
+        """``(perm, phase, per-frame phases, pair cache)`` of a row set, ``None`` for every row.
+
+        ``perm`` and ``phase`` are ``(2n+1, len(rows))``; the per-frame list
+        views the phases of ``e_{2p+1}`` as the reals they are."""
+        key = None if rows is None else np.asarray(rows, dtype=np.int64).tobytes()
+        if key not in self._row_sets:
+            if len(self._row_sets) >= _ROW_SETS:
+                del self._row_sets[next(iter(self._row_sets))]
+            out = np.arange(self.dim_spinor) if rows is None else np.frombuffer(key, np.int64)
+            perm, phase = _frame_rule(np.arange(self.dim_frame)[:, None], out, self._flip)
+            views = [f.real if i > 0 and i % 2 == 0 else f for i, f in enumerate(phase)]
+            self._row_sets[key] = (perm, phase, views, {})
+        return self._row_sets[key]
+
+    def _pair(self, frames: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, coef)`` of frame pair ``k`` on a row set: ``(e_a e_b psi)[S] = coef psi[src]``
+        with ``coef = phase_a(S) phase_b(S ^ bit_a)``.  Kept in the row set's
+        cache unless the set has more than ``_PAIR_CACHE_ROWS`` rows, so tables
+        of every pair over ``2**n`` rows never exist."""
+        perm, phase, _, cache = frames
+        if k in cache:
+            return cache[k]
+        a, b = self._pairs[k]
+        src, phase_b = _frame_rule(b, perm[a], self._flip)
+        if perm.shape[1] > _PAIR_CACHE_ROWS:
+            return src, phase[a] * phase_b
+        cache[k] = src, phase[a] * phase_b
+        return cache[k]
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.dim_frame:
@@ -207,10 +224,8 @@ class CliffordModule:
         order along the spinor axis); ``None`` evaluates all of them.
         """
         self._check_index(i)
-        perm, phase = self._perm[i - 1], self._phase[i - 1]
-        if rows is not None:
-            perm, phase = perm[rows], phase[rows]
-        return _as_columns(phase * _as_rows(coeffs).take(perm, axis=-1), coeffs)
+        perm, _, phases, _ = self._frames(rows)
+        return _as_columns(phases[i - 1] * _as_rows(coeffs).take(perm[i - 1], axis=-1), coeffs)
 
     def apply_combo(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Apply the Clifford action of the real frame vector ``sum v_i e_i``.
@@ -222,11 +237,12 @@ class CliffordModule:
         rows = _as_rows(coeffs)
         lead = _lead(v.shape[:-1], coeffs)
         out = np.zeros(np.broadcast_shapes(lead + rows.shape[-1:], rows.shape), dtype=complex)
+        perm, _, phases, _ = self._frames(None)
         live = (v != 0.0).any(axis=tuple(range(v.ndim - 1))).tolist()
         for i, on in enumerate(live):
             if on:
                 w = v[..., i].reshape(lead + (1,))
-                out += w * self._phase[i] * rows.take(self._perm[i], axis=-1)
+                out += w * phases[i] * rows.take(perm[i], axis=-1)
         return _as_columns(out, coeffs)
 
     def moment_matrix(self, psi: Spinor, rows: np.ndarray | None = None) -> np.ndarray:
@@ -237,10 +253,9 @@ class CliffordModule:
         nonzero ``psi``.  With ``rows``, only those spinor entries are kept
         (``2 len(rows)`` matrix rows).
         """
-        cols = np.column_stack(
-            [self.apply_vector(i, psi.coeffs, rows) for i in range(1, self.dim_frame + 1)]
-        )
-        return np.vstack([cols.real, cols.imag])
+        perm, phase, _, _ = self._frames(rows)
+        cols = phase * psi.coeffs.take(perm)  # one gather; column i is e_{i+1} psi
+        return np.ascontiguousarray(np.hstack([cols.real, cols.imag]).T)
 
     def _require_skew(self, omega: np.ndarray) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -283,17 +298,36 @@ class CliffordModule:
         live = omega != 0.0
         if omega.ndim > 2:
             live = live.any(axis=tuple(range(omega.ndim - 2)))
+        frames = self._frames(rows)
         for k in np.flatnonzero(live.take(self._pair_entries)).tolist():
             a, b = self._pairs[k]
-            pa, fa = self._perm[a], self._phase[a]
-            if rows is not None:
-                pa, fa = pa[rows], fa[rows]
-            # e_a e_b applied as: b first, then a; output row r reads row pa[r]
-            # of e_b psi, which reads psi[src[r]]
-            src = self._perm[b][pa]
+            src, coef = self._pair(frames, k)
             w = (0.5 * omega[..., b, a]).reshape(lead + (1,))
-            out += w * (fa * self._phase[b][pa]) * vecs.take(src, axis=-1)
+            out += w * coef * vecs.take(src, axis=-1)
         return _as_columns(out, coeffs)
+
+
+def _frame_rule(frames: np.ndarray, rows: np.ndarray, flip: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, phase)`` with ``(e_i psi)[S] = phase psi[src]``, for 0-based frame
+    indices and output rows (ints or int64 arrays that broadcast together).
+
+    ``src = S ^ bit``: no bit for ``e_1``, bit ``p-1`` for ``e_{2p}``, ``e_{2p+1}``.
+    Each phase comes from the same floating-point expression whatever the
+    rows asked for, so values and signed zeros do not depend on them."""
+    slot = (frames + 1) >> 1
+    bit = (1 << slot) >> 1
+    # set bits below the slot; for e_1, bit - 1 = -1 and this is the parity
+    koszul = 1.0 - 2.0 * (np.bitwise_count(rows & (bit - 1)) & 1)
+    # output row S reads S ^ bit: a wedge when S has the bit, else a contraction
+    cont = -1.0 if flip else 1.0
+    sign = np.where((rows & bit) != 0, 1.0, np.where(frames & 1, cont, -cont))
+    # in place, to keep a full-row table's temporaries small: i koszul for e_1,
+    # (i koszul) sign for e_{2p}, koszul sign for e_{2p+1}
+    phase = 1j * koszul
+    np.multiply(phase, sign, out=phase, where=(frames & 1) == 1)
+    real = (frames > 0) & ((frames & 1) == 0)  # e_{2p+1}
+    np.copyto(phase, np.multiply(koszul, sign, out=koszul), where=real)
+    return rows ^ bit, phase
 
 
 @lru_cache(maxsize=None)

@@ -104,7 +104,8 @@ def _project(
         raise InvalidSpinorError(
             f"spinor has {psi.n} slots, metric algebra needs {mod.n}"
         )
-    if psi.norm == 0.0:
+    norm = psi.norm
+    if norm == 0.0:
         raise InvalidSpinorError("cannot solve the Killing equation on the zero spinor")
     nm = nm if nm is not None else nomizu(mla)
     rows = mod.reachable_rows(psi.coeffs)
@@ -113,7 +114,7 @@ def _project(
         [mod.apply_spin_lift(nm.mats[i], psi.coeffs, rows) for i in range(d)]
     )
     rhs = np.vstack([cols.real, cols.imag])
-    norm2 = psi.norm**2
+    norm2 = norm**2
     a = m.T @ rhs / norm2
     return a, rhs, m @ a - rhs, norm2
 

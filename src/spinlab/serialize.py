@@ -110,11 +110,12 @@ def _json_real(value, name: str) -> float:
 def _json_reals(value, name: str) -> np.ndarray:
     """A JSON number or rectangular nested lists of them as a float array."""
     cells = np.array(value, dtype=object)  # rows of unequal length stay lists
-    kinds = set(map(type, cells.flat))
+    entries = cells.reshape(-1)  # not .flat, which stops at 32 axes
+    kinds = set(map(type, entries))
     if list in kinds:
         raise FormatError(f"'{name}' must be a rectangular array of numbers")
     if not kinds <= {int, float}:
-        for v in cells.flat:
+        for v in entries:
             _json_real(v, name)  # refuses the first entry that is not a number
     try:
         return cells.astype(float)

@@ -186,6 +186,10 @@ def test_env_seed_fallback():
 
 def test_exit_codes(tmp_path):
     missing_dir = tmp_path / "missing" / "report.json"
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    nested = "[" * 900 + "]" * 900
+    one_40d = "[" * 40 + "1" + "]" * 40
     cases = [
         (("analyze", "--algebra", '{"dim": 3, "brackets": ['), 3),
         (("analyze", "--algebra", "no_such_file.json"), 3),
@@ -238,6 +242,13 @@ def test_exit_codes(tmp_path):
           '{"gram": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}'), 2),
         (("analyze", "--algebra", "L3(1)", "--metric",
           '{"frame_P": {"alpha": 1e200, "iota": 1e-200}}'), 2),
+        # JSON nested past the parser's recursion limit, inline and from a file
+        (("analyze", "--algebra", "[" * 100_000), 3),
+        (("analyze", "--algebra", str(deep)), 3),
+        # nested lists with more axes than numpy iterates over
+        (("analyze", "--algebra", "L3(1)", "--metric", '{"gram": %s}' % nested), 3),
+        (("analyze", "--algebra", "L3(1)", "--metric", '{"frame_P": %s}' % nested), 3),
+        (("analyze", "--algebra", "L3(1)", "--metric", '{"gram": %s}' % one_40d), 2),
     ]
     for args, code in cases:
         res = run_cli(*args)
@@ -245,6 +256,29 @@ def test_exit_codes(tmp_path):
         assert res.stdout == "", args
         assert "Traceback" not in res.stderr, args
         assert len(res.stderr.strip().splitlines()) == 1, args
+
+
+def test_usage_errors_are_one_line_with_exit_2(capsys):
+    from spinlab import cli
+
+    for argv, message in (
+        (["heisenberg", "--n", "2", "--b", "-1,1"], "argument --b: expected one argument"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["heisenberg"], "the following arguments are required: --n"),
+        ([], "the following arguments are required: command"),
+        (["table1", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+    ):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: " + message), argv
+        assert len(err.splitlines()) == 1, argv
+    # with "=" the value reaches the parameter check
+    assert cli.main(["heisenberg", "--n", "2", "--b=-1,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: Heisenberg metric parameters")
+    for argv in (["-h"], ["heisenberg", "--help"]):
+        assert cli.main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: spinlab") and err == "", argv
 
 
 def test_jacobi_failure_exit(tmp_path):

@@ -182,13 +182,14 @@ def _add_at_spin_lift(mod, omega):
     """Dense lift accumulated entry by entry from the signed permutations."""
     out = np.zeros((mod.dim_spinor, mod.dim_spinor), dtype=complex)
     masks = np.arange(mod.dim_spinor)
+    perm, _, phase, _ = mod._frames(None)
     for a in range(mod.dim_frame):
-        pa, fa = mod._perm[a], mod._phase[a]
+        pa, fa = perm[a], phase[a]
         for b in range(a + 1, mod.dim_frame):
             w = omega[b, a]
             if w == 0.0:
                 continue
-            pb, fb = mod._perm[b], mod._phase[b]
+            pb, fb = perm[b], phase[b]
             # (e_a e_b psi)[S] = fa[S] fb[pa[S]] psi[pb[pa[S]]]
             np.add.at(out, (masks, pb[pa]), 0.5 * w * fa * fb[pa])
     return out
@@ -204,9 +205,10 @@ def test_dense_operators_match_add_at_reference():
             g[rng.random(size=(d, d)) < 0.3] = 0.0
             omega = g - g.T
             np.testing.assert_array_equal(mod.spin_lift(omega), _add_at_spin_lift(mod, omega))
+        perm, _, phase, _ = mod._frames(None)
         for i in range(1, d + 1):
             ref = np.zeros((mod.dim_spinor, mod.dim_spinor), dtype=complex)
-            ref[np.arange(mod.dim_spinor), mod._perm[i - 1]] = mod._phase[i - 1]
+            ref[np.arange(mod.dim_spinor), perm[i - 1]] = phase[i - 1]
             np.testing.assert_array_equal(mod.vector_matrix(i), ref)
 
 
@@ -342,6 +344,53 @@ def test_actions_on_reachable_rows_match_full_actions():
     # a basis spinor reaches 1 + n + n(n-1)/2 rows
     for n, count in ((3, 7), (8, 37), (16, 137)):
         assert len(get_module(n).reachable_rows(Spinor.basis(n, 2).coeffs)) == count
+
+
+def _eager_tables(n, flip):
+    """Full-row (perm, phase) of every frame vector, built slot by slot as
+    the module once stored them eagerly."""
+    masks = np.arange(2**n, dtype=np.int64)
+    parity = np.bitwise_count(masks) & 1
+    perms = [masks.copy()]
+    phases = [1j * (1.0 - 2.0 * parity)]
+    cont = -1.0 if flip else 1.0
+    for p in range(1, n + 1):
+        bit = 1 << (p - 1)
+        has = (masks & bit) != 0
+        koszul = 1.0 - 2.0 * (np.bitwise_count(masks & (bit - 1)) & 1)
+        target = masks ^ bit
+        perms.append(target)
+        phases.append(1j * koszul * np.where(has, 1.0, cont))  # e_{2p}
+        perms.append(target.copy())
+        phases.append(koszul * np.where(has, 1.0, -cont))  # e_{2p+1}
+    return perms, phases
+
+
+def _same_bits(got, want):
+    """Equal values, dtypes and signed zeros."""
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_bitmask_rule_matches_eager_tables():
+    rng = np.random.default_rng(40)
+    for n in range(1, 11):
+        for flip in (False, True):
+            ref_perm, ref_phase = _eager_tables(n, flip)
+            mod = CliffordModule(n, flip_contraction_sign=flip)
+            subset = np.sort(rng.choice(2**n, size=min(2**n, 1 + n * n), replace=False))
+            for rows in (None, subset):
+                sel = slice(None) if rows is None else rows
+                frames = mod._frames(rows)
+                perm, phase, views, _ = frames
+                for i in range(mod.dim_frame):
+                    _same_bits(perm[i], ref_perm[i][sel])
+                    _same_bits(views[i], ref_phase[i][sel])
+                    _same_bits(phase[i], ref_phase[i][sel].astype(complex))
+                for k, (a, b) in enumerate(mod._pairs):
+                    src, coef = mod._pair(frames, k)
+                    pa = ref_perm[a][sel]
+                    np.testing.assert_array_equal(src, ref_perm[b][pa])
+                    np.testing.assert_array_equal(coef, ref_phase[a][sel] * ref_phase[b][pa])
 
 
 def test_module_size_cap():

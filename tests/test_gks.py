@@ -600,3 +600,23 @@ def test_degenerate_point_detected():
     assert report.is_symmetric
     assert report.distinct_count == 2
     np.testing.assert_allclose(sorted(report.eigenvalues), [0.0, 0.0, 0.5], atol=1e-12)
+
+
+def test_h33_report_memory_stays_off_the_spinor_size():
+    # the module keeps only tables of the 137 rows the unit spinor reaches,
+    # not 2n+1 tables of 2**16 rows each (about 52 MB)
+    import tracemalloc
+
+    from spinlab import clifford
+    from spinlab.serialize import metric_from_obj
+
+    mla = metric_from_obj(make_heisenberg(16), "identity")
+    clifford._module.cache_clear()
+    tracemalloc.start()
+    try:
+        clifford.CliffordModule(16)
+        full_report(mla)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6 and retained <= 4e6, (peak, retained)
