@@ -51,14 +51,17 @@ from .errors import (
 )
 
 _DENSE_LIMIT = 8  # largest n for which dense operators are built
-_ROW_SETS = 8  # row sets whose tables a module keeps
-_PAIR_CACHE_ROWS = 256  # largest row set whose per-pair tables are kept
+# Least budget, in bytes, of a module's row-set cache; the full-row tables
+# (40n + 24 bytes per row) are smaller up to n = 9.  The benchmark's modules
+# up to n = 6 hold at most 22 KB (n = 4), and a unit spinor's row set with
+# every pair cached takes 207 KB at n = 9.
+_CACHE_FLOOR = 1 << 18
 
 # Largest n a module is built for (dimension 33).  A unit-spinor report there
 # stays on 137 rows, but an action on every row (a dense spinor, apply_combo)
-# builds (2n+1) x 2**n tables: 52 MB kept and 87 MB at peak at n = 16, and
-# each further slot doubles them; refusing larger modules up front turns an
-# allocation failure deep in numpy into a domain error.
+# builds tables of 40n + 24 bytes per row: 43.5 MB kept and 79 MB at peak at
+# n = 16, and each further slot doubles them; refusing larger modules up
+# front turns an allocation failure deep in numpy into a domain error.
 MAX_SLOTS = 16
 
 
@@ -128,12 +131,14 @@ class CliffordModule:
     """Clifford action of the frame of a (2n+1)-dim algebra, computed on the rows it touches.
 
     Each frame vector acts as ``(e_i psi)[S] = phase * psi[S ^ bit]``, indexed
-    by output row ``S``; ``_frame_rule`` gives the flipped bit and the phase
-    for any set of rows, so no ``2**n`` table exists until an action asks for
-    every row.  Per row set the module keeps, in a small bounded cache, the
-    per-frame ``(perm, phase)`` and, filled as pairs are used, the per-pair
-    ``(src, coef)`` of ``e_a e_b``.  Every ``perm`` flips a fixed set of bits,
-    so it and all its compositions are their own inverses.
+    by output row ``S``; ``_bit`` and ``_frame_phase`` give both for any set
+    of rows, so no ``2**n`` table exists until an action asks for every row.
+    Per row set the module keeps ``perm``, the rows ``S ^ bit`` of each slot,
+    the per-frame ``phase`` and, filled as pairs are used, the per-pair
+    ``(src, coef)`` of ``e_a e_b``.  It drops the least recently used sets to
+    stay within the bytes of its full-row tables, which are the bytes the
+    eager tables once took (at least ``_CACHE_FLOOR``).  Every ``perm`` flips
+    a fixed set of bits, so it and all its compositions are their own inverses.
     """
 
     def __init__(self, n: int, flip_contraction_sign: bool = False):
@@ -147,37 +152,59 @@ class CliffordModule:
         a, b = np.triu_indices(self.dim_frame, 1)  # frame pairs a < b, a-major
         self._pairs = list(zip(a.tolist(), b.tolist()))
         self._pair_entries = b * self.dim_frame + a  # omega[b, a] in a flattened omega
+        # least recently used first, within the bytes the eager tables took
         self._row_sets: dict[bytes | None, tuple] = {}
+        self._held = 0
+        self._budget = max((40 * n + 24) * self.dim_spinor, _CACHE_FLOOR)
 
     def _frames(self, rows: np.ndarray | None) -> tuple:
-        """``(perm, phase, per-frame phases, pair cache)`` of a row set, ``None`` for every row.
+        """``(perm, phase, pair cache)`` of a row set, ``None`` for every row.
 
-        ``perm`` and ``phase`` are ``(2n+1, len(rows))``; the per-frame list
-        views the phases of ``e_{2p+1}`` as the reals they are."""
+        ``perm`` is ``(n+1, len(rows))``, with ``e_i`` reading ``perm[i >> 1]``
+        (1-based ``i``), and ``phase`` is ``(2n+1, len(rows))``.  The pair
+        cache is ``None`` when the tables do not fit the budget, even alone."""
         key = None if rows is None else np.asarray(rows, dtype=np.int64).tobytes()
-        if key not in self._row_sets:
-            if len(self._row_sets) >= _ROW_SETS:
-                del self._row_sets[next(iter(self._row_sets))]
+        frames = self._row_sets.pop(key, None)
+        if frames is None:
             out = np.arange(self.dim_spinor) if rows is None else np.frombuffer(key, np.int64)
-            perm, phase = _frame_rule(np.arange(self.dim_frame)[:, None], out, self._flip)
-            views = [f.real if i > 0 and i % 2 == 0 else f for i, f in enumerate(phase)]
-            self._row_sets[key] = (perm, phase, views, {})
-        return self._row_sets[key]
+            perm = out ^ ((1 << np.arange(self.n + 1)[:, None]) >> 1)  # slot 0 flips no bit
+            phase = _frame_phase(np.arange(self.dim_frame)[:, None], out, self._flip)
+            if not self._room(len(key or b"") + perm.nbytes + phase.nbytes, keep=0):
+                return perm, phase, None
+            frames = perm, phase, {}
+        self._row_sets[key] = frames
+        return frames
 
-    def _pair(self, frames: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(src, coef)`` of frame pair ``k`` on a row set: ``(e_a e_b psi)[S] = coef psi[src]``
-        with ``coef = phase_a(S) phase_b(S ^ bit_a)``.  Kept in the row set's
-        cache unless the set has more than ``_PAIR_CACHE_ROWS`` rows, so tables
-        of every pair over ``2**n`` rows never exist."""
-        perm, phase, _, cache = frames
-        if k in cache:
-            return cache[k]
+    def _room(self, size: int, keep: int) -> bool:
+        """Account ``size`` more bytes if they fit the budget, after dropping
+        the least recently used row sets, all but the last ``keep``."""
+        while self._held + size > self._budget and len(self._row_sets) > keep:
+            key = next(iter(self._row_sets))
+            perm, phase, pairs = self._row_sets.pop(key)
+            self._held -= len(key or b"") + perm.nbytes + phase.nbytes
+            self._held -= sum(src.nbytes + coef.nbytes for src, coef in pairs.values())
+        if self._held + size > self._budget:
+            return False
+        self._held += size
+        return True
+
+    def _pair(self, frames: tuple, k: int, every_row: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, coef)`` of frame pair ``k`` on the row set of ``frames``:
+        ``(e_a e_b psi)[S] = coef psi[src]`` with ``coef = phase_a(S) phase_b(S ^ bit_a)``.
+        Kept with the row set while it fits the budget."""
+        perm, phase, pairs = frames
+        if pairs is not None and k in pairs:
+            return pairs[k]
         a, b = self._pairs[k]
-        src, phase_b = _frame_rule(b, perm[a], self._flip)
-        if perm.shape[1] > _PAIR_CACHE_ROWS:
-            return src, phase[a] * phase_b
-        cache[k] = src, phase[a] * phase_b
-        return cache[k]
+        via = perm[(a + 1) >> 1]  # S ^ bit_a
+        if every_row:  # e_b's phases cover S ^ bit_a
+            phase_b = phase[b].take(via)
+        else:
+            phase_b = _frame_phase(b, via, self._flip)
+        entry = via ^ _bit(b), phase[a] * phase_b
+        if pairs is not None and self._room(entry[0].nbytes + entry[1].nbytes, keep=1):
+            pairs[k] = entry
+        return entry
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.dim_frame:
@@ -224,8 +251,8 @@ class CliffordModule:
         order along the spinor axis); ``None`` evaluates all of them.
         """
         self._check_index(i)
-        perm, _, phases, _ = self._frames(rows)
-        return _as_columns(phases[i - 1] * _as_rows(coeffs).take(perm[i - 1], axis=-1), coeffs)
+        perm, phase, _ = self._frames(rows)
+        return _as_columns(phase[i - 1] * _as_rows(coeffs).take(perm[i >> 1], axis=-1), coeffs)
 
     def apply_combo(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Apply the Clifford action of the real frame vector ``sum v_i e_i``.
@@ -237,12 +264,12 @@ class CliffordModule:
         rows = _as_rows(coeffs)
         lead = _lead(v.shape[:-1], coeffs)
         out = np.zeros(np.broadcast_shapes(lead + rows.shape[-1:], rows.shape), dtype=complex)
-        perm, _, phases, _ = self._frames(None)
+        perm, phase, _ = self._frames(None)
         live = (v != 0.0).any(axis=tuple(range(v.ndim - 1))).tolist()
         for i, on in enumerate(live):
             if on:
                 w = v[..., i].reshape(lead + (1,))
-                out += w * phases[i] * rows.take(perm[i], axis=-1)
+                out += w * phase[i] * rows.take(perm[(i + 1) >> 1], axis=-1)
         return _as_columns(out, coeffs)
 
     def moment_matrix(self, psi: Spinor, rows: np.ndarray | None = None) -> np.ndarray:
@@ -253,8 +280,9 @@ class CliffordModule:
         nonzero ``psi``.  With ``rows``, only those spinor entries are kept
         (``2 len(rows)`` matrix rows).
         """
-        perm, phase, _, _ = self._frames(rows)
-        cols = phase * psi.coeffs.take(perm)  # one gather; column i is e_{i+1} psi
+        perm, phase, _ = self._frames(rows)
+        # one gather per slot; column i is e_{i+1} psi
+        cols = phase * psi.coeffs.take(perm)[(np.arange(self.dim_frame) + 1) >> 1]
         return np.ascontiguousarray(np.hstack([cols.real, cols.imag]).T)
 
     def _require_skew(self, omega: np.ndarray) -> np.ndarray:
@@ -301,21 +329,24 @@ class CliffordModule:
         frames = self._frames(rows)
         for k in np.flatnonzero(live.take(self._pair_entries)).tolist():
             a, b = self._pairs[k]
-            src, coef = self._pair(frames, k)
+            src, coef = self._pair(frames, k, rows is None)
             w = (0.5 * omega[..., b, a]).reshape(lead + (1,))
             out += w * coef * vecs.take(src, axis=-1)
         return _as_columns(out, coeffs)
 
 
-def _frame_rule(frames: np.ndarray, rows: np.ndarray, flip: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``(src, phase)`` with ``(e_i psi)[S] = phase psi[src]``, for 0-based frame
+def _bit(frames: np.ndarray) -> np.ndarray:
+    """Slot bit flipped by 0-based frame vectors: none for ``e_1``, ``p-1`` for ``e_{2p}``, ``e_{2p+1}``."""
+    return (1 << ((frames + 1) >> 1)) >> 1
+
+
+def _frame_phase(frames: np.ndarray, rows: np.ndarray, flip: bool) -> np.ndarray:
+    """``phase`` with ``(e_i psi)[S] = phase psi[S ^ _bit(i)]``, for 0-based frame
     indices and output rows (ints or int64 arrays that broadcast together).
 
-    ``src = S ^ bit``: no bit for ``e_1``, bit ``p-1`` for ``e_{2p}``, ``e_{2p+1}``.
     Each phase comes from the same floating-point expression whatever the
     rows asked for, so values and signed zeros do not depend on them."""
-    slot = (frames + 1) >> 1
-    bit = (1 << slot) >> 1
+    bit = _bit(frames)
     # set bits below the slot; for e_1, bit - 1 = -1 and this is the parity
     koszul = 1.0 - 2.0 * (np.bitwise_count(rows & (bit - 1)) & 1)
     # output row S reads S ^ bit: a wedge when S has the bit, else a contraction
@@ -327,7 +358,7 @@ def _frame_rule(frames: np.ndarray, rows: np.ndarray, flip: bool) -> tuple[np.nd
     np.multiply(phase, sign, out=phase, where=(frames & 1) == 1)
     real = (frames > 0) & ((frames & 1) == 0)  # e_{2p+1}
     np.copyto(phase, np.multiply(koszul, sign, out=koszul), where=real)
-    return rows ^ bit, phase
+    return phase
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +394,7 @@ def _module(n: int, flip: bool = False) -> CliffordModule:
 
 
 def get_module(n: int) -> CliffordModule:
-    """Shared immutable module instance for ``n`` slots."""
+    """Shared module instance for ``n`` slots; only its bounded row-set cache changes."""
     return _module(n)
 
 

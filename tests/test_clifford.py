@@ -182,14 +182,14 @@ def _add_at_spin_lift(mod, omega):
     """Dense lift accumulated entry by entry from the signed permutations."""
     out = np.zeros((mod.dim_spinor, mod.dim_spinor), dtype=complex)
     masks = np.arange(mod.dim_spinor)
-    perm, _, phase, _ = mod._frames(None)
+    perm, phase, _ = mod._frames(None)
     for a in range(mod.dim_frame):
-        pa, fa = perm[a], phase[a]
+        pa, fa = perm[(a + 1) >> 1], phase[a]
         for b in range(a + 1, mod.dim_frame):
             w = omega[b, a]
             if w == 0.0:
                 continue
-            pb, fb = perm[b], phase[b]
+            pb, fb = perm[(b + 1) >> 1], phase[b]
             # (e_a e_b psi)[S] = fa[S] fb[pa[S]] psi[pb[pa[S]]]
             np.add.at(out, (masks, pb[pa]), 0.5 * w * fa * fb[pa])
     return out
@@ -205,10 +205,10 @@ def test_dense_operators_match_add_at_reference():
             g[rng.random(size=(d, d)) < 0.3] = 0.0
             omega = g - g.T
             np.testing.assert_array_equal(mod.spin_lift(omega), _add_at_spin_lift(mod, omega))
-        perm, _, phase, _ = mod._frames(None)
+        perm, phase, _ = mod._frames(None)
         for i in range(1, d + 1):
             ref = np.zeros((mod.dim_spinor, mod.dim_spinor), dtype=complex)
-            ref[np.arange(mod.dim_spinor), perm[i - 1]] = phase[i - 1]
+            ref[np.arange(mod.dim_spinor), perm[i >> 1]] = phase[i - 1]
             np.testing.assert_array_equal(mod.vector_matrix(i), ref)
 
 
@@ -381,16 +381,49 @@ def test_bitmask_rule_matches_eager_tables():
             for rows in (None, subset):
                 sel = slice(None) if rows is None else rows
                 frames = mod._frames(rows)
-                perm, phase, views, _ = frames
+                perm, phase, _ = frames
                 for i in range(mod.dim_frame):
-                    _same_bits(perm[i], ref_perm[i][sel])
-                    _same_bits(views[i], ref_phase[i][sel])
+                    _same_bits(perm[(i + 1) >> 1], ref_perm[i][sel])
                     _same_bits(phase[i], ref_phase[i][sel].astype(complex))
                 for k, (a, b) in enumerate(mod._pairs):
-                    src, coef = mod._pair(frames, k)
+                    src, coef = mod._pair(frames, k, rows is None)
                     pa = ref_perm[a][sel]
                     np.testing.assert_array_equal(src, ref_perm[b][pa])
                     np.testing.assert_array_equal(coef, ref_phase[a][sel] * ref_phase[b][pa])
+
+
+def test_row_set_cache_stays_within_the_eager_tables():
+    # large sparse row sets at n = 16, each with its pairs over the budget:
+    # the module drops the least recently used tables and keeps no more
+    # bytes than its 2n+1 eager tables of 2**16 rows once took
+    import tracemalloc
+
+    rng = np.random.default_rng(41)
+    n, d = 16, 33
+    g = rng.normal(size=(d, d))
+    g[rng.random(size=(d, d)) < 0.9] = 0.0
+    omega = g - g.T
+    spinors = []
+    for _ in range(4):
+        coeffs = np.zeros(2**n, dtype=complex)
+        coeffs[rng.choice(2**n, size=150, replace=False)] = 1.0
+        spinors.append(coeffs)
+    # int64 perms of all 2n+1 vectors; complex phases for e_1 and the e_{2p},
+    # float ones for the e_{2p+1}
+    eager = (8 * d + 16 * (n + 1) + 8 * n) * 2**n
+    tracemalloc.start()
+    try:
+        mod = CliffordModule(n)
+        first = mod.apply_spin_lift(omega, spinors[0], mod.reachable_rows(spinors[0]))
+        for coeffs in spinors[1:]:
+            mod.apply_spin_lift(omega, coeffs, mod.reachable_rows(coeffs))
+        retained = tracemalloc.get_traced_memory()[0] - first.nbytes
+    finally:
+        tracemalloc.stop()
+    assert retained <= eager, (retained, eager)
+    # the first set's tables were dropped; remade, they give the same entries
+    again = mod.apply_spin_lift(omega, spinors[0], mod.reachable_rows(spinors[0]))
+    np.testing.assert_array_equal(again, first)
 
 
 def test_module_size_cap():
