@@ -424,6 +424,16 @@ def test_row_set_cache_stays_within_the_eager_tables():
     # the first set's tables were dropped; remade, they give the same entries
     again = mod.apply_spin_lift(omega, spinors[0], mod.reachable_rows(spinors[0]))
     np.testing.assert_array_equal(again, first)
+    # every row named explicitly at n = 10: with their key the tables exceed
+    # the budget, so they serve the call and are not kept
+    mod = CliffordModule(10)
+    omega = omega[:21, :21]
+    coeffs = rng.normal(size=2**10) + 0j
+    everything = np.arange(2**10)
+    np.testing.assert_array_equal(
+        mod.apply_spin_lift(omega, coeffs, everything), mod.apply_spin_lift(omega, coeffs)
+    )
+    assert list(mod._row_sets) == [None] and mod._held == mod._budget
 
 
 def test_module_size_cap():
