@@ -183,8 +183,8 @@ def cmd_heisenberg(args) -> tuple[str, int]:
     params = _parse_params(args)
     with np.errstate(all="ignore"):  # overflow surfaces as a non-finite report, rejected below
         mla = heisenberg_metric(params)
-        a_solved, residual = solve_endomorphism(mla, Spinor.one(params.n), args.tol)
-        vals, distinct = eigen_analysis(a_solved, args.gap_tol)
+        a_solved, residual = solve_endomorphism(mla, Spinor.one(params.n))
+        vals, distinct = eigen_analysis(a_solved, args.gap_tol, sym_tol=args.tol)
     lam, mu = heisenberg_gk_eigenvalues(params)
     payload = _require_finite({
         "n": params.n,

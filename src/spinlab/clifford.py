@@ -398,6 +398,15 @@ def get_module(n: int) -> CliffordModule:
     return _module(n)
 
 
+def module_for_dim(dim: int) -> CliffordModule:
+    """Shared module for a frame of odd dimension ``dim = 2n + 1``."""
+    if dim % 2 == 0:
+        raise UnsupportedDimensionError(
+            f"invariant-spinor analysis needs odd dimension, got {dim}"
+        )
+    return get_module((dim - 1) // 2)
+
+
 def cliff_vector(i: int, psi: Spinor) -> Spinor:
     """Clifford action of frame vector ``e_i`` (1-based) on ``psi``."""
     mod = get_module(psi.n)
@@ -427,9 +436,6 @@ def cliff_relations_check(
 def spin_lift(omega: np.ndarray) -> np.ndarray:
     """Lift a skew ``(2n+1) x (2n+1)`` matrix, or a stack of them, to spinor operators."""
     omega = np.asarray(omega, dtype=float)
-    if omega.ndim < 2 or omega.shape[-1] != omega.shape[-2] or omega.shape[-1] % 2 == 0:
-        raise UnsupportedDimensionError(
-            f"spin lift needs odd-dimensional square matrices, got {omega.shape}"
-        )
-    n = (omega.shape[-1] - 1) // 2
-    return get_module(n).spin_lift(omega)
+    if omega.ndim < 2 or omega.shape[-1] != omega.shape[-2]:
+        raise UnsupportedDimensionError(f"spin lift needs square matrices, got {omega.shape}")
+    return module_for_dim(omega.shape[-1]).spin_lift(omega)

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MetricLieAlgebra
-from .clifford import CliffordModule, Spinor, get_module
-from .errors import UnsupportedDimensionError
+from .clifford import Spinor, module_for_dim
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,9 @@ def nomizu(mla: MetricLieAlgebra | np.ndarray) -> NomizuMap:
     return NomizuMap(0.5 * (raw - raw.swapaxes(-1, -2)))
 
 
-def spin_nomizu(nm: NomizuMap, module: CliffordModule | None = None) -> np.ndarray:
+def spin_nomizu(nm: NomizuMap) -> np.ndarray:
     """Spin lifts of the Nomizu matrices as a stack of dense spinor operators."""
-    d = nm.dim
-    if d % 2 == 0:
-        raise UnsupportedDimensionError(f"spin lift needs odd dimension, got {d}")
-    mod = module if module is not None else get_module((d - 1) // 2)
-    return mod.spin_lift(nm.mats)
+    return module_for_dim(nm.dim).spin_lift(nm.mats)
 
 
 def metricity_violation(nm: NomizuMap) -> float | np.ndarray:
@@ -145,9 +140,7 @@ def ricci_spinorial_check(
     """
     c = _structure(mla)
     d = c.shape[-1]
-    if d % 2 == 0:
-        raise UnsupportedDimensionError(f"spinor check needs odd dimension, got {d}")
-    mod = get_module((d - 1) // 2)
+    mod = module_for_dim(d)
     lam, vec = nm.mats, psi.coeffs
     lifted = mod.apply_spin_lift(lam, vec)  # [..., j, :] = lift(L_j) psi
     # twice[..., i, :, j] = lift(L_i) lift(L_j) psi, so that

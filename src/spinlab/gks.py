@@ -1,20 +1,22 @@
 """Solving the generalised Killing equation for invariant spinors.
 
 Given a metric Lie algebra of odd dimension and a nonzero invariant spinor
-``psi``, the solver finds, for each frame vector ``e_i``, the frame vector
-``v`` closest to solving ``v . psi = lift(L_i) . psi`` and assembles the
-columns into a matrix ``A``.  The map ``v -> v . psi`` is ``|psi|`` times
-an isometry, so ``v`` is an exact orthogonal projection.  The spinor is
-generalised Killing precisely when the projection leaves no misfit and
-``A`` is symmetric; in dimension 3 the same ``A`` then works for every
-invariant spinor, so the space of invariant generalised Killing spinors is
-either all of the spinor space or zero.  The projection runs only on the
-spinor rows that ``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a
-basis spinor), so the ``H(2n+1)`` ladder costs no ``2**n`` work per column.
+``psi``, the equations ``v . psi = lift(L_i) . psi`` over the frame vectors
+``e_i`` form one real system ``M A = R``: ``M`` is the moment matrix of
+``v -> v . psi`` and column ``i`` of ``R`` is ``lift(L_i) . psi``.  ``_fit``
+solves it exactly and ``_symmetric`` gives the symmetry verdict.  The spinor
+is generalised Killing precisely when the fit leaves no misfit and ``A`` is
+symmetric; in dimension 3 the same ``A`` then works for every invariant
+spinor, so the space of invariant generalised Killing spinors is either all
+of the spinor space or zero.
 
-Sweeps (``genericity_sweep``, ``table1_rows``) analyse all their metrics in
-one array pass of ``sweep_frames`` over a stack from ``random_frames``,
-which draws the same frames, in the same order, as ``FrameChange.random``.
+Two builders of ``R`` remain, each the fast one on its workload.  For one
+metric, ``_project`` makes one matrix-free spin lift per column on the rows
+``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a basis spinor), so the
+``H(2n+1)`` ladder costs no ``2**n`` work per column.  For a ``(N, d, d)``
+frame stack from ``random_frames`` (``genericity_sweep``, ``table1_rows``),
+``sweep_frames`` multiplies by the cached unit-spinor lift tensor: a few
+array calls per stack, but ``2**(n+1) d**2`` entries, so only for small ``d``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, MetricLieAlgebra, frame_structure, random_frames
 from .catalog import BianchiFamily, make_bianchi
-from .clifford import CliffordModule, Spinor, get_module
+from .clifford import Spinor, get_module, module_for_dim
 from .connection import NomizuMap, curvature, nomizu
 from .errors import InvalidSpinorError, SpinlabError, StructureError, UnsupportedDimensionError
 
@@ -50,7 +52,6 @@ class GKReport:
     solve_residual: float
     is_symmetric: bool
     asymmetry: np.ndarray
-    asymmetry_norm: float
     eigenvalues: list[float] | None
     distinct_count: int | None
     dirac_eigenvalue: float
@@ -76,30 +77,15 @@ class GKReport:
         }
 
 
-def _odd_module(dim: int) -> CliffordModule:
-    if dim % 2 == 0:
-        raise UnsupportedDimensionError(
-            f"invariant-spinor analysis needs odd dimension, got {dim}"
-        )
-    return get_module((dim - 1) // 2)
-
-
 def _project(
     mla: MetricLieAlgebra, psi: Spinor, nm: NomizuMap | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Exact projection of the Killing equation onto ``v -> v . psi``.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Killing system ``M v = R`` of one metric and spinor: ``(M, R, |psi|^2)``.
 
-    With real and imaginary parts stacked, the moment matrix ``M`` of
-    ``v -> v . psi`` satisfies ``M^T M = |psi|^2 I`` (the frame vectors
-    anticommute and square to ``-1``), so the best frame vector for column
-    ``i`` of ``R = [lift(L_i) . psi]`` is column ``i`` of ``M^T R / |psi|^2``.
-    ``M`` and ``R`` are built only on the spinor rows ``psi`` can reach
-    (``CliffordModule.reachable_rows``); every other row of both is zero, so
-    nothing is dropped.  Returns that matrix ``A``, ``R``, the misfit
-    ``M A - R`` (on the same rows) and ``|psi|^2``.
+    Real and imaginary parts are stacked, on the rows ``psi`` can reach
+    (``CliffordModule.reachable_rows``): every other row of both is zero.
     """
-    d = mla.dim
-    mod = _odd_module(d)
+    mod = module_for_dim(mla.dim)
     if psi.n != mod.n:
         raise InvalidSpinorError(
             f"spinor has {psi.n} slots, metric algebra needs {mod.n}"
@@ -111,34 +97,46 @@ def _project(
     rows = mod.reachable_rows(psi.coeffs)
     m = mod.moment_matrix(psi, rows)
     cols = np.column_stack(
-        [mod.apply_spin_lift(nm.mats[i], psi.coeffs, rows) for i in range(d)]
+        [mod.apply_spin_lift(nm.mats[i], psi.coeffs, rows) for i in range(mla.dim)]
     )
-    rhs = np.vstack([cols.real, cols.imag])
-    norm2 = norm**2
+    return m, np.vstack([cols.real, cols.imag]), norm**2
+
+
+def _fit(m: np.ndarray, rhs: np.ndarray, norm2: float = 1.0) -> tuple:
+    """Least-squares fit of ``M A = R``: ``(A, M A - R, worst column residual)``.
+
+    The frame vectors anticommute and square to ``-1``, so ``M^T M =
+    |psi|^2 I`` and the fit is exactly ``A = M^T R / |psi|^2``.  Each column
+    misfit is relative to ``max(1, |R column|)``; a stack of ``R`` gives a
+    stack of fits and residuals.
+    """
     a = m.T @ rhs / norm2
-    return a, rhs, m @ a - rhs, norm2
+    misfit = m @ a - rhs
+    col_res = np.linalg.norm(misfit, axis=-2)
+    residual = np.max(col_res / np.maximum(1.0, np.linalg.norm(rhs, axis=-2)), axis=-1)
+    return a, misfit, residual
+
+
+def _symmetric(a: np.ndarray, tol: float) -> bool | np.ndarray:
+    """The symmetry verdict ``max|A - A^T| <= tol * max(1, max|A|)``, per stack entry."""
+    asym = np.max(np.abs(a - a.swapaxes(-1, -2)), axis=(-2, -1))
+    return asym <= tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
 
 
 def solve_endomorphism(
     mla: MetricLieAlgebra,
     psi: Spinor,
-    tol: float = DEFAULT_TOL,
     _nm: NomizuMap | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Endomorphism of the generalised Killing equation by exact projection.
+    """Endomorphism ``A`` of the generalised Killing equation, and its residual.
 
-    Column ``i`` of the returned matrix is the frame vector ``v`` minimising
-    ``|v . psi - lift(L_i) . psi|``, obtained in closed form because
-    ``v -> v . psi`` scales every frame vector by ``|psi|`` and keeps them
-    orthogonal; the residual is the worst per-column misfit relative to
-    ``max(1, |rhs|)``.  The candidate is an actual generalised Killing
-    endomorphism only when the residual is below ``tol`` and the matrix is
-    symmetric.
+    Column ``i`` is the frame vector ``v`` that best solves ``v . psi =
+    lift(L_i) . psi`` (``_fit``).  ``A`` is a generalised Killing endomorphism
+    only when the residual is below a tolerance and ``A`` is symmetric.
     """
-    a, rhs, misfit, _ = _project(mla, psi, _nm)
-    col_res = np.linalg.norm(misfit, axis=0)
-    col_scale = np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    return a, float(np.max(col_res / col_scale))
+    m, rhs, norm2 = _project(mla, psi, _nm)
+    a, _, residual = _fit(m, rhs, norm2)
+    return a, float(residual)
 
 
 def solve_symmetric_endomorphism(
@@ -156,7 +154,8 @@ def solve_symmetric_endomorphism(
     exact fit, the Frobenius norm of the skew part of ``A``).  A residual
     well above zero certifies that no symmetric solution exists.
     """
-    a, _, misfit, norm2 = _project(mla, psi, _nm)
+    m, rhs, norm2 = _project(mla, psi, _nm)
+    a, misfit, _ = _fit(m, rhs, norm2)
     skew = 0.5 * (a - a.T)
     residual = float(np.sqrt(np.sum(misfit**2) + norm2 * np.sum(skew**2)))
     return 0.5 * (a + a.T), residual
@@ -214,14 +213,12 @@ def eigen_analysis(
     """Sorted eigenvalues of a symmetric matrix and their distinct count.
 
     Eigenvalues closer than ``gap_tol * max(1, spectral radius)`` are
-    clustered together.  Raises if the input is not symmetric within
-    ``sym_tol`` (relative): the rule of the symmetry verdict, so
-    ``full_report`` and ``sweep_frames`` pass their ``tol``.  A ``(N, d, d)``
-    stack gives ``(N, d)`` eigenvalues and an array of ``N`` counts.
+    clustered together.  Raises unless ``a`` passes the symmetry verdict
+    ``_symmetric`` at ``sym_tol`` (``full_report`` and ``sweep_frames`` pass
+    their ``tol``).  A ``(N, d, d)`` stack gives ``(N, d)`` eigenvalues and ``N`` counts.
     """
     a = np.asarray(a, dtype=float)
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-    if np.any(np.max(np.abs(a - a.swapaxes(-1, -2)), axis=(-2, -1)) > sym_tol * scale):
+    if not np.all(_symmetric(a, sym_tol)):
         raise StructureError("eigen analysis requires a symmetric matrix")
     vals = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))
     spread = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
@@ -235,17 +232,17 @@ def gk_equation_residual(
     psi: Spinor,
     _nm: NomizuMap | None = None,
 ) -> float:
-    """Worst relative misfit of the Killing equation for a given ``A`` and spinor."""
-    d = mla.dim
-    mod = _odd_module(d)
-    nm = _nm if _nm is not None else nomizu(mla)
-    worst = 0.0
-    for i in range(d):
-        rhs = mod.apply_spin_lift(nm.mats[i], psi.coeffs)
-        lhs = mod.apply_combo(a[:, i], psi.coeffs)
-        denom = max(1.0, float(np.max(np.abs(rhs))))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / denom)
-    return worst
+    """Worst relative misfit of the Killing equation for a given ``A`` and spinor.
+
+    Per column ``i``, the largest complex entry of ``M a_i - R_i`` on the
+    system of ``_project``, relative to ``max(1, max |R_i|)``.
+    """
+    m, rhs, _ = _project(mla, psi, _nm)
+    half = len(rhs) // 2  # real rows, then imaginary rows
+    miss = m @ a - rhs
+    misfit = np.max(np.hypot(miss[:half], miss[half:]), axis=0)
+    scale = np.maximum(1.0, np.max(np.hypot(rhs[:half], rhs[half:]), axis=0))
+    return float(np.max(misfit / scale))
 
 
 def full_report(
@@ -260,12 +257,9 @@ def full_report(
     spinors; a non-symmetric solution certifies that the space is zero.
     """
     d = mla.dim
-    mod = _odd_module(d)
     nm = nomizu(mla)
-    a, residual = solve_endomorphism(mla, Spinor.one(mod.n), tol, _nm=nm)
-    asym = a - a.T
-    asym_norm = float(np.max(np.abs(asym)))
-    symmetric = asym_norm <= tol * max(1.0, float(np.max(np.abs(a))))
+    a, residual = solve_endomorphism(mla, Spinor.one(module_for_dim(d).n), _nm=nm)
+    symmetric = bool(_symmetric(a, tol))
     solved = symmetric and residual <= tol
 
     eigenvalues: list[float] | None = None
@@ -274,40 +268,28 @@ def full_report(
         vals, distinct = eigen_analysis(a, gap_tol, sym_tol=tol)
         eigenvalues = [float(v) for v in vals]
 
+    basis_residual = None
+    if d == 3 and solved:
+        basis_residual = max(
+            gk_equation_residual(mla, a, Spinor.one(1), _nm=nm),
+            gk_equation_residual(mla, a, Spinor.basis(1, 1), _nm=nm),
+        )
     ric = curvature(nm, mla).ricci
-    comm = a @ ric - ric @ a
-    report_kwargs: dict = {
-        "dim": d,
-        "A": a,
-        "solve_residual": residual,
-        "is_symmetric": symmetric,
-        "asymmetry": asym,
-        "asymmetry_norm": asym_norm,
-        "eigenvalues": eigenvalues,
-        "distinct_count": distinct,
-        "dirac_eigenvalue": float(np.trace(a)),
-        "ricci": ric,
-        "commutator_norm": float(np.max(np.abs(comm))),
-    }
-    if d == 3:
-        basis_residual = None
-        if solved:
-            basis_residual = max(
-                gk_equation_residual(mla, a, Spinor.one(1), _nm=nm),
-                gk_equation_residual(mla, a, Spinor.basis(1, 1), _nm=nm),
-            )
-        report_kwargs.update(
-            gks_space_dim=2 if solved else 0,
-            basis_residual=basis_residual,
-            tested_spinor_gk=None,
-        )
-    else:
-        report_kwargs.update(
-            gks_space_dim=None,
-            basis_residual=None,
-            tested_spinor_gk=solved,
-        )
-    return GKReport(**report_kwargs)
+    return GKReport(
+        dim=d,
+        A=a,
+        solve_residual=residual,
+        is_symmetric=symmetric,
+        asymmetry=a - a.T,
+        eigenvalues=eigenvalues,
+        distinct_count=distinct,
+        dirac_eigenvalue=float(np.trace(a)),
+        ricci=ric,
+        commutator_norm=float(np.max(np.abs(a @ ric - ric @ a))),
+        gks_space_dim=(2 if solved else 0) if d == 3 else None,
+        basis_residual=basis_residual,
+        tested_spinor_gk=None if d == 3 else solved,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -318,11 +300,15 @@ def _unit_spinor_tensors(n: int) -> tuple[np.ndarray, np.ndarray]:
     the elementary skew matrix ``E_ba`` (entry ``(b, a) = 1``) when
     ``a < b``, and zero otherwise, so ``W @ L.ravel()`` is ``lift(L) . psi``."""
     mod, psi = get_module(n), Spinor.one(n)
-    d, eye = mod.dim_frame, np.eye(mod.dim_frame)
+    d = mod.dim_frame
+    a, b = np.triu_indices(d, 1)
+    pair = np.arange(len(a))
+    skew = np.zeros((len(a), d, d))  # skew[pair] is E_ba for the pair's a < b
+    skew[pair, b, a] = 1.0
+    skew[pair, a, b] = -1.0
+    cols = mod.apply_spin_lift(skew, psi.coeffs)  # one call for every pair
     w = np.zeros((2 * mod.dim_spinor, d, d))
-    for a, b in zip(*np.triu_indices(d, 1)):
-        col = mod.apply_spin_lift(np.outer(eye[b], eye[a]) - np.outer(eye[a], eye[b]), psi.coeffs)
-        w[:, b, a] = np.concatenate([col.real, col.imag])
+    w[:, b, a] = np.concatenate([cols.real, cols.imag], axis=-1).T
     m, w = mod.moment_matrix(psi), w.reshape(-1, d * d)
     m.setflags(write=False)
     w.setflags(write=False)
@@ -345,20 +331,15 @@ def sweep_frames(
 ) -> FrameSweep:
     """The unit-spinor solve and verdicts of ``full_report`` for a ``(N, d, d)`` frame stack.
 
-    Per sample: ``solve_endomorphism`` on the unit spinor (norm 1, so
-    ``A = M^T R``), the symmetry verdict of ``full_report`` and, where ``A``
-    is symmetric, ``eigen_analysis``.  Raises ``InvalidMetricError`` if any
+    Per sample: ``_fit`` on the unit spinor (norm 1), the ``_symmetric``
+    verdict and, where ``A`` is symmetric, ``eigen_analysis``.  Raises ``InvalidMetricError`` if any
     frame fails the orthonormality guard of ``MetricLieAlgebra``."""
     d = alg.dim
-    m, w = _unit_spinor_tensors(_odd_module(d).n)
+    m, w = _unit_spinor_tensors(module_for_dim(d).n)
     _, oc = frame_structure(alg, frames)
     lam = nomizu(oc).mats.reshape(len(frames), d, d * d)
-    rhs = w @ lam.swapaxes(-1, -2)
-    a = m.T @ rhs
-    col_res = np.linalg.norm(m @ a - rhs, axis=-2)
-    residual = np.max(col_res / np.maximum(1.0, np.linalg.norm(rhs, axis=-2)), axis=-1)
-    asym = np.max(np.abs(a - a.swapaxes(-1, -2)), axis=(-2, -1))
-    symmetric = asym <= tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    a, _, residual = _fit(m, w @ lam.swapaxes(-1, -2))
+    symmetric = _symmetric(a, tol)
     distinct = np.zeros(len(frames), dtype=int)
     distinct[symmetric] = eigen_analysis(a[symmetric], gap_tol, sym_tol=tol)[1]
     return FrameSweep(oc, a, residual, symmetric, distinct)
@@ -428,8 +409,12 @@ def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dic
         elif all(c == 0 for c in sym_counts):
             gk_dim = 0
         else:
+            label = f"{tag} ({case})" if case else tag
+            per_x = " (one count per x)" if len(xs) > 1 else ""
             raise SpinlabError(
-                f"inconsistent symmetry verdicts within row {tag} {case!r}: {sym_counts}"
+                f"--tol {tol:g} splits the symmetry verdicts of row {label}: "
+                f"{', '.join(map(str, sym_counts))} of {samples} samples symmetric{per_x}; "
+                "a row needs all or none"
             )
         rows.append(
             {

@@ -249,6 +249,8 @@ def test_exit_codes(tmp_path):
         (("analyze", "--algebra", "L3(1)", "--metric", '{"gram": %s}' % nested), 3),
         (("analyze", "--algebra", "L3(1)", "--metric", '{"frame_P": %s}' % nested), 3),
         (("analyze", "--algebra", "L3(1)", "--metric", '{"gram": %s}' % one_40d), 2),
+        # a valid but loose --tol that splits a table1 row's symmetry verdicts
+        (("table1", "--samples", "7", "--tol", "0.5"), 2),
     ]
     for args, code in cases:
         res = run_cli(*args)
@@ -391,6 +393,40 @@ def _run_in_process(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def test_heisenberg_tol_reaches_the_symmetry_check_and_leaves_stdout(monkeypatch):
+    from spinlab import cli
+
+    seen = []
+    analyse = cli.eigen_analysis
+
+    def spy(a, gap_tol, sym_tol):
+        seen.append(sym_tol)
+        return analyse(a, gap_tol, sym_tol=sym_tol)
+
+    monkeypatch.setattr(cli, "eigen_analysis", spy)
+    for params in (("--n", "3"),
+                   ("--n", "5", "--a", "0.3,2,1.1,7,0.9", "--b", "1.5,0.2,3,1,1", "--c", "2.5")):
+        outs = set()
+        for fmt in ("json", "table"):
+            for tol in ("1e-12", "1e-9", "0.5"):
+                argv = ("heisenberg", *params, "--format", fmt, "--tol", tol)
+                code, out, _ = _run_in_process(argv)
+                assert code == 0
+                outs.add(out)
+        # the ladder A is exactly diagonal, so no tolerance changes a byte
+        assert len(outs) == 2, params
+    assert seen == [1e-12, 1e-9, 0.5] * 4
+
+
+def test_table1_split_row_names_counts_and_tol():
+    code, out, err = _run_in_process(("table1", "--samples", "7", "--tol", "0.5"))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --tol 0.5 splits the symmetry verdicts of row L3(-1): "
+        "3 of 7 samples symmetric; a row needs all or none\n"
+    )
 
 
 def test_schema_errors_exit_3(monkeypatch):

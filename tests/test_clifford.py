@@ -12,6 +12,7 @@ from spinlab.clifford import (
     cliff_relations_check,
     cliff_vector,
     get_module,
+    module_for_dim,
     spin_lift,
 )
 from spinlab.errors import (
@@ -111,6 +112,25 @@ def test_spin_lift_zero_and_validation():
         mod.spin_lift(np.zeros((3, 3)))
     with pytest.raises(UnsupportedDimensionError):
         spin_lift(np.zeros((4, 4)))
+
+
+def test_module_for_dim_is_the_one_odd_dimension_lookup():
+    from spinlab.connection import NomizuMap, ricci_spinorial_check, spin_nomizu
+
+    for n in (1, 2, 5):
+        assert module_for_dim(2 * n + 1) is get_module(n)
+    message = "invariant-spinor analysis needs odd dimension, got 4"
+    with pytest.raises(UnsupportedDimensionError, match=message):
+        module_for_dim(4)
+    # every odd-dimension caller refuses an even frame through it
+    with pytest.raises(UnsupportedDimensionError, match=message):
+        spin_lift(np.zeros((4, 4)))
+    with pytest.raises(UnsupportedDimensionError, match=message):
+        spin_nomizu(NomizuMap(np.zeros((4, 4, 4))))
+    with pytest.raises(UnsupportedDimensionError, match=message):
+        ricci_spinorial_check(NomizuMap(np.zeros((4, 4, 4))), np.zeros((4, 4, 4)), Spinor.one(1))
+    with pytest.raises(UnsupportedDimensionError, match="square"):
+        spin_lift(np.zeros((3, 5)))
 
 
 def test_spin_lift_ef_plane():

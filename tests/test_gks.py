@@ -270,6 +270,69 @@ def test_gk_equation_residual_both_basis_spinors():
         assert gk_equation_residual(mla, a, Spinor.basis(1, 1)) <= 1e-10
 
 
+def _per_column_gk_residual(mla, a, psi):
+    """The Killing-equation misfit one column at a time on every spinor row,
+    with ``apply_combo`` for ``A``: the reference for ``gk_equation_residual``."""
+    mod = get_module(psi.n)
+    nm = nomizu(mla)
+    worst = 0.0
+    for i in range(mla.dim):
+        rhs = mod.apply_spin_lift(nm.mats[i], psi.coeffs)
+        lhs = mod.apply_combo(a[:, i], psi.coeffs)
+        denom = max(1.0, float(np.max(np.abs(rhs))))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / denom)
+    return worst
+
+
+def test_gk_equation_residual_matches_per_column_reference():
+    rng = np.random.default_rng(606)
+    cases = []
+    for tag, x in FAMILY_GRID:
+        alg = make_bianchi(BianchiFamily(tag, x))
+        mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
+        cases += [(mla, Spinor.one(1)), (mla, Spinor.basis(1, 1))]
+    for n in range(1, 7):
+        params = HeisenbergParams(
+            n,
+            tuple(np.exp(rng.uniform(-1, 1, size=n))),
+            tuple(np.exp(rng.uniform(-1, 1, size=n))),
+            float(np.exp(rng.uniform(-1, 1))),
+        )
+        mla = heisenberg_metric(params)
+        dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        cases += [(mla, Spinor.one(n)), (mla, Spinor.basis(n, n)), (mla, Spinor(n, dense))]
+    exact = 0
+    for mla, psi in cases:
+        solved, _ = solve_endomorphism(mla, Spinor.one(psi.n))
+        for a in (solved, solved + rng.normal(size=solved.shape)):
+            ref = _per_column_gk_residual(mla, a, psi)
+            assert abs(gk_equation_residual(mla, a, psi) - ref) <= 1e-12 * max(1.0, ref)
+            exact += ref <= 1e-12
+    # the unit-spinor A solves every 3-d equation on both basis spinors
+    # (symmetry is the further condition) and each ladder on its unit spinor,
+    # and at n = 1 on all three spinors; every other case has a misfit
+    assert exact == 2 * len(FAMILY_GRID) + 6 + 2
+    with pytest.raises(InvalidSpinorError):
+        gk_equation_residual(unit_h3(), np.eye(3), Spinor.zero(1))
+
+
+def test_unit_spinor_tensor_is_the_per_pair_lift():
+    from spinlab.gks import _unit_spinor_tensors
+
+    for n in (1, 2, 4):
+        mod, psi = get_module(n), Spinor.one(n)
+        d = mod.dim_frame
+        m, w = _unit_spinor_tensors(n)
+        np.testing.assert_array_equal(m, mod.moment_matrix(psi))
+        ref = np.zeros((2 * mod.dim_spinor, d, d))
+        for a, b in zip(*np.triu_indices(d, 1)):
+            skew = np.zeros((d, d))
+            skew[b, a], skew[a, b] = 1.0, -1.0
+            col = mod.apply_spin_lift(skew, psi.coeffs)
+            ref[:, b, a] = np.concatenate([col.real, col.imag])
+        np.testing.assert_array_equal(w, ref.reshape(-1, d * d))
+
+
 def test_symmetric_solve_certifies_obstruction():
     # symmetric family: constrained solve recovers the endomorphism
     _, _, mla = family_metric("L3(5)", seed=19)
