@@ -33,8 +33,8 @@ _NAME_RE = re.compile(r"^L3\(\s*(-?\d+)\s*(?:,\s*([^)]+)\s*)?\)$")
 class BianchiFamily:
     """One of the seven 3-dimensional families, with parameter where needed.
 
-    ``L3(2,x)`` requires ``0 < |x| <= 1`` and ``L3(4,x)`` requires
-    ``x >= 0``; the other five take no parameter.
+    ``x`` must be finite; ``L3(2,x)`` requires ``0 < |x| <= 1`` and
+    ``L3(4,x)`` requires ``x >= 0``; the other five take no parameter.
     """
 
     tag: str
@@ -46,6 +46,8 @@ class BianchiFamily:
         if self.tag in _PARAMETRIC:
             if self.x is None:
                 raise InvalidParameterError(f"{self.tag} requires a parameter x")
+            if not np.isfinite(self.x):
+                raise InvalidParameterError(f"{self.tag} requires a finite x, got x={self.x}")
             if self.tag == "L3(2,x)" and not 0 < abs(self.x) <= 1:
                 raise InvalidParameterError(
                     f"L3(2,x) requires 0 < |x| <= 1, got x={self.x}"

@@ -28,8 +28,8 @@ All actions are matrix-free and act as a matrix product would: on one
 coefficient vector ``(2**n,)`` or on column stacks ``(..., 2**n, k)``.  The
 spin lift and the vector combination also take a stack of skew matrices
 ``(..., d, d)`` or of frame vectors ``(..., d)``, one operator per stack
-entry, broadcast against the coefficient stacks.  ``apply_vector`` and
-``apply_spin_lift`` can evaluate a given set of output rows only, such as
+entry, broadcast against the coefficient stacks.  ``apply_spin_lift`` and
+``moment_matrix`` can evaluate a given set of output rows only, such as
 the rows a sparse spinor reaches (``reachable_rows``); the gather sources
 and phases come from bitmask rules on just those rows, so a module holds
 no ``2**n`` array until an action asks for every row.  Dense ``2**n x 2**n``
@@ -141,14 +141,13 @@ class CliffordModule:
     a fixed set of bits, so it and all its compositions are their own inverses.
     """
 
-    def __init__(self, n: int, flip_contraction_sign: bool = False):
+    def __init__(self, n: int):
         if n < 1:
             raise UnsupportedDimensionError(f"spinor module needs n >= 1, got {n}")
         check_slots(n)
         self.n = n
         self.dim_spinor = 2**n
         self.dim_frame = 2 * n + 1
-        self._flip = flip_contraction_sign
         a, b = np.triu_indices(self.dim_frame, 1)  # frame pairs a < b, a-major
         self._pairs = list(zip(a.tolist(), b.tolist()))
         self._pair_entries = b * self.dim_frame + a  # omega[b, a] in a flattened omega
@@ -168,7 +167,7 @@ class CliffordModule:
         if frames is None:
             out = np.arange(self.dim_spinor) if rows is None else np.frombuffer(key, np.int64)
             perm = out ^ ((1 << np.arange(self.n + 1)[:, None]) >> 1)  # slot 0 flips no bit
-            phase = _frame_phase(np.arange(self.dim_frame)[:, None], out, self._flip)
+            phase = _frame_phase(np.arange(self.dim_frame)[:, None], out)
             if not self._room(len(key or b"") + perm.nbytes + phase.nbytes, keep=0):
                 return perm, phase, None
             frames = perm, phase, {}
@@ -200,7 +199,7 @@ class CliffordModule:
         if every_row:  # e_b's phases cover S ^ bit_a
             phase_b = phase[b].take(via)
         else:
-            phase_b = _frame_phase(b, via, self._flip)
+            phase_b = _frame_phase(b, via)
         entry = via ^ _bit(b), phase[a] * phase_b
         if pairs is not None and self._room(entry[0].nbytes + entry[1].nbytes, keep=1):
             pairs[k] = entry
@@ -242,16 +241,10 @@ class CliffordModule:
         hit[np.bitwise_xor.outer(support, flips)] = True
         return np.flatnonzero(hit)
 
-    def apply_vector(
-        self, i: int, coeffs: np.ndarray, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Apply ``e_i`` to a coefficient vector or to each column of a stack.
-
-        With ``rows``, only those output entries are evaluated (in that
-        order along the spinor axis); ``None`` evaluates all of them.
-        """
+    def apply_vector(self, i: int, coeffs: np.ndarray) -> np.ndarray:
+        """Apply ``e_i`` to a coefficient vector or to each column of a stack."""
         self._check_index(i)
-        perm, phase, _ = self._frames(rows)
+        perm, phase, _ = self._frames(None)
         return _as_columns(phase[i - 1] * _as_rows(coeffs).take(perm[i >> 1], axis=-1), coeffs)
 
     def apply_combo(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -314,9 +307,10 @@ class CliffordModule:
         ``omega`` is one skew matrix or a stack ``(..., d, d)``; the result is
         ``lift(omega) @ coeffs`` with matmul broadcasting.  A pair ``(a, b)``
         is skipped when ``omega[..., b, a]`` is zero in every matrix of the
-        stack.  With ``rows``, only those output entries are evaluated, as
-        in ``apply_vector``.  Costs O(nonzero pairs * rows) per column and
-        stack entry, so it stays usable past the dense operator cutoff.
+        stack.  With ``rows``, only those output entries are evaluated (in
+        that order along the spinor axis); ``None`` evaluates all of them.
+        Costs O(nonzero pairs * rows) per column and stack entry, so it
+        stays usable past the dense operator cutoff.
         """
         omega = self._require_skew(omega)
         vecs = _as_rows(coeffs)
@@ -340,7 +334,7 @@ def _bit(frames: np.ndarray) -> np.ndarray:
     return (1 << ((frames + 1) >> 1)) >> 1
 
 
-def _frame_phase(frames: np.ndarray, rows: np.ndarray, flip: bool) -> np.ndarray:
+def _frame_phase(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``phase`` with ``(e_i psi)[S] = phase psi[S ^ _bit(i)]``, for 0-based frame
     indices and output rows (ints or int64 arrays that broadcast together).
 
@@ -350,8 +344,7 @@ def _frame_phase(frames: np.ndarray, rows: np.ndarray, flip: bool) -> np.ndarray
     # set bits below the slot; for e_1, bit - 1 = -1 and this is the parity
     koszul = 1.0 - 2.0 * (np.bitwise_count(rows & (bit - 1)) & 1)
     # output row S reads S ^ bit: a wedge when S has the bit, else a contraction
-    cont = -1.0 if flip else 1.0
-    sign = np.where((rows & bit) != 0, 1.0, np.where(frames & 1, cont, -cont))
+    sign = np.where((rows & bit) != 0, 1.0, np.where(frames & 1, 1.0, -1.0))
     # in place, to keep a full-row table's temporaries small: i koszul for e_1,
     # (i koszul) sign for e_{2p}, koszul sign for e_{2p+1}
     phase = 1j * koszul
@@ -389,13 +382,9 @@ def _lead(batch: tuple[int, ...], coeffs: np.ndarray) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def _module(n: int, flip: bool = False) -> CliffordModule:
-    return CliffordModule(n, flip_contraction_sign=flip)
-
-
 def get_module(n: int) -> CliffordModule:
     """Shared module instance for ``n`` slots; only its bounded row-set cache changes."""
-    return _module(n)
+    return CliffordModule(n)
 
 
 def module_for_dim(dim: int) -> CliffordModule:
@@ -413,14 +402,13 @@ def cliff_vector(i: int, psi: Spinor) -> Spinor:
     return Spinor(psi.n, mod.apply_vector(i, psi.coeffs))
 
 
-def cliff_relations_check(
-    n: int, tol: float = 1e-12, _flip_contraction_sign: bool = False
-) -> tuple[bool, float]:
+def cliff_relations_check(n: int) -> tuple[bool, float]:
     """Verify ``e_i e_j + e_j e_i = -2 delta_ij`` on the whole spinor space.
 
-    Returns ``(ok, max_violation)`` over all frame index pairs.
+    Returns ``(ok, max_violation)`` over all frame index pairs, ``ok`` when
+    the violation is at most 1e-12.
     """
-    mod = _module(n, _flip_contraction_sign)
+    mod = get_module(n)
     mats = [mod.vector_matrix(i) for i in range(1, mod.dim_frame + 1)]
     eye = np.eye(mod.dim_spinor)
     worst = 0.0
@@ -430,7 +418,7 @@ def cliff_relations_check(
             anti = mi @ mj + mj @ mi
             target = -2.0 * eye if i == j else 0.0
             worst = max(worst, float(np.max(np.abs(anti - target))))
-    return worst <= tol, worst
+    return worst <= 1e-12, worst
 
 
 def spin_lift(omega: np.ndarray) -> np.ndarray:

@@ -125,18 +125,16 @@ def curvature(nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray) -> CurvatureDat
 
 
 def ricci_spinorial_check(
-    nm: NomizuMap,
-    mla: MetricLieAlgebra | np.ndarray,
-    psi: Spinor,
-    tol: float = 1e-9,
+    nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray, psi: Spinor
 ) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Verify the spinorial Ricci identity on ``psi`` for every frame direction.
 
     The left side uses spin-lifted curvature operators assembled from the
     lifted Nomizu operators; the right side uses the Ricci matrix from the
     frame-level curvature.  Returns ``(ok, max_residual)`` with the residual
-    relative to ``max(1, |rhs|)`` per direction; for structure constants
-    with batch axes, both are arrays over the batch.
+    relative to ``max(1, |rhs|)`` per direction and ``ok`` when it is at
+    most 1e-9; for structure constants with batch axes, both are arrays
+    over the batch.
     """
     c = _structure(mla)
     d = c.shape[-1]
@@ -154,5 +152,5 @@ def ricci_spinorial_check(
     denom = np.maximum(1.0, np.max(np.abs(rhs), axis=-1))
     worst = np.max(np.max(np.abs(lhs - rhs), axis=-1) / denom, axis=-1)
     if worst.ndim == 0:
-        return bool(worst <= tol), float(worst)
-    return worst <= tol, worst
+        worst = float(worst)
+    return worst <= 1e-9, worst

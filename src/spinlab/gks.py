@@ -333,12 +333,17 @@ def sweep_frames(
 
     Per sample: ``_fit`` on the unit spinor (norm 1), the ``_symmetric``
     verdict and, where ``A`` is symmetric, ``eigen_analysis``.  Raises ``InvalidMetricError`` if any
-    frame fails the orthonormality guard of ``MetricLieAlgebra``."""
+    frame fails the orthonormality guard of ``MetricLieAlgebra``, and ``StructureError`` if any
+    ``A`` is not finite (the structure constants left floating-point range)."""
     d = alg.dim
     m, w = _unit_spinor_tensors(module_for_dim(d).n)
     _, oc = frame_structure(alg, frames)
     lam = nomizu(oc).mats.reshape(len(frames), d, d * d)
     a, _, residual = _fit(m, w @ lam.swapaxes(-1, -2))
+    if not np.isfinite(a).all():
+        raise StructureError(
+            "A is not finite: the structure constants are out of floating-point range"
+        )
     symmetric = _symmetric(a, tol)
     distinct = np.zeros(len(frames), dtype=int)
     distinct[symmetric] = eigen_analysis(a[symmetric], gap_tol, sym_tol=tol)[1]

@@ -69,12 +69,8 @@ def _check(name: str, deviation: float, tol: float) -> dict:
     }
 
 
-def _clifford_relations(n_max: int, broken: bool) -> float:
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        _, violation = cliff_relations_check(n, _flip_contraction_sign=broken)
-        worst = max(worst, violation)
-    return worst
+def _clifford_relations(n_max: int) -> float:
+    return max(cliff_relations_check(n)[1] for n in range(1, n_max + 1))
 
 
 def _skew_vector_pairs(rng: np.random.Generator, d: int, pairs: int):
@@ -187,20 +183,14 @@ def _heisenberg_sweep(seed, n_max: int = 6, per_n: int = 5):
     return out
 
 
-def run_selftest(
-    tol: float | None = None,
-    seed: int = 1,
-    break_clifford_sign: bool = False,
-) -> dict:
+def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     """Run every invariant check; ``tol`` overrides all per-check tolerances."""
 
     def t(default: float) -> float:
         return default if tol is None else tol
 
     checks: list[dict] = []
-    checks.append(
-        _check("clifford_relations_nupto6", _clifford_relations(6, break_clifford_sign), t(1e-12))
-    )
+    checks.append(_check("clifford_relations_nupto6", _clifford_relations(6), t(1e-12)))
     checks.append(_check("spin_lift_equivariance_n_upto4", _equivariance([seed, 1]), t(1e-12)))
     checks.append(_check("catalog_jacobi", _catalog_jacobi(), t(1e-10)))
 

@@ -148,12 +148,29 @@ def test_selftest_unattainable_tolerance():
         assert chk["deviation"] > 1e-15
 
 
-def test_selftest_broken_clifford_control():
-    res = run_cli("selftest", "--break-clifford-sign")
-    assert res.returncode == 2
-    data = json.loads(res.stdout)
+def test_selftest_broken_clifford_control(broken_clifford_sign, capsys):
+    from spinlab import cli
+
+    assert cli.main(["selftest"]) == 2
+    data = json.loads(capsys.readouterr().out)
     by_name = {c["name"]: c for c in data["checks"]}
     assert by_name["clifford_relations_nupto6"]["pass"] is False
+
+
+def test_selftest_tol_prefix_overrides_and_default_keeps_per_check_tols(capsys, monkeypatch):
+    from spinlab import cli
+    from spinlab.selftest import run_selftest
+    from spinlab.serialize import to_json
+
+    monkeypatch.delenv("SPINLAB_SEED", raising=False)
+    # argparse reads --to as a prefix of --tol
+    for argv in (["selftest", "--to", "1e-15"], ["selftest", "--tol=1e-15"]):
+        assert cli.main(argv) == 2, argv
+        data = json.loads(capsys.readouterr().out)
+        assert data["tol_override"] == 1e-15, argv
+        assert {c["tol"] for c in data["checks"]} == {1e-15}, argv
+    assert cli.main(["selftest"]) == 0
+    assert capsys.readouterr().out == to_json(run_selftest(seed=1)) + "\n"
 
 
 def test_determinism_byte_identical():
@@ -251,6 +268,10 @@ def test_exit_codes(tmp_path):
         (("analyze", "--algebra", "L3(1)", "--metric", '{"gram": %s}' % one_40d), 2),
         # a valid but loose --tol that splits a table1 row's symmetry verdicts
         (("table1", "--samples", "7", "--tol", "0.5"), 2),
+        # non-finite family parameters, and one whose A overflows
+        (("sweep", "--algebra", "L3(4,nan)", "--samples", "5"), 2),
+        (("sweep", "--algebra", "L3(4,inf)", "--samples", "5"), 2),
+        (("sweep", "--algebra", "L3(4,8.9e307)", "--samples", "5", "--seed", "1"), 2),
     ]
     for args, code in cases:
         res = run_cli(*args)

@@ -14,6 +14,7 @@ from spinlab.catalog import (
     heisenberg_metric,
     is_symmetric_family,
     make_bianchi,
+    make_heisenberg,
     reference_ricci_3d,
 )
 from spinlab.clifford import Spinor, get_module
@@ -247,6 +248,52 @@ def test_ricci_matches_milnor_heisenberg_form():
             if n <= 6:
                 np.testing.assert_allclose(ric, ricci_via_operators(nomizu(mla), mla.ortho_c),
                                            rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+
+def ricci_besse(c):
+    """Ricci form of a left-invariant metric from the brackets alone (Besse,
+    *Einstein Manifolds*, 7.38), with ``[e_i, e_j] = sum_k c[i, j, k] e_k`` in
+    an orthonormal frame:
+
+        Ric(X, Y) = -1/2 sum_i <[X, e_i], [Y, e_i]> - 1/2 B(X, Y)
+                    + 1/4 sum_{i,j} <[e_i, e_j], X> <[e_i, e_j], Y>
+                    - 1/2 (<[Z, X], Y> + <[Z, Y], X>),
+
+    where ``B(X, Y) = tr(ad_X ad_Y)`` and ``<Z, X> = tr(ad_X)``.  No Nomizu
+    map enters, so it is independent of ``curvature``."""
+    brackets = np.einsum("xik,yik->xy", c, c)
+    killing = np.einsum("xik,yki->xy", c, c)
+    dual = np.einsum("ijx,ijy->xy", c, c)
+    z_ad = np.einsum("m,mxy->xy", np.einsum("xii->x", c), c)  # <[Z, e_x], e_y>
+    return -0.5 * brackets - 0.5 * killing + 0.25 * dual - 0.5 * (z_ad + z_ad.T)
+
+
+def _random_gram(rng, d):
+    g = rng.uniform(-1.0, 1.0, size=(d, d))
+    return g @ g.T + 0.5 * np.eye(d)
+
+
+def test_ricci_matches_besse_formula():
+    rng = np.random.default_rng(738)
+    structures = []
+    for fam in family_grid():  # the non-unimodular families exercise Z
+        _, oc = frame_structure(make_bianchi(fam), random_frames(3, rng, 20))
+        structures.extend(oc)
+    for n in range(1, 7):
+        alg = make_heisenberg(n)
+        structures += [orthonormalize(alg, _random_gram(rng, alg.dim)).ortho_c for _ in range(5)]
+    for d in (5, 7, 9):  # almost abelian: [e_0, e_i] = sum_k D_ki e_k
+        for _ in range(5):
+            mat = rng.uniform(-1.0, 1.0, size=(d - 1, d - 1))
+            alg = LieAlgebra.from_brackets(d, {
+                (1, i + 2): {k + 2: float(mat[k, i]) for k in range(d - 1)} for i in range(d - 1)
+            })
+            structures.append(orthonormalize(alg, _random_gram(rng, d)).ortho_c)
+    assert any(abs(np.einsum("xii->x", c)).max() > 0.1 for c in structures)
+    for c in structures:
+        ref = ricci_besse(c)
+        ric = curvature(nomizu(c), c).ricci
+        assert np.max(np.abs(ric - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_ricci_matches_operator_route_on_random_structure_constants():

@@ -674,7 +674,7 @@ def test_h33_report_memory_stays_off_the_spinor_size():
     from spinlab.serialize import metric_from_obj
 
     mla = metric_from_obj(make_heisenberg(16), "identity")
-    clifford._module.cache_clear()
+    clifford.get_module.cache_clear()
     tracemalloc.start()
     try:
         clifford.CliffordModule(16)

@@ -59,7 +59,7 @@ def run_selftest_per_sample(seed):
     """The suite with one metric at a time through ``MetricLieAlgebra`` and the
     per-direction spinorial loop: the reference for the stacked ``run_selftest``."""
     checks = [
-        _check("clifford_relations_nupto6", _clifford_relations(6, False), 1e-12),
+        _check("clifford_relations_nupto6", _clifford_relations(6), 1e-12),
         _check("spin_lift_equivariance_n_upto4", equivariance_per_pair([seed, 1]), 1e-12),
         _check("catalog_jacobi", _catalog_jacobi(), 1e-10),
     ]
