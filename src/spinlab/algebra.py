@@ -125,7 +125,7 @@ class FrameChange:
 
     Columns of ``matrix`` are the orthonormal frame vectors expressed in the
     original basis; for the 3-dimensional case the entries are named
-    ``(alpha, beta, gamma; 0, epsilon, zeta; 0, 0, iota)``.
+    ``(alpha, beta, gamma; 0, epsilon, zeta; 0, 0, iota)`` (``from_entries``).
     """
 
     matrix: np.ndarray
@@ -145,10 +145,6 @@ class FrameChange:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def det_p(self) -> float:
-        return float(np.prod(np.diag(self.matrix)))
 
     @classmethod
     def identity(cls, dim: int = 3) -> "FrameChange":
@@ -170,35 +166,6 @@ class FrameChange:
     def random(cls, dim: int, rng: np.random.Generator) -> "FrameChange":
         """Sample a well-conditioned frame change: ``random_frames`` with one sample."""
         return cls(random_frames(dim, rng, 1)[0])
-
-    def _entry(self, i: int, j: int) -> float:
-        if self.dim != 3:
-            raise InvalidFrameError("named entries are defined for 3x3 frames only")
-        return float(self.matrix[i, j])
-
-    @property
-    def alpha(self) -> float:
-        return self._entry(0, 0)
-
-    @property
-    def beta(self) -> float:
-        return self._entry(0, 1)
-
-    @property
-    def gamma(self) -> float:
-        return self._entry(0, 2)
-
-    @property
-    def epsilon(self) -> float:
-        return self._entry(1, 1)
-
-    @property
-    def zeta(self) -> float:
-        return self._entry(1, 2)
-
-    @property
-    def iota(self) -> float:
-        return self._entry(2, 2)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ for these families -- the connection endomorphism ``A`` of the invariant
 spinor, its skew part, its eigenvalues where available, and the Ricci
 matrix in the symmetric case -- as an oracle layer.  The general pipeline
 (connection + solver) must reproduce these, never the other way around.
+Each is elementwise in the frame entries ``(alpha, beta, gamma; 0, epsilon, zeta;
+0, 0, iota)`` or the structure constants, so it takes one ``(3, 3)`` frame or
+``(3, 3, 3)`` tensor, or a stack of them, and keeps the leading axes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FrameChange, LieAlgebra, MetricLieAlgebra
+from .algebra import LieAlgebra, MetricLieAlgebra
 from .clifford import check_slots
 from .errors import InvalidParameterError
 
@@ -187,90 +190,101 @@ def heisenberg_gk_eigenvalues(params: HeisenbergParams) -> tuple[list[float], fl
     return lam, -sum(lam)
 
 
-def _require_3d(p: FrameChange) -> None:
-    if p.dim != 3:
+def _frame(frame: np.ndarray) -> np.ndarray:
+    """One ``(3, 3)`` frame or a ``(..., 3, 3)`` stack; refuses any other shape."""
+    f = np.asarray(frame, dtype=float)
+    if f.shape[-2:] != (3, 3):
         raise InvalidParameterError("closed forms are defined for 3x3 frames only")
+    return f
 
 
-def reference_A(family: BianchiFamily, p: FrameChange) -> np.ndarray:
+def _sq(x):
+    """``x ** 2`` per entry by libm ``pow``, as for a Python float, so a stack gives the bits
+    of its frames evaluated one at a time (numpy squares an array by one product)."""
+    return np.float_power(x, 2)
+
+
+def _mat3(rows, scale=1.0) -> np.ndarray:
+    """``scale`` times the matrix of nine entries given as three rows of scalars
+    or arrays that broadcast together: ``(3, 3)``, or ``(..., 3, 3)`` for a stack."""
+    scale, *entries = np.broadcast_arrays(scale, *(e for row in rows for e in row))
+    return scale[..., None, None] * np.stack(entries, axis=-1).reshape(scale.shape + (3, 3))
+
+
+def reference_A(family: BianchiFamily, frame: np.ndarray) -> np.ndarray:
     """Closed-form matrix of the endomorphism ``A`` in the orthonormal frame."""
-    _require_3d(p)
-    al, be, ga = p.alpha, p.beta, p.gamma
-    ep, ze, io = p.epsilon, p.zeta, p.iota
-    det = p.det_p
+    f = _frame(frame)
+    al, be, ga = f[..., 0, 0], f[..., 0, 1], f[..., 0, 2]
+    ep, ze, io = f[..., 1, 1], f[..., 1, 2], f[..., 2, 2]
+    det = al * ep * io
     x = family.x
     if family.tag == "L3(-1)":
-        return (1.0 / (4 * al)) * np.array(
+        return _mat3(
             [
                 [ga * ep - be * ze, 0.0, 0.0],
                 [2 * al * ze, be * ze - ga * ep, 0.0],
                 [-2 * al * ep, 0.0, be * ze - ga * ep],
-            ]
+            ],
+            1.0 / (4 * al),
         )
     if family.tag == "L3(1)":
-        return (det / (4 * al * al)) * np.diag([-1.0, 1.0, 1.0])
+        return _mat3([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], det / (4 * al * al))
     if family.tag == "L3(2,x)":
         q = (x - 1) * be * io / (4 * al)
-        return np.array(
-            [[q, -io * x / 2, 0.0], [io / 2, -q, 0.0], [0.0, 0.0, -q]]
-        )
+        return _mat3([[q, -io * x / 2, 0.0], [io / 2, -q, 0.0], [0.0, 0.0, -q]])
     if family.tag == "L3(3)":
-        return (1.0 / (4 * al)) * np.array(
+        return _mat3(
             [
                 [-io * ep, -2 * al * io, 0.0],
                 [2 * al * io, io * ep, 0.0],
                 [0.0, 0.0, io * ep],
-            ]
+            ],
+            1.0 / (4 * al),
         )
     if family.tag == "L3(4,x)":
         io2 = io * io
-        return (1.0 / (4 * det)) * np.array(
+        return _mat3(
             [
-                [io2 * (al**2 - be**2 - ep**2), 2 * al * io2 * (be - ep * x), 0.0],
-                [2 * al * io2 * (be + ep * x), io2 * (-(al**2) + be**2 + ep**2), 0.0],
-                [0.0, 0.0, io2 * (al**2 + be**2 + ep**2)],
-            ]
+                [io2 * (_sq(al) - _sq(be) - _sq(ep)), 2 * al * io2 * (be - ep * x), 0.0],
+                [2 * al * io2 * (be + ep * x), io2 * (-_sq(al) + _sq(be) + _sq(ep)), 0.0],
+                [0.0, 0.0, io2 * (_sq(al) + _sq(be) + _sq(ep))],
+            ],
+            1.0 / (4 * det),
         )
     if family.tag == "L3(5)":
-        a11 = io * (al**2 * io - be * (be * io + ep * ze) + ga * ep**2)
+        a11 = io * (_sq(al) * io - be * (be * io + ep * ze) + ga * _sq(ep))
         a12 = al * io * (2 * be * io + ep * ze)
-        a13 = -al * io * ep**2
-        a22 = io * (-(al**2) * io + be**2 * io + be * ep * ze - ga * ep**2)
-        a33 = io * (io * (al**2 + be**2) + be * ep * ze - ga * ep**2)
-        return (1.0 / (2 * det)) * np.array(
-            [[a11, a12, a13], [a12, a22, 0.0], [a13, 0.0, a33]]
-        )
+        a13 = -al * io * _sq(ep)
+        a22 = io * (-_sq(al) * io + _sq(be) * io + be * ep * ze - ga * _sq(ep))
+        a33 = io * (io * (_sq(al) + _sq(be)) + be * ep * ze - ga * _sq(ep))
+        return _mat3([[a11, a12, a13], [a12, a22, 0.0], [a13, 0.0, a33]], 1.0 / (2 * det))
     # L3(6)
     cross = ga * ep - be * ze
-    a11 = al**2 * (io**2 + ep**2 + ze**2) - io**2 * (be**2 + ep**2) - cross**2
-    a12 = 2 * al * (be * (io**2 + ze**2) - ga * ep * ze)
+    a11 = _sq(al) * (_sq(io) + _sq(ep) + _sq(ze)) - _sq(io) * (_sq(be) + _sq(ep)) - _sq(cross)
+    a12 = 2 * al * (be * (_sq(io) + _sq(ze)) - ga * ep * ze)
     a13 = 2 * al * ep * cross
-    a22 = -(al**2) * (io**2 - ep**2 + ze**2) + io**2 * (be**2 + ep**2) + cross**2
-    a23 = 2 * al**2 * ep * ze
-    a33 = al**2 * (io**2 - ep**2 + ze**2) + io**2 * (be**2 + ep**2) + cross**2
-    return (1.0 / (4 * det)) * np.array(
-        [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
-    )
+    a22 = -_sq(al) * (_sq(io) - _sq(ep) + _sq(ze)) + _sq(io) * (_sq(be) + _sq(ep)) + _sq(cross)
+    a23 = 2 * _sq(al) * ep * ze
+    a33 = _sq(al) * (_sq(io) - _sq(ep) + _sq(ze)) + _sq(io) * (_sq(be) + _sq(ep)) + _sq(cross)
+    return _mat3([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]], 1.0 / (4 * det))
 
 
-def reference_asymmetry(family: BianchiFamily, p: FrameChange) -> np.ndarray:
+def reference_asymmetry(family: BianchiFamily, frame: np.ndarray) -> np.ndarray:
     """Closed form of ``A - A^T``; depends only on iota (and epsilon, zeta
     for ``L(3,-1)``) and the family parameter, not on the rest of the frame."""
-    _require_3d(p)
-    io = p.iota
-    rot = np.array([[0.0, -io, 0.0], [io, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    f = _frame(frame)
+    io = f[..., 2, 2]
+    rot = _mat3([[0.0, -io, 0.0], [io, 0.0, 0.0], [0.0, 0.0, 0.0]])
     if family.tag == "L3(-1)":
-        ep, ze = p.epsilon, p.zeta
-        return 0.5 * np.array(
-            [[0.0, -ze, ep], [ze, 0.0, 0.0], [-ep, 0.0, 0.0]]
-        )
+        ep, ze = f[..., 1, 1], f[..., 1, 2]
+        return _mat3([[0.0, -ze, ep], [ze, 0.0, 0.0], [-ep, 0.0, 0.0]], 0.5)
     if family.tag == "L3(2,x)":
         return ((family.x + 1) / 2) * rot
     if family.tag == "L3(3)":
         return rot
     if family.tag == "L3(4,x)":
         return family.x * rot
-    return np.zeros((3, 3))
+    return np.zeros_like(rot)
 
 
 def is_symmetric_family(family: BianchiFamily) -> bool:
@@ -284,25 +298,25 @@ def is_symmetric_family(family: BianchiFamily) -> bool:
     return False
 
 
-def reference_eigenvalues(family: BianchiFamily, p: FrameChange) -> list[float] | None:
-    """Closed-form eigenvalues of ``A`` where a display exists.
+def reference_eigenvalues(family: BianchiFamily, frame: np.ndarray) -> np.ndarray | None:
+    """Closed-form eigenvalues of ``A`` where a display exists, ``(..., 3)``.
 
     Available for ``L3(1)``, ``L3(2,-1)`` and ``L3(4,0)``; returns ``None``
     (numeric-only marker) for the other symmetric families.
     """
-    _require_3d(p)
-    al, be, ep, io = p.alpha, p.beta, p.epsilon, p.iota
-    det = p.det_p
+    f = _frame(frame)
+    al, be, ep, io = f[..., 0, 0], f[..., 0, 1], f[..., 1, 1], f[..., 2, 2]
+    det = al * ep * io
     if family.tag == "L3(1)":
         v = det / (4 * al * al)
-        return [-v, v, v]
+        return np.stack([-v, v, v], axis=-1)
     if family.tag == "L3(2,x)" and family.x == -1:
-        root = float(np.sqrt(al**2 * io**2 + be**2 * io**2) / (2 * al))
-        return [be * io / (2 * al), root, -root]
+        root = np.sqrt(_sq(al) * _sq(io) + _sq(be) * _sq(io)) / (2 * al)
+        return np.stack([be * io / (2 * al), root, -root], axis=-1)
     if family.tag == "L3(4,x)" and family.x == 0:
-        lam = io**2 * (al**2 + be**2 + ep**2) / (4 * det)
-        root = float(np.sqrt(max(lam**2 - 0.25 * io**2, 0.0)))
-        return [lam, root, -root]
+        lam = _sq(io) * (_sq(al) + _sq(be) + _sq(ep)) / (4 * det)
+        root = np.sqrt(np.maximum(_sq(lam) - 0.25 * _sq(io), 0.0))
+        return np.stack([lam, root, -root], axis=-1)
     return None
 
 
@@ -313,16 +327,12 @@ def reference_ricci_3d(ortho_c: np.ndarray) -> np.ndarray:
     constants hold (c13^1 = -c23^2, c12^1 = c23^3, c12^2 = -c13^3); outside
     that locus the true Ricci involves further terms.
     """
-    c123 = ortho_c[0, 1, 2]
-    c132 = ortho_c[0, 2, 1]
-    c133 = ortho_c[0, 2, 2]
-    c231 = ortho_c[1, 2, 0]
-    c232 = ortho_c[1, 2, 1]
-    c233 = ortho_c[1, 2, 2]
-    r11 = 0.5 * (c231**2 - (c123 + c132) ** 2 - 4 * c133**2)
-    r22 = 0.5 * (c132**2 - (c123 - c231) ** 2 - 4 * c233**2)
-    r33 = 0.5 * (c123**2 - (c132 + c231) ** 2 - 4 * c232**2)
+    c123, c132, c133 = ortho_c[..., 0, 1, 2], ortho_c[..., 0, 2, 1], ortho_c[..., 0, 2, 2]
+    c231, c232, c233 = ortho_c[..., 1, 2, 0], ortho_c[..., 1, 2, 1], ortho_c[..., 1, 2, 2]
+    r11 = 0.5 * (_sq(c231) - _sq(c123 + c132) - 4 * _sq(c133))
+    r22 = 0.5 * (_sq(c132) - _sq(c123 - c231) - 4 * _sq(c233))
+    r33 = 0.5 * (_sq(c123) - _sq(c132 + c231) - 4 * _sq(c232))
     r12 = -(c123 + c132 - c231) * c232 - 2 * c133 * c233
     r13 = (c123 + c132 + c231) * c233 - 2 * c133 * c232
     r23 = c133 * (-c123 + c132 + c231) + 2 * c232 * c233
-    return np.array([[r11, r12, r13], [r12, r22, r23], [r13, r23, r33]])
+    return _mat3([[r11, r12, r13], [r12, r22, r23], [r13, r23, r33]])

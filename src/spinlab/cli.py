@@ -58,7 +58,7 @@ from .serialize import (
 _HEISENBERG_RE = re.compile(r"^H\(\s*(\d+)\s*\)$")
 
 # Largest --samples: verify-appendix, the most memory per sample, peaks near
-# 0.5 GB there (table1 near 0.25 GB).
+# 0.37 GB there (table1 near 0.25 GB).
 MAX_SAMPLES = 200_000
 
 
@@ -300,9 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, samples_default=None):
+    def add_common(p, samples_default=None, gap_tol=True):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--gap-tol", dest="gap_tol", type=float, default=DEFAULT_GAP_TOL)
+        if gap_tol:
+            p.add_argument("--gap-tol", dest="gap_tol", type=float, default=DEFAULT_GAP_TOL)
         p.add_argument("--seed", type=int, default=None)
         if samples_default is not None:
             p.add_argument("--samples", type=int, default=samples_default)
@@ -332,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, samples_default=1000)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    add_common(p)
+    add_common(p, gap_tol=False)  # no check counts distinct eigenvalues
     p.set_defaults(tol=None)  # each check keeps its own tolerance unless --tol is given
     return parser
 
@@ -346,7 +347,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check_args(args) -> None:
     """Fill in the fallback seed and reject out-of-range tolerance and sampling arguments."""
-    for flag, value in (("--tol", args.tol), ("--gap-tol", args.gap_tol)):
+    for flag, value in (("--tol", args.tol), ("--gap-tol", getattr(args, "gap_tol", None))):
         if value is not None and not 0.0 < value < float("inf"):
             raise InvalidParameterError(f"{flag} must be finite and > 0, got {value}")
     if args.seed is None:

@@ -98,10 +98,6 @@ class Spinor:
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
-    def zero(cls, n: int) -> "Spinor":
-        return cls(n, _zeros(n))
-
-    @classmethod
     def one(cls, n: int) -> "Spinor":
         """The unit spinor (coefficient 1 on the empty subset)."""
         coeffs = _zeros(n)
@@ -394,12 +390,6 @@ def module_for_dim(dim: int) -> CliffordModule:
             f"invariant-spinor analysis needs odd dimension, got {dim}"
         )
     return get_module((dim - 1) // 2)
-
-
-def cliff_vector(i: int, psi: Spinor) -> Spinor:
-    """Clifford action of frame vector ``e_i`` (1-based) on ``psi``."""
-    mod = get_module(psi.n)
-    return Spinor(psi.n, mod.apply_vector(i, psi.coeffs))
 
 
 def cliff_relations_check(n: int) -> tuple[bool, float]:

@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import LieAlgebra, MetricLieAlgebra, frame_structure, random_frames
-from .catalog import BianchiFamily, make_bianchi
-from .clifford import Spinor, get_module, module_for_dim
+from .catalog import BianchiFamily, _mat3, make_bianchi
+from .clifford import CliffordModule, Spinor, module_for_dim
 from .connection import NomizuMap, curvature, nomizu
 from .errors import InvalidSpinorError, SpinlabError, StructureError, UnsupportedDimensionError
 
@@ -162,20 +162,20 @@ def solve_symmetric_endomorphism(
 
 
 def explicit_A_3d(ortho_c: np.ndarray) -> np.ndarray:
-    """Closed-form endomorphism matrix in dimension 3.
+    """Closed-form endomorphism matrix in dimension 3, per stack entry.
 
     Direct transcription in terms of the orthonormal-frame structure
     constants; must agree with ``solve_endomorphism`` on the unit spinor.
     """
     c = np.asarray(ortho_c, dtype=float)
-    if c.shape != (3, 3, 3):
+    if c.shape[-3:] != (3, 3, 3):
         raise UnsupportedDimensionError(
             f"explicit endomorphism needs dimension 3, got shape {c.shape}"
         )
-    c121, c122, c123 = c[0, 1, 0], c[0, 1, 1], c[0, 1, 2]
-    c131, c132, c133 = c[0, 2, 0], c[0, 2, 1], c[0, 2, 2]
-    c231, c232, c233 = c[1, 2, 0], c[1, 2, 1], c[1, 2, 2]
-    return np.array(
+    c121, c122, c123 = c[..., 0, 1, 0], c[..., 0, 1, 1], c[..., 0, 1, 2]
+    c131, c132, c133 = c[..., 0, 2, 0], c[..., 0, 2, 1], c[..., 0, 2, 2]
+    c231, c232, c233 = c[..., 1, 2, 0], c[..., 1, 2, 1], c[..., 1, 2, 2]
+    return _mat3(
         [
             [0.25 * (c123 - c132 - c231), -0.5 * c232, -0.5 * c233],
             [0.5 * c131, 0.25 * (c123 + c132 + c231), 0.5 * c133],
@@ -201,10 +201,10 @@ def symmetry_conditions_3d(ortho_c: np.ndarray, tol: float = DEFAULT_TOL) -> boo
     return ok if c.ndim > 3 else bool(ok)
 
 
-def dirac_trace_3d(ortho_c: np.ndarray) -> float:
-    """Trace of the endomorphism in dimension 3, as a structure-constant form."""
+def dirac_trace_3d(ortho_c: np.ndarray) -> np.ndarray:
+    """Trace of the endomorphism in dimension 3, as a structure-constant form, per stack entry."""
     c = np.asarray(ortho_c, dtype=float)
-    return 0.25 * float(c[0, 1, 2] - c[0, 2, 1] + c[1, 2, 0])
+    return 0.25 * (c[..., 0, 1, 2] - c[..., 0, 2, 1] + c[..., 1, 2, 0])
 
 
 def eigen_analysis(
@@ -292,14 +292,14 @@ def full_report(
     )
 
 
-@lru_cache(maxsize=None)
-def _unit_spinor_tensors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Moment matrix ``M`` of the unit spinor and its lift tensor ``W``, once per size.
+@lru_cache(maxsize=16)  # the size of get_module's cache
+def _unit_spinor_tensors(mod: CliffordModule) -> tuple[np.ndarray, np.ndarray]:
+    """Moment matrix ``M`` of the unit spinor and its lift tensor ``W``, once per module.
 
     Column ``b * d + a`` of ``W`` is the realified ``lift(E_ba) . psi`` for
     the elementary skew matrix ``E_ba`` (entry ``(b, a) = 1``) when
     ``a < b``, and zero otherwise, so ``W @ L.ravel()`` is ``lift(L) . psi``."""
-    mod, psi = get_module(n), Spinor.one(n)
+    psi = Spinor.one(mod.n)
     d = mod.dim_frame
     a, b = np.triu_indices(d, 1)
     pair = np.arange(len(a))
@@ -336,7 +336,7 @@ def sweep_frames(
     frame fails the orthonormality guard of ``MetricLieAlgebra``, and ``StructureError`` if any
     ``A`` is not finite (the structure constants left floating-point range)."""
     d = alg.dim
-    m, w = _unit_spinor_tensors(module_for_dim(d).n)
+    m, w = _unit_spinor_tensors(module_for_dim(d))
     _, oc = frame_structure(alg, frames)
     lam = nomizu(oc).mats.reshape(len(frames), d, d * d)
     a, _, residual = _fit(m, w @ lam.swapaxes(-1, -2))

@@ -8,14 +8,16 @@ so runs are reproducible.
 
 The 3-d closed-form comparison is one pass, ``closed_form_sweep``, shared by
 ``verify_appendix`` (the ``verify-appendix`` command) and ``run_selftest``;
-each adds its own checks on the pass's per-sample stacks.
+each adds its own checks on the pass's per-sample stacks.  The frames stay
+one ``(N, 3, 3)`` array throughout, and every closed form is evaluated on a
+whole stack at once, so no check loops over samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FrameChange, check_jacobi, random_frames
+from .algebra import check_jacobi, random_frames
 from .catalog import (
     BianchiFamily,
     HeisenbergParams,
@@ -108,15 +110,19 @@ def _catalog_jacobi() -> float:
     return worst
 
 
-def closed_form_deviations(fam: BianchiFamily, p: FrameChange, a, ortho_c) -> np.ndarray:
-    """Worst-entry deviations of a solved 3-d ``A`` from its three closed forms.
+def closed_form_deviations(fam: BianchiFamily, frames, a, ortho_c) -> np.ndarray:
+    """Worst-entry deviations of solved 3-d ``A`` from their three closed forms, ``(..., 3)``.
 
     In order: ``reference_A`` (relative to its size), ``reference_asymmetry``
-    of ``A - A^T``, and ``explicit_A_3d`` of ``ortho_c``."""
-    ref = reference_A(fam, p)
-    asym = np.max(np.abs((a - a.T) - reference_asymmetry(fam, p)))
-    explicit = np.max(np.abs(a - explicit_A_3d(ortho_c)))
-    return np.array([np.max(np.abs(a - ref)) / max(1.0, np.max(np.abs(ref))), asym, explicit])
+    of ``A - A^T``, and ``explicit_A_3d`` of ``ortho_c``; one frame or a stack."""
+
+    def worst(m):  # reduced at once, so a large stack holds one difference at a time
+        return np.max(np.abs(m), axis=(-2, -1))
+
+    ref = reference_A(fam, frames)
+    rel = worst(a - ref) / np.maximum(1.0, worst(ref))
+    asym = worst((a - a.swapaxes(-1, -2)) - reference_asymmetry(fam, frames))
+    return np.stack([rel, asym, worst(a - explicit_A_3d(ortho_c))], axis=-1)
 
 
 def closed_form_sweep(seed, samples: int, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL):
@@ -124,13 +130,11 @@ def closed_form_sweep(seed, samples: int, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_T
 
     Family ``idx`` of ``FAMILY_GRID`` gets ``samples`` frames from
     ``default_rng([seed, idx])`` and one ``sweep_frames`` pass; yields its
-    ``(family, FrameChange list, FrameSweep, (samples, 3) closed_form_deviations)``."""
+    ``(family, (samples, 3, 3) frames, FrameSweep, (samples, 3) closed_form_deviations)``."""
     for idx, fam in enumerate(family_grid()):
         frames = random_frames(3, np.random.default_rng([seed, idx]), samples)
         batch = sweep_frames(make_bianchi(fam), frames, tol, gap_tol)
-        changes = [FrameChange(frame) for frame in frames]
-        devs = [closed_form_deviations(fam, *x) for x in zip(changes, batch.A, batch.ortho_c)]
-        yield fam, changes, batch, np.array(devs)
+        yield fam, frames, batch, closed_form_deviations(fam, frames, batch.A, batch.ortho_c)
 
 
 def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict:
@@ -141,14 +145,14 @@ def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict
     ``is_symmetric_family``, and, where ``reference_eigenvalues`` has a
     display, the worst eigenvalue deviation relative to its size."""
     results = []
-    for fam, changes, batch, devs in closed_form_sweep(seed, samples, tol, gap_tol):
+    for fam, frames, batch, devs in closed_form_sweep(seed, samples, tol, gap_tol):
         expected_sym = is_symmetric_family(fam)
         verdicts = np.concatenate([batch.symmetric, symmetry_conditions_3d(batch.ortho_c, tol)])
         verdicts_ok = bool(np.all(verdicts == expected_sym))
         a_dev, asym_dev, explicit_dev = (float(v) for v in np.max(devs, axis=0))
         eigen_dev: float | None = None
-        closed = [reference_eigenvalues(fam, p) for p in changes]
-        if None not in closed:
+        closed = reference_eigenvalues(fam, frames)
+        if closed is not None:
             ref = np.sort(closed, axis=-1)
             vals = eigen_analysis(batch.A, gap_tol)[0]
             escale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
@@ -206,14 +210,12 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     )
     ricci = curvature(nm, ortho_c).ricci
     closed_dev = np.max(np.concatenate(devs), axis=0)
-    ricci_dev = dirac_dev = 0.0
-    per_sample = [fam for fam, batch in zip(fams, batches) for _ in batch.A]
-    for fam, c, a_solved, ric in zip(per_sample, ortho_c, a_stack, ricci):
-        dirac_dev = max(dirac_dev, abs(float(np.trace(a_solved)) - dirac_trace_3d(c)))
-        if is_symmetric_family(fam):
-            ref = reference_ricci_3d(c)
-            rscale = max(1.0, float(np.max(np.abs(ref))))
-            ricci_dev = max(ricci_dev, float(np.max(np.abs(ric - ref))) / rscale)
+    dirac = np.trace(a_stack, axis1=-2, axis2=-1) - dirac_trace_3d(ortho_c)
+    dirac_dev = float(np.max(np.abs(dirac)))
+    sym = np.repeat([is_symmetric_family(fam) for fam in fams], [len(b.A) for b in batches])
+    ref = reference_ricci_3d(ortho_c[sym])
+    rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
+    ricci_dev = float(np.max(np.max(np.abs(ricci[sym] - ref), axis=(-2, -1)) / rscale))
 
     checks.append(_check("nomizu_torsion_free", torsion, t(1e-12)))
     checks.append(_check("nomizu_metricity", metricity, t(1e-12)))

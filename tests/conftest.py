@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from pathlib import Path
 
@@ -9,13 +10,9 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 
-@pytest.fixture
-def broken_clifford_sign(monkeypatch):
-    """Negate every contraction phase of the Clifford action: the fault that
-    ``cliff_relations_check`` must catch.  The module cache and the unit-spinor
-    tensors built from it are emptied before and after, so nothing built with
-    the fault outlives the test."""
-    from spinlab import clifford, gks
+@contextlib.contextmanager
+def _clifford_sign_fault():
+    from spinlab import clifford
 
     frame_phase = clifford._frame_phase
 
@@ -24,10 +21,27 @@ def broken_clifford_sign(monkeypatch):
         phase = frame_phase(frames, rows)
         return np.where(contraction, -phase, phase)
 
-    caches = (clifford.get_module, gks._unit_spinor_tensors)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(clifford, "_frame_phase", broken)
-    yield
-    for cache in caches:
-        cache.cache_clear()
+    clifford.get_module.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clifford, "_frame_phase", broken)
+            yield
+    finally:
+        clifford.get_module.cache_clear()
+
+
+@pytest.fixture
+def broken_clifford_sign():
+    """Negate every contraction phase of the Clifford action: the fault that
+    ``cliff_relations_check`` must catch.  The module cache is emptied before
+    and after; every cache built from a module is keyed on the module object,
+    so nothing built with the fault outlives the test."""
+    with _clifford_sign_fault():
+        yield
+
+
+@pytest.fixture
+def clifford_sign_fault():
+    """The fault of ``broken_clifford_sign`` as a context manager, for a test
+    that compares results with the fault on and off."""
+    return _clifford_sign_fault

@@ -105,11 +105,11 @@ def test_criterion_2_closed_form_oracle_equivalence():
     verdicts_ok = True
     for fam, p, mla in family_sweep():
         a, _ = solve_endomorphism(mla, Spinor.one(1))
-        ref = reference_A(fam, p)
+        ref = reference_A(fam, p.matrix)
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_a = max(worst_a, float(np.max(np.abs(a - ref))) / scale)
         worst_asym = max(
-            worst_asym, float(np.max(np.abs((a - a.T) - reference_asymmetry(fam, p))))
+            worst_asym, float(np.max(np.abs((a - a.T) - reference_asymmetry(fam, p.matrix))))
         )
         worst_explicit = max(
             worst_explicit, float(np.max(np.abs(a - explicit_A_3d(mla.ortho_c))))
@@ -205,7 +205,7 @@ def test_criterion_5_dichotomy():
         else:
             _, sym_residual = solve_symmetric_endomorphism(mla, Spinor.one(1))
             table_dev = float(
-                np.max(np.abs((a - a.T) - reference_asymmetry(fam, p)))
+                np.max(np.abs((a - a.T) - reference_asymmetry(fam, p.matrix)))
             )
             if not (sym_residual > 1e-3 or table_dev <= 1e-10):
                 obstruction_ok = False

@@ -141,8 +141,7 @@ def test_frame_change_validation():
     with pytest.raises(InvalidFrameError):
         FrameChange(np.diag([1.0, 0.0, 1.0]))
     p = FrameChange.from_entries(2.0, beta=3.0)
-    assert p.det_p == pytest.approx(2.0)
-    assert p.alpha == 2.0 and p.beta == 3.0 and p.iota == 1.0
+    assert p.matrix[0, 0] == 2.0 and p.matrix[0, 1] == 3.0 and p.matrix[2, 2] == 1.0
 
 
 def test_metric_from_frame_change_identity():
@@ -194,4 +193,4 @@ def test_frame_change_random_ranges():
         p = FrameChange.random(3, rng)
         d = np.diag(p.matrix)
         assert np.all(d >= np.exp(-1.0)) and np.all(d <= np.exp(1.0))
-        assert abs(p.beta) <= 1 and abs(p.gamma) <= 1 and abs(p.zeta) <= 1
+        assert all(abs(p.matrix[i, j]) <= 1 for i, j in ((0, 1), (0, 2), (1, 2)))

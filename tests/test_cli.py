@@ -217,6 +217,8 @@ def test_exit_codes(tmp_path):
         (("verify-appendix", "--samples", "0"), 2),
         (("sweep", "--algebra", "L3(6)", "--samples", "5", "--seed", "-1"), 2),
         (("selftest", "--seed", "-1"), 2),
+        # selftest counts no distinct eigenvalues, so it takes no --gap-tol
+        (("selftest", "--gap-tol", "1e300"), 2),
         (("analyze", "--algebra", "L3(1)", "--tol", "nan"), 2),
         (("analyze", "--algebra", "L3(1)", "--tol", "-1"), 2),
         (("analyze", "--algebra", "L3(1)", "--tol", "inf"), 2),

@@ -120,7 +120,7 @@ def test_solve_l3_minus1_not_symmetric():
 def test_solve_rejects_bad_spinors():
     mla = unit_h3()
     with pytest.raises(InvalidSpinorError):
-        solve_endomorphism(mla, Spinor.zero(1))
+        solve_endomorphism(mla, Spinor(1, np.zeros(2)))
     with pytest.raises(InvalidSpinorError):
         solve_endomorphism(mla, Spinor.one(2))
 
@@ -229,7 +229,7 @@ def test_full_report_l33_zero_space():
     assert report.gks_space_dim == 0
     assert not report.is_symmetric
     assert report.eigenvalues is None and report.distinct_count is None
-    np.testing.assert_allclose(report.asymmetry, reference_asymmetry(fam, p), atol=1e-10)
+    np.testing.assert_allclose(report.asymmetry, reference_asymmetry(fam, p.matrix), atol=1e-10)
 
 
 def test_full_report_unit_h3():
@@ -313,7 +313,7 @@ def test_gk_equation_residual_matches_per_column_reference():
     # and at n = 1 on all three spinors; every other case has a misfit
     assert exact == 2 * len(FAMILY_GRID) + 6 + 2
     with pytest.raises(InvalidSpinorError):
-        gk_equation_residual(unit_h3(), np.eye(3), Spinor.zero(1))
+        gk_equation_residual(unit_h3(), np.eye(3), Spinor(1, np.zeros(2)))
 
 
 def test_unit_spinor_tensor_is_the_per_pair_lift():
@@ -322,7 +322,7 @@ def test_unit_spinor_tensor_is_the_per_pair_lift():
     for n in (1, 2, 4):
         mod, psi = get_module(n), Spinor.one(n)
         d = mod.dim_frame
-        m, w = _unit_spinor_tensors(n)
+        m, w = _unit_spinor_tensors(mod)
         np.testing.assert_array_equal(m, mod.moment_matrix(psi))
         ref = np.zeros((2 * mod.dim_spinor, d, d))
         for a, b in zip(*np.triu_indices(d, 1)):
@@ -331,6 +331,18 @@ def test_unit_spinor_tensor_is_the_per_pair_lift():
             col = mod.apply_spin_lift(skew, psi.coeffs)
             ref[:, b, a] = np.concatenate([col.real, col.imag])
         np.testing.assert_array_equal(w, ref.reshape(-1, d * d))
+
+
+def test_sweep_tensors_follow_the_module_cache(clifford_sign_fault):
+    # the unit-spinor tensors are keyed on the module, so emptying the module
+    # cache alone brings a fault in and takes it out again
+    alg = make_bianchi(BianchiFamily("L3(6)"))
+    frames = random_frames(3, np.random.default_rng(6), 8)
+    clean = sweep_frames(alg, frames).A
+    with clifford_sign_fault():
+        faulty = sweep_frames(alg, frames).A
+    assert np.all(np.isfinite(faulty)) and not np.array_equal(faulty, clean)
+    np.testing.assert_array_equal(sweep_frames(alg, frames).A, clean)
 
 
 def test_symmetric_solve_certifies_obstruction():
@@ -487,7 +499,7 @@ def test_asymmetry_matches_table_and_ignores_most_of_the_frame():
             mla = metric_from_frame_change(alg, p)
             a, _ = solve_endomorphism(mla, Spinor.one(1))
             np.testing.assert_allclose(
-                a - a.T, reference_asymmetry(fam, p), atol=1e-10
+                a - a.T, reference_asymmetry(fam, p.matrix), atol=1e-10
             )
     # sharper independence statement: same iota, everything else different
     fam = BianchiFamily("L3(4,x)", 1.5)
@@ -519,7 +531,7 @@ def test_solver_matches_reference_A():
             p = FrameChange.random(3, rng)
             mla = metric_from_frame_change(alg, p)
             a, _ = solve_endomorphism(mla, Spinor.one(1))
-            ref = reference_A(fam, p)
+            ref = reference_A(fam, p.matrix)
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(a - ref)) <= 1e-9 * scale
 

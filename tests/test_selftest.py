@@ -77,7 +77,7 @@ def run_selftest_per_sample(seed):
             torsion = max(torsion, torsion_violation(nm, mla))
             for psi in (Spinor.one(1), Spinor.basis(1, 1)):
                 spinorial = max(spinorial, ricci_spinorial_loop(nm, c, psi))
-            closed_dev = np.maximum(closed_dev, closed_form_deviations(fam, p, a_solved, c))
+            closed_dev = np.maximum(closed_dev, closed_form_deviations(fam, p.matrix, a_solved, c))
             dirac_dev = max(dirac_dev, abs(float(np.trace(a_solved)) - dirac_trace_3d(c)))
             if is_symmetric_family(fam):
                 ric = curvature(nm, mla).ricci
@@ -138,10 +138,9 @@ def verify_appendix_per_sample(samples, seed, tol, gap_tol):
         eigen_dev = None
         verdicts_ok = bool(np.all(batch.symmetric == expected_sym))
         for frame, ortho_c, a_solved in zip(frames, batch.ortho_c, batch.A):
-            p = FrameChange(frame)
-            devs = np.maximum(devs, closed_form_deviations(fam, p, a_solved, ortho_c))
+            devs = np.maximum(devs, closed_form_deviations(fam, frame, a_solved, ortho_c))
             verdicts_ok &= symmetry_conditions_3d(ortho_c, tol) == expected_sym
-            closed = reference_eigenvalues(fam, p)
+            closed = reference_eigenvalues(fam, frame)
             if closed is not None:
                 solved_vals, _ = eigen_analysis(a_solved, gap_tol)
                 ref_vals = np.sort(np.asarray(closed))
