@@ -207,27 +207,31 @@ def _check_orthonormal(gram: np.ndarray, frame: np.ndarray) -> None:
         raise InvalidMetricError(f"frame is not gram-orthonormal (residual {resid:.3e})")
 
 
-def _orthonormal_structure(alg: LieAlgebra, frame: np.ndarray) -> np.ndarray:
-    """Structure constants in the frame (leading batch axes allowed) given in f-coords."""
+def _orthonormal_structure(c: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Structure constants ``(..., d, d, d)`` in the frames ``(..., d, d)`` given in f-coords;
+    the leading axes of ``c`` and ``frame`` broadcast against each other."""
     p = frame[..., None, :, :]
-    s = p.swapaxes(-1, -2) @ alg.c.transpose(2, 0, 1) @ p  # (P^T c_m P)_ij at [..., m, i, j]
-    oc = np.linalg.inv(frame) @ s.reshape(*s.shape[:-2], alg.dim**2)  # m contracted with P^-1
+    s = p.swapaxes(-1, -2) @ np.moveaxis(c, -1, -3) @ p  # (P^T c_m P)_ij at [..., m, i, j]
+    oc = np.linalg.inv(frame) @ s.reshape(*s.shape[:-2], c.shape[-1] ** 2)  # m with P^-1
     oc = np.moveaxis(oc.reshape(s.shape), -3, -1)
     # exact antisymmetry, so metricity of the connection cancels bit-exactly
     return 0.5 * (oc - oc.swapaxes(-3, -2))
 
 
-def frame_structure(alg: LieAlgebra, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def frame_structure(
+    alg: LieAlgebra | np.ndarray, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices ``inv(P P^T)`` and orthonormal structure constants of frames ``P``.
 
-    ``frames`` is one frame matrix or a ``(N, d, d)`` stack; raises
-    ``InvalidMetricError`` if any frame fails the orthonormality guard.
+    ``frames`` is one frame matrix or a stack, ``alg`` one algebra or structure constants
+    ``(..., d, d, d)`` whose leading axes broadcast against the frames' (``(F, 1, d, d, d)``
+    for ``(F, N, d, d)``); raises ``InvalidMetricError`` if any frame fails the guard.
     """
     pinv = np.linalg.inv(frames)
     gram = pinv.swapaxes(-1, -2) @ pinv
     gram = 0.5 * (gram + gram.swapaxes(-1, -2))
     _check_orthonormal(gram, frames)
-    return gram, _orthonormal_structure(alg, frames)
+    return gram, _orthonormal_structure(alg.c if isinstance(alg, LieAlgebra) else alg, frames)
 
 
 def orthonormalize(alg: LieAlgebra, gram: np.ndarray) -> MetricLieAlgebra:
@@ -252,7 +256,7 @@ def orthonormalize(alg: LieAlgebra, gram: np.ndarray) -> MetricLieAlgebra:
     except np.linalg.LinAlgError as exc:
         raise InvalidMetricError("gram matrix is not positive-definite") from exc
     frame = np.triu(np.linalg.inv(lower).T)
-    return MetricLieAlgebra(alg, gram, frame, _orthonormal_structure(alg, frame))
+    return MetricLieAlgebra(alg, gram, frame, _orthonormal_structure(alg.c, frame))
 
 
 def metric_from_frame_change(alg: LieAlgebra, p: FrameChange) -> MetricLieAlgebra:

@@ -13,10 +13,12 @@ of the spinor space or zero.
 Two builders of ``R`` remain, each the fast one on its workload.  For one
 metric, ``_project`` makes one matrix-free spin lift per column on the rows
 ``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a basis spinor), so the
-``H(2n+1)`` ladder costs no ``2**n`` work per column.  For a ``(N, d, d)``
-frame stack from ``random_frames`` (``genericity_sweep``, ``table1_rows``),
-``sweep_frames`` multiplies by the cached unit-spinor lift tensor: a few
-array calls per stack, but ``2**(n+1) d**2`` entries, so only for small ``d``.
+``H(2n+1)`` ladder costs no ``2**n`` work per column.  For a frame stack from
+``random_frames``, ``sweep_frames`` multiplies by the cached unit-spinor lift
+tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
+small ``d``.  ``sweep_grid`` (``table1_rows`` and the closed-form comparison of
+``selftest``) stacks the 13 ``FAMILY_GRID`` families, ``max(1, GRID_PASS_FRAMES //
+samples)`` to a ``sweep_frames`` pass; ``genericity_sweep`` solves one family.
 """
 
 from __future__ import annotations
@@ -325,29 +327,52 @@ class FrameSweep:
     symmetric: np.ndarray
     distinct_count: np.ndarray
 
+    def __getitem__(self, k) -> FrameSweep:
+        """Family ``k`` of a sweep over an ``(F, N, d, d)`` frame stack."""
+        return FrameSweep(*(arr[k] for arr in vars(self).values()))
+
 
 def sweep_frames(
-    alg: LieAlgebra, frames: np.ndarray, tol: float = DEFAULT_TOL, gap_tol: float = DEFAULT_GAP_TOL
+    alg: LieAlgebra | np.ndarray, frames: np.ndarray, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL
 ) -> FrameSweep:
     """The unit-spinor solve and verdicts of ``full_report`` for a ``(N, d, d)`` frame stack.
 
-    Per sample: ``_fit`` on the unit spinor (norm 1), the ``_symmetric``
-    verdict and, where ``A`` is symmetric, ``eigen_analysis``.  Raises ``InvalidMetricError`` if any
-    frame fails the orthonormality guard of ``MetricLieAlgebra``, and ``StructureError`` if any
-    ``A`` is not finite (the structure constants left floating-point range)."""
-    d = alg.dim
+    Per sample: ``_fit`` on the unit spinor (norm 1), the ``_symmetric`` verdict and, where
+    ``A`` is symmetric, ``eigen_analysis``; ``(F, d, d, d)`` structure constants with
+    ``(F, N, d, d)`` frames keep the family axis in every array.  Raises ``InvalidMetricError``
+    if any frame fails the orthonormality guard of ``MetricLieAlgebra``, and ``StructureError``
+    if any ``A`` is not finite (the structure constants left floating-point range)."""
+    c = alg.c if isinstance(alg, LieAlgebra) else alg
+    d = c.shape[-1]
     m, w = _unit_spinor_tensors(module_for_dim(d))
-    _, oc = frame_structure(alg, frames)
-    lam = nomizu(oc).mats.reshape(len(frames), d, d * d)
+    _, oc = frame_structure(c[..., None, :, :, :], frames)
+    lam = nomizu(oc).mats.reshape(*frames.shape[:-2], d, d * d)
     a, _, residual = _fit(m, w @ lam.swapaxes(-1, -2))
     if not np.isfinite(a).all():
         raise StructureError(
             "A is not finite: the structure constants are out of floating-point range"
         )
     symmetric = _symmetric(a, tol)
-    distinct = np.zeros(len(frames), dtype=int)
+    distinct = np.zeros(symmetric.shape, dtype=int)
     distinct[symmetric] = eigen_analysis(a[symmetric], gap_tol, sym_tol=tol)[1]
     return FrameSweep(oc, a, residual, symmetric, distinct)
+
+
+def _r_stats(family: BianchiFamily, frames: np.ndarray, batch: FrameSweep) -> dict:
+    """Distribution of the distinct count ``r`` over the symmetric samples of one family."""
+    rs, counts = np.unique(batch.distinct_count[batch.symmetric], return_counts=True)
+    r_counts = {int(r): int(cnt) for r, cnt in zip(rs, counts)}
+    symmetric_count = int(np.count_nonzero(batch.symmetric))
+    below = sum(cnt for r, cnt in r_counts.items() if r < 3)
+    modal_r = max(r_counts, key=lambda r: (r_counts[r], r)) if r_counts else None
+    return {
+        "family": family.label,
+        "samples": len(frames),
+        "symmetric_count": symmetric_count,
+        "modal_r": modal_r,
+        "r_counts": {str(r): r_counts[r] for r in sorted(r_counts)},
+        "fraction_r_lt_3": below / symmetric_count if symmetric_count else None,
+    }
 
 
 def genericity_sweep(
@@ -364,20 +389,7 @@ def genericity_sweep(
     ``r`` over the symmetric cases and the fraction with ``r < 3``.
     """
     frames = random_frames(3, np.random.default_rng(seed), samples)
-    batch = sweep_frames(make_bianchi(family), frames, tol, gap_tol)
-    rs, counts = np.unique(batch.distinct_count[batch.symmetric], return_counts=True)
-    r_counts = {int(r): int(cnt) for r, cnt in zip(rs, counts)}
-    symmetric_count = int(np.count_nonzero(batch.symmetric))
-    below = sum(cnt for r, cnt in r_counts.items() if r < 3)
-    modal_r = max(r_counts, key=lambda r: (r_counts[r], r)) if r_counts else None
-    return {
-        "family": family.label,
-        "samples": samples,
-        "symmetric_count": symmetric_count,
-        "modal_r": modal_r,
-        "r_counts": {str(r): r_counts[r] for r in sorted(r_counts)},
-        "fraction_r_lt_3": below / symmetric_count if symmetric_count else None,
-    }
+    return _r_stats(family, frames, sweep_frames(make_bianchi(family), frames, tol, gap_tol))
 
 
 TABLE1_ROWS: tuple[tuple[str, tuple[float | None, ...], str], ...] = (
@@ -392,15 +404,45 @@ TABLE1_ROWS: tuple[tuple[str, tuple[float | None, ...], str], ...] = (
     ("L3(6)", (None,), ""),
 )
 
+# every (family tag, parameter) of Table 1's rows: all seven families, including
+# the symmetric boundary parameters x = -1 and x = 0
+FAMILY_GRID: tuple[tuple[str, float | None], ...] = tuple(
+    (tag, x) for tag, xs, _ in TABLE1_ROWS for x in xs
+)
+
+# frames per pass of sweep_grid (a pass holds at least one family): the bound on
+# the temporaries of sweep_frames
+GRID_PASS_FRAMES = 4096
+
+
+def family_grid() -> list[BianchiFamily]:
+    return [BianchiFamily(tag, x) for tag, x in FAMILY_GRID]
+
+
+def sweep_grid(seeds, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL) -> list:
+    """``reduce(family, frames, FrameSweep)`` for every ``FAMILY_GRID`` family, in grid order.
+
+    Family ``i`` gets the ``samples`` frames ``genericity_sweep`` draws from seed
+    ``seeds[i]``.  One ``sweep_frames`` pass solves ``max(1, GRID_PASS_FRAMES //
+    samples)`` families, and only ``reduce``'s results outlive a pass."""
+    fams, rngs, out = family_grid(), [np.random.default_rng(seed) for seed in seeds], []
+    cs = np.stack([make_bianchi(fam).c for fam in fams])
+    step = max(1, GRID_PASS_FRAMES // samples)
+    for i in range(0, len(fams), step):
+        frames = np.stack([random_frames(3, rng, samples) for rng in rngs[i : i + step]])
+        batch = sweep_frames(cs[i : i + step], frames, tol, gap_tol)
+        out += [reduce(fam, frames[k], batch[k]) for k, fam in enumerate(fams[i : i + step])]
+        del frames, batch  # let go of this pass before the next draw
+    return out
+
 
 def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dict]:
-    """Eigenvalue-count table per family, via seeded metric sweeps."""
+    """Eigenvalue-count table per family, via seeded metric sweeps of the whole grid."""
+    seeds = [[seed, row, k] for row, (_, xs, _) in enumerate(TABLE1_ROWS) for k in range(len(xs))]
+    grid_stats = iter(sweep_grid(seeds, samples, _r_stats, tol, gap_tol))
     rows = []
-    for row_idx, (tag, xs, case) in enumerate(TABLE1_ROWS):
-        stats = [
-            genericity_sweep(BianchiFamily(tag, x), samples, [seed, row_idx, x_idx], gap_tol, tol)
-            for x_idx, x in enumerate(xs)
-        ]
+    for tag, xs, case in TABLE1_ROWS:
+        stats = [next(grid_stats) for _ in xs]
         sym_counts = [st["symmetric_count"] for st in stats]
         modal_rs = [st["modal_r"] for st in stats]
         r = degenerate = None
@@ -421,13 +463,5 @@ def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dic
                 f"{', '.join(map(str, sym_counts))} of {samples} samples symmetric{per_x}; "
                 "a row needs all or none"
             )
-        rows.append(
-            {
-                "family": tag,
-                "case": case,
-                "gk_dim": gk_dim,
-                "r": r,
-                "degenerate_fraction": degenerate,
-            }
-        )
+        rows.append(dict(family=tag, case=case, gk_dim=gk_dim, r=r, degenerate_fraction=degenerate))
     return rows

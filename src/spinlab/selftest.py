@@ -6,18 +6,18 @@ cancellations) and reports its worst deviation together with the tolerance
 it is held to.  All randomness is drawn from child seeds of the given seed,
 so runs are reproducible.
 
-The 3-d closed-form comparison is one pass, ``closed_form_sweep``, shared by
-``verify_appendix`` (the ``verify-appendix`` command) and ``run_selftest``;
-each adds its own checks on the pass's per-sample stacks.  The frames stay
-one ``(N, 3, 3)`` array throughout, and every closed form is evaluated on a
-whole stack at once, so no check loops over samples.
+The 3-d closed-form comparison, ``closed_form_sweep``, is one ``gks.sweep_grid``
+over the 13 grid families, shared by ``verify_appendix`` (the ``verify-appendix``
+command) and ``run_selftest``; each adds its own checks on every family's
+per-sample stacks.  Every closed form is evaluated on a whole ``(N, 3, 3)`` frame
+stack at once, so no check loops over samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import check_jacobi, random_frames
+from .algebra import check_jacobi
 from .catalog import (
     BianchiFamily,
     HeisenbergParams,
@@ -42,25 +42,15 @@ from .connection import (
 from .gks import (
     DEFAULT_GAP_TOL,
     DEFAULT_TOL,
-    TABLE1_ROWS,
+    FAMILY_GRID,
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
+    family_grid,
     solve_endomorphism,
-    sweep_frames,
+    sweep_grid,
     symmetry_conditions_3d,
 )
-
-# every (family tag, parameter) of Table 1's rows: all seven families, including
-# the symmetric boundary parameters x = -1 and x = 0
-FAMILY_GRID: tuple[tuple[str, float | None], ...] = tuple(
-    (tag, x) for tag, xs, _ in TABLE1_ROWS for x in xs
-)
-
-
-def family_grid() -> list[BianchiFamily]:
-    return [BianchiFamily(tag, x) for tag, x in FAMILY_GRID]
-
 
 def _check(name: str, deviation: float, tol: float) -> dict:
     return {
@@ -125,16 +115,18 @@ def closed_form_deviations(fam: BianchiFamily, frames, a, ortho_c) -> np.ndarray
     return np.stack([rel, asym, worst(a - explicit_A_3d(ortho_c))], axis=-1)
 
 
-def closed_form_sweep(seed, samples: int, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL):
-    """The seeded comparison of the solver with the closed forms, one family at a time.
+def closed_form_sweep(seed, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL):
+    """The seeded comparison of the solver with the closed forms, as one ``sweep_grid``.
 
     Family ``idx`` of ``FAMILY_GRID`` gets ``samples`` frames from
-    ``default_rng([seed, idx])`` and one ``sweep_frames`` pass; yields its
-    ``(family, (samples, 3, 3) frames, FrameSweep, (samples, 3) closed_form_deviations)``."""
-    for idx, fam in enumerate(family_grid()):
-        frames = random_frames(3, np.random.default_rng([seed, idx]), samples)
-        batch = sweep_frames(make_bianchi(fam), frames, tol, gap_tol)
-        yield fam, frames, batch, closed_form_deviations(fam, frames, batch.A, batch.ortho_c)
+    ``default_rng([seed, idx])``; returns, in grid order, ``reduce(family,
+    (samples, 3, 3) frames, FrameSweep, (samples, 3) closed_form_deviations)``."""
+
+    def compare(fam, frames, b):
+        return reduce(fam, frames, b, closed_form_deviations(fam, frames, b.A, b.ortho_c))
+
+    seeds = [[seed, idx] for idx in range(len(FAMILY_GRID))]
+    return sweep_grid(seeds, samples, compare, tol, gap_tol)
 
 
 def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict:
@@ -144,8 +136,8 @@ def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict
     symmetry verdict (the engine's and ``symmetry_conditions_3d``) matches
     ``is_symmetric_family``, and, where ``reference_eigenvalues`` has a
     display, the worst eigenvalue deviation relative to its size."""
-    results = []
-    for fam, frames, batch, devs in closed_form_sweep(seed, samples, tol, gap_tol):
+
+    def result(fam, frames, batch, devs):
         expected_sym = is_symmetric_family(fam)
         verdicts = np.concatenate([batch.symmetric, symmetry_conditions_3d(batch.ortho_c, tol)])
         verdicts_ok = bool(np.all(verdicts == expected_sym))
@@ -158,19 +150,19 @@ def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict
             escale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
             eigen_dev = float(np.max(np.max(np.abs(vals - ref), axis=-1) / escale))
         worst = (a_dev, asym_dev, explicit_dev, eigen_dev)
-        results.append(
-            {
-                "family": fam.label,
-                "samples": samples,
-                "max_A_deviation": a_dev,
-                "max_asymmetry_deviation": asym_dev,
-                "max_explicit_A_deviation": explicit_dev,
-                "max_eigenvalue_deviation": eigen_dev,
-                "symmetry_expected": expected_sym,
-                "symmetry_verdicts_ok": verdicts_ok,
-                "pass": verdicts_ok and all(v <= tol for v in worst if v is not None),
-            }
-        )
+        return {
+            "family": fam.label,
+            "samples": samples,
+            "max_A_deviation": a_dev,
+            "max_asymmetry_deviation": asym_dev,
+            "max_explicit_A_deviation": explicit_dev,
+            "max_eigenvalue_deviation": eigen_dev,
+            "symmetry_expected": expected_sym,
+            "symmetry_verdicts_ok": verdicts_ok,
+            "pass": verdicts_ok and all(v <= tol for v in worst if v is not None),
+        }
+
+    results = closed_form_sweep(seed, samples, result, tol, gap_tol)
     all_pass = all(r["pass"] for r in results)
     return {"samples": samples, "seed": seed, "tol": tol, "results": results, "all_pass": all_pass}
 
@@ -198,7 +190,7 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     checks.append(_check("spin_lift_equivariance_n_upto4", _equivariance([seed, 1]), t(1e-12)))
     checks.append(_check("catalog_jacobi", _catalog_jacobi(), t(1e-10)))
 
-    fams, _, batches, devs = zip(*closed_form_sweep([seed, 2], 20))
+    fams, batches, devs = zip(*closed_form_sweep([seed, 2], 20, lambda f, _, b, d: (f, b, d)))
     ortho_c = np.concatenate([batch.ortho_c for batch in batches])
     a_stack = np.concatenate([batch.A for batch in batches])
     nm = nomizu(ortho_c)

@@ -8,11 +8,14 @@ from spinlab.algebra import (
     LieAlgebra,
     MetricLieAlgebra,
     check_jacobi,
+    frame_structure,
     jacobi_violation,
     metric_from_frame_change,
     orthonormalize,
+    random_frames,
 )
 from spinlab.catalog import BianchiFamily, make_bianchi, make_heisenberg
+from spinlab.gks import family_grid
 from spinlab.errors import InvalidFrameError, InvalidMetricError, StructureError
 
 
@@ -194,3 +197,23 @@ def test_frame_change_random_ranges():
         d = np.diag(p.matrix)
         assert np.all(d >= np.exp(-1.0)) and np.all(d <= np.exp(1.0))
         assert all(abs(p.matrix[i, j]) <= 1 for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def test_stacked_frame_structure_matches_per_algebra_calls():
+    # the 13 grid families, then H(3), H(5) and H(7) each stacked with a
+    # rescaled copy: an (F, d, d, d) stack against (F, N, d, d) frames
+    stacks = [[make_bianchi(fam) for fam in family_grid()]]
+    for n in (1, 2, 3):
+        alg = make_heisenberg(n)
+        stacks.append([alg, LieAlgebra(alg.dim, 0.5 * alg.c)])
+    for algs in stacks:
+        d = algs[0].dim
+        rng = np.random.default_rng([8, d])
+        frames = np.stack([random_frames(d, rng, 7) for _ in algs])
+        gram, oc = frame_structure(np.stack([alg.c for alg in algs])[:, None], frames)
+        assert oc.shape == (len(algs), 7, d, d, d)
+        for f, alg in enumerate(algs):
+            want_gram, want_oc = frame_structure(alg, frames[f])
+            np.testing.assert_array_equal(gram[f], want_gram)
+            np.testing.assert_array_equal(oc[f], want_oc)
+            np.testing.assert_array_equal(oc[f, 2], frame_structure(alg, frames[f, 2])[1])

@@ -23,11 +23,16 @@ from spinlab.clifford import Spinor, get_module
 from spinlab.connection import nomizu
 from spinlab.errors import (
     InvalidMetricError,
+    SpinlabError,
     InvalidSpinorError,
     StructureError,
     UnsupportedDimensionError,
 )
+from spinlab import gks
 from spinlab.gks import (
+    FAMILY_GRID,
+    GRID_PASS_FRAMES,
+    TABLE1_ROWS,
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
@@ -38,8 +43,8 @@ from spinlab.gks import (
     solve_symmetric_endomorphism,
     sweep_frames,
     symmetry_conditions_3d,
+    table1_rows,
 )
-from spinlab.selftest import FAMILY_GRID
 
 
 def unit_h3():
@@ -645,6 +650,87 @@ def test_genericity_sweep_matches_per_sample_loop():
         assert genericity_sweep(fam, samples, seed) == _per_sample_genericity_sweep(
             fam, samples, seed
         ), (fam.label, seed)
+
+
+def table1_rows_per_family(samples, seed, gap_tol=1e-7, tol=1e-9):
+    """Reference table: one ``genericity_sweep`` per ``(row, x)``, row by row."""
+    rows = []
+    for row_idx, (tag, xs, case) in enumerate(TABLE1_ROWS):
+        stats = [
+            genericity_sweep(BianchiFamily(tag, x), samples, [seed, row_idx, x_idx], gap_tol, tol)
+            for x_idx, x in enumerate(xs)
+        ]
+        sym_counts = [st["symmetric_count"] for st in stats]
+        modal_rs = [st["modal_r"] for st in stats]
+        r = degenerate = None
+        if all(c == samples for c in sym_counts):
+            gk_dim = 2
+            assert len(set(modal_rs)) == 1
+            r = modal_rs[0]
+            below = sum(c for st in stats for k, c in st["r_counts"].items() if int(k) < r)
+            degenerate = below / sum(sym_counts)
+        elif all(c == 0 for c in sym_counts):
+            gk_dim = 0
+        else:
+            raise SpinlabError(f"row {tag} ({case}) splits: {sym_counts}")
+        rows.append(
+            {
+                "family": tag,
+                "case": case,
+                "gk_dim": gk_dim,
+                "r": r,
+                "degenerate_fraction": degenerate,
+            }
+        )
+    return rows
+
+
+# both sides of the pass boundary: every family in one pass (1, 10 and
+# GRID_PASS_FRAMES // 13 samples), twelve per pass, and one family per pass
+GRID_SAMPLES = (1, 10, GRID_PASS_FRAMES // 13, GRID_PASS_FRAMES // 13 + 1, GRID_PASS_FRAMES + 1)
+
+
+def test_table1_grid_pass_matches_per_family_sweeps(monkeypatch):
+    passes = []
+    per_pass = gks.sweep_frames
+
+    def recording(c, frames, *args):
+        passes.append(frames)
+        return per_pass(c, frames, *args)
+
+    for samples in GRID_SAMPLES:
+        for seed in (1, 5):
+            monkeypatch.setattr(gks, "sweep_frames", recording)
+            passes.clear()
+            grid = table1_rows(samples, seed, 1e-7, 1e-9)
+            monkeypatch.setattr(gks, "sweep_frames", per_pass)
+            assert grid == table1_rows_per_family(samples, seed), (samples, seed)
+            # the table hardly depends on the frames, so check the draws themselves:
+            # each family's own stream, max(1, GRID_PASS_FRAMES // samples) families a pass
+            per, fams = max(1, GRID_PASS_FRAMES // samples), len(FAMILY_GRID)
+            assert [len(f) for f in passes] == [min(per, fams - i) for i in range(0, fams, per)]
+            drawn = [
+                random_frames(3, np.random.default_rng([seed, row, k]), samples)
+                for row, (_, xs, _) in enumerate(TABLE1_ROWS)
+                for k in range(len(xs))
+            ]
+            np.testing.assert_array_equal(np.concatenate(passes), drawn)
+    # a loose tol splits the first row on both routes
+    with pytest.raises(SpinlabError, match="L3\\(-1\\).*3 of 7 samples symmetric"):
+        table1_rows(7, 1, 1e-7, 0.5)
+    with pytest.raises(SpinlabError, match="L3\\(-1\\).*\\[3\\]"):
+        table1_rows_per_family(7, 1, tol=0.5)
+
+
+def test_family_stacked_sweep_matches_per_family_sweeps():
+    algs = [make_bianchi(BianchiFamily(tag, x)) for tag, x in FAMILY_GRID]
+    frames = random_frames(3, np.random.default_rng(12), 13 * 9).reshape(13, 9, 3, 3)
+    batch = sweep_frames(np.stack([alg.c for alg in algs]), frames)
+    assert batch.A.shape == (13, 9, 3, 3) and batch.distinct_count.shape == (13, 9)
+    for f, alg in enumerate(algs):
+        one = sweep_frames(alg, frames[f])
+        for name, arr in vars(batch[f]).items():
+            np.testing.assert_array_equal(arr, getattr(one, name), err_msg=name)
 
 
 def test_genericity_sweep_l36():

@@ -1,5 +1,6 @@
 import numpy as np
 from test_connection import ricci_spinorial_loop
+from test_gks import GRID_SAMPLES
 
 from spinlab import cli
 from spinlab.algebra import FrameChange, metric_from_frame_change, random_frames
@@ -29,6 +30,7 @@ from spinlab.selftest import (
     _heisenberg_sweep,
     _skew_vector_pairs,
     closed_form_deviations,
+    closed_form_sweep,
     family_grid,
     run_selftest,
     verify_appendix,
@@ -182,6 +184,22 @@ def test_verify_appendix_matches_per_sample_loop():
     failing = verify_appendix(10, 3, 1e-300, 1e-7)
     assert failing == verify_appendix_per_sample(10, 3, 1e-300, 1e-7)
     assert not any(r["pass"] for r in failing["results"])
+
+
+def test_closed_form_sweep_matches_per_family_sweeps():
+    # both sides of the pass boundary, as in the table1 grid test
+    for samples in GRID_SAMPLES:
+        got = closed_form_sweep(3, samples, lambda *item: item)
+        assert [fam for fam, *_ in got] == family_grid()
+        for idx, (fam, frames, batch, devs) in enumerate(got):
+            want_frames = random_frames(3, np.random.default_rng([3, idx]), samples)
+            want = sweep_frames(make_bianchi(fam), want_frames)
+            np.testing.assert_array_equal(frames, want_frames)
+            for name, arr in vars(batch).items():
+                np.testing.assert_array_equal(arr, getattr(want, name), err_msg=name)
+            np.testing.assert_array_equal(
+                devs, closed_form_deviations(fam, want_frames, want.A, want.ortho_c)
+            )
 
 
 def test_verify_appendix_command_formats_the_payload(capsys):
