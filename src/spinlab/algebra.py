@@ -147,10 +147,6 @@ class FrameChange:
         return self.matrix.shape[0]
 
     @classmethod
-    def identity(cls, dim: int = 3) -> "FrameChange":
-        return cls(np.eye(dim))
-
-    @classmethod
     def from_entries(
         cls,
         alpha: float,
@@ -207,12 +203,13 @@ def _check_orthonormal(gram: np.ndarray, frame: np.ndarray) -> None:
         raise InvalidMetricError(f"frame is not gram-orthonormal (residual {resid:.3e})")
 
 
-def _orthonormal_structure(c: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Structure constants ``(..., d, d, d)`` in the frames ``(..., d, d)`` given in f-coords;
-    the leading axes of ``c`` and ``frame`` broadcast against each other."""
+def _orthonormal_structure(c: np.ndarray, frame: np.ndarray, frame_inv: np.ndarray):
+    """Structure constants ``(..., d, d, d)`` in the frames ``(..., d, d)`` given in f-coords,
+    with ``frame_inv`` their inverses; the leading axes of ``c`` and ``frame`` broadcast
+    against each other."""
     p = frame[..., None, :, :]
     s = p.swapaxes(-1, -2) @ np.moveaxis(c, -1, -3) @ p  # (P^T c_m P)_ij at [..., m, i, j]
-    oc = np.linalg.inv(frame) @ s.reshape(*s.shape[:-2], c.shape[-1] ** 2)  # m with P^-1
+    oc = frame_inv @ s.reshape(*s.shape[:-2], c.shape[-1] ** 2)  # m with P^-1
     oc = np.moveaxis(oc.reshape(s.shape), -3, -1)
     # exact antisymmetry, so metricity of the connection cancels bit-exactly
     return 0.5 * (oc - oc.swapaxes(-3, -2))
@@ -231,7 +228,8 @@ def frame_structure(
     gram = pinv.swapaxes(-1, -2) @ pinv
     gram = 0.5 * (gram + gram.swapaxes(-1, -2))
     _check_orthonormal(gram, frames)
-    return gram, _orthonormal_structure(alg.c if isinstance(alg, LieAlgebra) else alg, frames)
+    c = alg.c if isinstance(alg, LieAlgebra) else alg
+    return gram, _orthonormal_structure(c, frames, pinv)
 
 
 def orthonormalize(alg: LieAlgebra, gram: np.ndarray) -> MetricLieAlgebra:
@@ -256,7 +254,9 @@ def orthonormalize(alg: LieAlgebra, gram: np.ndarray) -> MetricLieAlgebra:
     except np.linalg.LinAlgError as exc:
         raise InvalidMetricError("gram matrix is not positive-definite") from exc
     frame = np.triu(np.linalg.inv(lower).T)
-    return MetricLieAlgebra(alg, gram, frame, _orthonormal_structure(alg.c, frame))
+    return MetricLieAlgebra(
+        alg, gram, frame, _orthonormal_structure(alg.c, frame, np.linalg.inv(frame))
+    )
 
 
 def metric_from_frame_change(alg: LieAlgebra, p: FrameChange) -> MetricLieAlgebra:

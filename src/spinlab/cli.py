@@ -36,7 +36,7 @@ from .catalog import (
     make_bianchi,
     make_heisenberg,
 )
-from .clifford import Spinor
+from .clifford import Spinor, check_slots
 from .errors import FormatError, InvalidParameterError, SpinlabError
 from .gks import (
     DEFAULT_GAP_TOL,
@@ -160,6 +160,8 @@ def _parse_params(args) -> HeisenbergParams:
     n = args.n
     if n < 1:
         raise InvalidParameterError(f"--n must be >= 1, got {n}")
+    check_slots(n)  # before the default lists, which hold n entries each
+    defaults = HeisenbergParams.defaults(n)
 
     def parse_list(text: str | None, default):
         if text is None:
@@ -172,8 +174,7 @@ def _parse_params(args) -> HeisenbergParams:
             raise InvalidParameterError(f"expected {n} comma-separated values, got {len(vals)}")
         return vals
 
-    a = parse_list(args.a, tuple(float(p * p) for p in range(1, n + 1)))
-    b = parse_list(args.b, (1.0,) * n)
+    a, b = parse_list(args.a, defaults.a), parse_list(args.b, defaults.b)
     return HeisenbergParams(n, a, b, args.c)
 
 

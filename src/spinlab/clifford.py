@@ -409,11 +409,3 @@ def cliff_relations_check(n: int) -> tuple[bool, float]:
             target = -2.0 * eye if i == j else 0.0
             worst = max(worst, float(np.max(np.abs(anti - target))))
     return worst <= 1e-12, worst
-
-
-def spin_lift(omega: np.ndarray) -> np.ndarray:
-    """Lift a skew ``(2n+1) x (2n+1)`` matrix, or a stack of them, to spinor operators."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim < 2 or omega.shape[-1] != omega.shape[-2]:
-        raise UnsupportedDimensionError(f"spin lift needs square matrices, got {omega.shape}")
-    return module_for_dim(omega.shape[-1]).spin_lift(omega)

@@ -81,11 +81,6 @@ def nomizu(mla: MetricLieAlgebra | np.ndarray) -> NomizuMap:
     return NomizuMap(0.5 * (raw - raw.swapaxes(-1, -2)))
 
 
-def spin_nomizu(nm: NomizuMap) -> np.ndarray:
-    """Spin lifts of the Nomizu matrices as a stack of dense spinor operators."""
-    return module_for_dim(nm.dim).spin_lift(nm.mats)
-
-
 def metricity_violation(nm: NomizuMap) -> float | np.ndarray:
     """Worst entry of ``L_i + L_i^T`` (exactly zero by construction); an array for a batch."""
     lam = nm.mats

@@ -43,13 +43,13 @@ class GKReport:
     """Full analysis of the invariant-spinor endomorphism of one metric.
 
     ``gks_space_dim`` is the complex dimension of the space of invariant
-    generalised Killing spinors in dimension 3 (0 or 2); in higher
+    generalised Killing spinors in dimension 3: 2 when ``A`` is symmetric and
+    both ``solve_residual`` and ``basis_residual`` (the Killing equation with
+    this ``A`` on both basis spinors) are at most ``tol``, else 0.  In higher
     dimensions only the designated spinor is tested, no space dimension is
-    claimed, and the field is ``None`` (``tested_spinor_gk`` records the
-    per-spinor outcome instead).
+    claimed, and the field is ``None``.
     """
 
-    dim: int
     A: np.ndarray
     solve_residual: float
     is_symmetric: bool
@@ -61,7 +61,6 @@ class GKReport:
     commutator_norm: float
     gks_space_dim: int | None
     basis_residual: float | None = None
-    tested_spinor_gk: bool | None = None
 
     def to_dict(self) -> dict:
         """JSON-ready mapping with a fixed key order."""
@@ -163,17 +162,21 @@ def solve_symmetric_endomorphism(
     return 0.5 * (a + a.T), residual
 
 
+def _structure_3d(ortho_c: np.ndarray, what: str) -> np.ndarray:
+    """``ortho_c`` as a float ``(..., 3, 3, 3)`` array; ``what`` names the caller's result."""
+    c = np.asarray(ortho_c, dtype=float)
+    if c.shape[-3:] != (3, 3, 3):
+        raise UnsupportedDimensionError(f"{what} needs dimension 3, got shape {c.shape}")
+    return c
+
+
 def explicit_A_3d(ortho_c: np.ndarray) -> np.ndarray:
     """Closed-form endomorphism matrix in dimension 3, per stack entry.
 
     Direct transcription in terms of the orthonormal-frame structure
     constants; must agree with ``solve_endomorphism`` on the unit spinor.
     """
-    c = np.asarray(ortho_c, dtype=float)
-    if c.shape[-3:] != (3, 3, 3):
-        raise UnsupportedDimensionError(
-            f"explicit endomorphism needs dimension 3, got shape {c.shape}"
-        )
+    c = _structure_3d(ortho_c, "explicit endomorphism")
     c121, c122, c123 = c[..., 0, 1, 0], c[..., 0, 1, 1], c[..., 0, 1, 2]
     c131, c132, c133 = c[..., 0, 2, 0], c[..., 0, 2, 1], c[..., 0, 2, 2]
     c231, c232, c233 = c[..., 1, 2, 0], c[..., 1, 2, 1], c[..., 1, 2, 2]
@@ -188,11 +191,7 @@ def explicit_A_3d(ortho_c: np.ndarray) -> np.ndarray:
 
 def symmetry_conditions_3d(ortho_c: np.ndarray, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
     """The three structure-constant identities equivalent to ``A`` symmetric, per stack entry."""
-    c = np.asarray(ortho_c, dtype=float)
-    if c.shape[-3:] != (3, 3, 3):
-        raise UnsupportedDimensionError(
-            f"symmetry conditions need dimension 3, got shape {c.shape}"
-        )
+    c = _structure_3d(ortho_c, "symmetry conditions")
     conds = (
         c[..., 0, 2, 0] + c[..., 1, 2, 1],
         c[..., 0, 1, 0] - c[..., 1, 2, 2],
@@ -254,9 +253,9 @@ def full_report(
 ) -> GKReport:
     """Solve, classify and cross-check one metric Lie algebra.
 
-    In dimension 3 a symmetric solution certifies a 2-dimensional space of
-    invariant generalised Killing spinors, re-verified on both basis
-    spinors; a non-symmetric solution certifies that the space is zero.
+    In dimension 3 a symmetric solution, re-verified on both basis spinors,
+    certifies a 2-dimensional space of invariant generalised Killing
+    spinors; otherwise the space is zero.
     """
     d = mla.dim
     nm = nomizu(mla)
@@ -276,9 +275,9 @@ def full_report(
             gk_equation_residual(mla, a, Spinor.one(1), _nm=nm),
             gk_equation_residual(mla, a, Spinor.basis(1, 1), _nm=nm),
         )
+        solved = basis_residual <= tol
     ric = curvature(nm, mla).ricci
     return GKReport(
-        dim=d,
         A=a,
         solve_residual=residual,
         is_symmetric=symmetric,
@@ -290,7 +289,6 @@ def full_report(
         commutator_norm=float(np.max(np.abs(a @ ric - ric @ a))),
         gks_space_dim=(2 if solved else 0) if d == 3 else None,
         basis_residual=basis_residual,
-        tested_spinor_gk=None if d == 3 else solved,
     )
 
 

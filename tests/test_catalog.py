@@ -174,20 +174,20 @@ def test_reference_A_spot_values():
         reference_A(fam("L3(1)"), p), np.diag([-0.125, 0.125, 0.125]), atol=1e-15
     )
     np.testing.assert_allclose(
-        reference_A(fam("L3(-1)"), FrameChange.identity(3).matrix),
+        reference_A(fam("L3(-1)"), np.eye(3)),
         np.array([[0.0, 0, 0], [0, 0, 0], [-0.5, 0, 0]]),
         atol=1e-15,
     )
     np.testing.assert_allclose(
-        reference_A(fam("L3(4,x)", 0.0), FrameChange.identity(3).matrix),
+        reference_A(fam("L3(4,x)", 0.0), np.eye(3)),
         np.diag([0.0, 0.0, 0.5]),
         atol=1e-15,
     )
     np.testing.assert_allclose(
-        reference_A(fam("L3(6)"), FrameChange.identity(3).matrix), 0.25 * np.eye(3), atol=1e-15
+        reference_A(fam("L3(6)"), np.eye(3)), 0.25 * np.eye(3), atol=1e-15
     )
     np.testing.assert_allclose(
-        reference_A(fam("L3(5)"), FrameChange.identity(3).matrix),
+        reference_A(fam("L3(5)"), np.eye(3)),
         0.5 * np.array([[1.0, 0, -1], [0, -1, 0], [-1, 0, 1]]),
         atol=1e-15,
     )
@@ -224,9 +224,9 @@ def test_reference_eigenvalues():
     p = FrameChange.from_entries(1.0, beta=0.0, iota=1.0).matrix
     vals = reference_eigenvalues(fam("L3(2,x)", -1.0), p)
     assert sorted(vals) == pytest.approx([-0.5, 0.0, 0.5], abs=1e-15)
-    vals = reference_eigenvalues(fam("L3(1)"), FrameChange.identity(3).matrix)
+    vals = reference_eigenvalues(fam("L3(1)"), np.eye(3))
     assert sorted(vals) == pytest.approx([-0.25, 0.25, 0.25], abs=1e-15)
-    vals = reference_eigenvalues(fam("L3(4,x)", 0.0), FrameChange.identity(3).matrix)
+    vals = reference_eigenvalues(fam("L3(4,x)", 0.0), np.eye(3))
     assert sorted(vals) == pytest.approx([0.0, 0.0, 0.5], abs=1e-15)
     assert reference_eigenvalues(fam("L3(5)"), p) is None
     assert reference_eigenvalues(fam("L3(6)"), p) is None

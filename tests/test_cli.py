@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,22 @@ def test_heisenberg_tol_reaches_the_symmetry_check_and_leaves_stdout(monkeypatch
         # the ladder A is exactly diagonal, so no tolerance changes a byte
         assert len(outs) == 2, params
     assert seen == [1e-12, 1e-9, 0.5] * 4
+
+
+def test_heisenberg_refuses_too_many_slots_before_building_anything():
+    _run_in_process(("heisenberg", "--n", "1"))  # the parser and modules are built and cached
+    tracemalloc.start()
+    try:
+        code, out, err = _run_in_process(("heisenberg", "--n", "1048576"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: spinors with 1048576 slots (dimension 2097153) exceed the "
+        "supported maximum of 16 slots (dimension 33)\n"
+    )
+    assert peak < 1 << 20
 
 
 def test_table1_split_row_names_counts_and_tol():

@@ -12,7 +12,6 @@ from spinlab.clifford import (
     cliff_relations_check,
     get_module,
     module_for_dim,
-    spin_lift,
 )
 from spinlab.errors import (
     InvalidOperatorError,
@@ -110,27 +109,19 @@ def test_spin_lift_zero_and_validation():
         mod.spin_lift(np.eye(5))
     with pytest.raises(InvalidOperatorError):
         mod.spin_lift(np.zeros((3, 3)))
-    with pytest.raises(UnsupportedDimensionError):
-        spin_lift(np.zeros((4, 4)))
 
 
 def test_module_for_dim_is_the_one_odd_dimension_lookup():
-    from spinlab.connection import NomizuMap, ricci_spinorial_check, spin_nomizu
+    from spinlab.connection import NomizuMap, ricci_spinorial_check
 
     for n in (1, 2, 5):
         assert module_for_dim(2 * n + 1) is get_module(n)
     message = "invariant-spinor analysis needs odd dimension, got 4"
     with pytest.raises(UnsupportedDimensionError, match=message):
         module_for_dim(4)
-    # every odd-dimension caller refuses an even frame through it
-    with pytest.raises(UnsupportedDimensionError, match=message):
-        spin_lift(np.zeros((4, 4)))
-    with pytest.raises(UnsupportedDimensionError, match=message):
-        spin_nomizu(NomizuMap(np.zeros((4, 4, 4))))
+    # its callers refuse an even frame with its message
     with pytest.raises(UnsupportedDimensionError, match=message):
         ricci_spinorial_check(NomizuMap(np.zeros((4, 4, 4))), np.zeros((4, 4, 4)), Spinor.one(1))
-    with pytest.raises(UnsupportedDimensionError, match="square"):
-        spin_lift(np.zeros((3, 5)))
 
 
 def test_spin_lift_ef_plane():
@@ -139,7 +130,7 @@ def test_spin_lift_ef_plane():
     omega = np.zeros((3, 3))
     omega[2, 1] = -0.5
     omega[1, 2] = 0.5
-    lift = spin_lift(omega)
+    lift = module_for_dim(3).spin_lift(omega)
     np.testing.assert_allclose(lift @ Spinor.one(1).coeffs, [-0.25j, 0.0], atol=1e-15)
 
 
@@ -280,7 +271,6 @@ def test_stacked_spin_lift_matches_per_matrix_calls():
             )
             np.testing.assert_array_equal(dense[idx], mod.spin_lift(omega[idx]))
             np.testing.assert_array_equal(dense[idx], _add_at_spin_lift(mod, omega[idx]))
-    np.testing.assert_array_equal(spin_lift(omega), dense)
     with pytest.raises(InvalidOperatorError):
         mod.spin_lift(np.stack([omega[0, 0], np.eye(d)]))
 

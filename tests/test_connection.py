@@ -17,13 +17,12 @@ from spinlab.catalog import (
     make_heisenberg,
     reference_ricci_3d,
 )
-from spinlab.clifford import Spinor, get_module
+from spinlab.clifford import Spinor, get_module, module_for_dim
 from spinlab.connection import (
     curvature,
     metricity_violation,
     nomizu,
     ricci_spinorial_check,
-    spin_nomizu,
     torsion_violation,
 )
 from spinlab.selftest import family_grid
@@ -70,7 +69,7 @@ def test_abelian_nomizu_flat():
     nm = nomizu(mla)
     np.testing.assert_array_equal(nm.mats, np.zeros((3, 3, 3)))
     np.testing.assert_array_equal(curvature(nm, mla).ricci, np.zeros((3, 3)))
-    for op in spin_nomizu(nm):
+    for op in module_for_dim(3).spin_lift(nm.mats):
         np.testing.assert_array_equal(op, np.zeros((2, 2)))
 
 
@@ -105,7 +104,7 @@ def test_torsion_and_metricity_sweep():
 
 
 def test_spin_nomizu_h3_values():
-    ops = spin_nomizu(nomizu(unit_h3()))
+    ops = module_for_dim(3).spin_lift(nomizu(unit_h3()).mats)
     one = Spinor.one(1).coeffs
     np.testing.assert_allclose(ops[0] @ one, [-0.25j, 0.0], atol=1e-15)
     np.testing.assert_allclose(ops[1] @ one, [0.0, 0.25j], atol=1e-15)
@@ -120,7 +119,7 @@ def test_ricci_h3():
 
 def test_ricci_round_sphere_frame():
     alg = make_bianchi(BianchiFamily("L3(6)"))
-    mla = metric_from_frame_change(alg, FrameChange.identity(3))
+    mla = metric_from_frame_change(alg, FrameChange(np.eye(3)))
     ric = curvature(nomizu(mla), mla).ricci
     np.testing.assert_allclose(ric, 0.5 * np.eye(3), atol=1e-15)
 
@@ -152,7 +151,7 @@ def test_ricci_matches_closed_form_on_symmetric_families():
 def test_closed_form_ricci_needs_symmetry():
     # outside the symmetric locus the closed form is not the Ricci matrix
     alg = make_bianchi(BianchiFamily("L3(-1)"))
-    mla = metric_from_frame_change(alg, FrameChange.identity(3))
+    mla = metric_from_frame_change(alg, FrameChange(np.eye(3)))
     ric = curvature(nomizu(mla), mla).ricci
     np.testing.assert_allclose(ric, np.diag([-1.0, -1.0, 0.0]), atol=1e-14)
     assert np.max(np.abs(ric - reference_ricci_3d(mla.ortho_c))) > 0.5

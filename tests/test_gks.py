@@ -56,7 +56,7 @@ def family_metric(tag, x=None, seed=None, p=None):
     alg = make_bianchi(fam)
     if p is None:
         p = (
-            FrameChange.identity(3)
+            FrameChange(np.eye(3))
             if seed is None
             else FrameChange.random(3, np.random.default_rng(seed))
         )
@@ -245,11 +245,21 @@ def test_full_report_unit_h3():
     assert report.gks_space_dim == 2
 
 
+def test_basis_reverification_gates_the_space_dimension(monkeypatch):
+    _, _, mla = family_metric("L3(1)", seed=42)
+    assert full_report(mla).gks_space_dim == 2
+    monkeypatch.setattr(gks, "gk_equation_residual", lambda *args, **kwargs: 1.0)
+    report = full_report(mla)
+    assert report.is_symmetric and report.solve_residual <= gks.DEFAULT_TOL
+    assert report.basis_residual == 1.0
+    assert report.gks_space_dim == 0
+
+
 def test_full_report_higher_dim_reports_spinor_only():
     mla = heisenberg_metric(HeisenbergParams.defaults(2))
     report = full_report(mla)
     assert report.gks_space_dim is None
-    assert report.tested_spinor_gk is True
+    assert report.is_symmetric and report.solve_residual <= gks.DEFAULT_TOL
     assert report.distinct_count == 3
     d = report.to_dict()
     assert list(d.keys()) == [
