@@ -15,9 +15,10 @@ The frame acts by Clifford multiplication:
 where contraction pairs slots by ``x_p . y_q = delta_pq`` and both wedge
 and contraction at slot ``p`` carry the Koszul sign ``(-1)**|{s in S: s < p}|``.
 Each frame vector therefore acts as a signed complex permutation of the
-basis, and the action satisfies ``e_i e_j + e_j e_i = -2 delta_ij`` --
-squares are minus the identity, not plus (readers used to the ``+1``
-convention should flip signs accordingly).
+basis, and so does a product ``e_a e_b``: one rule, ``_product``, serves the
+spin lift and ``cliff_relations_check``.  The action satisfies ``e_i e_j +
+e_j e_i = -2 delta_ij`` -- squares are minus the identity, not plus (readers
+used to the ``+1`` convention should flip signs accordingly).
 
 The lift of a skew matrix ``omega`` to a spinor operator uses
 ``e_i ^ e_j -> (1/2) e_i e_j`` where the skew matrix of ``e_i ^ e_j`` maps
@@ -130,11 +131,11 @@ class CliffordModule:
     by output row ``S``; ``_bit`` and ``_frame_phase`` give both for any set
     of rows, so no ``2**n`` table exists until an action asks for every row.
     Per row set the module keeps ``perm``, the rows ``S ^ bit`` of each slot,
-    the per-frame ``phase`` and, filled as pairs are used, the per-pair
-    ``(src, coef)`` of ``e_a e_b``.  It drops the least recently used sets to
-    stay within the bytes of its full-row tables, which are the bytes the
-    eager tables once took (at least ``_CACHE_FLOOR``).  Every ``perm`` flips
-    a fixed set of bits, so it and all its compositions are their own inverses.
+    the per-frame ``phase`` and, filled as pairs are used, the ``_product``
+    of each pair.  It drops the least recently used sets to stay within the
+    bytes of its full-row tables, which are the bytes the eager tables once
+    took (at least ``_CACHE_FLOOR``).  Every ``perm`` flips a fixed set of
+    bits, so it and all its compositions are their own inverses.
     """
 
     def __init__(self, n: int):
@@ -183,27 +184,16 @@ class CliffordModule:
         self._held += size
         return True
 
-    def _pair(self, frames: tuple, k: int, every_row: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``(src, coef)`` of frame pair ``k`` on the row set of ``frames``:
-        ``(e_a e_b psi)[S] = coef psi[src]`` with ``coef = phase_a(S) phase_b(S ^ bit_a)``.
-        Kept with the row set while it fits the budget."""
-        perm, phase, pairs = frames
+    def _pair(self, frames: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_product`` of frame pair ``k`` on the row set of ``frames``, kept
+        with the row set while it fits the budget."""
+        perm, _, pairs = frames
         if pairs is not None and k in pairs:
             return pairs[k]
-        a, b = self._pairs[k]
-        via = perm[(a + 1) >> 1]  # S ^ bit_a
-        if every_row:  # e_b's phases cover S ^ bit_a
-            phase_b = phase[b].take(via)
-        else:
-            phase_b = _frame_phase(b, via)
-        entry = via ^ _bit(b), phase[a] * phase_b
+        entry = _product(*self._pairs[k], perm[0])  # slot 0 flips no bit: the rows
         if pairs is not None and self._room(entry[0].nbytes + entry[1].nbytes, keep=1):
             pairs[k] = entry
         return entry
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.dim_frame:
-            raise IndexError(f"frame index {i} out of range 1..{self.dim_frame}")
 
     def _identity(self) -> np.ndarray:
         if self.n > _DENSE_LIMIT:
@@ -239,7 +229,8 @@ class CliffordModule:
 
     def apply_vector(self, i: int, coeffs: np.ndarray) -> np.ndarray:
         """Apply ``e_i`` to a coefficient vector or to each column of a stack."""
-        self._check_index(i)
+        if not 1 <= i <= self.dim_frame:
+            raise IndexError(f"frame index {i} out of range 1..{self.dim_frame}")
         perm, phase, _ = self._frames(None)
         return _as_columns(phase[i - 1] * _as_rows(coeffs).take(perm[i >> 1], axis=-1), coeffs)
 
@@ -319,7 +310,7 @@ class CliffordModule:
         frames = self._frames(rows)
         for k in np.flatnonzero(live.take(self._pair_entries)).tolist():
             a, b = self._pairs[k]
-            src, coef = self._pair(frames, k, rows is None)
+            src, coef = self._pair(frames, k)
             w = (0.5 * omega[..., b, a]).reshape(lead + (1,))
             out += w * coef * vecs.take(src, axis=-1)
         return _as_columns(out, coeffs)
@@ -348,6 +339,14 @@ def _frame_phase(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
     real = (frames > 0) & ((frames & 1) == 0)  # e_{2p+1}
     np.copyto(phase, np.multiply(koszul, sign, out=koszul), where=real)
     return phase
+
+
+def _product(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, coef)`` with ``(e_a e_b psi)[S] = coef psi[src]``, for 0-based frame indices
+    and output rows that broadcast together: ``src = S ^ bit_a ^ bit_b``, the same
+    for both orders of a pair, and ``coef = phase_a(S) phase_b(S ^ bit_a)``."""
+    via = rows ^ _bit(a)
+    return via ^ _bit(b), _frame_phase(a, rows) * _frame_phase(b, via)
 
 
 @lru_cache(maxsize=None)
@@ -395,17 +394,15 @@ def module_for_dim(dim: int) -> CliffordModule:
 def cliff_relations_check(n: int) -> tuple[bool, float]:
     """Verify ``e_i e_j + e_j e_i = -2 delta_ij`` on the whole spinor space.
 
-    Returns ``(ok, max_violation)`` over all frame index pairs, ``ok`` when
-    the violation is at most 1e-12.
+    Returns ``(ok, max_violation)`` of ``coef_ij + coef_ji + 2 delta_ij`` from
+    ``_product`` over all frame index pairs, ``ok`` when it is at most 1e-12.
     """
     mod = get_module(n)
-    mats = [mod.vector_matrix(i) for i in range(1, mod.dim_frame + 1)]
-    eye = np.eye(mod.dim_spinor)
+    frames = np.arange(mod.dim_frame)
     worst = 0.0
-    for i, mi in enumerate(mats):
-        for j in range(i, len(mats)):
-            mj = mats[j]
-            anti = mi @ mj + mj @ mi
-            target = -2.0 * eye if i == j else 0.0
-            worst = max(worst, float(np.max(np.abs(anti - target))))
+    # passes of at most the rows of a dense operator: at n = 16, 20 MB and not 3 GB
+    for rows in np.arange(mod.dim_spinor).reshape(-1, min(mod.dim_spinor, 1 << _DENSE_LIMIT)):
+        coef = _product(frames[:, None, None], frames[:, None], rows)[1]  # (d, d, rows)
+        anti = coef + coef.swapaxes(0, 1) + 2.0 * np.eye(mod.dim_frame)[..., None]
+        worst = max(worst, float(np.max(np.abs(anti))))
     return worst <= 1e-12, worst

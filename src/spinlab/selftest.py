@@ -10,7 +10,8 @@ The 3-d closed-form comparison, ``closed_form_sweep``, is one ``gks.sweep_grid``
 over the 13 grid families, shared by ``verify_appendix`` (the ``verify-appendix``
 command) and ``run_selftest``; each adds its own checks on every family's
 per-sample stacks.  Every closed form is evaluated on a whole ``(N, 3, 3)`` frame
-stack at once, so no check loops over samples.
+stack at once, so no check loops over samples; the Clifford relations check
+reads the spin lift's product rule, ``clifford._product``, on every row.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ from .gks import (
     symmetry_conditions_3d,
 )
 
+_EQUIVARIANCE_N_MAX, _EQUIVARIANCE_PAIRS = 4, 100  # spin_lift_equivariance_n_upto4
+_HEISENBERG_N_MAX, _HEISENBERG_PER_N = 6, 5  # heisenberg_eigenvalue_ladder
+
+
 def _check(name: str, deviation: float, tol: float) -> dict:
     return {
         "name": name,
@@ -59,10 +64,6 @@ def _check(name: str, deviation: float, tol: float) -> dict:
         "tol": float(tol),
         "pass": bool(deviation <= tol),
     }
-
-
-def _clifford_relations(n_max: int) -> float:
-    return max(cliff_relations_check(n)[1] for n in range(1, n_max + 1))
 
 
 def _skew_vector_pairs(rng: np.random.Generator, d: int, pairs: int):
@@ -73,15 +74,15 @@ def _skew_vector_pairs(rng: np.random.Generator, d: int, pairs: int):
     return g - g.swapaxes(-1, -2), draws[:, d * d :]
 
 
-def _equivariance(seed, n_max: int = 4, pairs: int = 100) -> float:
+def _equivariance(seed) -> float:
     """Worst deviation of [lift(omega), v.] from (omega v). over random draws,
     all pairs of one module size checked in one stacked commutator."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, _EQUIVARIANCE_N_MAX + 1):
         mod = get_module(n)
         eye = np.eye(mod.dim_spinor)
-        omega, v = _skew_vector_pairs(rng, mod.dim_frame, pairs)
+        omega, v = _skew_vector_pairs(rng, mod.dim_frame, _EQUIVARIANCE_PAIRS)
         lift = mod.spin_lift(omega)
         ev = mod.apply_combo(v, eye)
         et = mod.apply_combo((omega @ v[..., None])[..., 0], eye)
@@ -167,11 +168,11 @@ def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict
     return {"samples": samples, "seed": seed, "tol": tol, "results": results, "all_pass": all_pass}
 
 
-def _heisenberg_sweep(seed, n_max: int = 6, per_n: int = 5):
+def _heisenberg_sweep(seed):
     rng = np.random.default_rng(seed)
-    out = [HeisenbergParams.defaults(n) for n in range(1, n_max + 1)]
-    for n in range(1, n_max + 1):
-        for _ in range(per_n):
+    out = [HeisenbergParams.defaults(n) for n in range(1, _HEISENBERG_N_MAX + 1)]
+    for n in range(1, _HEISENBERG_N_MAX + 1):
+        for _ in range(_HEISENBERG_PER_N):
             a = tuple(np.exp(rng.uniform(-1.0, 1.0, size=n)))
             b = tuple(np.exp(rng.uniform(-1.0, 1.0, size=n)))
             c = float(np.exp(rng.uniform(-1.0, 1.0)))
@@ -186,7 +187,8 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
         return default if tol is None else tol
 
     checks: list[dict] = []
-    checks.append(_check("clifford_relations_nupto6", _clifford_relations(6), t(1e-12)))
+    relations = max(cliff_relations_check(n)[1] for n in range(1, 7))
+    checks.append(_check("clifford_relations_nupto6", relations, t(1e-12)))
     checks.append(_check("spin_lift_equivariance_n_upto4", _equivariance([seed, 1]), t(1e-12)))
     checks.append(_check("catalog_jacobi", _catalog_jacobi(), t(1e-10)))
 

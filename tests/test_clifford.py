@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from spinlab.clifford import (
     MAX_SLOTS,
     CliffordModule,
     Spinor,
+    _product,
     check_slots,
     cliff_relations_check,
     get_module,
@@ -89,6 +92,47 @@ def test_clifford_relations_negative_control(broken_clifford_sign):
     ok, violation = cliff_relations_check(2)
     assert not ok
     assert violation >= 1.0
+
+
+def relations_dense(n):
+    """``(ok, worst)`` of the anticommutators of the dense frame matrices, one
+    pair at a time: the loop ``cliff_relations_check`` replaces."""
+    mod = get_module(n)
+    mats = [mod.vector_matrix(i) for i in range(1, mod.dim_frame + 1)]
+    eye = np.eye(mod.dim_spinor)
+    worst = 0.0
+    for i, mi in enumerate(mats):
+        for j in range(i, len(mats)):
+            mj = mats[j]
+            anti = mi @ mj + mj @ mi
+            target = -2.0 * eye if i == j else 0.0
+            worst = max(worst, float(np.max(np.abs(anti - target))))
+    return worst <= 1e-12, worst
+
+
+def relations_one_pass(n):
+    """``cliff_relations_check`` as one ``(d, d, 2**n)`` pass, for sizes past the dense limit."""
+    frames = np.arange(2 * n + 1)
+    coef = _product(frames[:, None, None], frames[:, None], np.arange(2**n))[1]
+    worst = float(np.max(np.abs(coef + coef.swapaxes(0, 1) + 2.0 * np.eye(2 * n + 1)[..., None])))
+    return worst <= 1e-12, worst
+
+
+def test_relations_check_matches_dense_reference(clifford_sign_fault):
+    # the product rule gives exactly the dense products' verdict and worst entry,
+    # clean and with every contraction sign negated; n = 9 takes two passes
+    for fault in (contextlib.nullcontext, clifford_sign_fault):
+        with fault():
+            for n in range(1, 7):
+                assert cliff_relations_check(n) == relations_dense(n), n
+            assert cliff_relations_check(9) == relations_one_pass(9)
+    assert cliff_relations_check(6) == (True, 0.0)
+    with clifford_sign_fault():
+        assert cliff_relations_check(6) == (False, 4.0)
+    with pytest.raises(UnsupportedDimensionError, match="spinor module needs n >= 1, got 0"):
+        cliff_relations_check(0)
+    with pytest.raises(UnsupportedDimensionError, match="spinors with 17 slots"):
+        cliff_relations_check(MAX_SLOTS + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,11 +436,16 @@ def test_bitmask_rule_matches_eager_tables():
             for i in range(mod.dim_frame):
                 _same_bits(perm[(i + 1) >> 1], ref_perm[i][sel])
                 _same_bits(phase[i], ref_phase[i][sel].astype(complex))
-            for k, (a, b) in enumerate(mod._pairs):
-                src, coef = mod._pair(frames, k, rows is None)
+            out = np.arange(2**n) if rows is None else rows
+            for a in range(mod.dim_frame):  # every ordered pair, a == b and a > b too
                 pa = ref_perm[a][sel]
-                np.testing.assert_array_equal(src, ref_perm[b][pa])
-                np.testing.assert_array_equal(coef, ref_phase[a][sel] * ref_phase[b][pa])
+                for b in range(mod.dim_frame):
+                    got = [_product(a, b, out)]
+                    if a < b:  # the spin lift's pair cache
+                        got.append(mod._pair(frames, mod._pairs.index((a, b))))
+                    for src, coef in got:
+                        np.testing.assert_array_equal(src, ref_perm[b][pa])
+                        np.testing.assert_array_equal(coef, ref_phase[a][sel] * ref_phase[b][pa])
 
 
 def test_row_set_cache_stays_within_the_eager_tables():

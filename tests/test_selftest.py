@@ -1,4 +1,5 @@
 import numpy as np
+from test_clifford import relations_dense
 from test_connection import ricci_spinorial_loop
 from test_gks import GRID_SAMPLES
 
@@ -26,7 +27,6 @@ from spinlab.selftest import (
     FAMILY_GRID,
     _catalog_jacobi,
     _check,
-    _clifford_relations,
     _heisenberg_sweep,
     _skew_vector_pairs,
     closed_form_deviations,
@@ -61,7 +61,7 @@ def run_selftest_per_sample(seed):
     """The suite with one metric at a time through ``MetricLieAlgebra`` and the
     per-direction spinorial loop: the reference for the stacked ``run_selftest``."""
     checks = [
-        _check("clifford_relations_nupto6", _clifford_relations(6), 1e-12),
+        _check("clifford_relations_nupto6", max(relations_dense(n)[1] for n in range(1, 7)), 1e-12),
         _check("spin_lift_equivariance_n_upto4", equivariance_per_pair([seed, 1]), 1e-12),
         _check("catalog_jacobi", _catalog_jacobi(), 1e-10),
     ]
