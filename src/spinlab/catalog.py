@@ -207,8 +207,12 @@ def _sq(x):
 def _mat3(rows, scale=1.0) -> np.ndarray:
     """``scale`` times the matrix of nine entries given as three rows of scalars
     or arrays that broadcast together: ``(3, 3)``, or ``(..., 3, 3)`` for a stack."""
-    scale, *entries = np.broadcast_arrays(scale, *(e for row in rows for e in row))
-    return scale[..., None, None] * np.stack(entries, axis=-1).reshape(scale.shape + (3, 3))
+    entries = [e for row in rows for e in row]
+    out = np.empty(np.broadcast_shapes(np.shape(scale), *map(np.shape, entries)) + (9,))
+    for k, e in enumerate(entries):
+        out[..., k] = e
+    out *= np.asarray(scale)[..., None]
+    return out.reshape(out.shape[:-1] + (3, 3))
 
 
 def reference_A(family: BianchiFamily, frame: np.ndarray) -> np.ndarray:
@@ -273,18 +277,16 @@ def reference_asymmetry(family: BianchiFamily, frame: np.ndarray) -> np.ndarray:
     """Closed form of ``A - A^T``; depends only on iota (and epsilon, zeta
     for ``L(3,-1)``) and the family parameter, not on the rest of the frame."""
     f = _frame(frame)
-    io = f[..., 2, 2]
-    rot = _mat3([[0.0, -io, 0.0], [io, 0.0, 0.0], [0.0, 0.0, 0.0]])
     if family.tag == "L3(-1)":
         ep, ze = f[..., 1, 1], f[..., 1, 2]
         return _mat3([[0.0, -ze, ep], [ze, 0.0, 0.0], [-ep, 0.0, 0.0]], 0.5)
+    if family.tag not in ("L3(2,x)", "L3(3)", "L3(4,x)"):
+        return np.zeros(f.shape[:-2] + (3, 3))
+    io = f[..., 2, 2]
+    rot = _mat3([[0.0, -io, 0.0], [io, 0.0, 0.0], [0.0, 0.0, 0.0]])
     if family.tag == "L3(2,x)":
         return ((family.x + 1) / 2) * rot
-    if family.tag == "L3(3)":
-        return rot
-    if family.tag == "L3(4,x)":
-        return family.x * rot
-    return np.zeros_like(rot)
+    return rot if family.tag == "L3(3)" else family.x * rot
 
 
 def is_symmetric_family(family: BianchiFamily) -> bool:

@@ -11,9 +11,11 @@ spinor, so the space of invariant generalised Killing spinors is either all
 of the spinor space or zero.
 
 Two builders of ``R`` remain, each the fast one on its workload.  For one
-metric, ``_project`` makes one matrix-free spin lift per column on the rows
-``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a basis spinor), so the
-``H(2n+1)`` ladder costs no ``2**n`` work per column.  For a frame stack from
+metric's structure constants, or a ``(..., d, d, d)`` stack of them (the ladder
+rungs of ``selftest``), ``_project`` makes one matrix-free spin lift per column,
+``d`` calls per system, on the rows ``psi`` reaches (``1 + n + n(n-1)/2`` of
+``2**n`` for a basis spinor), so the ``H(2n+1)`` ladder costs no ``2**n`` work
+per column.  For a frame stack from
 ``random_frames``, ``sweep_frames`` multiplies by the cached unit-spinor lift
 tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
 small ``d``.  ``sweep_grid`` (``table1_rows`` and the closed-form comparison of
@@ -79,14 +81,17 @@ class GKReport:
 
 
 def _project(
-    mla: MetricLieAlgebra, psi: Spinor, nm: NomizuMap | None
+    ortho_c: np.ndarray, psi: Spinor, nm: NomizuMap | None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The Killing system ``M v = R`` of one metric and spinor: ``(M, R, |psi|^2)``.
+    """The Killing system ``M v = R`` of structure constants and a spinor: ``(M, R, |psi|^2)``.
 
+    ``ortho_c`` is one metric's ``(d, d, d)`` orthonormal structure constants or a
+    ``(..., d, d, d)`` stack, which gives a ``(..., rows, d)`` stack of ``R`` against
+    the one ``M``; either way the system takes ``d`` spin-lift calls, one per column.
     Real and imaginary parts are stacked, on the rows ``psi`` can reach
     (``CliffordModule.reachable_rows``): every other row of both is zero.
     """
-    mod = module_for_dim(mla.dim)
+    mod = module_for_dim(ortho_c.shape[-1])
     if psi.n != mod.n:
         raise InvalidSpinorError(
             f"spinor has {psi.n} slots, metric algebra needs {mod.n}"
@@ -94,13 +99,14 @@ def _project(
     norm = psi.norm
     if norm == 0.0:
         raise InvalidSpinorError("cannot solve the Killing equation on the zero spinor")
-    nm = nm if nm is not None else nomizu(mla)
+    nm = nm if nm is not None else nomizu(ortho_c)
     rows = mod.reachable_rows(psi.coeffs)
     m = mod.moment_matrix(psi, rows)
-    cols = np.column_stack(
-        [mod.apply_spin_lift(nm.mats[i], psi.coeffs, rows) for i in range(mla.dim)]
+    cols = np.stack(
+        [mod.apply_spin_lift(nm.mats[..., i, :, :], psi.coeffs, rows) for i in range(nm.dim)],
+        axis=-1,
     )
-    return m, np.vstack([cols.real, cols.imag]), norm**2
+    return m, np.concatenate([cols.real, cols.imag], axis=-2), norm**2
 
 
 def _fit(m: np.ndarray, rhs: np.ndarray, norm2: float = 1.0) -> tuple:
@@ -135,7 +141,7 @@ def solve_endomorphism(
     lift(L_i) . psi`` (``_fit``).  ``A`` is a generalised Killing endomorphism
     only when the residual is below a tolerance and ``A`` is symmetric.
     """
-    m, rhs, norm2 = _project(mla, psi, _nm)
+    m, rhs, norm2 = _project(mla.ortho_c, psi, _nm)
     a, _, residual = _fit(m, rhs, norm2)
     return a, float(residual)
 
@@ -155,7 +161,7 @@ def solve_symmetric_endomorphism(
     exact fit, the Frobenius norm of the skew part of ``A``).  A residual
     well above zero certifies that no symmetric solution exists.
     """
-    m, rhs, norm2 = _project(mla, psi, _nm)
+    m, rhs, norm2 = _project(mla.ortho_c, psi, _nm)
     a, misfit, _ = _fit(m, rhs, norm2)
     skew = 0.5 * (a - a.T)
     residual = float(np.sqrt(np.sum(misfit**2) + norm2 * np.sum(skew**2)))
@@ -238,7 +244,7 @@ def gk_equation_residual(
     Per column ``i``, the largest complex entry of ``M a_i - R_i`` on the
     system of ``_project``, relative to ``max(1, max |R_i|)``.
     """
-    m, rhs, _ = _project(mla, psi, _nm)
+    m, rhs, _ = _project(mla.ortho_c, psi, _nm)
     half = len(rhs) // 2  # real rows, then imaginary rows
     miss = m @ a - rhs
     misfit = np.max(np.hypot(miss[:half], miss[half:]), axis=0)

@@ -11,7 +11,9 @@ over the 13 grid families, shared by ``verify_appendix`` (the ``verify-appendix`
 command) and ``run_selftest``; each adds its own checks on every family's
 per-sample stacks.  Every closed form is evaluated on a whole ``(N, 3, 3)`` frame
 stack at once, so no check loops over samples; the Clifford relations check
-reads the spin lift's product rule, ``clifford._product``, on every row.
+reads the spin lift's product rule, ``clifford._product``, on every row.  The
+Heisenberg ladder solves each rung's six metrics as one stacked Killing system
+(``gks._project`` on their structure constants, then ``gks._fit``).
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from .gks import (
     DEFAULT_GAP_TOL,
     DEFAULT_TOL,
     FAMILY_GRID,
+    _fit,
+    _project,
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
     family_grid,
-    solve_endomorphism,
     sweep_grid,
     symmetry_conditions_3d,
 )
@@ -220,12 +223,15 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     checks.append(_check("ricci_vs_closed_form_symmetric", ricci_dev, t(1e-9)))
     checks.append(_check("dirac_trace_identity", dirac_dev, t(1e-12)))
 
-    heis_dev = 0.0
-    for params in _heisenberg_sweep([seed, 3]):
-        mla = heisenberg_metric(params)
-        a_solved, _ = solve_endomorphism(mla, Spinor.one(params.n))
-        lam_vals, mu = heisenberg_gk_eigenvalues(params)
-        expected = np.diag([mu] + [v for lv in lam_vals for v in (lv, lv)])
+    heis_dev, ladder = 0.0, _heisenberg_sweep([seed, 3])
+    for n in range(1, _HEISENBERG_N_MAX + 1):  # one stacked Killing system per rung
+        rung = [params for params in ladder if params.n == n]
+        oc = np.stack([heisenberg_metric(params).ortho_c for params in rung])
+        a_solved = _fit(*_project(oc, Spinor.one(n), None))[0]
+        expected = np.stack([
+            np.diag([mu] + [v for lv in lam_vals for v in (lv, lv)])
+            for lam_vals, mu in map(heisenberg_gk_eigenvalues, rung)
+        ])
         heis_dev = max(heis_dev, float(np.max(np.abs(a_solved - expected))))
     checks.append(_check("heisenberg_eigenvalue_ladder", heis_dev, t(1e-10)))
 

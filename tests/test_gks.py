@@ -504,6 +504,53 @@ def test_reachable_row_projection_matches_dense_projection():
     assert strict == 6 + 4 * 5 + 1
 
 
+def _stacked_projection_cases():
+    """(metrics, spinor): a Heisenberg stack per n = 1..7, with the unit spinor, two
+    basis spinors and a sparse complex one, and a 3-d stack over the grid families."""
+    rng = np.random.default_rng(1515)
+    for n in range(1, 8):
+        params = [HeisenbergParams.defaults(n)] + [
+            HeisenbergParams(
+                n,
+                tuple(np.exp(rng.uniform(-1, 1, size=n))),
+                tuple(np.exp(rng.uniform(-1, 1, size=n))),
+                float(np.exp(rng.uniform(-1, 1))),
+            )
+            for _ in range(4)
+        ]
+        mlas = [heisenberg_metric(p) for p in params]
+        coeffs = np.zeros(2**n, dtype=complex)
+        picks = rng.choice(2**n, size=min(3, 2**n), replace=False)
+        coeffs[picks] = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
+        for psi in (Spinor.one(n), Spinor.basis(n, 1), Spinor.basis(n, *range(1, n + 1)),
+                    Spinor(n, coeffs)):
+            yield mlas, psi
+    mlas = [
+        metric_from_frame_change(make_bianchi(BianchiFamily(tag, x)), FrameChange.random(3, rng))
+        for tag, x in FAMILY_GRID
+        for _ in range(3)
+    ]
+    for psi in (Spinor.one(1), Spinor.basis(1, 1), Spinor(1, np.array([0.6 - 0.3j, -0.2 + 0.7j]))):
+        yield mlas, psi
+
+
+def test_stacked_projection_matches_per_metric_solves():
+    strict = 0
+    for mlas, psi in _stacked_projection_cases():
+        stack = np.stack([mla.ortho_c for mla in mlas])
+        a, _, residual = gks._fit(*gks._project(stack, psi, None))
+        d = mlas[0].dim
+        assert a.shape == (len(mlas), d, d) and residual.shape == (len(mlas),)
+        for k, mla in enumerate(mlas):
+            ref, ref_res = solve_endomorphism(mla, psi)
+            assert a[k].tobytes() == ref.tobytes(), (d, k)
+            assert residual[k] == ref_res, (d, k)
+        strict += get_module(psi.n).reachable_rows(psi.coeffs) is not None
+    # a strict subset of the rows for n >= 3, except the 3-entry spinor below n = 7;
+    # every row for n <= 2 and for the 3-d stack
+    assert strict == 3 * 5 + 1
+
+
 def test_asymmetry_matches_table_and_ignores_most_of_the_frame():
     rng = np.random.default_rng(55)
     for tag, x in [("L3(-1)", None), ("L3(2,x)", 0.5), ("L3(3)", None), ("L3(4,x)", 1.5)]:

@@ -1,0 +1,99 @@
+"""One digest of what a fixed set of ``spinlab`` command lines print.
+
+Each command runs in this process through ``spinlab.cli.main``.  Per command
+the script prints ``sha256  argv``: the hash covers stdout, stderr without
+its ``runtime_seconds`` timing line, and the exit code.  A last line hashes
+all of them.  Two trees, or two processes of one tree, print the same
+output exactly when every command prints the same bytes and exits the same
+way, so ``diff`` of two runs is a byte-identity check:
+
+    python tools/output_digest.py > a.txt
+    PYTHONHASHSEED=1 python tools/output_digest.py > b.txt
+    diff a.txt b.txt
+
+The command set: the first 5 cycles of every benchmark workload
+(``perfbench/workloads.py``, imported and not changed) on seeds 1..3;
+``selftest`` on seeds 1..5 in both formats; ``verify-appendix --samples
+100``; ``table1 --samples 1000``; ``analyze`` on the 13 Table 1 grid
+families (identity and one ``frame_P`` metric, both formats) and on H(5),
+H(25) and H(33); and a few command lines that exit 2 or 3.  Takes no
+options; run from anywhere.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402  (perfbench/, on the path above)
+from spinlab import cli  # noqa: E402
+from spinlab.gks import family_grid  # noqa: E402
+
+CYCLES, BENCH_SEEDS, SELFTEST_SEEDS = 5, (1, 2, 3), range(1, 6)
+FRAME_P = ('{"frame_P": {"alpha": 1.3, "beta": -0.4, "gamma": 0.7, '
+           '"epsilon": 0.8, "zeta": 0.2, "iota": 1.9}}')
+FAILING = (
+    ("analyze", "--algebra", '{"dim": 3, "brackets": ['),
+    ("analyze", "--algebra", '{"dim": 3.9, "brackets": []}'),
+    ("analyze", "--algebra", "L3(6)", "--metric", '{"gram": [[1, 0, 0], [0, 1], [0, 0, 1]]}'),
+    ("analyze", "--algebra", "L3(2,7)"),
+    ("analyze", "--algebra", "L3(6)", "--metric",
+     '{"gram": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+    ("heisenberg", "--n", "40"),
+    ("selftest", "--seed", "-1"),
+    ("selftest", "--seed", "1", "--tol", "1e-300"),
+    ("table1", "--samples", "7", "--tol", "0.5"),
+    ("sweep", "--algebra", "L3(4,8.9e307)", "--samples", "5", "--seed", "1"),
+)
+
+
+def command_lines() -> list[tuple[str, ...]]:
+    argvs = []
+    for wl in workloads.WORKLOADS.values():
+        for seed in BENCH_SEEDS:
+            for k in range(CYCLES):
+                argvs += [inv.argv for inv in wl.cycle(seed, k)]
+    for seed in SELFTEST_SEEDS:
+        argvs += [("selftest", "--seed", str(seed), "--format", fmt) for fmt in ("json", "table")]
+    argvs += [("verify-appendix", "--samples", "100"), ("table1", "--samples", "1000")]
+    for fam in family_grid():
+        for metric in ("identity", FRAME_P):
+            argvs += [("analyze", "--algebra", fam.label, "--metric", metric, "--format", fmt)
+                      for fmt in ("json", "table")]
+    argvs += [("analyze", "--algebra", f"H({d})") for d in (5, 25, 33)]
+    return argvs + list(FAILING)
+
+
+def digest(argv: tuple[str, ...]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except Exception as exc:  # a traceback is output too: hash its type and message
+            code = f"raised {type(exc).__name__}: {exc}"
+    stderr = "".join(
+        line for line in err.getvalue().splitlines(keepends=True)
+        if not line.startswith("runtime_seconds:")
+    )
+    blob = "\0".join((out.getvalue(), stderr, str(code)))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def main() -> None:
+    os.environ.pop("SPINLAB_SEED", None)  # commands without --seed use the built-in fallback
+    total = hashlib.sha256()
+    for argv in command_lines():
+        line = f"{digest(argv)}  {shlex.join(argv)}"
+        total.update(line.encode() + b"\n")
+        print(line)
+    print(f"{total.hexdigest()}  total")
+
+
+if __name__ == "__main__":
+    main()
