@@ -12,6 +12,7 @@ orthonormal basis, preserving orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,6 +105,12 @@ def check_jacobi(alg: LieAlgebra, tol: float = 1e-9) -> tuple[bool, float]:
     return violation <= tol * scale, violation
 
 
+@lru_cache(maxsize=16)
+def _frame_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``arange(dim)`` and ``triu_indices(dim, 1)``, built once per ``dim``."""
+    return tuple(_freeze(idx) for idx in (np.arange(dim), *np.triu_indices(dim, 1)))
+
+
 def random_frames(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Stack of ``count`` random well-conditioned ``(dim, dim)`` frame matrices.
 
@@ -112,9 +119,8 @@ def random_frames(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
     gives the same frames drawn in one stack or one at a time."""
     draws = rng.uniform(-1.0, 1.0, size=(count, dim + dim * (dim - 1) // 2))
     frames = np.zeros((count, dim, dim))
-    diag = np.arange(dim)
+    diag, rows, cols = _frame_indices(dim)
     frames[:, diag, diag] = np.exp(draws[:, :dim])
-    rows, cols = np.triu_indices(dim, 1)
     frames[:, rows, cols] = draws[:, dim:]
     return frames
 

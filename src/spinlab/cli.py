@@ -57,8 +57,9 @@ from .serialize import (
 
 _HEISENBERG_RE = re.compile(r"^H\(\s*(\d+)\s*\)$")
 
-# Largest --samples: verify-appendix, the most memory per sample, peaks near
-# 0.37 GB there (table1 near 0.25 GB).
+# Largest --samples: verify-appendix and table1 both peak near 239 MB there
+# (a child process's ru_maxrss, numpy 2.4 on Linux), because one grid pass
+# holds a whole family's frames.
 MAX_SAMPLES = 200_000
 
 

@@ -21,6 +21,12 @@ tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
 small ``d``.  ``sweep_grid`` (``table1_rows`` and the closed-form comparison of
 ``selftest``) stacks the 13 ``FAMILY_GRID`` families, ``max(1, GRID_PASS_FRAMES //
 samples)`` to a ``sweep_frames`` pass; ``genericity_sweep`` solves one family.
+
+Constants that never change are built once per process, on first use, and are
+read-only: the grid families, their algebras and stacked structure constants
+(``_grid_stack``), the index arrays of ``algebra.random_frames`` and the
+unit-spinor tensors.  The Heisenberg algebras and metrics are not cached: at
+n = 12..16 their tensors would stay resident for the life of the process.
 """
 
 from __future__ import annotations
@@ -364,8 +370,8 @@ def sweep_frames(
 
 def _r_stats(family: BianchiFamily, frames: np.ndarray, batch: FrameSweep) -> dict:
     """Distribution of the distinct count ``r`` over the symmetric samples of one family."""
-    rs, counts = np.unique(batch.distinct_count[batch.symmetric], return_counts=True)
-    r_counts = {int(r): int(cnt) for r, cnt in zip(rs, counts)}
+    counts = np.bincount(batch.distinct_count[batch.symmetric])
+    r_counts = {int(r): int(counts[r]) for r in np.flatnonzero(counts)}  # ascending r
     symmetric_count = int(np.count_nonzero(batch.symmetric))
     below = sum(cnt for r, cnt in r_counts.items() if r < 3)
     modal_r = max(r_counts, key=lambda r: (r_counts[r], r)) if r_counts else None
@@ -374,7 +380,7 @@ def _r_stats(family: BianchiFamily, frames: np.ndarray, batch: FrameSweep) -> di
         "samples": len(frames),
         "symmetric_count": symmetric_count,
         "modal_r": modal_r,
-        "r_counts": {str(r): r_counts[r] for r in sorted(r_counts)},
+        "r_counts": {str(r): cnt for r, cnt in r_counts.items()},
         "fraction_r_lt_3": below / symmetric_count if symmetric_count else None,
     }
 
@@ -423,14 +429,27 @@ def family_grid() -> list[BianchiFamily]:
     return [BianchiFamily(tag, x) for tag, x in FAMILY_GRID]
 
 
+@lru_cache(maxsize=1)
+def _grid_stack() -> tuple[tuple[BianchiFamily, ...], tuple[LieAlgebra, ...], np.ndarray]:
+    """The ``FAMILY_GRID`` families, their algebras and their stacked ``(13, 3, 3, 3)``
+    structure constants, built on first use and read-only for the rest of the process."""
+    fams = tuple(family_grid())
+    algs = tuple(make_bianchi(fam) for fam in fams)
+    cs = np.stack([alg.c for alg in algs])
+    cs.setflags(write=False)
+    return fams, algs, cs
+
+
 def sweep_grid(seeds, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL) -> list:
     """``reduce(family, frames, FrameSweep)`` for every ``FAMILY_GRID`` family, in grid order.
 
     Family ``i`` gets the ``samples`` frames ``genericity_sweep`` draws from seed
     ``seeds[i]``.  One ``sweep_frames`` pass solves ``max(1, GRID_PASS_FRAMES //
-    samples)`` families, and only ``reduce``'s results outlive a pass."""
-    fams, rngs, out = family_grid(), [np.random.default_rng(seed) for seed in seeds], []
-    cs = np.stack([make_bianchi(fam).c for fam in fams])
+    samples)`` families, and only ``reduce``'s results outlive a pass.  The families
+    and their stacked structure constants come from ``_grid_stack``, built once per
+    process and read-only."""
+    fams, _, cs = _grid_stack()
+    rngs, out = [np.random.default_rng(seed) for seed in seeds], []
     step = max(1, GRID_PASS_FRAMES // samples)
     for i in range(0, len(fams), step):
         frames = np.stack([random_frames(3, rng, samples) for rng in rngs[i : i + step]])

@@ -27,7 +27,6 @@ from .catalog import (
     heisenberg_gk_eigenvalues,
     heisenberg_metric,
     is_symmetric_family,
-    make_bianchi,
     make_heisenberg,
     reference_A,
     reference_asymmetry,
@@ -47,11 +46,12 @@ from .gks import (
     DEFAULT_TOL,
     FAMILY_GRID,
     _fit,
+    _grid_stack,
     _project,
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
-    family_grid,
+    family_grid,  # noqa: F401  (imported from here by the tests and perfbench/reference.py)
     sweep_grid,
     symmetry_conditions_3d,
 )
@@ -95,8 +95,8 @@ def _equivariance(seed) -> float:
 
 def _catalog_jacobi() -> float:
     worst = 0.0
-    for fam in family_grid():
-        _, violation = check_jacobi(make_bianchi(fam))
+    for alg in _grid_stack()[1]:  # cached algebras, checked afresh on every call
+        _, violation = check_jacobi(alg)
         worst = max(worst, violation)
     for n in range(1, 5):
         _, violation = check_jacobi(make_heisenberg(n))

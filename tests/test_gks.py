@@ -4,6 +4,7 @@ import pytest
 from spinlab.algebra import (
     FrameChange,
     LieAlgebra,
+    _frame_indices,
     metric_from_frame_change,
     orthonormalize,
     random_frames,
@@ -33,6 +34,7 @@ from spinlab.gks import (
     FAMILY_GRID,
     GRID_PASS_FRAMES,
     TABLE1_ROWS,
+    FrameSweep,
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
@@ -616,16 +618,40 @@ def _scalar_frame(dim, rng):
     return m
 
 
+def _fresh_index_frames(dim, rng, count):
+    """``random_frames`` with its index arrays built afresh on every draw."""
+    draws = rng.uniform(-1.0, 1.0, size=(count, dim + dim * (dim - 1) // 2))
+    frames = np.zeros((count, dim, dim))
+    frames[:, np.arange(dim), np.arange(dim)] = np.exp(draws[:, :dim])
+    rows, cols = np.triu_indices(dim, 1)
+    frames[:, rows, cols] = draws[:, dim:]
+    return frames
+
+
 def test_batched_sampler_reproduces_the_draw_order():
-    for dim in (3, 5):
+    for dim in (3, 5, 33):
         for seed in (0, 1, [7, 2, 1]):
             frames = random_frames(dim, np.random.default_rng(seed), 40)
             rng = np.random.default_rng(seed)
             one_at_a_time = [FrameChange.random(dim, rng).matrix for _ in range(40)]
             rng = np.random.default_rng(seed)
             scalar = [_scalar_frame(dim, rng) for _ in range(40)]
+            fresh = _fresh_index_frames(dim, np.random.default_rng(seed), 40)
             np.testing.assert_array_equal(frames, one_at_a_time)
             np.testing.assert_array_equal(frames, scalar)
+            np.testing.assert_array_equal(frames, fresh)
+
+
+def test_sampler_index_arrays_are_read_only_and_unchanged_by_use():
+    for dim in (3, 5, 33):
+        random_frames(dim, np.random.default_rng(dim), 7)
+        diag, rows, cols = _frame_indices(dim)
+        assert _frame_indices(dim)[0] is diag  # built once per dim
+        np.testing.assert_array_equal(diag, np.arange(dim))
+        np.testing.assert_array_equal(np.stack([rows, cols]), np.triu_indices(dim, 1))
+        for idx in (diag, rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0] = 1
 
 
 def test_sweep_frames_matches_scalar_pipeline():
@@ -788,6 +814,72 @@ def test_family_stacked_sweep_matches_per_family_sweeps():
         one = sweep_frames(alg, frames[f])
         for name, arr in vars(batch[f]).items():
             np.testing.assert_array_equal(arr, getattr(one, name), err_msg=name)
+
+
+def _unique_r_stats(distinct, symmetric):
+    """The r tally of ``_r_stats`` through a sorting ``np.unique``."""
+    rs, counts = np.unique(distinct[symmetric], return_counts=True)
+    r_counts = {int(r): int(cnt) for r, cnt in zip(rs, counts)}
+    total = int(np.count_nonzero(symmetric))
+    return {
+        "symmetric_count": total,
+        "modal_r": max(r_counts, key=lambda r: (r_counts[r], r)) if r_counts else None,
+        "r_counts": {str(r): r_counts[r] for r in sorted(r_counts)},
+        "fraction_r_lt_3": sum(c for r, c in r_counts.items() if r < 3) / total if total else None,
+    }
+
+
+def _r_stats_of(distinct, symmetric):
+    """``_r_stats`` of a hand-built ``FrameSweep``: only the verdicts and counts matter."""
+    distinct = np.where(symmetric, distinct, 0)  # sweep_frames leaves 0 where A is not symmetric
+    n = len(distinct)
+    batch = FrameSweep(np.zeros((n, 3, 3, 3)), np.zeros((n, 3, 3)), np.zeros(n), symmetric, distinct)
+    return gks._r_stats(BianchiFamily("L3(6)"), np.zeros((n, 3, 3)), batch)
+
+
+def test_r_stats_matches_a_unique_tally_on_hand_built_sweeps():
+    cases = [
+        ([0, 0, 0], [False, False, False]),  # no symmetric sample
+        ([1, 1, 3, 3], [True] * 4),  # a gap in r, and a tie
+        ([2, 3, 3, 2, 1], [True] * 5),  # a tie: the larger r wins
+        ([3, 1, 2, 3, 2, 3, 1], [True] * 7),  # drawn out of order
+        ([3, 3, 1, 2, 2], [True, False, True, False, True]),
+        ([], []),
+    ]
+    rng = np.random.default_rng(40)
+    for _ in range(50):
+        n = int(rng.integers(0, 30))
+        cases.append((rng.integers(1, 4, size=n), rng.random(n) < 0.7))
+    results = []
+    for distinct, symmetric in cases:
+        distinct = np.asarray(distinct, dtype=int)
+        symmetric = np.asarray(symmetric, dtype=bool)
+        stats = _r_stats_of(distinct, symmetric)
+        want = _unique_r_stats(distinct, symmetric)
+        assert stats == {"family": "L3(6)", "samples": len(distinct), **want}
+        assert list(stats["r_counts"]) == list(want["r_counts"])  # ascending r
+        results.append(stats)
+    none, gap, tie = results[:3]
+    assert none["r_counts"] == {} and none["modal_r"] is None and none["fraction_r_lt_3"] is None
+    assert gap["r_counts"] == {"1": 2, "3": 2} and gap["modal_r"] == 3
+    assert gap["fraction_r_lt_3"] == 0.5
+    assert tie["r_counts"] == {"1": 1, "2": 2, "3": 2} and tie["modal_r"] == 3
+
+
+def test_grid_stack_is_built_once_read_only_and_unchanged_by_use():
+    fams, algs, cs = gks._grid_stack()
+    assert list(fams) == [BianchiFamily(tag, x) for tag, x in FAMILY_GRID]
+    want = np.stack([make_bianchi(fam).c for fam in fams])
+    assert cs.shape == (len(FAMILY_GRID), 3, 3, 3)
+    np.testing.assert_array_equal(cs, want)
+    for arr in (cs, algs[0].c, cs[2:5]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 1.0
+    table1_rows(10, 3, 1e-7, 1e-9)
+    genericity_sweep(fams[0], 5, 1)
+    again = gks._grid_stack()
+    assert again[2] is cs and all(a is b for a, b in zip(again[1], algs))
+    np.testing.assert_array_equal(cs, want)
 
 
 def test_genericity_sweep_l36():

@@ -3,7 +3,7 @@ from test_clifford import relations_dense
 from test_connection import ricci_spinorial_loop
 from test_gks import GRID_SAMPLES
 
-from spinlab import cli
+from spinlab import cli, selftest
 from spinlab.algebra import FrameChange, metric_from_frame_change, random_frames
 from spinlab.catalog import (
     BianchiFamily,
@@ -115,6 +115,23 @@ def test_bulk_equivariance_draw_matches_per_pair_draws():
             np.testing.assert_array_equal(omega_k, g - g.T)
             np.testing.assert_array_equal(v_k, one.uniform(-1.0, 1.0, size=d))
         assert bulk.uniform() == one.uniform()
+
+
+def test_catalog_jacobi_checks_the_cached_grid_algebras_on_every_call(monkeypatch):
+    checked = []
+    check = selftest.check_jacobi
+
+    def recording(alg, *args):
+        checked.append(alg)
+        return check(alg, *args)
+
+    monkeypatch.setattr(selftest, "check_jacobi", recording)
+    for _ in range(2):
+        checked.clear()
+        assert _catalog_jacobi() == 0.0
+        grid = [alg.c for alg in checked[: len(FAMILY_GRID)]]
+        np.testing.assert_array_equal(grid, [make_bianchi(fam).c for fam in family_grid()])
+        assert [alg.dim for alg in checked[len(FAMILY_GRID) :]] == [3, 5, 7, 9]
 
 
 def test_stacked_selftest_matches_per_sample_suite():
