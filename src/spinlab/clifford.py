@@ -33,7 +33,9 @@ entry, broadcast against the coefficient stacks.  ``apply_spin_lift`` and
 ``moment_matrix`` can evaluate a given set of output rows only, such as
 the rows a sparse spinor reaches (``reachable_rows``); the gather sources
 and phases come from bitmask rules on just those rows, so a module holds
-no ``2**n`` array until an action asks for every row.  Dense ``2**n x 2**n``
+no ``2**n`` array until an action asks for every row.  A module keeps the
+tables of the last two row sets it built, so a caller that alternates a
+dense and a sparse spinor builds each set once.  Dense ``2**n x 2**n``
 operators are those actions applied to the identity, available up to
 ``n = 8``.  Modules are capped at ``n = 16`` slots (see ``MAX_SLOTS``).
 """
@@ -52,17 +54,13 @@ from .errors import (
 )
 
 _DENSE_LIMIT = 8  # largest n for which dense operators are built
-# Least budget, in bytes, of a module's row-set cache; the full-row tables
-# (40n + 24 bytes per row) are smaller up to n = 9.  The benchmark's modules
-# up to n = 6 hold at most 22 KB (n = 4), and a unit spinor's row set with
-# every pair cached takes 207 KB at n = 9.
-_CACHE_FLOOR = 1 << 18
 
 # Largest n a module is built for (dimension 33).  A unit-spinor report there
 # stays on 137 rows, but an action on every row (a dense spinor, apply_combo)
-# builds tables of 40n + 24 bytes per row: 43.5 MB kept and 79 MB at peak at
-# n = 16, and each further slot doubles them; refusing larger modules up
-# front turns an allocation failure deep in numpy into a domain error.
+# builds tables of 40n + 24 bytes per row: 43.5 MB per full-row set and 79 MB
+# at peak at n = 16, and a module keeps at most two sets, 87 MB.  Each further
+# slot doubles them; refusing larger modules up front turns an allocation
+# failure deep in numpy into a domain error.
 MAX_SLOTS = 16
 
 
@@ -131,11 +129,10 @@ class CliffordModule:
     by output row ``S``; ``_bit`` and ``_frame_phase`` give both for any set
     of rows, so no ``2**n`` table exists until an action asks for every row.
     Per row set the module keeps ``perm``, the rows ``S ^ bit`` of each slot,
-    the per-frame ``phase`` and, filled as pairs are used, the ``_product``
-    of each pair.  It drops the least recently used sets to stay within the
-    bytes of its full-row tables, which are the bytes the eager tables once
-    took (at least ``_CACHE_FLOOR``).  Every ``perm`` flips a fixed set of
-    bits, so it and all its compositions are their own inverses.
+    the per-frame ``phase`` and, on a set of at most ``2**_DENSE_LIMIT`` rows,
+    the ``_product`` of each pair as it is used.  It keeps the two row sets it
+    built last; building a third drops the older one.  Every ``perm`` flips a
+    fixed set of bits, so it and all its compositions are their own inverses.
     """
 
     def __init__(self, n: int):
@@ -148,52 +145,35 @@ class CliffordModule:
         a, b = np.triu_indices(self.dim_frame, 1)  # frame pairs a < b, a-major
         self._pairs = list(zip(a.tolist(), b.tolist()))
         self._pair_entries = b * self.dim_frame + a  # omega[b, a] in a flattened omega
-        # least recently used first, within the bytes the eager tables took
-        self._row_sets: dict[bytes | None, tuple] = {}
-        self._held = 0
-        self._budget = max((40 * n + 24) * self.dim_spinor, _CACHE_FLOOR)
+        self._row_sets: dict[bytes | None, tuple] = {}  # the last two built, oldest first
 
     def _frames(self, rows: np.ndarray | None) -> tuple:
         """``(perm, phase, pair cache)`` of a row set, ``None`` for every row.
 
         ``perm`` is ``(n+1, len(rows))``, with ``e_i`` reading ``perm[i >> 1]``
         (1-based ``i``), and ``phase`` is ``(2n+1, len(rows))``.  The pair
-        cache is ``None`` when the tables do not fit the budget, even alone."""
+        cache is ``None`` on a set of more than ``2**_DENSE_LIMIT`` rows."""
         key = None if rows is None else np.asarray(rows, dtype=np.int64).tobytes()
-        frames = self._row_sets.pop(key, None)
+        frames = self._row_sets.get(key)
         if frames is None:
             out = np.arange(self.dim_spinor) if rows is None else np.frombuffer(key, np.int64)
             perm = out ^ ((1 << np.arange(self.n + 1)[:, None]) >> 1)  # slot 0 flips no bit
             phase = _frame_phase(np.arange(self.dim_frame)[:, None], out)
-            if not self._room(len(key or b"") + perm.nbytes + phase.nbytes, keep=0):
-                return perm, phase, None
-            frames = perm, phase, {}
-        self._row_sets[key] = frames
+            frames = perm, phase, {} if len(out) <= 1 << _DENSE_LIMIT else None
+            if len(self._row_sets) == 2:
+                del self._row_sets[next(iter(self._row_sets))]
+            self._row_sets[key] = frames
         return frames
-
-    def _room(self, size: int, keep: int) -> bool:
-        """Account ``size`` more bytes if they fit the budget, after dropping
-        the least recently used row sets, all but the last ``keep``."""
-        while self._held + size > self._budget and len(self._row_sets) > keep:
-            key = next(iter(self._row_sets))
-            perm, phase, pairs = self._row_sets.pop(key)
-            self._held -= len(key or b"") + perm.nbytes + phase.nbytes
-            self._held -= sum(src.nbytes + coef.nbytes for src, coef in pairs.values())
-        if self._held + size > self._budget:
-            return False
-        self._held += size
-        return True
 
     def _pair(self, frames: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
         """``_product`` of frame pair ``k`` on the row set of ``frames``, kept
-        with the row set while it fits the budget."""
+        in its pair cache if it has one."""
         perm, _, pairs = frames
-        if pairs is not None and k in pairs:
-            return pairs[k]
-        entry = _product(*self._pairs[k], perm[0])  # slot 0 flips no bit: the rows
-        if pairs is not None and self._room(entry[0].nbytes + entry[1].nbytes, keep=1):
-            pairs[k] = entry
-        return entry
+        if pairs is None:
+            return _product(*self._pairs[k], perm[0])  # slot 0 flips no bit: the rows
+        if k not in pairs:
+            pairs[k] = _product(*self._pairs[k], perm[0])
+        return pairs[k]
 
     def _identity(self) -> np.ndarray:
         if self.n > _DENSE_LIMIT:
@@ -378,7 +358,7 @@ def _lead(batch: tuple[int, ...], coeffs: np.ndarray) -> tuple[int, ...]:
 
 @lru_cache(maxsize=16)
 def get_module(n: int) -> CliffordModule:
-    """Shared module instance for ``n`` slots; only its bounded row-set cache changes."""
+    """Shared module instance for ``n`` slots; only its cache of two row sets changes."""
     return CliffordModule(n)
 
 

@@ -449,9 +449,10 @@ def test_bitmask_rule_matches_eager_tables():
 
 
 def test_row_set_cache_stays_within_the_eager_tables():
-    # large sparse row sets at n = 16, each with its pairs over the budget:
-    # the module drops the least recently used tables and keeps no more
-    # bytes than its 2n+1 eager tables of 2**16 rows once took
+    # large sparse row sets at n = 16, then every row: the module keeps the
+    # two sets it built last, so it never holds more bytes than two copies of
+    # its 2n+1 eager tables of 2**16 rows, and a set of more than 256 rows
+    # keeps no pair cache
     import tracemalloc
 
     rng = np.random.default_rng(41)
@@ -473,15 +474,28 @@ def test_row_set_cache_stays_within_the_eager_tables():
         first = mod.apply_spin_lift(omega, spinors[0], mod.reachable_rows(spinors[0]))
         for coeffs in spinors[1:]:
             mod.apply_spin_lift(omega, coeffs, mod.reachable_rows(coeffs))
-        retained = tracemalloc.get_traced_memory()[0] - first.nbytes
+        sparse = tracemalloc.get_traced_memory()[0] - first.nbytes
+        assert len(mod._row_sets) == 2
+        every = mod.apply_spin_lift(omega, spinors[0])
+        retained = tracemalloc.get_traced_memory()[0] - first.nbytes - every.nbytes
     finally:
         tracemalloc.stop()
-    assert retained <= eager, (retained, eager)
+    assert max(sparse, retained) <= 2 * eager, (sparse, retained, eager)
+    assert len(mod._row_sets) == 2 and None in mod._row_sets
+    assert all(pairs is None for _, _, pairs in mod._row_sets.values())
     # the first set's tables were dropped; remade, they give the same entries
     again = mod.apply_spin_lift(omega, spinors[0], mod.reachable_rows(spinors[0]))
     np.testing.assert_array_equal(again, first)
-    # every row named explicitly at n = 10: with their key the tables exceed
-    # the budget, so they serve the call and are not kept
+    # a set of at most 256 rows keeps its pairs: the unit spinor's 137 rows
+    # at n = 16, and every row at n = 8
+    unit = Spinor.one(n).coeffs
+    rows = mod.reachable_rows(unit)
+    mod.apply_spin_lift(omega, unit, rows)
+    assert len(rows) == 137 and len(mod._row_sets) == 2 and mod._frames(rows)[2]
+    mod = CliffordModule(8)
+    mod.apply_spin_lift(omega[:17, :17], rng.normal(size=2**8) + 0j)
+    assert list(mod._row_sets) == [None] and mod._frames(None)[2]
+    # every row named explicitly at n = 10 is a set of its own, with no pairs
     mod = CliffordModule(10)
     omega = omega[:21, :21]
     coeffs = rng.normal(size=2**10) + 0j
@@ -489,7 +503,42 @@ def test_row_set_cache_stays_within_the_eager_tables():
     np.testing.assert_array_equal(
         mod.apply_spin_lift(omega, coeffs, everything), mod.apply_spin_lift(omega, coeffs)
     )
-    assert list(mod._row_sets) == [None] and mod._held == mod._budget
+    assert len(mod._row_sets) == 2
+    assert all(pairs is None for _, _, pairs in mod._row_sets.values())
+
+
+def test_alternating_dense_and_sparse_spinors_build_each_row_set_once(monkeypatch):
+    # a dense psi reaches every row and the unit spinor 1 + n + n(n-1)/2 of
+    # them; the module keeps both sets, so only the first round builds tables
+    from spinlab import clifford
+
+    frame_phase = clifford._frame_phase
+    builds = []
+
+    def counting(frames, rows):
+        if np.ndim(frames) == 2:  # a row set's phases of every frame vector
+            builds.append(len(rows))
+        return frame_phase(frames, rows)
+
+    monkeypatch.setattr(clifford, "_frame_phase", counting)
+    rng = np.random.default_rng(43)
+    for n in (10, 16):
+        d = 2 * n + 1
+        g = rng.normal(size=(d, d))
+        g[rng.random(size=(d, d)) < 0.9] = 0.0
+        omega = g - g.T
+        dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        spinors = (dense, Spinor.one(n).coeffs)
+        want = []
+        for psi in spinors:
+            fresh = CliffordModule(n)
+            want.append(fresh.apply_spin_lift(omega, psi, fresh.reachable_rows(psi)))
+        builds.clear()
+        mod = CliffordModule(n)
+        for _ in range(3):
+            for psi, ref in zip(spinors, want):
+                _same_bits(mod.apply_spin_lift(omega, psi, mod.reachable_rows(psi)), ref)
+            assert builds == [2**n, 1 + n + n * (n - 1) // 2], n
 
 
 def test_module_size_cap():
