@@ -254,7 +254,7 @@ def orthonormalize(alg: LieAlgebra, gram: np.ndarray) -> MetricLieAlgebra:
     scale = max(1.0, float(np.max(np.abs(gram))))
     if float(np.max(np.abs(gram - gram.T))) > 1e-9 * scale:
         raise InvalidMetricError("gram matrix is not symmetric")
-    gram = 0.5 * (gram + gram.T)
+    gram = 0.5 * gram + 0.5 * gram.T  # halves first: a sum of two huge entries overflows
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:

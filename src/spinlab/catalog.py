@@ -37,7 +37,8 @@ class BianchiFamily:
     """One of the seven 3-dimensional families, with parameter where needed.
 
     ``x`` must be finite; ``L3(2,x)`` requires ``0 < |x| <= 1`` and
-    ``L3(4,x)`` requires ``x >= 0``; the other five take no parameter.
+    ``L3(4,x)`` requires ``x >= 0``; the other five take no parameter.  A ``(G, 1)``
+    column ``x``, each entry checked, gives ``G`` families to ``(G, N, 3, 3)`` frames.
     """
 
     tag: str
@@ -49,13 +50,13 @@ class BianchiFamily:
         if self.tag in _PARAMETRIC:
             if self.x is None:
                 raise InvalidParameterError(f"{self.tag} requires a parameter x")
-            if not np.isfinite(self.x):
+            if not np.all(np.isfinite(self.x)):
                 raise InvalidParameterError(f"{self.tag} requires a finite x, got x={self.x}")
-            if self.tag == "L3(2,x)" and not 0 < abs(self.x) <= 1:
+            if self.tag == "L3(2,x)" and not np.all((0 < abs(self.x)) & (abs(self.x) <= 1)):
                 raise InvalidParameterError(
                     f"L3(2,x) requires 0 < |x| <= 1, got x={self.x}"
                 )
-            if self.tag == "L3(4,x)" and self.x < 0:
+            if self.tag == "L3(4,x)" and np.any(self.x < 0):
                 raise InvalidParameterError(f"L3(4,x) requires x >= 0, got x={self.x}")
         elif self.x is not None:
             raise InvalidParameterError(f"{self.tag} takes no parameter")
@@ -282,11 +283,9 @@ def reference_asymmetry(family: BianchiFamily, frame: np.ndarray) -> np.ndarray:
         return _mat3([[0.0, -ze, ep], [ze, 0.0, 0.0], [-ep, 0.0, 0.0]], 0.5)
     if family.tag not in ("L3(2,x)", "L3(3)", "L3(4,x)"):
         return np.zeros(f.shape[:-2] + (3, 3))
-    io = f[..., 2, 2]
-    rot = _mat3([[0.0, -io, 0.0], [io, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    if family.tag == "L3(2,x)":
-        return ((family.x + 1) / 2) * rot
-    return rot if family.tag == "L3(3)" else family.x * rot
+    io, x = f[..., 2, 2], family.x
+    scale = 1.0 if family.tag == "L3(3)" else (x + 1) / 2 if family.tag == "L3(2,x)" else x
+    return _mat3([[0.0, -io, 0.0], [io, 0.0, 0.0], [0.0, 0.0, 0.0]], scale)
 
 
 def is_symmetric_family(family: BianchiFamily) -> bool:

@@ -94,6 +94,8 @@ def _resolve_algebra(name: str, tol: float):
         return make_bianchi(BianchiFamily.parse(name))
     alg = algebra_from_obj(_load_json_arg(name))
     ok, violation = check_jacobi(alg, tol=max(tol, 1e-10))
+    if not np.isfinite(violation):  # the products c * c of the Jacobi sum overflowed
+        raise SpinlabError("the structure constants are out of floating-point range")
     if not ok:
         raise SpinlabError(
             f"not a Lie algebra: Jacobi identity fails (violation {violation:.3e})"

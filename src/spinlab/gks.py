@@ -20,7 +20,8 @@ per column.  For a frame stack from
 tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
 small ``d``.  ``sweep_grid`` (``table1_rows`` and the closed-form comparison of
 ``selftest``) stacks the 13 ``FAMILY_GRID`` families, ``max(1, GRID_PASS_FRAMES //
-samples)`` to a ``sweep_frames`` pass; ``genericity_sweep`` solves one family.
+samples)`` to a ``sweep_frames`` pass, and hands each pass to its reducer whole;
+``genericity_sweep`` solves one family.
 
 Constants that never change are built once per process, on first use, and are
 read-only: the grid families, their algebras and stacked structure constants
@@ -415,7 +416,8 @@ TABLE1_ROWS: tuple[tuple[str, tuple[float | None, ...], str], ...] = (
 )
 
 # every (family tag, parameter) of Table 1's rows: all seven families, including
-# the symmetric boundary parameters x = -1 and x = 0
+# the symmetric boundary parameters x = -1 and x = 0; same-tag entries are
+# consecutive, so a pass takes each tag's closed forms in one call
 FAMILY_GRID: tuple[tuple[str, float | None], ...] = tuple(
     (tag, x) for tag, xs, _ in TABLE1_ROWS for x in xs
 )
@@ -441,28 +443,34 @@ def _grid_stack() -> tuple[tuple[BianchiFamily, ...], tuple[LieAlgebra, ...], np
 
 
 def sweep_grid(seeds, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL) -> list:
-    """``reduce(family, frames, FrameSweep)`` for every ``FAMILY_GRID`` family, in grid order.
+    """``reduce(families, frames, FrameSweep)`` once per pass over ``FAMILY_GRID``, in grid order.
 
     Family ``i`` gets the ``samples`` frames ``genericity_sweep`` draws from seed
-    ``seeds[i]``.  One ``sweep_frames`` pass solves ``max(1, GRID_PASS_FRAMES //
-    samples)`` families, and only ``reduce``'s results outlive a pass.  The families
-    and their stacked structure constants come from ``_grid_stack``, built once per
-    process and read-only."""
+    ``seeds[i]``.  One ``sweep_frames`` pass solves ``F = max(1, GRID_PASS_FRAMES //
+    samples)`` consecutive families, and ``reduce`` gets them whole: their tuple, the
+    ``(F, samples, 3, 3)`` frames and the ``(F, samples)`` ``FrameSweep``.  Only its
+    results, one per pass, outlive a pass.  The families and their stacked structure
+    constants come from ``_grid_stack``, built once per process and read-only."""
     fams, _, cs = _grid_stack()
     rngs, out = [np.random.default_rng(seed) for seed in seeds], []
     step = max(1, GRID_PASS_FRAMES // samples)
     for i in range(0, len(fams), step):
         frames = np.stack([random_frames(3, rng, samples) for rng in rngs[i : i + step]])
         batch = sweep_frames(cs[i : i + step], frames, tol, gap_tol)
-        out += [reduce(fam, frames[k], batch[k]) for k, fam in enumerate(fams[i : i + step])]
+        out.append(reduce(fams[i : i + step], frames, batch))
         del frames, batch  # let go of this pass before the next draw
     return out
 
 
 def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dict]:
     """Eigenvalue-count table per family, via seeded metric sweeps of the whole grid."""
+
+    def per_family(fams, frames, batch):
+        return [_r_stats(fam, frames[k], batch[k]) for k, fam in enumerate(fams)]
+
     seeds = [[seed, row, k] for row, (_, xs, _) in enumerate(TABLE1_ROWS) for k in range(len(xs))]
-    grid_stats = iter(sweep_grid(seeds, samples, _r_stats, tol, gap_tol))
+    passes = sweep_grid(seeds, samples, per_family, tol, gap_tol)
+    grid_stats = (stats for part in passes for stats in part)
     rows = []
     for tag, xs, case in TABLE1_ROWS:
         stats = [next(grid_stats) for _ in xs]

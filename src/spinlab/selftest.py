@@ -8,15 +8,18 @@ so runs are reproducible.
 
 The 3-d closed-form comparison, ``closed_form_sweep``, is one ``gks.sweep_grid``
 over the 13 grid families, shared by ``verify_appendix`` (the ``verify-appendix``
-command) and ``run_selftest``; each adds its own checks on every family's
-per-sample stacks.  Every closed form is evaluated on a whole ``(N, 3, 3)`` frame
-stack at once, so no check loops over samples; the Clifford relations check
+command) and ``run_selftest``; each adds its own checks on every pass's
+``(F, N)`` stacks at once, reducing per family by max or all.  Every closed form
+is evaluated on a whole frame stack, the family closed forms once per run of
+same-tag families, so no check loops over samples; the Clifford relations check
 reads the spin lift's product rule, ``clifford._product``, on every row.  The
 Heisenberg ladder solves each rung's six metrics as one stacked Killing system
 (``gks._project`` on their structure constants, then ``gks._fit``).
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -104,18 +107,27 @@ def _catalog_jacobi() -> float:
     return worst
 
 
-def closed_form_deviations(fam: BianchiFamily, frames, a, ortho_c) -> np.ndarray:
-    """Worst-entry deviations of solved 3-d ``A`` from their three closed forms, ``(..., 3)``.
+def closed_form_deviations(fams, frames, a, ortho_c) -> np.ndarray:
+    """Worst-entry deviations of solved 3-d ``A`` from their three closed forms, ``(F, N, 3)``.
 
-    In order: ``reference_A`` (relative to its size), ``reference_asymmetry``
-    of ``A - A^T``, and ``explicit_A_3d`` of ``ortho_c``; one frame or a stack."""
+    For ``F`` families, ``(F, N, ...)`` frames, ``A`` and ``ortho_c``, in order: ``reference_A``
+    (relative to its size), ``reference_asymmetry`` of ``A - A^T`` and ``explicit_A_3d`` of
+    ``ortho_c``.  The family closed forms take each run of same-tag families in one call,
+    their ``x`` as a ``(G, 1)`` column."""
 
     def worst(m):  # reduced at once, so a large stack holds one difference at a time
         return np.max(np.abs(m), axis=(-2, -1))
 
-    ref = reference_A(fam, frames)
+    ref, ref_asym, start = np.empty_like(a), np.empty_like(a), 0
+    for tag, run in groupby(fams, key=lambda fam: fam.tag):
+        xs = [fam.x for fam in run]
+        col = BianchiFamily(tag, None if xs[0] is None else np.array(xs)[:, None])
+        stop = start + len(xs)
+        ref[start:stop] = reference_A(col, frames[start:stop])
+        ref_asym[start:stop] = reference_asymmetry(col, frames[start:stop])
+        start = stop
     rel = worst(a - ref) / np.maximum(1.0, worst(ref))
-    asym = worst((a - a.swapaxes(-1, -2)) - reference_asymmetry(fam, frames))
+    asym = worst((a - a.swapaxes(-1, -2)) - ref_asym)
     return np.stack([rel, asym, worst(a - explicit_A_3d(ortho_c))], axis=-1)
 
 
@@ -123,11 +135,11 @@ def closed_form_sweep(seed, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAU
     """The seeded comparison of the solver with the closed forms, as one ``sweep_grid``.
 
     Family ``idx`` of ``FAMILY_GRID`` gets ``samples`` frames from
-    ``default_rng([seed, idx])``; returns, in grid order, ``reduce(family,
-    (samples, 3, 3) frames, FrameSweep, (samples, 3) closed_form_deviations)``."""
+    ``default_rng([seed, idx])``; returns, one per pass, ``reduce(families, (F, samples,
+    3, 3) frames, FrameSweep, (F, samples, 3) closed_form_deviations)``."""
 
-    def compare(fam, frames, b):
-        return reduce(fam, frames, b, closed_form_deviations(fam, frames, b.A, b.ortho_c))
+    def compare(fams, frames, b):
+        return reduce(fams, frames, b, closed_form_deviations(fams, frames, b.A, b.ortho_c))
 
     seeds = [[seed, idx] for idx in range(len(FAMILY_GRID))]
     return sweep_grid(seeds, samples, compare, tol, gap_tol)
@@ -139,34 +151,40 @@ def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict
     Per family: the worst deviation from each closed form, whether every
     symmetry verdict (the engine's and ``symmetry_conditions_3d``) matches
     ``is_symmetric_family``, and, where ``reference_eigenvalues`` has a
-    display, the worst eigenvalue deviation relative to its size."""
+    display, the worst eigenvalue deviation relative to its size.  Each pass
+    is checked at once: every reduction is a per-family max or all."""
 
-    def result(fam, frames, batch, devs):
-        expected_sym = is_symmetric_family(fam)
-        verdicts = np.concatenate([batch.symmetric, symmetry_conditions_3d(batch.ortho_c, tol)])
-        verdicts_ok = bool(np.all(verdicts == expected_sym))
-        a_dev, asym_dev, explicit_dev = (float(v) for v in np.max(devs, axis=0))
-        eigen_dev: float | None = None
-        closed = reference_eigenvalues(fam, frames)
-        if closed is not None:
-            ref = np.sort(closed, axis=-1)
-            vals = eigen_analysis(batch.A, gap_tol)[0]
+    def check(fams, frames, batch, devs):
+        expected = np.array([is_symmetric_family(fam) for fam in fams])[:, None]
+        conditions = symmetry_conditions_3d(batch.ortho_c, tol)
+        verdicts_ok = np.all((batch.symmetric == expected) & (conditions == expected), axis=-1)
+        worst = np.max(devs, axis=1)
+        passed = verdicts_ok & np.all(worst <= tol, axis=-1)
+        closed = {k: reference_eigenvalues(fam, frames[k]) for k, fam in enumerate(fams)}
+        closed = {k: ref for k, ref in closed.items() if ref is not None}
+        eigen_dev = {}
+        if closed:  # one eigen_analysis call for every family with closed-form eigenvalues
+            ref = np.sort(list(closed.values()), axis=-1)
+            vals = eigen_analysis(batch.A[list(closed)], gap_tol)[0]
             escale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
-            eigen_dev = float(np.max(np.max(np.abs(vals - ref), axis=-1) / escale))
-        worst = (a_dev, asym_dev, explicit_dev, eigen_dev)
-        return {
-            "family": fam.label,
-            "samples": samples,
-            "max_A_deviation": a_dev,
-            "max_asymmetry_deviation": asym_dev,
-            "max_explicit_A_deviation": explicit_dev,
-            "max_eigenvalue_deviation": eigen_dev,
-            "symmetry_expected": expected_sym,
-            "symmetry_verdicts_ok": verdicts_ok,
-            "pass": verdicts_ok and all(v <= tol for v in worst if v is not None),
-        }
+            rel = np.max(np.max(np.abs(vals - ref), axis=-1) / escale, axis=-1)
+            eigen_dev = dict(zip(closed, rel.tolist()))
+        return [
+            {
+                "family": fam.label,
+                "samples": samples,
+                "max_A_deviation": a_dev,
+                "max_asymmetry_deviation": asym_dev,
+                "max_explicit_A_deviation": explicit_dev,
+                "max_eigenvalue_deviation": eigen_dev.get(k),
+                "symmetry_expected": bool(expected[k, 0]),
+                "symmetry_verdicts_ok": bool(verdicts_ok[k]),
+                "pass": bool(passed[k]) and eigen_dev.get(k, tol) <= tol,
+            }
+            for k, (fam, (a_dev, asym_dev, explicit_dev)) in enumerate(zip(fams, worst.tolist()))
+        ]
 
-    results = closed_form_sweep(seed, samples, result, tol, gap_tol)
+    results = [r for part in closed_form_sweep(seed, samples, check, tol, gap_tol) for r in part]
     all_pass = all(r["pass"] for r in results)
     return {"samples": samples, "seed": seed, "tol": tol, "results": results, "all_pass": all_pass}
 
@@ -195,9 +213,9 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     checks.append(_check("spin_lift_equivariance_n_upto4", _equivariance([seed, 1]), t(1e-12)))
     checks.append(_check("catalog_jacobi", _catalog_jacobi(), t(1e-10)))
 
-    fams, batches, devs = zip(*closed_form_sweep([seed, 2], 20, lambda f, _, b, d: (f, b, d)))
-    ortho_c = np.concatenate([batch.ortho_c for batch in batches])
-    a_stack = np.concatenate([batch.A for batch in batches])
+    # 13 x 20 frames are one grid pass
+    ((fams, batch, devs),) = closed_form_sweep([seed, 2], 20, lambda f, _, b, d: (f, b, d))
+    ortho_c, a_stack = batch.ortho_c.reshape(-1, 3, 3, 3), batch.A.reshape(-1, 3, 3)
     nm = nomizu(ortho_c)
     metricity = float(np.max(metricity_violation(nm)))
     torsion = float(np.max(torsion_violation(nm, ortho_c)))
@@ -206,10 +224,10 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
         for psi in (Spinor.one(1), Spinor.basis(1, 1))
     )
     ricci = curvature(nm, ortho_c).ricci
-    closed_dev = np.max(np.concatenate(devs), axis=0)
+    closed_dev = np.max(devs, axis=(0, 1))
     dirac = np.trace(a_stack, axis1=-2, axis2=-1) - dirac_trace_3d(ortho_c)
     dirac_dev = float(np.max(np.abs(dirac)))
-    sym = np.repeat([is_symmetric_family(fam) for fam in fams], [len(b.A) for b in batches])
+    sym = np.repeat([is_symmetric_family(fam) for fam in fams], batch.A.shape[1])
     ref = reference_ricci_3d(ortho_c[sym])
     rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
     ricci_dev = float(np.max(np.max(np.abs(ricci[sym] - ref), axis=(-2, -1)) / rscale))

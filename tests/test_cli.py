@@ -262,6 +262,12 @@ def test_exit_codes(tmp_path):
           '{"gram": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}'), 2),
         (("analyze", "--algebra", "L3(1)", "--metric",
           '{"frame_P": {"alpha": 1e200, "iota": 1e-200}}'), 2),
+        # a Gram entry near the float maximum: symmetrising it must not overflow; the report does
+        (("analyze", "--algebra", "L3(1)", "--metric",
+          '{"gram": [[1e308, 0, 0], [0, 1, 0], [0, 0, 1]]}'), 2),
+        (("analyze", "--algebra", "H(5)", "--metric",
+          '{"gram": [[1e308, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], '
+          '[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]}'), 2),
         # JSON nested past the parser's recursion limit, inline and from a file
         (("analyze", "--algebra", "[" * 100_000), 3),
         (("analyze", "--algebra", str(deep)), 3),
@@ -320,6 +326,12 @@ def test_jacobi_failure_exit(tmp_path):
     res = run_cli("analyze", "--algebra", str(path))
     assert res.returncode == 2
     assert "not a Lie algebra" in res.stderr
+    # [e1, e2] = 1e200 e1 is a Lie algebra whose Jacobi sum overflows (c * c)
+    huge = '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [1e200, 0, 0]}]}'
+    res = run_cli("analyze", "--algebra", huge)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: the structure constants are out of floating-point range\n"
+    assert run_cli("analyze", "--algebra", huge.replace("1e200", "1e100")).returncode == 0
 
 
 def test_non_spd_gram_exit(tmp_path):

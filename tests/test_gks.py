@@ -769,8 +769,17 @@ def table1_rows_per_family(samples, seed, gap_tol=1e-7, tol=1e-9):
 
 
 # both sides of the pass boundary: every family in one pass (1, 10 and
-# GRID_PASS_FRAMES // 13 samples), twelve per pass, and one family per pass
-GRID_SAMPLES = (1, 10, GRID_PASS_FRAMES // 13, GRID_PASS_FRAMES // 13 + 1, GRID_PASS_FRAMES + 1)
+# GRID_PASS_FRAMES // 13 samples), twelve per pass, eight per pass (the boundary
+# splits the L3(4,x) run), four per pass (it splits L3(2,x)), and one per pass
+GRID_SAMPLES = (
+    1,
+    10,
+    GRID_PASS_FRAMES // 13,
+    GRID_PASS_FRAMES // 13 + 1,
+    GRID_PASS_FRAMES // 8,
+    GRID_PASS_FRAMES // 4,
+    GRID_PASS_FRAMES + 1,
+)
 
 
 def test_table1_grid_pass_matches_per_family_sweeps(monkeypatch):

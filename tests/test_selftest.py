@@ -11,14 +11,18 @@ from spinlab.catalog import (
     heisenberg_metric,
     is_symmetric_family,
     make_bianchi,
+    reference_A,
+    reference_asymmetry,
     reference_eigenvalues,
     reference_ricci_3d,
 )
 from spinlab.clifford import Spinor, get_module
 from spinlab.connection import curvature, metricity_violation, nomizu, torsion_violation
 from spinlab.gks import (
+    GRID_PASS_FRAMES,
     dirac_trace_3d,
     eigen_analysis,
+    explicit_A_3d,
     solve_endomorphism,
     sweep_frames,
     symmetry_conditions_3d,
@@ -29,7 +33,6 @@ from spinlab.selftest import (
     _check,
     _heisenberg_sweep,
     _skew_vector_pairs,
-    closed_form_deviations,
     closed_form_sweep,
     family_grid,
     run_selftest,
@@ -57,6 +60,20 @@ def equivariance_per_pair(seed, n_max=4, pairs=100):
     return worst
 
 
+def family_deviations(fam, frames, a, ortho_c):
+    """The three closed-form deviations of one family's frame or ``(N, 3, 3)`` stack,
+    from the closed forms of the family itself (a scalar ``x``): the reference for
+    ``closed_form_deviations``, which hands a same-tag run its ``x`` as a column."""
+
+    def worst(m):
+        return np.max(np.abs(m), axis=(-2, -1))
+
+    ref = reference_A(fam, frames)
+    asym = (a - a.swapaxes(-1, -2)) - reference_asymmetry(fam, frames)
+    rel = worst(a - ref) / np.maximum(1.0, worst(ref))
+    return np.stack([rel, worst(asym), worst(a - explicit_A_3d(ortho_c))], axis=-1)
+
+
 def run_selftest_per_sample(seed):
     """The suite with one metric at a time through ``MetricLieAlgebra`` and the
     per-direction spinorial loop: the reference for the stacked ``run_selftest``."""
@@ -79,7 +96,7 @@ def run_selftest_per_sample(seed):
             torsion = max(torsion, torsion_violation(nm, mla))
             for psi in (Spinor.one(1), Spinor.basis(1, 1)):
                 spinorial = max(spinorial, ricci_spinorial_loop(nm, c, psi))
-            closed_dev = np.maximum(closed_dev, closed_form_deviations(fam, p.matrix, a_solved, c))
+            closed_dev = np.maximum(closed_dev, family_deviations(fam, p.matrix, a_solved, c))
             dirac_dev = max(dirac_dev, abs(float(np.trace(a_solved)) - dirac_trace_3d(c)))
             if is_symmetric_family(fam):
                 ric = curvature(nm, mla).ricci
@@ -157,7 +174,7 @@ def verify_appendix_per_sample(samples, seed, tol, gap_tol):
         eigen_dev = None
         verdicts_ok = bool(np.all(batch.symmetric == expected_sym))
         for frame, ortho_c, a_solved in zip(frames, batch.ortho_c, batch.A):
-            devs = np.maximum(devs, closed_form_deviations(fam, frame, a_solved, ortho_c))
+            devs = np.maximum(devs, family_deviations(fam, frame, a_solved, ortho_c))
             verdicts_ok &= symmetry_conditions_3d(ortho_c, tol) == expected_sym
             closed = reference_eigenvalues(fam, frame)
             if closed is not None:
@@ -204,19 +221,36 @@ def test_verify_appendix_matches_per_sample_loop():
 
 
 def test_closed_form_sweep_matches_per_family_sweeps():
-    # both sides of the pass boundary, as in the table1 grid test
+    # both sides of the pass boundary, and boundaries inside a same-tag run
+    fams = family_grid()
     for samples in GRID_SAMPLES:
-        got = closed_form_sweep(3, samples, lambda *item: item)
-        assert [fam for fam, *_ in got] == family_grid()
-        for idx, (fam, frames, batch, devs) in enumerate(got):
+        passes = closed_form_sweep(3, samples, lambda *item: item)
+        per = max(1, GRID_PASS_FRAMES // samples)
+        sizes = [min(per, len(fams) - i) for i in range(0, len(fams), per)]
+        assert [len(p[0]) for p in passes] == sizes
+        assert [fam for p in passes for fam in p[0]] == fams
+        got = [
+            (frames[k], batch[k], devs[k])
+            for _, frames, batch, devs in passes
+            for k in range(len(frames))
+        ]
+        for idx, (fam, (frames, batch, devs)) in enumerate(zip(fams, got)):
             want_frames = random_frames(3, np.random.default_rng([3, idx]), samples)
             want = sweep_frames(make_bianchi(fam), want_frames)
             np.testing.assert_array_equal(frames, want_frames)
             for name, arr in vars(batch).items():
                 np.testing.assert_array_equal(arr, getattr(want, name), err_msg=name)
             np.testing.assert_array_equal(
-                devs, closed_form_deviations(fam, want_frames, want.A, want.ortho_c)
+                devs, family_deviations(fam, want_frames, want.A, want.ortho_c)
             )
+
+
+def test_verify_appendix_matches_per_sample_loop_across_split_runs():
+    # eight families a pass: the pass boundary falls inside the L3(4,x) run
+    samples = GRID_PASS_FRAMES // 8
+    assert verify_appendix(samples, 2, 1e-9, 1e-7) == verify_appendix_per_sample(
+        samples, 2, 1e-9, 1e-7
+    )
 
 
 def test_verify_appendix_command_formats_the_payload(capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from spinlab.algebra import frame_structure, random_frames
 from spinlab.catalog import (
+    BianchiFamily,
     make_bianchi,
     reference_A,
     reference_asymmetry,
@@ -190,6 +191,22 @@ def test_one_frame_gives_one_result():
                 continue
             assert np.shape(one) == stack.shape[1:], (fam, name)
             assert np.asarray(one).tobytes() == stack[0].tobytes(), (fam, name)
+
+
+def test_parameter_column_gives_each_family_its_own_bytes():
+    # same-tag families stacked by x, as closed_form_deviations hands them over
+    for tag in ("L3(2,x)", "L3(4,x)"):
+        fams, frames = zip(*[(fam, f) for fam, f, _ in grid_stacks() if fam.tag == tag])
+        column = BianchiFamily(tag, np.array([fam.x for fam in fams])[:, None])
+        for oracle in (reference_A, reference_asymmetry):
+            stack = oracle(column, np.stack(frames))
+            assert stack.shape == (len(fams), SAMPLES, 3, 3), (tag, oracle)
+            for g, fam in enumerate(fams):
+                assert stack[g].tobytes() == oracle(fam, frames[g]).tobytes(), (fam, oracle)
+    # every entry of a column is checked
+    for tag, bad in (("L3(2,x)", 7.0), ("L3(2,x)", 0.0), ("L3(4,x)", -1.0), ("L3(4,x)", np.nan)):
+        with pytest.raises(InvalidParameterError):
+            BianchiFamily(tag, np.array([[1.0], [bad]]))
 
 
 def test_closed_forms_refuse_frames_that_are_not_3x3():
