@@ -57,9 +57,10 @@ from .serialize import (
 
 _HEISENBERG_RE = re.compile(r"^H\(\s*(\d+)\s*\)$")
 
-# Largest --samples: verify-appendix and table1 both peak near 239 MB there
-# (a child process's ru_maxrss, numpy 2.4 on Linux), because one grid pass
-# holds a whole family's frames.
+# Largest --samples, a bound on run time: at the cap table1 takes about 16 s,
+# verify-appendix 20 s and sweep 1.7 s (a child process's wall time on 2 shared
+# CPUs, numpy 2.4 on Linux).  Memory does not grow with --samples (about 42 MB
+# of ru_maxrss), because no sweep pass holds more than GRID_PASS_FRAMES frames.
 MAX_SAMPLES = 200_000
 
 

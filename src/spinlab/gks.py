@@ -18,10 +18,11 @@ rungs of ``selftest``), ``_project`` makes one matrix-free spin lift per column,
 per column.  For a frame stack from
 ``random_frames``, ``sweep_frames`` multiplies by the cached unit-spinor lift
 tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
-small ``d``.  ``sweep_grid`` (``table1_rows`` and the closed-form comparison of
-``selftest``) stacks the 13 ``FAMILY_GRID`` families, ``max(1, GRID_PASS_FRAMES //
-samples)`` to a ``sweep_frames`` pass, and hands each pass to its reducer whole;
-``genericity_sweep`` solves one family.
+small ``d``.  ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
+and the closed-form comparison of ``selftest`` run it over the 13 ``FAMILY_GRID``
+families, ``genericity_sweep`` over one family.  No ``sweep_frames`` pass holds more
+than ``GRID_PASS_FRAMES`` frames, so memory stays flat in the sample count, and each
+pass's reducer returns one row of numbers per family.
 
 Constants that never change are built once per process, on first use, and are
 read-only: the grid families, their algebras and stacked structure constants
@@ -338,10 +339,6 @@ class FrameSweep:
     symmetric: np.ndarray
     distinct_count: np.ndarray
 
-    def __getitem__(self, k) -> FrameSweep:
-        """Family ``k`` of a sweep over an ``(F, N, d, d)`` frame stack."""
-        return FrameSweep(*(arr[k] for arr in vars(self).values()))
-
 
 def sweep_frames(
     alg: LieAlgebra | np.ndarray, frames: np.ndarray, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL
@@ -369,16 +366,23 @@ def sweep_frames(
     return FrameSweep(oc, a, residual, symmetric, distinct)
 
 
-def _r_stats(family: BianchiFamily, frames: np.ndarray, batch: FrameSweep) -> dict:
-    """Distribution of the distinct count ``r`` over the symmetric samples of one family."""
-    counts = np.bincount(batch.distinct_count[batch.symmetric])
-    r_counts = {int(r): int(counts[r]) for r in np.flatnonzero(counts)}  # ascending r
-    symmetric_count = int(np.count_nonzero(batch.symmetric))
+def _r_tally(fams, frames, batch: FrameSweep) -> np.ndarray:
+    """The ``sweep_grid`` reducer of the ``r`` statistics: per family, ``tally[r]`` samples
+    with ``r`` distinct eigenvalues, ``r = 0..3``, where bin 0 counts the samples whose
+    ``A`` is not symmetric (``sweep_frames`` leaves their distinct count 0)."""
+    return (batch.distinct_count[..., None] == np.arange(4)).sum(axis=-2)
+
+
+def _r_stats(family: BianchiFamily, tally: np.ndarray) -> dict:
+    """Distribution of the distinct count ``r`` over the symmetric samples of one family,
+    from its ``_r_tally`` row summed over the sweep."""
+    r_counts = {r: cnt for r, cnt in enumerate(tally.tolist()) if r and cnt}  # ascending r
+    symmetric_count = sum(r_counts.values())
     below = sum(cnt for r, cnt in r_counts.items() if r < 3)
     modal_r = max(r_counts, key=lambda r: (r_counts[r], r)) if r_counts else None
     return {
         "family": family.label,
-        "samples": len(frames),
+        "samples": int(tally.sum()),
         "symmetric_count": symmetric_count,
         "modal_r": modal_r,
         "r_counts": {str(r): cnt for r, cnt in r_counts.items()},
@@ -395,12 +399,13 @@ def genericity_sweep(
 ) -> dict:
     """Eigenvalue-multiplicity statistics over random metrics on a family.
 
-    Draws ``samples`` frames with ``random_frames`` and analyses them in one
-    ``sweep_frames`` pass; reports the distribution of the distinct count
-    ``r`` over the symmetric cases and the fraction with ``r < 3``.
+    Draws ``samples`` frames with ``random_frames`` from ``default_rng(seed)`` and
+    analyses them in ``sweep_grid`` passes of one family; reports the distribution of
+    the distinct count ``r`` over the symmetric cases and the fraction with ``r < 3``.
     """
-    frames = random_frames(3, np.random.default_rng(seed), samples)
-    return _r_stats(family, frames, sweep_frames(make_bianchi(family), frames, tol, gap_tol))
+    grid = ((family,), make_bianchi(family).c[None])
+    tally = sweep_grid([seed], samples, _r_tally, tol, gap_tol, grid)
+    return _r_stats(family, tally[0].sum(axis=0))
 
 
 TABLE1_ROWS: tuple[tuple[str, tuple[float | None, ...], str], ...] = (
@@ -422,8 +427,8 @@ FAMILY_GRID: tuple[tuple[str, float | None], ...] = tuple(
     (tag, x) for tag, xs, _ in TABLE1_ROWS for x in xs
 )
 
-# frames per pass of sweep_grid (a pass holds at least one family): the bound on
-# the temporaries of sweep_frames
+# the most frames in one sweep_frames pass of sweep_grid, which splits a family with
+# more samples into chunks: the bound on the temporaries of sweep_frames
 GRID_PASS_FRAMES = 4096
 
 
@@ -442,35 +447,37 @@ def _grid_stack() -> tuple[tuple[BianchiFamily, ...], tuple[LieAlgebra, ...], np
     return fams, algs, cs
 
 
-def sweep_grid(seeds, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL) -> list:
-    """``reduce(families, frames, FrameSweep)`` once per pass over ``FAMILY_GRID``, in grid order.
+def sweep_grid(seeds, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL, grid=None):
+    """Seeded ``sweep_frames`` passes over a family stack, reduced to ``(families, chunks, k)``.
 
-    Family ``i`` gets the ``samples`` frames ``genericity_sweep`` draws from seed
-    ``seeds[i]``.  One ``sweep_frames`` pass solves ``F = max(1, GRID_PASS_FRAMES //
-    samples)`` consecutive families, and ``reduce`` gets them whole: their tuple, the
-    ``(F, samples, 3, 3)`` frames and the ``(F, samples)`` ``FrameSweep``.  Only its
-    results, one per pass, outlive a pass.  The families and their stacked structure
-    constants come from ``_grid_stack``, built once per process and read-only."""
-    fams, _, cs = _grid_stack()
-    rngs, out = [np.random.default_rng(seed) for seed in seeds], []
-    step = max(1, GRID_PASS_FRAMES // samples)
+    ``grid`` is ``(families, (F, 3, 3, 3) structure constants)``, by default the
+    ``FAMILY_GRID`` stack of ``_grid_stack`` (built once per process, read-only).  Family
+    ``i`` gets ``samples`` frames from ``default_rng(seeds[i])``.  Up to
+    ``GRID_PASS_FRAMES`` samples, one pass solves ``max(1, GRID_PASS_FRAMES // samples)``
+    consecutive families whole; past that, each family runs alone as successive chunks of
+    at most ``GRID_PASS_FRAMES`` frames drawn from its one generator, which gives the
+    frames of one draw bit for bit.  ``reduce(families, (F, n, 3, 3) frames, (F, n)
+    FrameSweep)`` returns an ``(F, k)`` array, one row per family, and only those rows
+    outlive a pass: callers combine a family's chunks with ``.sum(axis=1)`` or
+    ``.max(axis=1)``."""
+    fams, cs = grid if grid is not None else _grid_stack()[::2]  # (families, constants)
+    rngs, rows = [np.random.default_rng(seed) for seed in seeds], []
+    step = max(1, GRID_PASS_FRAMES // (samples or 1))  # 0 samples: one empty pass
+    chunks = [min(GRID_PASS_FRAMES, samples - k) for k in range(0, samples or 1, GRID_PASS_FRAMES)]
     for i in range(0, len(fams), step):
-        frames = np.stack([random_frames(3, rng, samples) for rng in rngs[i : i + step]])
-        batch = sweep_frames(cs[i : i + step], frames, tol, gap_tol)
-        out.append(reduce(fams[i : i + step], frames, batch))
-        del frames, batch  # let go of this pass before the next draw
-    return out
+        for n in chunks:  # several only when a pass holds one family: rows stay in grid order
+            frames = np.array([random_frames(3, rng, n) for rng in rngs[i : i + step]])
+            batch = sweep_frames(cs[i : i + step], frames, tol, gap_tol)
+            rows.append(reduce(fams[i : i + step], frames, batch))
+            del frames, batch  # let go of this pass before the next draw
+    return np.concatenate(rows).reshape(len(fams), len(chunks), -1)
 
 
 def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dict]:
     """Eigenvalue-count table per family, via seeded metric sweeps of the whole grid."""
-
-    def per_family(fams, frames, batch):
-        return [_r_stats(fam, frames[k], batch[k]) for k, fam in enumerate(fams)]
-
     seeds = [[seed, row, k] for row, (_, xs, _) in enumerate(TABLE1_ROWS) for k in range(len(xs))]
-    passes = sweep_grid(seeds, samples, per_family, tol, gap_tol)
-    grid_stats = (stats for part in passes for stats in part)
+    tallies = sweep_grid(seeds, samples, _r_tally, tol, gap_tol).sum(axis=1)
+    grid_stats = map(_r_stats, _grid_stack()[0], tallies)
     rows = []
     for tag, xs, case in TABLE1_ROWS:
         stats = [next(grid_stats) for _ in xs]

@@ -8,10 +8,10 @@ so runs are reproducible.
 
 The 3-d closed-form comparison, ``closed_form_sweep``, is one ``gks.sweep_grid``
 over the 13 grid families, shared by ``verify_appendix`` (the ``verify-appendix``
-command) and ``run_selftest``; each adds its own checks on every pass's
-``(F, N)`` stacks at once, reducing per family by max or all.  Every closed form
-is evaluated on a whole frame stack, the family closed forms once per run of
-same-tag families, so no check loops over samples; the Clifford relations check
+command) and ``run_selftest``; each reduces every pass's ``(F, N)`` stacks at once
+to one row of per-family maxima and flags, and combines a family's chunks by max.
+Every closed form is evaluated on a whole frame stack, the family closed forms once
+per run of same-tag families, so no check loops over samples; the Clifford relations check
 reads the spin lift's product rule, ``clifford._product``, on every row.  The
 Heisenberg ladder solves each rung's six metrics as one stacked Killing system
 (``gks._project`` on their structure constants, then ``gks._fit``).
@@ -134,9 +134,10 @@ def closed_form_deviations(fams, frames, a, ortho_c) -> np.ndarray:
 def closed_form_sweep(seed, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL):
     """The seeded comparison of the solver with the closed forms, as one ``sweep_grid``.
 
-    Family ``idx`` of ``FAMILY_GRID`` gets ``samples`` frames from
-    ``default_rng([seed, idx])``; returns, one per pass, ``reduce(families, (F, samples,
-    3, 3) frames, FrameSweep, (F, samples, 3) closed_form_deviations)``."""
+    Family ``idx`` of ``FAMILY_GRID`` gets ``samples`` frames from ``default_rng([seed,
+    idx])``; ``reduce(families, (F, n, 3, 3) frames, FrameSweep, (F, n, 3)
+    closed_form_deviations)`` returns one row per family, and the result is ``sweep_grid``'s
+    ``(families, chunks, k)`` array."""
 
     def compare(fams, frames, b):
         return reduce(fams, frames, b, closed_form_deviations(fams, frames, b.A, b.ortho_c))
@@ -151,40 +152,46 @@ def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict
     Per family: the worst deviation from each closed form, whether every
     symmetry verdict (the engine's and ``symmetry_conditions_3d``) matches
     ``is_symmetric_family``, and, where ``reference_eigenvalues`` has a
-    display, the worst eigenvalue deviation relative to its size.  Each pass
-    is checked at once: every reduction is a per-family max or all."""
+    display, the worst eigenvalue deviation relative to its size.  Each chunk
+    is reduced at once to per-family rows: the three deviations, the eigenvalue
+    deviation (0 without a display), a flag for a closed-form eigenvalue display
+    and a flag for a mismatched verdict; the chunks of a family combine by max."""
 
     def check(fams, frames, batch, devs):
         expected = np.array([is_symmetric_family(fam) for fam in fams])[:, None]
         conditions = symmetry_conditions_3d(batch.ortho_c, tol)
-        verdicts_ok = np.all((batch.symmetric == expected) & (conditions == expected), axis=-1)
-        worst = np.max(devs, axis=1)
-        passed = verdicts_ok & np.all(worst <= tol, axis=-1)
+        rows = np.zeros((len(fams), 6))
+        rows[:, :3] = np.max(devs, axis=1)
+        rows[:, 5] = np.any((batch.symmetric != expected) | (conditions != expected), axis=-1)
         closed = {k: reference_eigenvalues(fam, frames[k]) for k, fam in enumerate(fams)}
         closed = {k: ref for k, ref in closed.items() if ref is not None}
-        eigen_dev = {}
         if closed:  # one eigen_analysis call for every family with closed-form eigenvalues
             ref = np.sort(list(closed.values()), axis=-1)
             vals = eigen_analysis(batch.A[list(closed)], gap_tol)[0]
             escale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
-            rel = np.max(np.max(np.abs(vals - ref), axis=-1) / escale, axis=-1)
-            eigen_dev = dict(zip(closed, rel.tolist()))
-        return [
-            {
-                "family": fam.label,
-                "samples": samples,
-                "max_A_deviation": a_dev,
-                "max_asymmetry_deviation": asym_dev,
-                "max_explicit_A_deviation": explicit_dev,
-                "max_eigenvalue_deviation": eigen_dev.get(k),
-                "symmetry_expected": bool(expected[k, 0]),
-                "symmetry_verdicts_ok": bool(verdicts_ok[k]),
-                "pass": bool(passed[k]) and eigen_dev.get(k, tol) <= tol,
-            }
-            for k, (fam, (a_dev, asym_dev, explicit_dev)) in enumerate(zip(fams, worst.tolist()))
-        ]
+            rows[list(closed), 3] = np.max(np.max(np.abs(vals - ref), axis=-1) / escale, axis=-1)
+            rows[list(closed), 4] = 1.0
+        return rows
 
-    results = [r for part in closed_form_sweep(seed, samples, check, tol, gap_tol) for r in part]
+    worst = closed_form_sweep(seed, samples, check, tol, gap_tol).max(axis=1)
+    # numpy comparisons, so a NaN deviation fails
+    passed = np.all(worst[:, :4] <= tol, axis=-1) & (worst[:, 5] == 0.0)
+    results = [
+        {
+            "family": fam.label,
+            "samples": samples,
+            "max_A_deviation": a_dev,
+            "max_asymmetry_deviation": asym_dev,
+            "max_explicit_A_deviation": explicit_dev,
+            "max_eigenvalue_deviation": eigen_dev if has_eigen else None,
+            "symmetry_expected": is_symmetric_family(fam),
+            "symmetry_verdicts_ok": not mismatch,
+            "pass": ok,
+        }
+        for fam, (a_dev, asym_dev, explicit_dev, eigen_dev, has_eigen, mismatch), ok in zip(
+            _grid_stack()[0], worst.tolist(), passed.tolist()
+        )
+    ]
     all_pass = all(r["pass"] for r in results)
     return {"samples": samples, "seed": seed, "tol": tol, "results": results, "all_pass": all_pass}
 
@@ -213,24 +220,21 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     checks.append(_check("spin_lift_equivariance_n_upto4", _equivariance([seed, 1]), t(1e-12)))
     checks.append(_check("catalog_jacobi", _catalog_jacobi(), t(1e-10)))
 
+    def grid_checks(fams, frames, batch, devs):  # per-family maxima, one row per family
+        ortho_c, psis = batch.ortho_c, (Spinor.one(1), Spinor.basis(1, 1))
+        nm, sym = nomizu(ortho_c), np.array([is_symmetric_family(fam) for fam in fams])
+        spinorial = np.maximum(*(ricci_spinorial_check(nm, ortho_c, psi)[1] for psi in psis))
+        ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(batch.symmetric.shape)
+        rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
+        ricci = curvature(nm, ortho_c).ricci[sym]  # symmetric families only: 0 elsewhere
+        ricci_dev[sym] = np.max(np.abs(ricci - ref), axis=(-2, -1)) / rscale
+        dirac = np.abs(np.trace(batch.A, axis1=-2, axis2=-1) - dirac_trace_3d(ortho_c))
+        per_sample = (metricity_violation(nm), torsion_violation(nm, ortho_c), spinorial, ricci_dev)
+        return np.max(np.concatenate([np.stack([*per_sample, dirac], -1), devs], axis=-1), axis=1)
+
     # 13 x 20 frames are one grid pass
-    ((fams, batch, devs),) = closed_form_sweep([seed, 2], 20, lambda f, _, b, d: (f, b, d))
-    ortho_c, a_stack = batch.ortho_c.reshape(-1, 3, 3, 3), batch.A.reshape(-1, 3, 3)
-    nm = nomizu(ortho_c)
-    metricity = float(np.max(metricity_violation(nm)))
-    torsion = float(np.max(torsion_violation(nm, ortho_c)))
-    spinorial = max(
-        float(np.max(ricci_spinorial_check(nm, ortho_c, psi)[1]))
-        for psi in (Spinor.one(1), Spinor.basis(1, 1))
-    )
-    ricci = curvature(nm, ortho_c).ricci
-    closed_dev = np.max(devs, axis=(0, 1))
-    dirac = np.trace(a_stack, axis1=-2, axis2=-1) - dirac_trace_3d(ortho_c)
-    dirac_dev = float(np.max(np.abs(dirac)))
-    sym = np.repeat([is_symmetric_family(fam) for fam in fams], batch.A.shape[1])
-    ref = reference_ricci_3d(ortho_c[sym])
-    rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
-    ricci_dev = float(np.max(np.max(np.abs(ricci[sym] - ref), axis=(-2, -1)) / rscale))
+    worst = closed_form_sweep([seed, 2], 20, grid_checks).max(axis=(0, 1)).tolist()
+    metricity, torsion, spinorial, ricci_dev, dirac_dev, *closed_dev = worst
 
     checks.append(_check("nomizu_torsion_free", torsion, t(1e-12)))
     checks.append(_check("nomizu_metricity", metricity, t(1e-12)))

@@ -47,6 +47,7 @@ from spinlab.gks import (
     symmetry_conditions_3d,
     table1_rows,
 )
+from spinlab.serialize import to_json
 
 
 def unit_h3():
@@ -735,12 +736,44 @@ def test_genericity_sweep_matches_per_sample_loop():
         ), (fam.label, seed)
 
 
+def genericity_sweep_one_draw(family, samples, seed, gap_tol=1e-7, tol=1e-9):
+    """The unchunked reference for ``genericity_sweep``: one ``random_frames`` draw and
+    one ``sweep_frames`` pass of every sample, tallied by a sorting ``np.unique``."""
+    frames = random_frames(3, np.random.default_rng(seed), samples)
+    batch = sweep_frames(make_bianchi(family), frames, tol, gap_tol)
+    stats = _unique_r_stats(batch.distinct_count, batch.symmetric)
+    return {"family": family.label, "samples": samples, **stats}
+
+
+def test_chunked_genericity_sweep_matches_the_unchunked_reference():
+    # no frames, one pass, one pass and a 1-frame chunk, and two full chunks and a
+    # 5-frame chunk
+    for samples in (0, GRID_PASS_FRAMES, GRID_PASS_FRAMES + 1, 2 * GRID_PASS_FRAMES + 5):
+        for fam, seed in ((BianchiFamily("L3(6)"), 3), (BianchiFamily("L3(4,x)", 0.0), [2, 7])):
+            got = to_json(genericity_sweep(fam, samples, seed))
+            assert got == to_json(genericity_sweep_one_draw(fam, samples, seed)), (samples, fam)
+
+
+def grid_layout(samples):
+    """``(families, frames)`` of each ``sweep_frames`` pass of a ``FAMILY_GRID`` sweep:
+    ``max(1, GRID_PASS_FRAMES // samples)`` whole families a pass up to
+    ``GRID_PASS_FRAMES`` samples, past that one family a pass in chunks."""
+    assert samples <= 2 * GRID_PASS_FRAMES
+    per, fams = max(1, GRID_PASS_FRAMES // samples), len(FAMILY_GRID)
+    chunks = [samples]
+    if samples > GRID_PASS_FRAMES:
+        chunks = [GRID_PASS_FRAMES, samples - GRID_PASS_FRAMES]
+    return [(min(per, fams - i), n) for i in range(0, fams, per) for n in chunks]
+
+
 def table1_rows_per_family(samples, seed, gap_tol=1e-7, tol=1e-9):
-    """Reference table: one ``genericity_sweep`` per ``(row, x)``, row by row."""
+    """Reference table: one unchunked sweep per ``(row, x)``, row by row."""
     rows = []
     for row_idx, (tag, xs, case) in enumerate(TABLE1_ROWS):
         stats = [
-            genericity_sweep(BianchiFamily(tag, x), samples, [seed, row_idx, x_idx], gap_tol, tol)
+            genericity_sweep_one_draw(
+                BianchiFamily(tag, x), samples, [seed, row_idx, x_idx], gap_tol, tol
+            )
             for x_idx, x in enumerate(xs)
         ]
         sym_counts = [st["symmetric_count"] for st in stats]
@@ -770,7 +803,8 @@ def table1_rows_per_family(samples, seed, gap_tol=1e-7, tol=1e-9):
 
 # both sides of the pass boundary: every family in one pass (1, 10 and
 # GRID_PASS_FRAMES // 13 samples), twelve per pass, eight per pass (the boundary
-# splits the L3(4,x) run), four per pass (it splits L3(2,x)), and one per pass
+# splits the L3(4,x) run), four per pass (it splits L3(2,x)), and one per pass in
+# two chunks
 GRID_SAMPLES = (
     1,
     10,
@@ -798,15 +832,17 @@ def test_table1_grid_pass_matches_per_family_sweeps(monkeypatch):
             monkeypatch.setattr(gks, "sweep_frames", per_pass)
             assert grid == table1_rows_per_family(samples, seed), (samples, seed)
             # the table hardly depends on the frames, so check the draws themselves:
-            # each family's own stream, max(1, GRID_PASS_FRAMES // samples) families a pass
-            per, fams = max(1, GRID_PASS_FRAMES // samples), len(FAMILY_GRID)
-            assert [len(f) for f in passes] == [min(per, fams - i) for i in range(0, fams, per)]
+            # each family's own stream, in the passes and chunks of grid_layout
+            assert [f.shape[:2] for f in passes] == grid_layout(samples)
             drawn = [
                 random_frames(3, np.random.default_rng([seed, row, k]), samples)
                 for row, (_, xs, _) in enumerate(TABLE1_ROWS)
                 for k in range(len(xs))
             ]
-            np.testing.assert_array_equal(np.concatenate(passes), drawn)
+            # a family runs in chunks only when it has a pass to itself, so the passes
+            # flattened in order hold every family's frames in grid order
+            got = np.concatenate([f.reshape(-1, 3, 3) for f in passes])
+            np.testing.assert_array_equal(got, np.concatenate(drawn))
     # a loose tol splits the first row on both routes
     with pytest.raises(SpinlabError, match="L3\\(-1\\).*3 of 7 samples symmetric"):
         table1_rows(7, 1, 1e-7, 0.5)
@@ -821,8 +857,8 @@ def test_family_stacked_sweep_matches_per_family_sweeps():
     assert batch.A.shape == (13, 9, 3, 3) and batch.distinct_count.shape == (13, 9)
     for f, alg in enumerate(algs):
         one = sweep_frames(alg, frames[f])
-        for name, arr in vars(batch[f]).items():
-            np.testing.assert_array_equal(arr, getattr(one, name), err_msg=name)
+        for name, arr in vars(one).items():
+            np.testing.assert_array_equal(getattr(batch, name)[f], arr, err_msg=name)
 
 
 def _unique_r_stats(distinct, symmetric):
@@ -838,12 +874,24 @@ def _unique_r_stats(distinct, symmetric):
     }
 
 
-def _r_stats_of(distinct, symmetric):
-    """``_r_stats`` of a hand-built ``FrameSweep``: only the verdicts and counts matter."""
+def _r_tally_of(distinct, symmetric):
+    """The ``_r_tally`` row of a hand-built one-family ``FrameSweep``: only the verdicts
+    and counts matter."""
     distinct = np.where(symmetric, distinct, 0)  # sweep_frames leaves 0 where A is not symmetric
     n = len(distinct)
-    batch = FrameSweep(np.zeros((n, 3, 3, 3)), np.zeros((n, 3, 3)), np.zeros(n), symmetric, distinct)
-    return gks._r_stats(BianchiFamily("L3(6)"), np.zeros((n, 3, 3)), batch)
+    zeros = (np.zeros((1, n, 3, 3, 3)), np.zeros((1, n, 3, 3)), np.zeros((1, n)))
+    batch = FrameSweep(*zeros, symmetric[None], distinct[None])
+    return gks._r_tally((BianchiFamily("L3(6)"),), np.zeros((1, n, 3, 3)), batch)[0]
+
+
+def _r_stats_of(distinct, symmetric):
+    """``_r_stats`` of a hand-built sweep, tallied as two chunks and summed as
+    ``genericity_sweep`` and ``table1_rows`` sum the chunks of a family."""
+    half = len(distinct) // 2
+    parts = (np.s_[:half], np.s_[half:])
+    tally = sum(_r_tally_of(distinct[part], symmetric[part]) for part in parts)
+    np.testing.assert_array_equal(tally, _r_tally_of(distinct, symmetric))
+    return gks._r_stats(BianchiFamily("L3(6)"), tally)
 
 
 def test_r_stats_matches_a_unique_tally_on_hand_built_sweeps():

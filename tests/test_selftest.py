@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 from test_clifford import relations_dense
 from test_connection import ricci_spinorial_loop
-from test_gks import GRID_SAMPLES
+from test_gks import GRID_SAMPLES, grid_layout
 
-from spinlab import cli, selftest
+from spinlab import cli, gks, selftest
 from spinlab.algebra import FrameChange, metric_from_frame_change, random_frames
 from spinlab.catalog import (
     BianchiFamily,
@@ -23,6 +25,7 @@ from spinlab.gks import (
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
+    genericity_sweep,
     solve_endomorphism,
     sweep_frames,
     symmetry_conditions_3d,
@@ -221,28 +224,37 @@ def test_verify_appendix_matches_per_sample_loop():
 
 
 def test_closed_form_sweep_matches_per_family_sweeps():
-    # both sides of the pass boundary, and boundaries inside a same-tag run
+    # both sides of the pass boundary, boundaries inside a same-tag run, and two
+    # chunks a family; the reducer checks each chunk against its family's one draw
     fams = family_grid()
     for samples in GRID_SAMPLES:
-        passes = closed_form_sweep(3, samples, lambda *item: item)
-        per = max(1, GRID_PASS_FRAMES // samples)
-        sizes = [min(per, len(fams) - i) for i in range(0, len(fams), per)]
-        assert [len(p[0]) for p in passes] == sizes
-        assert [fam for p in passes for fam in p[0]] == fams
-        got = [
-            (frames[k], batch[k], devs[k])
-            for _, frames, batch, devs in passes
-            for k in range(len(frames))
-        ]
-        for idx, (fam, (frames, batch, devs)) in enumerate(zip(fams, got)):
-            want_frames = random_frames(3, np.random.default_rng([3, idx]), samples)
-            want = sweep_frames(make_bianchi(fam), want_frames)
-            np.testing.assert_array_equal(frames, want_frames)
-            for name, arr in vars(batch).items():
-                np.testing.assert_array_equal(arr, getattr(want, name), err_msg=name)
-            np.testing.assert_array_equal(
-                devs, family_deviations(fam, want_frames, want.A, want.ortho_c)
-            )
+        layout, done = [], [0] * len(fams)  # per family, the samples reduced so far
+
+        def check(pass_fams, frames, batch, devs):
+            layout.append((tuple(pass_fams), frames.shape[1]))
+            for k, fam in enumerate(pass_fams):
+                idx = fams.index(fam)
+                chunk = np.s_[done[idx] : done[idx] + frames.shape[1]]
+                done[idx] += frames.shape[1]
+                want_frames = random_frames(3, np.random.default_rng([3, idx]), samples)[chunk]
+                want = sweep_frames(make_bianchi(fam), want_frames)
+                np.testing.assert_array_equal(frames[k], want_frames)
+                for name, arr in vars(want).items():
+                    np.testing.assert_array_equal(getattr(batch, name)[k], arr, err_msg=name)
+                np.testing.assert_array_equal(
+                    devs[k], family_deviations(fam, want_frames, want.A, want.ortho_c)
+                )
+            return np.array([[fams.index(fam), frames.shape[1]] for fam in pass_fams])
+
+        rows = closed_form_sweep(3, samples, check)
+        assert [(len(f), n) for f, n in layout] == grid_layout(samples)
+        assert [fam for f, n in layout if n == layout[0][1] for fam in f] == fams
+        assert done == [samples] * len(fams)
+        # one row per family and chunk, in grid order: (families, chunks, k)
+        chunks = [n for f, n in layout if f == layout[0][0]]
+        assert rows.shape == (len(fams), len(chunks), 2)
+        np.testing.assert_array_equal(rows[..., 0].T, [range(len(fams))] * len(chunks))
+        np.testing.assert_array_equal(rows[..., 1], [chunks] * len(fams))
 
 
 def test_verify_appendix_matches_per_sample_loop_across_split_runs():
@@ -251,6 +263,53 @@ def test_verify_appendix_matches_per_sample_loop_across_split_runs():
     assert verify_appendix(samples, 2, 1e-9, 1e-7) == verify_appendix_per_sample(
         samples, 2, 1e-9, 1e-7
     )
+
+
+def test_chunked_verify_appendix_matches_one_pass_of_every_frame(monkeypatch):
+    # each family in chunks of 64, 64, 64 and 8 frames, against one pass of all 13 x 200
+    # frames, at a passing and a failing tolerance
+    for tol in (1e-9, 1e-300):
+        monkeypatch.setattr(gks, "GRID_PASS_FRAMES", 64)
+        chunked = verify_appendix(200, 5, tol, 1e-7)
+        monkeypatch.setattr(gks, "GRID_PASS_FRAMES", 13 * 200)
+        assert cli.to_json(chunked) == cli.to_json(verify_appendix(200, 5, tol, 1e-7))
+        assert chunked["all_pass"] is (tol == 1e-9)
+
+
+def test_a_nan_deviation_in_an_early_chunk_fails_its_family(monkeypatch):
+    deviations, calls = selftest.closed_form_deviations, []
+
+    def nan_in_first_chunk(fams, frames, a, ortho_c):
+        devs = deviations(fams, frames, a, ortho_c)
+        if not calls:
+            devs[0, 0, 0] = np.nan  # family 0, first of its four chunks
+        calls.append(frames.shape[1])
+        return devs
+
+    monkeypatch.setattr(selftest, "closed_form_deviations", nan_in_first_chunk)
+    monkeypatch.setattr(gks, "GRID_PASS_FRAMES", 64)
+    payload = verify_appendix(200, 5, 1e-9, 1e-7)
+    assert calls[:4] == [64, 64, 64, 8]
+    first, *rest = payload["results"]
+    assert np.isnan(first["max_A_deviation"]) and first["pass"] is False
+    assert all(r["pass"] for r in rest) and payload["all_pass"] is False
+
+
+def test_sweep_peak_memory_does_not_grow_with_the_sample_count():
+    # no pass holds more than GRID_PASS_FRAMES frames (about 4 MB of peak here); one
+    # sweep_frames pass of 50,000 frames alone peaks near 50 MB
+    fam = BianchiFamily("L3(6)")
+    genericity_sweep(fam, 10, 1)  # build the per-process constants outside the trace
+    verify_appendix(10, 1, 1e-9, 1e-7)
+    runs = (lambda: genericity_sweep(fam, 50_000, 1), lambda: verify_appendix(10_000, 1, 1e-9, 1e-7))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, peak
 
 
 def test_verify_appendix_command_formats_the_payload(capsys):

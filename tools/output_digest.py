@@ -14,9 +14,11 @@ way, so ``diff`` of two runs is a byte-identity check:
 The command set: the first 5 cycles of every benchmark workload
 (``perfbench/workloads.py``, imported and not changed) on seeds 1..3;
 ``selftest`` on seeds 1..5 in both formats; ``verify-appendix --samples
-100`` (one grid pass) and ``--samples 1024`` (four families a pass, so pass
-boundaries split the ``L3(2,x)`` and ``L3(4,x)`` runs); ``table1 --samples
-1000``; ``analyze`` on the 13 Table 1 grid
+100`` (one grid pass), ``--samples 1024`` (four families a pass, so pass
+boundaries split the ``L3(2,x)`` and ``L3(4,x)`` runs) and ``--samples 4097``
+(one family a pass, in chunks of 4096 and 1 frames); ``table1 --samples
+1000``; ``sweep --algebra L3(6) --samples 9000 --seed 3`` (chunks of 4096,
+4096 and 808 frames); ``analyze`` on the 13 Table 1 grid
 families (identity and one ``frame_P`` metric, both formats) and on H(5),
 H(25) and H(33); and a few command lines that exit 2 or 3.  Takes no
 options; run from anywhere.
@@ -63,8 +65,9 @@ def command_lines() -> list[tuple[str, ...]]:
                 argvs += [inv.argv for inv in wl.cycle(seed, k)]
     for seed in SELFTEST_SEEDS:
         argvs += [("selftest", "--seed", str(seed), "--format", fmt) for fmt in ("json", "table")]
-    argvs += [("verify-appendix", "--samples", str(n)) for n in (100, 1024)]
+    argvs += [("verify-appendix", "--samples", str(n)) for n in (100, 1024, 4097)]
     argvs += [("table1", "--samples", "1000")]
+    argvs += [("sweep", "--algebra", "L3(6)", "--samples", "9000", "--seed", "3")]
     for fam in family_grid():
         for metric in ("identity", FRAME_P):
             argvs += [("analyze", "--algebra", fam.label, "--metric", metric, "--format", fmt)
