@@ -12,7 +12,10 @@ matrix in the symmetric case -- as an oracle layer.  The general pipeline
 (connection + solver) must reproduce these, never the other way around.
 Each is elementwise in the frame entries ``(alpha, beta, gamma; 0, epsilon, zeta;
 0, 0, iota)`` or the structure constants, so it takes one ``(3, 3)`` frame or
-``(3, 3, 3)`` tensor, or a stack of them, and keeps the leading axes.
+``(3, 3, 3)`` tensor, or a stack of them, and keeps the leading axes.  The
+Heisenberg closed forms (``heisenberg_ortho_c``, ``heisenberg_spectrum``) take
+parameter stacks ``a, b: (..., n)`` and ``c: (...)`` in the same way;
+``heisenberg_metric`` and ``heisenberg_gk_eigenvalues`` are their one-metric case.
 """
 
 from __future__ import annotations
@@ -161,8 +164,8 @@ def heisenberg_metric(params: HeisenbergParams) -> MetricLieAlgebra:
     """Metric Heisenberg algebra with orthonormal frame ``(Z, E_p, F_p)``.
 
     The Gram matrix is ``diag(c, a_1, b_1, ..., a_n, b_n)``, so the frame
-    scales each basis vector by the reciprocal square root and
-    ``[E_p, F_p] = sqrt(c / (a_p b_p)) Z`` in the orthonormal frame.
+    scales each basis vector by the reciprocal square root; the structure
+    constants are ``heisenberg_ortho_c`` of the parameters.
     """
     alg = make_heisenberg(params.n)
     diag = [params.c]
@@ -170,25 +173,47 @@ def heisenberg_metric(params: HeisenbergParams) -> MetricLieAlgebra:
         diag.extend([ap, bp])
     gram = np.diag(np.asarray(diag, dtype=float))
     frame = np.diag(1.0 / np.sqrt(np.asarray(diag, dtype=float)))
-    oc = np.zeros((alg.dim, alg.dim, alg.dim))
-    for p in range(1, params.n + 1):
-        coeff = float(np.sqrt(params.c / (params.a[p - 1] * params.b[p - 1])))
-        oc[2 * p - 1, 2 * p, 0] = coeff
-        oc[2 * p, 2 * p - 1, 0] = -coeff
-    return MetricLieAlgebra(alg, gram, frame, oc)
+    return MetricLieAlgebra(alg, gram, frame, heisenberg_ortho_c(params.a, params.b, params.c))
 
 
 def heisenberg_gk_eigenvalues(params: HeisenbergParams) -> tuple[list[float], float]:
-    """Closed-form GK eigenvalues ``(lambda_1..lambda_n, mu)``.
+    """Closed-form GK eigenvalues ``(lambda_1..lambda_n, mu)``: ``heisenberg_spectrum``
+    of one parameter set."""
+    lam, mu = heisenberg_spectrum(params.a, params.b, params.c)
+    return lam.tolist(), float(mu)
+
+
+def _heisenberg_coeff(a, b, c) -> np.ndarray:
+    """``sqrt(c / (a_p b_p))``, ``(..., n)``, for ``a, b: (..., n)`` and ``c: (...)``."""
+    return np.sqrt(np.asarray(c, dtype=float)[..., None] / (np.asarray(a, dtype=float) * b))
+
+
+def heisenberg_ortho_c(a, b, c) -> np.ndarray:
+    """Orthonormal structure constants of the diagonal metrics, ``(..., d, d, d)``.
+
+    ``a, b: (..., n)`` and ``c: (...)`` are parameter stacks as in ``HeisenbergParams``
+    (not validated here) and ``d = 2n + 1``; ``[E_p, F_p] = sqrt(c / (a_p b_p)) Z``
+    in the orthonormal frame, and every other bracket of frame vectors vanishes.
+    """
+    coeff = _heisenberg_coeff(a, b, c)
+    n = coeff.shape[-1]
+    p = np.arange(1, n + 1)
+    oc = np.zeros(coeff.shape[:-1] + (2 * n + 1,) * 3)
+    oc[..., 2 * p - 1, 2 * p, 0] = coeff
+    oc[..., 2 * p, 2 * p - 1, 0] = -coeff
+    return oc
+
+
+def heisenberg_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form GK eigenvalues of the diagonal metrics: ``lambda (..., n)`` and ``mu (...)``.
 
     ``lambda_p = sqrt(c/(a_p b_p))/4`` is the eigenvalue on the ``E_p, F_p``
-    directions and ``mu = -sum(lambda)`` the eigenvalue on the centre.
+    directions and ``mu = -sum(lambda)`` the eigenvalue on the centre, summed left
+    to right as Python's ``sum`` does (numpy's pairwise ``sum`` rounds differently
+    from 8 terms on).
     """
-    lam = [
-        float(0.25 * np.sqrt(params.c / (ap * bp)))
-        for ap, bp in zip(params.a, params.b)
-    ]
-    return lam, -sum(lam)
+    lam = 0.25 * _heisenberg_coeff(a, b, c)
+    return lam, -np.add.accumulate(lam, axis=-1)[..., -1]
 
 
 def _frame(frame: np.ndarray) -> np.ndarray:
@@ -303,22 +328,22 @@ def reference_eigenvalues(family: BianchiFamily, frame: np.ndarray) -> np.ndarra
     """Closed-form eigenvalues of ``A`` where a display exists, ``(..., 3)``.
 
     Available for ``L3(1)``, ``L3(2,-1)`` and ``L3(4,0)``; returns ``None``
-    (numeric-only marker) for the other symmetric families.
+    (numeric-only marker) for every other family, before touching the frame entries.
     """
-    f = _frame(frame)
+    f, tag, x = _frame(frame), family.tag, family.x
+    if not (tag == "L3(1)" or (tag == "L3(2,x)" and x == -1) or (tag == "L3(4,x)" and x == 0)):
+        return None
     al, be, ep, io = f[..., 0, 0], f[..., 0, 1], f[..., 1, 1], f[..., 2, 2]
     det = al * ep * io
-    if family.tag == "L3(1)":
+    if tag == "L3(1)":
         v = det / (4 * al * al)
         return np.stack([-v, v, v], axis=-1)
-    if family.tag == "L3(2,x)" and family.x == -1:
+    if tag == "L3(2,x)":
         root = np.sqrt(_sq(al) * _sq(io) + _sq(be) * _sq(io)) / (2 * al)
         return np.stack([be * io / (2 * al), root, -root], axis=-1)
-    if family.tag == "L3(4,x)" and family.x == 0:
-        lam = _sq(io) * (_sq(al) + _sq(be) + _sq(ep)) / (4 * det)
-        root = np.sqrt(np.maximum(_sq(lam) - 0.25 * _sq(io), 0.0))
-        return np.stack([lam, root, -root], axis=-1)
-    return None
+    lam = _sq(io) * (_sq(al) + _sq(be) + _sq(ep)) / (4 * det)  # L3(4,0)
+    root = np.sqrt(np.maximum(_sq(lam) - 0.25 * _sq(io), 0.0))
+    return np.stack([lam, root, -root], axis=-1)
 
 
 def reference_ricci_3d(ortho_c: np.ndarray) -> np.ndarray:

@@ -403,8 +403,12 @@ def genericity_sweep(
     analyses them in ``sweep_grid`` passes of one family; reports the distribution of
     the distinct count ``r`` over the symmetric cases and the fraction with ``r < 3``.
     """
-    grid = ((family,), make_bianchi(family).c[None])
-    tally = sweep_grid([seed], samples, _r_tally, tol, gap_tol, grid)
+    key, (fams, _, cs) = (family.tag, str(family.x)), _grid_stack()
+    # a grid member reuses its cached row; str(x) tells every float apart, so any other
+    # family, L3(4,-0) among them (equal to L3(4,0), but x is -0.0), goes to make_bianchi
+    rows = [k for k, fam in enumerate(fams) if (fam.tag, str(fam.x)) == key]
+    c = cs[rows] if rows else make_bianchi(family).c[None]
+    tally = sweep_grid([seed], samples, _r_tally, tol, gap_tol, ((family,), c))
     return _r_stats(family, tally[0].sum(axis=0))
 
 

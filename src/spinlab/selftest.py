@@ -13,8 +13,11 @@ to one row of per-family maxima and flags, and combines a family's chunks by max
 Every closed form is evaluated on a whole frame stack, the family closed forms once
 per run of same-tag families, so no check loops over samples; the Clifford relations check
 reads the spin lift's product rule, ``clifford._product``, on every row.  The
-Heisenberg ladder solves each rung's six metrics as one stacked Killing system
-(``gks._project`` on their structure constants, then ``gks._fit``).
+Heisenberg ladder draws each rung's six parameter sets in one call, takes their
+structure constants and eigenvalues from the stacked closed forms
+``catalog.heisenberg_ortho_c`` and ``heisenberg_spectrum``, and solves them as one
+stacked Killing system (``gks._project``, then ``gks._fit``): it builds no
+per-metric parameter, algebra or metric object.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ import numpy as np
 from .algebra import check_jacobi
 from .catalog import (
     BianchiFamily,
-    HeisenbergParams,
-    heisenberg_gk_eigenvalues,
-    heisenberg_metric,
+    heisenberg_ortho_c,
+    heisenberg_spectrum,
     is_symmetric_family,
     make_heisenberg,
     reference_A,
@@ -196,18 +198,6 @@ def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict
     return {"samples": samples, "seed": seed, "tol": tol, "results": results, "all_pass": all_pass}
 
 
-def _heisenberg_sweep(seed):
-    rng = np.random.default_rng(seed)
-    out = [HeisenbergParams.defaults(n) for n in range(1, _HEISENBERG_N_MAX + 1)]
-    for n in range(1, _HEISENBERG_N_MAX + 1):
-        for _ in range(_HEISENBERG_PER_N):
-            a = tuple(np.exp(rng.uniform(-1.0, 1.0, size=n)))
-            b = tuple(np.exp(rng.uniform(-1.0, 1.0, size=n)))
-            c = float(np.exp(rng.uniform(-1.0, 1.0)))
-            out.append(HeisenbergParams(n, a, b, c))
-    return out
-
-
 def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     """Run every invariant check; ``tol`` overrides all per-check tolerances."""
 
@@ -245,15 +235,16 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     checks.append(_check("ricci_vs_closed_form_symmetric", ricci_dev, t(1e-9)))
     checks.append(_check("dirac_trace_identity", dirac_dev, t(1e-12)))
 
-    heis_dev, ladder = 0.0, _heisenberg_sweep([seed, 3])
-    for n in range(1, _HEISENBERG_N_MAX + 1):  # one stacked Killing system per rung
-        rung = [params for params in ladder if params.n == n]
-        oc = np.stack([heisenberg_metric(params).ortho_c for params in rung])
-        a_solved = _fit(*_project(oc, Spinor.one(n), None))[0]
-        expected = np.stack([
-            np.diag([mu] + [v for lv in lam_vals for v in (lv, lv)])
-            for lam_vals, mu in map(heisenberg_gk_eigenvalues, rung)
-        ])
+    heis_dev, rng = 0.0, np.random.default_rng([seed, 3])
+    for n in range(1, _HEISENBERG_N_MAX + 1):  # one draw and one stacked Killing system per rung
+        defaults = np.r_[np.arange(1, n + 1) ** 2, np.ones(n + 1)]  # a_p = p^2, b_p = c = 1
+        draws = np.exp(rng.uniform(-1.0, 1.0, size=(_HEISENBERG_PER_N, 2 * n + 1)))
+        rung = np.vstack([defaults, draws])  # a metric a row, a | b | c; draws lie in [1/e, e]
+        a, b, c = rung[:, :n], rung[:, n:-1], rung[:, -1]
+        a_solved = _fit(*_project(heisenberg_ortho_c(a, b, c), Spinor.one(n), None))[0]
+        lam, mu = heisenberg_spectrum(a, b, c)
+        expected, diag = np.zeros_like(a_solved), np.arange(2 * n + 1)
+        expected[:, diag, diag] = np.c_[mu, np.repeat(lam, 2, axis=-1)]  # (mu, l1, l1, l2, ...)
         heis_dev = max(heis_dev, float(np.max(np.abs(a_solved - expected))))
     checks.append(_check("heisenberg_eigenvalue_ladder", heis_dev, t(1e-10)))
 

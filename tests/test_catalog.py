@@ -10,6 +10,8 @@ from spinlab.catalog import (
     HeisenbergParams,
     heisenberg_gk_eigenvalues,
     heisenberg_metric,
+    heisenberg_ortho_c,
+    heisenberg_spectrum,
     is_symmetric_family,
     make_bianchi,
     make_heisenberg,
@@ -166,6 +168,46 @@ def test_heisenberg_gk_eigenvalues():
     lam, mu = heisenberg_gk_eigenvalues(HeisenbergParams.defaults(3))
     np.testing.assert_allclose(lam, [0.25, 0.125, 1.0 / 12.0], rtol=1e-15)
     assert mu == pytest.approx(-11.0 / 24.0, rel=1e-15)
+
+
+def heisenberg_closed_forms_per_metric(params):
+    """One bracket and one Python float at a time, ``mu`` by Python's ``sum``: the
+    reference for the stacked ``heisenberg_ortho_c`` and ``heisenberg_spectrum``."""
+    n = params.n
+    oc = np.zeros((2 * n + 1,) * 3)
+    for p in range(1, n + 1):
+        coeff = float(np.sqrt(params.c / (params.a[p - 1] * params.b[p - 1])))
+        oc[2 * p - 1, 2 * p, 0] = coeff
+        oc[2 * p, 2 * p - 1, 0] = -coeff
+    lam = [float(0.25 * np.sqrt(params.c / (ap * bp))) for ap, bp in zip(params.a, params.b)]
+    return oc, lam, -sum(lam)
+
+
+def test_stacked_heisenberg_closed_forms_match_the_per_metric_forms_bit_for_bit():
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
+    rng, pairwise_differs = np.random.default_rng(20), 0
+    for n in range(1, 17):
+        draws = np.exp(rng.uniform(-3.0, 3.0, size=(30, 2 * n + 1)))
+        params = [HeisenbergParams.defaults(n)] + [
+            HeisenbergParams(n, tuple(row[:n]), tuple(row[n:-1]), float(row[-1])) for row in draws
+        ]
+        a, b, c = (np.array([getattr(p, k) for p in params]) for k in "abc")
+        oc, (lam, mu) = heisenberg_ortho_c(a, b, c), heisenberg_spectrum(a, b, c)
+        assert oc.shape == (len(params),) + (2 * n + 1,) * 3 and mu.shape == (len(params),)
+        for k, p in enumerate(params):
+            want_oc, want_lam, want_mu = heisenberg_closed_forms_per_metric(p)
+            assert np.array_equal(bits(oc[k]), bits(want_oc))
+            assert np.array_equal(bits(lam[k]), bits(want_lam))
+            assert np.array_equal(bits(mu[k]), bits(want_mu)), (n, k)
+            # the one-metric entry points are the batch-of-one case
+            assert np.array_equal(bits(heisenberg_metric(p).ortho_c), bits(want_oc))
+            got_lam, got_mu = heisenberg_gk_eigenvalues(p)
+            assert np.array_equal(bits(got_lam), bits(want_lam))
+            assert np.array_equal(bits(got_mu), bits(want_mu))
+            pairwise_differs += bool(-np.sum(want_lam) != want_mu)
+    assert pairwise_differs > 0  # numpy's pairwise sum would have failed the mu checks
 
 
 def test_reference_A_spot_values():

@@ -754,6 +754,20 @@ def test_chunked_genericity_sweep_matches_the_unchunked_reference():
             assert got == to_json(genericity_sweep_one_draw(fam, samples, seed)), (samples, fam)
 
 
+def test_sweep_of_a_grid_member_reuses_the_cached_grid_constants(monkeypatch):
+    # every grid family, as the CLI parses it, takes its cached row of _grid_stack;
+    # L3(4,-0), equal to L3(4,0) but with -0.0 constants, and families off the grid
+    # still build theirs with make_bianchi
+    names = [fam.label for fam in gks._grid_stack()[0]] + ["L3(4,-0)", "L3(2,1)", "L3(2,0.25)"]
+    built, make = [], gks.make_bianchi
+    monkeypatch.setattr(gks, "make_bianchi", lambda fam: built.append(fam.label) or make(fam))
+    for name in names:
+        fam = BianchiFamily.parse(name)
+        got = to_json(genericity_sweep(fam, 40, [5, 1]))
+        assert got == to_json(genericity_sweep_one_draw(fam, 40, [5, 1])), name
+    assert built == ["L3(4,-0)", "L3(2,0.25)"]
+
+
 def grid_layout(samples):
     """``(families, frames)`` of each ``sweep_frames`` pass of a ``FAMILY_GRID`` sweep:
     ``max(1, GRID_PASS_FRAMES // samples)`` whole families a pass up to

@@ -5,10 +5,11 @@ from test_clifford import relations_dense
 from test_connection import ricci_spinorial_loop
 from test_gks import GRID_SAMPLES, grid_layout
 
-from spinlab import cli, gks, selftest
+from spinlab import algebra, catalog, cli, gks, selftest
 from spinlab.algebra import FrameChange, metric_from_frame_change, random_frames
 from spinlab.catalog import (
     BianchiFamily,
+    HeisenbergParams,
     heisenberg_gk_eigenvalues,
     heisenberg_metric,
     is_symmetric_family,
@@ -32,9 +33,10 @@ from spinlab.gks import (
 )
 from spinlab.selftest import (
     FAMILY_GRID,
+    _HEISENBERG_N_MAX,
+    _HEISENBERG_PER_N,
     _catalog_jacobi,
     _check,
-    _heisenberg_sweep,
     _skew_vector_pairs,
     closed_form_sweep,
     family_grid,
@@ -75,6 +77,20 @@ def family_deviations(fam, frames, a, ortho_c):
     asym = (a - a.swapaxes(-1, -2)) - reference_asymmetry(fam, frames)
     rel = worst(a - ref) / np.maximum(1.0, worst(ref))
     return np.stack([rel, worst(asym), worst(a - explicit_A_3d(ortho_c))], axis=-1)
+
+
+def _heisenberg_sweep(seed):
+    """The ladder's metrics one ``HeisenbergParams`` at a time, by rung, the default
+    first: the per-metric reference for ``run_selftest``'s one draw per rung."""
+    rng = np.random.default_rng(seed)
+    out = [HeisenbergParams.defaults(n) for n in range(1, _HEISENBERG_N_MAX + 1)]
+    for n in range(1, _HEISENBERG_N_MAX + 1):
+        for _ in range(_HEISENBERG_PER_N):
+            a = tuple(np.exp(rng.uniform(-1.0, 1.0, size=n)))
+            b = tuple(np.exp(rng.uniform(-1.0, 1.0, size=n)))
+            c = float(np.exp(rng.uniform(-1.0, 1.0)))
+            out.append(HeisenbergParams(n, a, b, c))
+    return out
 
 
 def run_selftest_per_sample(seed):
@@ -162,6 +178,46 @@ def test_stacked_selftest_matches_per_sample_suite():
         for got, want in zip(stacked, reference):
             assert got["tol"] == want["tol"] and got["pass"] == want["pass"] is True, got
             assert abs(got["deviation"] - want["deviation"]) <= 1e-15, (seed, got, want)
+
+
+def test_ladder_draws_each_rung_in_one_call_with_the_per_metric_stream(monkeypatch):
+    stacks, forms = [], selftest.heisenberg_ortho_c
+
+    def recording(a, b, c):
+        stacks.append((a, b, c))
+        return forms(a, b, c)
+
+    monkeypatch.setattr(selftest, "heisenberg_ortho_c", recording)
+    for seed in (1, 2, 17, 1234567):
+        stacks.clear()
+        run_selftest(seed=seed)
+        ladder = _heisenberg_sweep([seed, 3])
+        assert [a.shape for a, _, _ in stacks] == [
+            (1 + _HEISENBERG_PER_N, n) for n in range(1, _HEISENBERG_N_MAX + 1)
+        ]
+        for n, (a, b, c) in enumerate(stacks, start=1):
+            rung = [p for p in ladder if p.n == n]  # the default first, then the draws
+            for got, name in ((a, "a"), (b, "b"), (c[:, None], "c")):
+                want = np.array([np.atleast_1d(getattr(p, name)) for p in rung])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, n, name)
+
+
+def test_run_selftest_builds_no_per_metric_heisenberg_objects(monkeypatch):
+    run_selftest(seed=1)  # per-process constants first
+    built = {cls: 0 for cls in (algebra.LieAlgebra, algebra.MetricLieAlgebra, HeisenbergParams)}
+    for cls in built:
+        def counting(self, cls=cls, post=cls.__post_init__):
+            built[cls] += 1
+            post(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for seed in (1, 2):
+        built.update(dict.fromkeys(built, 0))
+        run_selftest(seed=seed)
+        # the only algebras are catalog_jacobi's H(3)..H(9), no metric object at all
+        assert list(built.values()) == [4, 0, 0], built
+    catalog.heisenberg_metric(HeisenbergParams.defaults(2))  # the counters do count
+    assert list(built.values()) == [5, 1, 1]
 
 
 def verify_appendix_per_sample(samples, seed, tol, gap_tol):

@@ -18,7 +18,10 @@ The command set: the first 5 cycles of every benchmark workload
 boundaries split the ``L3(2,x)`` and ``L3(4,x)`` runs) and ``--samples 4097``
 (one family a pass, in chunks of 4096 and 1 frames); ``table1 --samples
 1000``; ``sweep --algebra L3(6) --samples 9000 --seed 3`` (chunks of 4096,
-4096 and 808 frames); ``analyze`` on the 13 Table 1 grid
+4096 and 808 frames) and ``sweep --algebra L3(4,-0)`` (a family equal to a grid
+member that keeps its own -0.0 structure constants); ``heisenberg`` at n = 8, 9
+and 16 with non-default ``--a/--b/--c``, where the order of the sum that gives
+``mu`` shows in the last digit; ``analyze`` on the 13 Table 1 grid
 families (identity and one ``frame_P`` metric, both formats) and on H(5),
 H(25) and H(33); and a few command lines that exit 2 or 3.  Takes no
 options; run from anywhere.
@@ -40,6 +43,9 @@ from spinlab import cli  # noqa: E402
 from spinlab.gks import family_grid  # noqa: E402
 
 CYCLES, BENCH_SEEDS, SELFTEST_SEEDS = 5, (1, 2, 3), range(1, 6)
+# (n, c) of the heisenberg lines with a_p = 1 + 0.37 p and b_p = 2.3 - 0.11 p: at each,
+# numpy's pairwise sum of the lambdas rounds differently from the printed mu's left-to-right sum
+HEISENBERG_ABC = ((8, 2.5), (9, 2.5), (16, 0.7))
 FRAME_P = ('{"frame_P": {"alpha": 1.3, "beta": -0.4, "gamma": 0.7, '
            '"epsilon": 0.8, "zeta": 0.2, "iota": 1.9}}')
 FAILING = (
@@ -68,6 +74,11 @@ def command_lines() -> list[tuple[str, ...]]:
     argvs += [("verify-appendix", "--samples", str(n)) for n in (100, 1024, 4097)]
     argvs += [("table1", "--samples", "1000")]
     argvs += [("sweep", "--algebra", "L3(6)", "--samples", "9000", "--seed", "3")]
+    argvs += [("sweep", "--algebra", "L3(4,-0)", "--samples", "200", "--seed", "2")]
+    for n, c in HEISENBERG_ABC:
+        a = ",".join(format(1 + 0.37 * p, ".2f") for p in range(1, n + 1))
+        b = ",".join(format(2.3 - 0.11 * p, ".2f") for p in range(1, n + 1))
+        argvs += [("heisenberg", "--n", str(n), "--a", a, "--b", b, "--c", str(c))]
     for fam in family_grid():
         for metric in ("identity", FRAME_P):
             argvs += [("analyze", "--algebra", fam.label, "--metric", metric, "--format", fmt)
