@@ -32,11 +32,10 @@ from .catalog import (
     BianchiFamily,
     HeisenbergParams,
     heisenberg_gk_eigenvalues,
-    heisenberg_metric,
     make_bianchi,
     make_heisenberg,
 )
-from .clifford import Spinor, check_slots
+from .clifford import check_slots
 from .errors import FormatError, InvalidParameterError, SpinlabError
 from .gks import (
     DEFAULT_GAP_TOL,
@@ -44,7 +43,7 @@ from .gks import (
     eigen_analysis,
     full_report,
     genericity_sweep,
-    solve_endomorphism,
+    solve_heisenberg,
     table1_rows,
 )
 from .selftest import run_selftest, verify_appendix
@@ -117,26 +116,6 @@ def _mat_lines(mat, indent: str = "  ") -> list[str]:
     ]
 
 
-def _render_report_table(rep_dict: dict, dim: int) -> str:
-    lines = [f"dim: {dim}"]
-    lines.append("A (orthonormal frame):")
-    lines += _mat_lines(rep_dict["A"])
-    lines.append(f"solve_residual: {format_table_float(rep_dict['solve_residual'])}")
-    lines.append(f"symmetric: {rep_dict['symmetric']}")
-    if rep_dict["eigenvalues"] is not None:
-        eig = ", ".join(format_table_float(v) for v in rep_dict["eigenvalues"])
-        lines.append(f"eigenvalues: {eig}  (distinct: {rep_dict['distinct_count']})")
-    else:
-        lines.append("eigenvalues: n/a (A not symmetric)")
-    lines.append(f"dirac_eigenvalue: {format_table_float(rep_dict['dirac_eigenvalue'])}")
-    lines.append("ricci:")
-    lines += _mat_lines(rep_dict["ricci"])
-    lines.append(f"commutator_norm: {format_table_float(rep_dict['commutator_norm'])}")
-    gks = rep_dict["gks_space_dim"]
-    lines.append(f"gks_space_dim: {gks if gks is not None else 'tested-spinor-only'}")
-    return "\n".join(lines)
-
-
 def _require_finite(payload: dict) -> dict:
     """Reject a report with a NaN or infinite number: its input left floating-point range."""
     bad = [
@@ -150,14 +129,31 @@ def _require_finite(payload: dict) -> dict:
     return payload
 
 
-def cmd_analyze(args) -> tuple[str, int]:
+def cmd_analyze(args) -> tuple[dict, int]:
     alg = _resolve_algebra(args.algebra, args.tol)
     mla = _resolve_metric(alg, args.metric)
     report = full_report(mla, tol=args.tol, gap_tol=args.gap_tol)
-    payload = _require_finite(report.to_dict())
-    if args.format == "json":
-        return to_json(payload), 0
-    return _render_report_table(payload, mla.dim), 0
+    return _require_finite(report.to_dict()), 0
+
+
+def _table_analyze(payload: dict) -> str:
+    lines = [f"dim: {len(payload['A'])}"]
+    lines.append("A (orthonormal frame):")
+    lines += _mat_lines(payload["A"])
+    lines.append(f"solve_residual: {format_table_float(payload['solve_residual'])}")
+    lines.append(f"symmetric: {payload['symmetric']}")
+    if payload["eigenvalues"] is not None:
+        eig = ", ".join(format_table_float(v) for v in payload["eigenvalues"])
+        lines.append(f"eigenvalues: {eig}  (distinct: {payload['distinct_count']})")
+    else:
+        lines.append("eigenvalues: n/a (A not symmetric)")
+    lines.append(f"dirac_eigenvalue: {format_table_float(payload['dirac_eigenvalue'])}")
+    lines.append("ricci:")
+    lines += _mat_lines(payload["ricci"])
+    lines.append(f"commutator_norm: {format_table_float(payload['commutator_norm'])}")
+    gks = payload["gks_space_dim"]
+    lines.append(f"gks_space_dim: {gks if gks is not None else 'tested-spinor-only'}")
+    return "\n".join(lines)
 
 
 def _parse_params(args) -> HeisenbergParams:
@@ -182,11 +178,10 @@ def _parse_params(args) -> HeisenbergParams:
     return HeisenbergParams(n, a, b, args.c)
 
 
-def cmd_heisenberg(args) -> tuple[str, int]:
+def cmd_heisenberg(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     params = _parse_params(args)
-    mla = heisenberg_metric(params)
-    a_solved, residual = solve_endomorphism(mla, Spinor.one(params.n))
+    a_solved, residual = solve_heisenberg(params.a, params.b, params.c)
     vals, distinct = eigen_analysis(a_solved, args.gap_tol, sym_tol=args.tol)
     lam, mu = heisenberg_gk_eigenvalues(params)
     payload = _require_finite({
@@ -198,30 +193,32 @@ def cmd_heisenberg(args) -> tuple[str, int]:
         "mu": mu,
         "eigenvalues": [float(v) for v in vals],
         "distinct_count": distinct,
-        "solve_residual": residual,
+        "solve_residual": float(residual),
         "dirac_eigenvalue": float(np.trace(a_solved)),
     })
     elapsed = time.perf_counter() - t0
     print(f"runtime_seconds: {elapsed:.3f}", file=sys.stderr)
-    if args.format == "json":
-        return to_json(payload), 0
-    lines = [
-        f"n: {params.n}",
-        "lambda: " + ", ".join(format_table_float(v) for v in lam),
-        f"mu: {format_table_float(mu)}",
-        "eigenvalues: " + ", ".join(format_table_float(v) for v in vals),
-        f"distinct_count: {distinct}",
-        f"solve_residual: {format_table_float(residual)}",
-        f"dirac_eigenvalue: {format_table_float(float(np.trace(a_solved)))}",
-    ]
-    return "\n".join(lines), 0
+    return payload, 0
 
 
-def cmd_verify_appendix(args) -> tuple[str, int]:
+def _table_heisenberg(payload: dict) -> str:
+    return "\n".join([
+        f"n: {payload['n']}",
+        "lambda: " + ", ".join(format_table_float(v) for v in payload["lambda"]),
+        f"mu: {format_table_float(payload['mu'])}",
+        "eigenvalues: " + ", ".join(format_table_float(v) for v in payload["eigenvalues"]),
+        f"distinct_count: {payload['distinct_count']}",
+        f"solve_residual: {format_table_float(payload['solve_residual'])}",
+        f"dirac_eigenvalue: {format_table_float(payload['dirac_eigenvalue'])}",
+    ])
+
+
+def cmd_verify_appendix(args) -> tuple[dict, int]:
     payload = verify_appendix(args.samples, args.seed, args.tol, args.gap_tol)
-    code = 0 if payload["all_pass"] else 2
-    if args.format == "json":
-        return to_json(payload), code
+    return payload, 0 if payload["all_pass"] else 2
+
+
+def _table_verify_appendix(payload: dict) -> str:
     lines = [f"{'family':<12} {'max|dA|':>10} {'max|dAsym|':>10} {'sym':>5} {'ok':>4}"]
     for r in payload["results"]:
         lines.append(
@@ -230,64 +227,58 @@ def cmd_verify_appendix(args) -> tuple[str, int]:
             f"{str(r['symmetry_expected']):>5} {('yes' if r['pass'] else 'NO'):>4}"
         )
     lines.append(f"all_pass: {payload['all_pass']}")
-    return "\n".join(lines), code
+    return "\n".join(lines)
 
 
-def cmd_sweep(args) -> tuple[str, int]:
+def cmd_sweep(args) -> tuple[dict, int]:
     fam = BianchiFamily.parse(args.algebra)
     stats = genericity_sweep(fam, args.samples, args.seed, args.gap_tol, args.tol)
-    payload = {"seed": args.seed, "gap_tol": args.gap_tol, **stats}
-    if args.format == "json":
-        return to_json(payload), 0
-    lines = [
-        f"family: {stats['family']}",
-        f"samples: {stats['samples']}",
-        f"symmetric_count: {stats['symmetric_count']}",
-        f"modal_r: {stats['modal_r']}",
-        "r_counts: " + ", ".join(f"r={k}: {v}" for k, v in stats["r_counts"].items()),
-        f"fraction_r_lt_3: {stats['fraction_r_lt_3']}",
-    ]
-    return "\n".join(lines), 0
+    return {"seed": args.seed, "gap_tol": args.gap_tol, **stats}, 0
 
 
-def cmd_table1(args) -> tuple[str, int]:
+def _table_sweep(payload: dict) -> str:
+    return "\n".join([
+        f"family: {payload['family']}",
+        f"samples: {payload['samples']}",
+        f"symmetric_count: {payload['symmetric_count']}",
+        f"modal_r: {payload['modal_r']}",
+        "r_counts: " + ", ".join(f"r={k}: {v}" for k, v in payload["r_counts"].items()),
+        f"fraction_r_lt_3: {payload['fraction_r_lt_3']}",
+    ])
+
+
+def cmd_table1(args) -> tuple[dict, int]:
     rows = table1_rows(args.samples, args.seed, args.gap_tol, args.tol)
-    payload = {
-        "samples": args.samples,
-        "seed": args.seed,
-        "gap_tol": args.gap_tol,
-        "rows": rows,
-    }
-    if args.format == "json":
-        return to_json(payload), 0
+    return {"samples": args.samples, "seed": args.seed, "gap_tol": args.gap_tol, "rows": rows}, 0
+
+
+def _table_table1(payload: dict) -> str:
     lines = [f"{'family':<10} {'case':<9} {'dim_GK':>6} {'r':>3} {'degenerate':>11}"]
-    for row in rows:
+    for row in payload["rows"]:
         r = "-" if row["r"] is None else str(row["r"])
-        deg = (
-            "-"
-            if row["degenerate_fraction"] is None
-            else format_table_float(row["degenerate_fraction"])
-        )
+        deg = row["degenerate_fraction"]
+        deg = "-" if deg is None else format_table_float(deg)
         lines.append(
             f"{row['family']:<10} {row['case']:<9} {row['gk_dim']:>6} {r:>3} {deg:>11}"
         )
-    return "\n".join(lines), 0
+    return "\n".join(lines)
 
 
-def cmd_selftest(args) -> tuple[str, int]:
+def cmd_selftest(args) -> tuple[dict, int]:
     result = run_selftest(tol=args.tol, seed=args.seed)
-    code = 0 if result["all_pass"] else 2
-    if args.format == "json":
-        return to_json(result), code
+    return result, 0 if result["all_pass"] else 2
+
+
+def _table_selftest(payload: dict) -> str:
     lines = []
-    for chk in result["checks"]:
+    for chk in payload["checks"]:
         status = "PASS" if chk["pass"] else "FAIL"
         lines.append(
             f"{status}  {chk['name']:<34} deviation {format_table_float(chk['deviation'])}"
             f"  (tol {format_table_float(chk['tol'])})"
         )
-    lines.append("all_pass: " + str(result["all_pass"]))
-    return "\n".join(lines), code
+    lines.append("all_pass: " + str(payload["all_pass"]))
+    return "\n".join(lines)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,7 +289,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built once: parsing leaves it unchanged, and
+    the ``SPINLAB_SEED`` fallback is read per call in ``_check_args``."""
     parser = _Parser(
         prog="spinlab",
         description="Invariant generalised Killing spinors on metric Lie algebras.",
@@ -343,13 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built once: parsing leaves it unchanged, and
-    the ``SPINLAB_SEED`` fallback is read per call in ``_check_args``."""
-    return build_parser()
-
-
 def _check_args(args) -> None:
     """Fill in the fallback seed and reject out-of-range tolerance and sampling arguments."""
     for flag, value in (("--tol", args.tol), ("--gap-tol", getattr(args, "gap_tol", None))):
@@ -367,29 +354,30 @@ def _check_args(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # help (0) or a usage error (2), already printed
         return exc.code
     try:
         _check_args(args)
+        name = args.command.replace("-", "_")
         # looked up by name on every call, not kept in the cached parser, so a
         # rebinding of cmd_* (a test double, the benchmark's tracer) takes effect
-        command = globals()["cmd_" + args.command.replace("-", "_")]
+        command = globals()["cmd_" + name]
+        # the one output choice: a command's payload as JSON or as its table
+        render = to_json if args.format == "json" else globals()["_table_" + name]
         # overflow surfaces as a failed guard or a non-finite result, which
         # each command rejects, so numpy's floating-point warnings are noise
         with np.errstate(all="ignore"):
-            text, code = command(args)
+            payload, code = command(args)
+            text = render(payload)
         if args.output:
             Path(args.output).write_text(text + "\n", encoding="utf-8")
         else:
             print(text)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 3
-    except (OSError, UnicodeDecodeError) as exc:
+    except (FormatError, OSError, UnicodeDecodeError) as exc:  # FormatError before SpinlabError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SpinlabError as exc:

@@ -10,14 +10,17 @@ symmetric; in dimension 3 the same ``A`` then works for every invariant
 spinor, so the space of invariant generalised Killing spinors is either all
 of the spinor space or zero.
 
-Two builders of ``R`` remain, each the fast one on its workload.  For one
-metric's structure constants, or a ``(..., d, d, d)`` stack of them (the ladder
-rungs of ``selftest``), ``_project`` makes one matrix-free spin lift per column,
-``d`` calls per system, on the rows ``psi`` reaches (``1 + n + n(n-1)/2`` of
-``2**n`` for a basis spinor), so the ``H(2n+1)`` ladder costs no ``2**n`` work
-per column.  For a frame stack from
-``random_frames``, ``sweep_frames`` multiplies by the cached unit-spinor lift
-tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
+``solve_endomorphism`` takes, as every function of ``connection`` does, a
+``MetricLieAlgebra`` or orthonormal structure constants, ``(d, d, d)`` or a
+``(..., d, d, d)`` stack solved as one system; ``solve_heisenberg`` is its solve on
+the diagonal Heisenberg metrics, behind the ``heisenberg`` command and the
+``selftest`` ladder, and builds no algebra or metric object (only ``analyze`` does).
+Two builders of ``R`` remain, each the fast one on its workload.  For structure
+constants, ``_project`` makes one matrix-free spin lift per column, ``d`` calls per
+system, on the rows ``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a basis
+spinor), so the ``H(2n+1)`` ladder costs no ``2**n`` work per column.  For a frame
+stack from ``random_frames``, ``sweep_frames`` multiplies by the cached unit-spinor
+lift tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
 small ``d``.  ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
 and the closed-form comparison of ``selftest`` run it over the 13 ``FAMILY_GRID``
 families, ``genericity_sweep`` over one family.  No ``sweep_frames`` pass holds more
@@ -39,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import LieAlgebra, MetricLieAlgebra, frame_structure, random_frames
-from .catalog import BianchiFamily, _mat3, make_bianchi
+from .catalog import BianchiFamily, _mat3, heisenberg_ortho_c, make_bianchi
 from .clifford import CliffordModule, Spinor, module_for_dim
 from .connection import NomizuMap, curvature, nomizu
 from .errors import InvalidSpinorError, SpinlabError, StructureError, UnsupportedDimensionError
@@ -89,17 +92,18 @@ class GKReport:
 
 
 def _project(
-    ortho_c: np.ndarray, psi: Spinor, nm: NomizuMap | None
+    mla: MetricLieAlgebra | np.ndarray, psi: Spinor, nm: NomizuMap | None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The Killing system ``M v = R`` of structure constants and a spinor: ``(M, R, |psi|^2)``.
+    """The Killing system ``M v = R`` of a metric and a spinor: ``(M, R, |psi|^2)``.
 
-    ``ortho_c`` is one metric's ``(d, d, d)`` orthonormal structure constants or a
-    ``(..., d, d, d)`` stack, which gives a ``(..., rows, d)`` stack of ``R`` against
-    the one ``M``; either way the system takes ``d`` spin-lift calls, one per column.
+    ``mla`` is read through ``nomizu`` unless its Nomizu map ``nm`` is given; a stack
+    of structure constants gives a ``(..., rows, d)`` stack of ``R`` against the one
+    ``M``; either way the system takes ``d`` spin-lift calls, one per column.
     Real and imaginary parts are stacked, on the rows ``psi`` can reach
     (``CliffordModule.reachable_rows``): every other row of both is zero.
     """
-    mod = module_for_dim(ortho_c.shape[-1])
+    nm = nm if nm is not None else nomizu(mla)
+    mod = module_for_dim(nm.dim)
     if psi.n != mod.n:
         raise InvalidSpinorError(
             f"spinor has {psi.n} slots, metric algebra needs {mod.n}"
@@ -107,7 +111,6 @@ def _project(
     norm = psi.norm
     if norm == 0.0:
         raise InvalidSpinorError("cannot solve the Killing equation on the zero spinor")
-    nm = nm if nm is not None else nomizu(ortho_c)
     rows = mod.reachable_rows(psi.coeffs)
     m = mod.moment_matrix(psi, rows)
     cols = np.stack(
@@ -139,19 +142,29 @@ def _symmetric(a: np.ndarray, tol: float) -> bool | np.ndarray:
 
 
 def solve_endomorphism(
-    mla: MetricLieAlgebra,
+    mla: MetricLieAlgebra | np.ndarray,
     psi: Spinor,
     _nm: NomizuMap | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Endomorphism ``A`` of the generalised Killing equation, and its residual.
 
     Column ``i`` is the frame vector ``v`` that best solves ``v . psi =
     lift(L_i) . psi`` (``_fit``).  ``A`` is a generalised Killing endomorphism
-    only when the residual is below a tolerance and ``A`` is symmetric.
+    only when the residual is below a tolerance and ``A`` is symmetric.  ``mla`` is a
+    ``MetricLieAlgebra`` or orthonormal structure constants: one metric gives a float
+    residual, a ``(..., d, d, d)`` stack gives ``(..., d, d)`` and ``(...)`` arrays.
     """
-    m, rhs, norm2 = _project(mla.ortho_c, psi, _nm)
-    a, _, residual = _fit(m, rhs, norm2)
-    return a, float(residual)
+    a, _, residual = _fit(*_project(mla, psi, _nm))
+    return a, residual if residual.ndim else float(residual)
+
+
+def solve_heisenberg(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_endomorphism(heisenberg_ortho_c(a, b, c), Spinor.one(n))`` as arrays, for
+    parameters ``a, b: (..., n)`` and ``c: (...)`` that are not validated here."""
+    psi = Spinor.one(np.shape(a)[-1])
+    # not a solve_endomorphism call: perfbench's tracer reads .dim of its first argument
+    a_solved, _, residual = _fit(*_project(heisenberg_ortho_c(a, b, c), psi, None))
+    return a_solved, residual
 
 
 def solve_symmetric_endomorphism(
@@ -169,7 +182,7 @@ def solve_symmetric_endomorphism(
     exact fit, the Frobenius norm of the skew part of ``A``).  A residual
     well above zero certifies that no symmetric solution exists.
     """
-    m, rhs, norm2 = _project(mla.ortho_c, psi, _nm)
+    m, rhs, norm2 = _project(mla, psi, _nm)
     a, misfit, _ = _fit(m, rhs, norm2)
     skew = 0.5 * (a - a.T)
     residual = float(np.sqrt(np.sum(misfit**2) + norm2 * np.sum(skew**2)))
@@ -218,7 +231,7 @@ def symmetry_conditions_3d(ortho_c: np.ndarray, tol: float = DEFAULT_TOL) -> boo
 
 def dirac_trace_3d(ortho_c: np.ndarray) -> np.ndarray:
     """Trace of the endomorphism in dimension 3, as a structure-constant form, per stack entry."""
-    c = np.asarray(ortho_c, dtype=float)
+    c = _structure_3d(ortho_c, "Dirac trace")
     return 0.25 * (c[..., 0, 1, 2] - c[..., 0, 2, 1] + c[..., 1, 2, 0])
 
 
@@ -252,7 +265,7 @@ def gk_equation_residual(
     Per column ``i``, the largest complex entry of ``M a_i - R_i`` on the
     system of ``_project``, relative to ``max(1, max |R_i|)``.
     """
-    m, rhs, _ = _project(mla.ortho_c, psi, _nm)
+    m, rhs, _ = _project(mla, psi, _nm)
     half = len(rhs) // 2  # real rows, then imaginary rows
     miss = m @ a - rhs
     misfit = np.max(np.hypot(miss[:half], miss[half:]), axis=0)

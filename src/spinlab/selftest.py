@@ -13,11 +13,11 @@ to one row of per-family maxima and flags, and combines a family's chunks by max
 Every closed form is evaluated on a whole frame stack, the family closed forms once
 per run of same-tag families, so no check loops over samples; the Clifford relations check
 reads the spin lift's product rule, ``clifford._product``, on every row.  The
-Heisenberg ladder draws each rung's six parameter sets in one call, takes their
-structure constants and eigenvalues from the stacked closed forms
-``catalog.heisenberg_ortho_c`` and ``heisenberg_spectrum``, and solves them as one
-stacked Killing system (``gks._project``, then ``gks._fit``): it builds no
-per-metric parameter, algebra or metric object.
+Heisenberg ladder draws each rung's six parameter sets in one call and solves them
+as one stacked Killing system with ``gks.solve_heisenberg``, the solve of the
+``heisenberg`` command, on the stacked structure constants
+``catalog.heisenberg_ortho_c``; it compares ``A`` with the stacked closed form
+``heisenberg_spectrum`` and builds no per-metric parameter, algebra or metric object.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .algebra import check_jacobi
 from .catalog import (
     BianchiFamily,
-    heisenberg_ortho_c,
     heisenberg_spectrum,
     is_symmetric_family,
     make_heisenberg,
@@ -50,13 +49,12 @@ from .gks import (
     DEFAULT_GAP_TOL,
     DEFAULT_TOL,
     FAMILY_GRID,
-    _fit,
     _grid_stack,
-    _project,
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
     family_grid,  # noqa: F401  (imported from here by the tests and perfbench/reference.py)
+    solve_heisenberg,
     sweep_grid,
     symmetry_conditions_3d,
 )
@@ -241,7 +239,7 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
         draws = np.exp(rng.uniform(-1.0, 1.0, size=(_HEISENBERG_PER_N, 2 * n + 1)))
         rung = np.vstack([defaults, draws])  # a metric a row, a | b | c; draws lie in [1/e, e]
         a, b, c = rung[:, :n], rung[:, n:-1], rung[:, -1]
-        a_solved = _fit(*_project(heisenberg_ortho_c(a, b, c), Spinor.one(n), None))[0]
+        a_solved = solve_heisenberg(a, b, c)[0]
         lam, mu = heisenberg_spectrum(a, b, c)
         expected, diag = np.zeros_like(a_solved), np.arange(2 * n + 1)
         expected[:, diag, diag] = np.c_[mu, np.repeat(lam, 2, axis=-1)]  # (mu, l1, l1, l2, ...)

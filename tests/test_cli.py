@@ -389,10 +389,18 @@ def test_in_process_main_matches_fresh_processes(capsys, monkeypatch):
         out = capsys.readouterr().out
         fresh = run_cli(*args, env_extra=env)
         assert (code, out) == (fresh.returncode, fresh.stdout), args
-    assert cli._parser.cache_info().misses == 1
-    monkeypatch.setattr(cli, "cmd_table1", lambda args: (f"patched {args.seed}", 0))
+    assert cli.build_parser.cache_info().misses == 1
+
+    def double(args):  # a table1 payload that names its seed
+        row = {"family": f"patched {args.seed}", "case": "", "gk_dim": 0, "r": None,
+               "degenerate_fraction": None}
+        return {"seed": args.seed, "rows": [row]}, 0
+
+    monkeypatch.setattr(cli, "cmd_table1", double)
     assert cli.main(["table1", "--seed", "5"]) == 0
-    assert capsys.readouterr().out == "patched 5\n"
+    assert json.loads(capsys.readouterr().out)["rows"][0]["family"] == "patched 5"
+    assert cli.main(["table1", "--seed", "5", "--format", "table"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["patched", "5", "0", "-", "-"]
 
 
 def test_eigen_analysis_follows_the_symmetry_verdict(capsys, monkeypatch):
@@ -454,6 +462,63 @@ def test_heisenberg_tol_reaches_the_symmetry_check_and_leaves_stdout(monkeypatch
         # the ladder A is exactly diagonal, so no tolerance changes a byte
         assert len(outs) == 2, params
     assert seen == [1e-12, 1e-9, 0.5] * 4
+
+
+def _heisenberg_reference(params, fmt):
+    """The ``heisenberg`` command's stdout by way of ``heisenberg_metric`` and the
+    one-metric solve: the reference for its structure-constant route."""
+    from spinlab.catalog import heisenberg_gk_eigenvalues, heisenberg_metric
+    from spinlab.clifford import Spinor
+    from spinlab.gks import DEFAULT_GAP_TOL, DEFAULT_TOL, eigen_analysis, solve_endomorphism
+    from spinlab.serialize import format_table_float, to_json
+
+    a_solved, residual = solve_endomorphism(heisenberg_metric(params), Spinor.one(params.n))
+    vals, distinct = eigen_analysis(a_solved, DEFAULT_GAP_TOL, sym_tol=DEFAULT_TOL)
+    lam, mu = heisenberg_gk_eigenvalues(params)
+    dirac = float(np.trace(a_solved))
+    if fmt == "json":
+        return to_json({
+            "n": params.n, "a": list(params.a), "b": list(params.b), "c": params.c,
+            "lambda": lam, "mu": mu, "eigenvalues": [float(v) for v in vals],
+            "distinct_count": distinct, "solve_residual": residual, "dirac_eigenvalue": dirac,
+        }) + "\n"
+    return "\n".join([
+        f"n: {params.n}",
+        "lambda: " + ", ".join(format_table_float(v) for v in lam),
+        f"mu: {format_table_float(mu)}",
+        "eigenvalues: " + ", ".join(format_table_float(v) for v in vals),
+        f"distinct_count: {distinct}",
+        f"solve_residual: {format_table_float(residual)}",
+        f"dirac_eigenvalue: {format_table_float(dirac)}",
+    ]) + "\n"
+
+
+def test_heisenberg_builds_no_algebra_and_matches_the_metric_route(monkeypatch):
+    from spinlab import algebra
+    from spinlab.catalog import HeisenbergParams
+
+    cases = [((), HeisenbergParams.defaults(n)) for n in range(1, 17)]
+    for n, c in ((8, 2.5), (9, 2.5), (16, 0.7)):  # the output digest's non-default lines
+        a = [format(1 + 0.37 * p, ".2f") for p in range(1, n + 1)]
+        b = [format(2.3 - 0.11 * p, ".2f") for p in range(1, n + 1)]
+        flags = ("--a", ",".join(a), "--b", ",".join(b), "--c", str(c))
+        cases.append((flags, HeisenbergParams(n, tuple(map(float, a)), tuple(map(float, b)), c)))
+    _run_in_process(("heisenberg", "--n", "1"))  # the parser and modules are built and cached
+    built = {cls: 0 for cls in (algebra.LieAlgebra, algebra.MetricLieAlgebra)}
+    for cls in built:
+        def counting(self, cls=cls, post=cls.__post_init__):
+            built[cls] += 1
+            post(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for flags, params in cases:
+        for fmt in ("json", "table"):
+            built.update(dict.fromkeys(built, 0))
+            argv = ("heisenberg", "--n", str(params.n), *flags, "--format", fmt)
+            code, out, _ = _run_in_process(argv)
+            assert (code, list(built.values())) == (0, [0, 0]), (params.n, fmt)
+            assert out == _heisenberg_reference(params, fmt), (params.n, fmt)
+            assert list(built.values()) == [1, 1]  # the counters do count
 
 
 def test_heisenberg_refuses_too_many_slots_before_building_anything():

@@ -204,6 +204,13 @@ def test_stacked_symmetry_conditions_match_per_sample_calls():
         symmetry_conditions_3d(np.zeros((4, 3, 3)))
 
 
+def test_3d_forms_refuse_every_other_shape():
+    for form in (explicit_A_3d, symmetry_conditions_3d, dirac_trace_3d):
+        for shape in ((5, 5, 5), (4, 3, 3, 2)):  # one metric of dimension 5, a stack of d = 2
+            with pytest.raises(UnsupportedDimensionError, match="needs dimension 3"):
+                form(np.ones(shape))
+
+
 def test_eigen_analysis():
     vals, r = eigen_analysis(np.diag([-0.25, 0.25, 0.25]))
     np.testing.assert_allclose(vals, [-0.25, 0.25, 0.25])
@@ -541,13 +548,17 @@ def test_stacked_projection_matches_per_metric_solves():
     strict = 0
     for mlas, psi in _stacked_projection_cases():
         stack = np.stack([mla.ortho_c for mla in mlas])
-        a, _, residual = gks._fit(*gks._project(stack, psi, None))
+        a, residual = solve_endomorphism(stack, psi)
         d = mlas[0].dim
         assert a.shape == (len(mlas), d, d) and residual.shape == (len(mlas),)
         for k, mla in enumerate(mlas):
             ref, ref_res = solve_endomorphism(mla, psi)
+            assert type(ref_res) is float
             assert a[k].tobytes() == ref.tobytes(), (d, k)
             assert residual[k] == ref_res, (d, k)
+            one, one_res = solve_endomorphism(mla.ortho_c, psi)  # one metric's constants
+            assert type(one_res) is float and one_res == ref_res
+            assert one.tobytes() == ref.tobytes(), (d, k)
         strict += get_module(psi.n).reachable_rows(psi.coeffs) is not None
     # a strict subset of the rows for n >= 3, except the 3-entry spinor below n = 7;
     # every row for n <= 2 and for the 3-d stack

@@ -181,13 +181,13 @@ def test_stacked_selftest_matches_per_sample_suite():
 
 
 def test_ladder_draws_each_rung_in_one_call_with_the_per_metric_stream(monkeypatch):
-    stacks, forms = [], selftest.heisenberg_ortho_c
+    stacks, solve = [], selftest.solve_heisenberg
 
     def recording(a, b, c):
         stacks.append((a, b, c))
-        return forms(a, b, c)
+        return solve(a, b, c)
 
-    monkeypatch.setattr(selftest, "heisenberg_ortho_c", recording)
+    monkeypatch.setattr(selftest, "solve_heisenberg", recording)
     for seed in (1, 2, 17, 1234567):
         stacks.clear()
         run_selftest(seed=seed)

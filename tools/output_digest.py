@@ -23,7 +23,9 @@ member that keeps its own -0.0 structure constants); ``heisenberg`` at n = 8, 9
 and 16 with non-default ``--a/--b/--c``, where the order of the sum that gives
 ``mu`` shows in the last digit; ``analyze`` on the 13 Table 1 grid
 families (identity and one ``frame_P`` metric, both formats) and on H(5),
-H(25) and H(33); and a few command lines that exit 2 or 3.  Takes no
+H(25) and H(33); one ``--format table`` line each of ``heisenberg`` (n = 9,
+non-default ``--a/--b/--c``), ``sweep``, ``table1`` and a ``verify-appendix --tol
+1e-300`` that exits 2; and a few command lines that exit 2 or 3.  Takes no
 options; run from anywhere.
 """
 
@@ -79,11 +81,17 @@ def command_lines() -> list[tuple[str, ...]]:
         a = ",".join(format(1 + 0.37 * p, ".2f") for p in range(1, n + 1))
         b = ",".join(format(2.3 - 0.11 * p, ".2f") for p in range(1, n + 1))
         argvs += [("heisenberg", "--n", str(n), "--a", a, "--b", b, "--c", str(c))]
+    argvs += [argvs[-2] + ("--format", "table")]  # n = 9
     for fam in family_grid():
         for metric in ("identity", FRAME_P):
             argvs += [("analyze", "--algebra", fam.label, "--metric", metric, "--format", fmt)
                       for fmt in ("json", "table")]
     argvs += [("analyze", "--algebra", f"H({d})") for d in (5, 25, 33)]
+    argvs += [
+        ("sweep", "--algebra", "L3(5)", "--samples", "300", "--seed", "4", "--format", "table"),
+        ("table1", "--samples", "200", "--seed", "6", "--format", "table"),
+        ("verify-appendix", "--samples", "20", "--tol", "1e-300", "--format", "table"),
+    ]
     return argvs + list(FAILING)
 
 
