@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, MetricLieAlgebra
 from .clifford import check_slots
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, UnsupportedDimensionError
 
 FAMILY_TAGS = ("L3(-1)", "L3(1)", "L3(2,x)", "L3(3)", "L3(4,x)", "L3(5)", "L3(6)")
 _PARAMETRIC = {"L3(2,x)", "L3(4,x)"}
@@ -224,6 +224,14 @@ def _frame(frame: np.ndarray) -> np.ndarray:
     return f
 
 
+def _structure_3d(ortho_c: np.ndarray, what: str) -> np.ndarray:
+    """``ortho_c`` as a float ``(..., 3, 3, 3)`` array; ``what`` names the caller's result."""
+    c = np.asarray(ortho_c, dtype=float)
+    if c.shape[-3:] != (3, 3, 3):
+        raise UnsupportedDimensionError(f"{what} needs dimension 3, got shape {c.shape}")
+    return c
+
+
 def _sq(x):
     """``x ** 2`` per entry by libm ``pow``, as for a Python float, so a stack gives the bits
     of its frames evaluated one at a time (numpy squares an array by one product)."""
@@ -353,8 +361,9 @@ def reference_ricci_3d(ortho_c: np.ndarray) -> np.ndarray:
     constants hold (c13^1 = -c23^2, c12^1 = c23^3, c12^2 = -c13^3); outside
     that locus the true Ricci involves further terms.
     """
-    c123, c132, c133 = ortho_c[..., 0, 1, 2], ortho_c[..., 0, 2, 1], ortho_c[..., 0, 2, 2]
-    c231, c232, c233 = ortho_c[..., 1, 2, 0], ortho_c[..., 1, 2, 1], ortho_c[..., 1, 2, 2]
+    c = _structure_3d(ortho_c, "Ricci closed form")
+    c123, c132, c133 = c[..., 0, 1, 2], c[..., 0, 2, 1], c[..., 0, 2, 2]
+    c231, c232, c233 = c[..., 1, 2, 0], c[..., 1, 2, 1], c[..., 1, 2, 2]
     r11 = 0.5 * (_sq(c231) - _sq(c123 + c132) - 4 * _sq(c133))
     r22 = 0.5 * (_sq(c132) - _sq(c123 - c231) - 4 * _sq(c233))
     r33 = 0.5 * (_sq(c123) - _sq(c132 + c231) - 4 * _sq(c232))

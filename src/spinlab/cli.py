@@ -214,7 +214,7 @@ def _table_heisenberg(payload: dict) -> str:
 
 
 def cmd_verify_appendix(args) -> tuple[dict, int]:
-    payload = verify_appendix(args.samples, args.seed, args.tol, args.gap_tol)
+    payload = verify_appendix(args.samples, args.seed, args.tol)
     return payload, 0 if payload["all_pass"] else 2
 
 
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify-appendix", help="solver vs closed-form family tables")
-    add_common(p, samples_default=100)
+    add_common(p, samples_default=100, gap_tol=False)  # it counts no distinct eigenvalues
 
     p = sub.add_parser("sweep", help="eigenvalue-count statistics over random metrics")
     p.add_argument("--algebra", required=True, help="family name, e.g. L3(6)")

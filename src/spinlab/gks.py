@@ -24,8 +24,8 @@ lift tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only
 small ``d``.  ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
 and the closed-form comparison of ``selftest`` run it over the 13 ``FAMILY_GRID``
 families, ``genericity_sweep`` over one family.  No ``sweep_frames`` pass holds more
-than ``GRID_PASS_FRAMES`` frames, so memory stays flat in the sample count, and each
-pass's reducer returns one row of numbers per family.
+than ``GRID_PASS_FRAMES`` frames, so memory stays flat in the sample count; the sweep
+only solves, and each pass's reducer judges what it reads, one row per family.
 
 Constants that never change are built once per process, on first use, and are
 read-only: the grid families, their algebras and stacked structure constants
@@ -42,10 +42,10 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import LieAlgebra, MetricLieAlgebra, frame_structure, random_frames
-from .catalog import BianchiFamily, _mat3, heisenberg_ortho_c, make_bianchi
+from .catalog import BianchiFamily, _mat3, _structure_3d, heisenberg_ortho_c, make_bianchi
 from .clifford import CliffordModule, Spinor, module_for_dim
 from .connection import NomizuMap, curvature, nomizu
-from .errors import InvalidSpinorError, SpinlabError, StructureError, UnsupportedDimensionError
+from .errors import InvalidSpinorError, SpinlabError, StructureError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GAP_TOL = 1e-7
@@ -189,14 +189,6 @@ def solve_symmetric_endomorphism(
     return 0.5 * (a + a.T), residual
 
 
-def _structure_3d(ortho_c: np.ndarray, what: str) -> np.ndarray:
-    """``ortho_c`` as a float ``(..., 3, 3, 3)`` array; ``what`` names the caller's result."""
-    c = np.asarray(ortho_c, dtype=float)
-    if c.shape[-3:] != (3, 3, 3):
-        raise UnsupportedDimensionError(f"{what} needs dimension 3, got shape {c.shape}")
-    return c
-
-
 def explicit_A_3d(ortho_c: np.ndarray) -> np.ndarray:
     """Closed-form endomorphism matrix in dimension 3, per stack entry.
 
@@ -242,8 +234,8 @@ def eigen_analysis(
 
     Eigenvalues closer than ``gap_tol * max(1, spectral radius)`` are
     clustered together.  Raises unless ``a`` passes the symmetry verdict
-    ``_symmetric`` at ``sym_tol`` (``full_report`` and ``sweep_frames`` pass
-    their ``tol``).  A ``(N, d, d)`` stack gives ``(N, d)`` eigenvalues and ``N`` counts.
+    ``_symmetric`` at ``sym_tol`` (``full_report`` and the ``_r_tally`` reducer
+    pass their ``tol``).  A ``(N, d, d)`` stack gives ``(N, d)`` eigenvalues and ``N`` counts.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(_symmetric(a, sym_tol)):
@@ -344,25 +336,19 @@ def _unit_spinor_tensors(mod: CliffordModule) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FrameSweep:
-    """Per-sample arrays of ``sweep_frames``; ``distinct_count`` is 0 where ``A`` is not symmetric."""
+    """Per-sample arrays of ``sweep_frames``."""
 
     ortho_c: np.ndarray
     A: np.ndarray
     solve_residual: np.ndarray
-    symmetric: np.ndarray
-    distinct_count: np.ndarray
 
 
-def sweep_frames(
-    alg: LieAlgebra | np.ndarray, frames: np.ndarray, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL
-) -> FrameSweep:
-    """The unit-spinor solve and verdicts of ``full_report`` for a ``(N, d, d)`` frame stack.
+def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> FrameSweep:
+    """The unit-spinor ``_fit`` of ``full_report`` for a ``(N, d, d)`` frame stack, no verdict.
 
-    Per sample: ``_fit`` on the unit spinor (norm 1), the ``_symmetric`` verdict and, where
-    ``A`` is symmetric, ``eigen_analysis``; ``(F, d, d, d)`` structure constants with
-    ``(F, N, d, d)`` frames keep the family axis in every array.  Raises ``InvalidMetricError``
-    if any frame fails the orthonormality guard of ``MetricLieAlgebra``, and ``StructureError``
-    if any ``A`` is not finite (the structure constants left floating-point range)."""
+    ``(F, d, d, d)`` structure constants with ``(F, N, d, d)`` frames keep the family axis.
+    Raises ``InvalidMetricError`` if any frame fails the orthonormality guard of
+    ``MetricLieAlgebra``, and ``StructureError`` if any ``A`` is not finite."""
     c = alg.c if isinstance(alg, LieAlgebra) else alg
     d = c.shape[-1]
     m, w = _unit_spinor_tensors(module_for_dim(d))
@@ -373,17 +359,20 @@ def sweep_frames(
         raise StructureError(
             "A is not finite: the structure constants are out of floating-point range"
         )
-    symmetric = _symmetric(a, tol)
-    distinct = np.zeros(symmetric.shape, dtype=int)
-    distinct[symmetric] = eigen_analysis(a[symmetric], gap_tol, sym_tol=tol)[1]
-    return FrameSweep(oc, a, residual, symmetric, distinct)
+    return FrameSweep(oc, a, residual)
 
 
-def _r_tally(fams, frames, batch: FrameSweep) -> np.ndarray:
+def _r_tally(tol: float, gap_tol: float):
     """The ``sweep_grid`` reducer of the ``r`` statistics: per family, ``tally[r]`` samples
-    with ``r`` distinct eigenvalues, ``r = 0..3``, where bin 0 counts the samples whose
-    ``A`` is not symmetric (``sweep_frames`` leaves their distinct count 0)."""
-    return (batch.distinct_count[..., None] == np.arange(4)).sum(axis=-2)
+    with ``r = 1..3`` distinct eigenvalues, and in bin 0 those failing ``_symmetric`` at ``tol``."""
+
+    def tally(fams, frames, batch: FrameSweep) -> np.ndarray:
+        symmetric = _symmetric(batch.A, tol)
+        distinct = np.zeros(symmetric.shape, dtype=int)
+        distinct[symmetric] = eigen_analysis(batch.A[symmetric], gap_tol, sym_tol=tol)[1]
+        return (distinct[..., None] == np.arange(4)).sum(axis=-2)
+
+    return tally
 
 
 def _r_stats(family: BianchiFamily, tally: np.ndarray) -> dict:
@@ -421,7 +410,7 @@ def genericity_sweep(
     # family, L3(4,-0) among them (equal to L3(4,0), but x is -0.0), goes to make_bianchi
     rows = [k for k, fam in enumerate(fams) if (fam.tag, str(fam.x)) == key]
     c = cs[rows] if rows else make_bianchi(family).c[None]
-    tally = sweep_grid([seed], samples, _r_tally, tol, gap_tol, ((family,), c))
+    tally = sweep_grid([seed], samples, _r_tally(tol, gap_tol), ((family,), c))
     return _r_stats(family, tally[0].sum(axis=0))
 
 
@@ -464,7 +453,7 @@ def _grid_stack() -> tuple[tuple[BianchiFamily, ...], tuple[LieAlgebra, ...], np
     return fams, algs, cs
 
 
-def sweep_grid(seeds, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL, grid=None):
+def sweep_grid(seeds, samples: int, reduce, grid=None):
     """Seeded ``sweep_frames`` passes over a family stack, reduced to ``(families, chunks, k)``.
 
     ``grid`` is ``(families, (F, 3, 3, 3) structure constants)``, by default the
@@ -484,7 +473,7 @@ def sweep_grid(seeds, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP
     for i in range(0, len(fams), step):
         for n in chunks:  # several only when a pass holds one family: rows stay in grid order
             frames = np.array([random_frames(3, rng, n) for rng in rngs[i : i + step]])
-            batch = sweep_frames(cs[i : i + step], frames, tol, gap_tol)
+            batch = sweep_frames(cs[i : i + step], frames)
             rows.append(reduce(fams[i : i + step], frames, batch))
             del frames, batch  # let go of this pass before the next draw
     return np.concatenate(rows).reshape(len(fams), len(chunks), -1)
@@ -493,7 +482,7 @@ def sweep_grid(seeds, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP
 def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dict]:
     """Eigenvalue-count table per family, via seeded metric sweeps of the whole grid."""
     seeds = [[seed, row, k] for row, (_, xs, _) in enumerate(TABLE1_ROWS) for k in range(len(xs))]
-    tallies = sweep_grid(seeds, samples, _r_tally, tol, gap_tol).sum(axis=1)
+    tallies = sweep_grid(seeds, samples, _r_tally(tol, gap_tol)).sum(axis=1)
     grid_stats = map(_r_stats, _grid_stack()[0], tallies)
     rows = []
     for tag, xs, case in TABLE1_ROWS:

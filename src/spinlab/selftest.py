@@ -10,6 +10,8 @@ The 3-d closed-form comparison, ``closed_form_sweep``, is one ``gks.sweep_grid``
 over the 13 grid families, shared by ``verify_appendix`` (the ``verify-appendix``
 command) and ``run_selftest``; each reduces every pass's ``(F, N)`` stacks at once
 to one row of per-family maxima and flags, and combines a family's chunks by max.
+The sweep only solves: ``verify_appendix`` judges symmetry itself (``gks._symmetric``)
+and takes no ``gap_tol``; the ``run_selftest`` grid pass computes no verdict or eigenvalues.
 Every closed form is evaluated on a whole frame stack, the family closed forms once
 per run of same-tag families, so no check loops over samples; the Clifford relations check
 reads the spin lift's product rule, ``clifford._product``, on every row.  The
@@ -46,10 +48,9 @@ from .connection import (
     torsion_violation,
 )
 from .gks import (
-    DEFAULT_GAP_TOL,
-    DEFAULT_TOL,
     FAMILY_GRID,
     _grid_stack,
+    _symmetric,
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
@@ -131,7 +132,7 @@ def closed_form_deviations(fams, frames, a, ortho_c) -> np.ndarray:
     return np.stack([rel, asym, worst(a - explicit_A_3d(ortho_c))], axis=-1)
 
 
-def closed_form_sweep(seed, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAULT_GAP_TOL):
+def closed_form_sweep(seed, samples: int, reduce):
     """The seeded comparison of the solver with the closed forms, as one ``sweep_grid``.
 
     Family ``idx`` of ``FAMILY_GRID`` gets ``samples`` frames from ``default_rng([seed,
@@ -143,15 +144,15 @@ def closed_form_sweep(seed, samples: int, reduce, tol=DEFAULT_TOL, gap_tol=DEFAU
         return reduce(fams, frames, b, closed_form_deviations(fams, frames, b.A, b.ortho_c))
 
     seeds = [[seed, idx] for idx in range(len(FAMILY_GRID))]
-    return sweep_grid(seeds, samples, compare, tol, gap_tol)
+    return sweep_grid(seeds, samples, compare)
 
 
-def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict:
+def verify_appendix(samples: int, seed: int, tol: float) -> dict:
     """Solver against the closed forms of every ``FAMILY_GRID`` family.
 
     Per family: the worst deviation from each closed form, whether every
-    symmetry verdict (the engine's and ``symmetry_conditions_3d``) matches
-    ``is_symmetric_family``, and, where ``reference_eigenvalues`` has a
+    symmetry verdict at ``tol`` (``_symmetric`` of ``A`` and ``symmetry_conditions_3d``)
+    matches ``is_symmetric_family``, and, where ``reference_eigenvalues`` has a
     display, the worst eigenvalue deviation relative to its size.  Each chunk
     is reduced at once to per-family rows: the three deviations, the eigenvalue
     deviation (0 without a display), a flag for a closed-form eigenvalue display
@@ -159,21 +160,21 @@ def verify_appendix(samples: int, seed: int, tol: float, gap_tol: float) -> dict
 
     def check(fams, frames, batch, devs):
         expected = np.array([is_symmetric_family(fam) for fam in fams])[:, None]
-        conditions = symmetry_conditions_3d(batch.ortho_c, tol)
+        symmetric, conditions = _symmetric(batch.A, tol), symmetry_conditions_3d(batch.ortho_c, tol)
         rows = np.zeros((len(fams), 6))
         rows[:, :3] = np.max(devs, axis=1)
-        rows[:, 5] = np.any((batch.symmetric != expected) | (conditions != expected), axis=-1)
+        rows[:, 5] = np.any((symmetric != expected) | (conditions != expected), axis=-1)
         closed = {k: reference_eigenvalues(fam, frames[k]) for k, fam in enumerate(fams)}
         closed = {k: ref for k, ref in closed.items() if ref is not None}
         if closed:  # one eigen_analysis call for every family with closed-form eigenvalues
             ref = np.sort(list(closed.values()), axis=-1)
-            vals = eigen_analysis(batch.A[list(closed)], gap_tol)[0]
+            vals = eigen_analysis(batch.A[list(closed)])[0]  # the values need no gap_tol
             escale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
             rows[list(closed), 3] = np.max(np.max(np.abs(vals - ref), axis=-1) / escale, axis=-1)
             rows[list(closed), 4] = 1.0
         return rows
 
-    worst = closed_form_sweep(seed, samples, check, tol, gap_tol).max(axis=1)
+    worst = closed_form_sweep(seed, samples, check).max(axis=1)
     # numpy comparisons, so a NaN deviation fails
     passed = np.all(worst[:, :4] <= tol, axis=-1) & (worst[:, 5] == 0.0)
     results = [
@@ -212,7 +213,7 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
         ortho_c, psis = batch.ortho_c, (Spinor.one(1), Spinor.basis(1, 1))
         nm, sym = nomizu(ortho_c), np.array([is_symmetric_family(fam) for fam in fams])
         spinorial = np.maximum(*(ricci_spinorial_check(nm, ortho_c, psi)[1] for psi in psis))
-        ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(batch.symmetric.shape)
+        ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(batch.solve_residual.shape)
         rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
         ricci = curvature(nm, ortho_c).ricci[sym]  # symmetric families only: 0 elsewhere
         ricci_dev[sym] = np.max(np.abs(ricci - ref), axis=(-2, -1)) / rscale

@@ -220,6 +220,8 @@ def test_exit_codes(tmp_path):
         (("selftest", "--seed", "-1"), 2),
         # selftest counts no distinct eigenvalues, so it takes no --gap-tol
         (("selftest", "--gap-tol", "1e300"), 2),
+        # nor does verify-appendix: its closed-form eigenvalue check compares values only
+        (("verify-appendix", "--gap-tol", "1e-7"), 2),
         (("analyze", "--algebra", "L3(1)", "--tol", "nan"), 2),
         (("analyze", "--algebra", "L3(1)", "--tol", "-1"), 2),
         (("analyze", "--algebra", "L3(1)", "--tol", "inf"), 2),

@@ -19,6 +19,7 @@ from spinlab.catalog import (
     make_heisenberg,
     reference_A,
     reference_asymmetry,
+    reference_ricci_3d,
 )
 from spinlab.clifford import Spinor, get_module
 from spinlab.connection import nomizu
@@ -205,7 +206,7 @@ def test_stacked_symmetry_conditions_match_per_sample_calls():
 
 
 def test_3d_forms_refuse_every_other_shape():
-    for form in (explicit_A_3d, symmetry_conditions_3d, dirac_trace_3d):
+    for form in (explicit_A_3d, symmetry_conditions_3d, dirac_trace_3d, reference_ricci_3d):
         for shape in ((5, 5, 5), (4, 3, 3, 2)):  # one metric of dimension 5, a stack of d = 2
             with pytest.raises(UnsupportedDimensionError, match="needs dimension 3"):
                 form(np.ones(shape))
@@ -672,7 +673,7 @@ def test_sweep_frames_matches_scalar_pipeline():
     for alg in algebras + [make_heisenberg(2)]:
         frames = random_frames(alg.dim, rng, 25)
         batch = sweep_frames(alg, frames)
-        n = (alg.dim - 1) // 2
+        n, counts = (alg.dim - 1) // 2, []
         for k, frame in enumerate(frames):
             mla = metric_from_frame_change(alg, FrameChange(frame))
             a, residual = solve_endomorphism(mla, Spinor.one(n))
@@ -683,9 +684,16 @@ def test_sweep_frames_matches_scalar_pipeline():
             # in dimension 3 every frame direction is solved exactly
             assert abs(batch.solve_residual[k] - residual) <= 1e-12
             assert alg.dim > 3 or batch.solve_residual[k] <= 1e-12
+            # the verdicts a reducer takes from the solve: _symmetric, then eigen_analysis
             report = full_report(mla)
-            assert batch.symmetric[k] == report.is_symmetric
-            assert batch.distinct_count[k] == (report.distinct_count or 0)
+            symmetric, distinct = _verdicts(batch.A[k : k + 1])
+            assert symmetric[0] == report.is_symmetric
+            assert distinct[0] == (report.distinct_count or 0)
+            counts.append(report.distinct_count or 0)
+        if alg.dim == 3:  # the r tally of genericity_sweep and table1_rows, bins 0..3
+            one_pass = FrameSweep(*(arr[None] for arr in vars(batch).values()))  # (1, N) arrays
+            tally = gks._r_tally(1e-9, 1e-7)(None, frames[None], one_pass)[0]
+            assert tally.tolist() == np.bincount(counts, minlength=4).tolist()
 
 
 def test_sweep_frames_keeps_the_orthonormality_guard():
@@ -697,6 +705,15 @@ def test_sweep_frames_keeps_the_orthonormality_guard():
     frames[3] = bad
     with pytest.raises(InvalidMetricError):
         sweep_frames(alg, frames)
+
+
+def _verdicts(a, tol=1e-9, gap_tol=1e-7):
+    """Per entry of an ``A`` stack: the ``_symmetric`` verdict at ``tol`` and the distinct
+    count of ``eigen_analysis``, 0 where ``A`` is not symmetric."""
+    symmetric = gks._symmetric(a, tol)
+    distinct = np.zeros(symmetric.shape, dtype=int)
+    distinct[symmetric] = eigen_analysis(a[symmetric], gap_tol, sym_tol=tol)[1]
+    return symmetric, distinct
 
 
 def _per_sample_genericity_sweep(family, samples, seed, gap_tol=1e-7, tol=1e-9):
@@ -751,8 +768,9 @@ def genericity_sweep_one_draw(family, samples, seed, gap_tol=1e-7, tol=1e-9):
     """The unchunked reference for ``genericity_sweep``: one ``random_frames`` draw and
     one ``sweep_frames`` pass of every sample, tallied by a sorting ``np.unique``."""
     frames = random_frames(3, np.random.default_rng(seed), samples)
-    batch = sweep_frames(make_bianchi(family), frames, tol, gap_tol)
-    stats = _unique_r_stats(batch.distinct_count, batch.symmetric)
+    batch = sweep_frames(make_bianchi(family), frames)
+    symmetric, distinct = _verdicts(batch.A, tol, gap_tol)
+    stats = _unique_r_stats(distinct, symmetric)
     return {"family": family.label, "samples": samples, **stats}
 
 
@@ -879,7 +897,7 @@ def test_family_stacked_sweep_matches_per_family_sweeps():
     algs = [make_bianchi(BianchiFamily(tag, x)) for tag, x in FAMILY_GRID]
     frames = random_frames(3, np.random.default_rng(12), 13 * 9).reshape(13, 9, 3, 3)
     batch = sweep_frames(np.stack([alg.c for alg in algs]), frames)
-    assert batch.A.shape == (13, 9, 3, 3) and batch.distinct_count.shape == (13, 9)
+    assert batch.A.shape == (13, 9, 3, 3) and batch.solve_residual.shape == (13, 9)
     for f, alg in enumerate(algs):
         one = sweep_frames(alg, frames[f])
         for name, arr in vars(one).items():
@@ -899,14 +917,21 @@ def _unique_r_stats(distinct, symmetric):
     }
 
 
+# row r - 1: the spectrum of a diagonal A with r distinct eigenvalues; _SKEW breaks symmetry
+_SPECTRA = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
+_SKEW = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 def _r_tally_of(distinct, symmetric):
-    """The ``_r_tally`` row of a hand-built one-family ``FrameSweep``: only the verdicts
-    and counts matter."""
-    distinct = np.where(symmetric, distinct, 0)  # sweep_frames leaves 0 where A is not symmetric
+    """The ``_r_tally`` row of a hand-built one-family ``FrameSweep``: per sample a diagonal
+    ``A`` with ``distinct`` distinct eigenvalues, plus ``_SKEW`` where not ``symmetric``."""
     n = len(distinct)
-    zeros = (np.zeros((1, n, 3, 3, 3)), np.zeros((1, n, 3, 3)), np.zeros((1, n)))
-    batch = FrameSweep(*zeros, symmetric[None], distinct[None])
-    return gks._r_tally((BianchiFamily("L3(6)"),), np.zeros((1, n, 3, 3)), batch)[0]
+    a = np.zeros((n, 3, 3))
+    a[:, range(3), range(3)] = _SPECTRA[np.maximum(distinct, 1) - 1]
+    a[~symmetric] += _SKEW
+    batch = FrameSweep(np.zeros((1, n, 3, 3, 3)), a[None], np.zeros((1, n)))
+    reduce = gks._r_tally(1e-9, 1e-7)
+    return reduce((BianchiFamily("L3(6)"),), np.zeros((1, n, 3, 3)), batch)[0]
 
 
 def _r_stats_of(distinct, symmetric):

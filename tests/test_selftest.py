@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -220,7 +221,7 @@ def test_run_selftest_builds_no_per_metric_heisenberg_objects(monkeypatch):
     assert list(built.values()) == [5, 1, 1]
 
 
-def verify_appendix_per_sample(samples, seed, tol, gap_tol):
+def verify_appendix_per_sample(samples, seed, tol):
     """One frame change, symmetry verdict and eigen analysis per sample: the
     reference for ``verify_appendix``'s single pass."""
     results = []
@@ -228,16 +229,17 @@ def verify_appendix_per_sample(samples, seed, tol, gap_tol):
         fam = BianchiFamily(tag, x)
         expected_sym = is_symmetric_family(fam)
         frames = random_frames(3, np.random.default_rng([seed, idx]), samples)
-        batch = sweep_frames(make_bianchi(fam), frames, tol, gap_tol)
+        batch = sweep_frames(make_bianchi(fam), frames)
         devs = np.zeros(3)
         eigen_dev = None
-        verdicts_ok = bool(np.all(batch.symmetric == expected_sym))
+        verdicts_ok = True
         for frame, ortho_c, a_solved in zip(frames, batch.ortho_c, batch.A):
             devs = np.maximum(devs, family_deviations(fam, frame, a_solved, ortho_c))
+            verdicts_ok &= bool(gks._symmetric(a_solved, tol)) == expected_sym
             verdicts_ok &= symmetry_conditions_3d(ortho_c, tol) == expected_sym
             closed = reference_eigenvalues(fam, frame)
             if closed is not None:
-                solved_vals, _ = eigen_analysis(a_solved, gap_tol)
+                solved_vals, _ = eigen_analysis(a_solved)
                 ref_vals = np.sort(np.asarray(closed))
                 escale = max(1.0, float(np.max(np.abs(ref_vals))))
                 dev = float(np.max(np.abs(solved_vals - ref_vals))) / escale
@@ -269,14 +271,44 @@ def verify_appendix_per_sample(samples, seed, tol, gap_tol):
 
 def test_verify_appendix_matches_per_sample_loop():
     for seed in range(1, 6):
-        payload = verify_appendix(10, seed, 1e-9, 1e-7)
-        assert payload == verify_appendix_per_sample(10, seed, 1e-9, 1e-7), seed
+        payload = verify_appendix(10, seed, 1e-9)
+        assert payload == verify_appendix_per_sample(10, seed, 1e-9), seed
         assert payload["all_pass"] is True
         eigen = [r["max_eigenvalue_deviation"] is not None for r in payload["results"]]
         assert sum(eigen) == 3  # L3(1), L3(2,-1) and L3(4,0) have closed-form eigenvalues
-    failing = verify_appendix(10, 3, 1e-300, 1e-7)
-    assert failing == verify_appendix_per_sample(10, 3, 1e-300, 1e-7)
+    failing = verify_appendix(10, 3, 1e-300)
+    assert failing == verify_appendix_per_sample(10, 3, 1e-300)
     assert not any(r["pass"] for r in failing["results"])
+
+
+def test_eigen_analysis_runs_only_where_a_reducer_reads_eigenvalues(monkeypatch):
+    # the sweep engine only solves: the selftest grid pass reads no eigenvalue,
+    # verify_appendix reads those of the closed-form families in one call, and a one-pass
+    # sweep counts its symmetric samples in one call
+    stacks, analyse = [], gks.eigen_analysis
+
+    def spy(a, *args, **kwargs):
+        stacks.append(np.array(a))
+        return analyse(a, *args, **kwargs)
+
+    bound = [name for name, module in sorted(sys.modules.items())
+             if name.startswith("spinlab") and getattr(module, "eigen_analysis", None) is analyse]
+    assert {"spinlab.gks", "spinlab.selftest", "spinlab.cli"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "eigen_analysis", spy)
+    run_selftest(seed=1)
+    assert stacks == []
+    verify_appendix(10, 1, 1e-9)
+    closed = {idx: fam for idx, fam in enumerate(family_grid())
+              if reference_eigenvalues(fam, np.eye(3)) is not None}
+    assert [fam.label for fam in closed.values()] == ["L3(1)", "L3(2,-1)", "L3(4,0)"]
+    want = [sweep_frames(make_bianchi(fam), random_frames(3, np.random.default_rng([1, idx]), 10)).A
+            for idx, fam in closed.items()]
+    assert len(stacks) == 1
+    np.testing.assert_array_equal(stacks[0], want)
+    stacks.clear()
+    genericity_sweep(BianchiFamily("L3(6)"), 10, 1)
+    assert len(stacks) == 1 and stacks[0].shape == (10, 3, 3)
 
 
 def test_closed_form_sweep_matches_per_family_sweeps():
@@ -316,9 +348,7 @@ def test_closed_form_sweep_matches_per_family_sweeps():
 def test_verify_appendix_matches_per_sample_loop_across_split_runs():
     # eight families a pass: the pass boundary falls inside the L3(4,x) run
     samples = GRID_PASS_FRAMES // 8
-    assert verify_appendix(samples, 2, 1e-9, 1e-7) == verify_appendix_per_sample(
-        samples, 2, 1e-9, 1e-7
-    )
+    assert verify_appendix(samples, 2, 1e-9) == verify_appendix_per_sample(samples, 2, 1e-9)
 
 
 def test_chunked_verify_appendix_matches_one_pass_of_every_frame(monkeypatch):
@@ -326,9 +356,9 @@ def test_chunked_verify_appendix_matches_one_pass_of_every_frame(monkeypatch):
     # frames, at a passing and a failing tolerance
     for tol in (1e-9, 1e-300):
         monkeypatch.setattr(gks, "GRID_PASS_FRAMES", 64)
-        chunked = verify_appendix(200, 5, tol, 1e-7)
+        chunked = verify_appendix(200, 5, tol)
         monkeypatch.setattr(gks, "GRID_PASS_FRAMES", 13 * 200)
-        assert cli.to_json(chunked) == cli.to_json(verify_appendix(200, 5, tol, 1e-7))
+        assert cli.to_json(chunked) == cli.to_json(verify_appendix(200, 5, tol))
         assert chunked["all_pass"] is (tol == 1e-9)
 
 
@@ -344,7 +374,7 @@ def test_a_nan_deviation_in_an_early_chunk_fails_its_family(monkeypatch):
 
     monkeypatch.setattr(selftest, "closed_form_deviations", nan_in_first_chunk)
     monkeypatch.setattr(gks, "GRID_PASS_FRAMES", 64)
-    payload = verify_appendix(200, 5, 1e-9, 1e-7)
+    payload = verify_appendix(200, 5, 1e-9)
     assert calls[:4] == [64, 64, 64, 8]
     first, *rest = payload["results"]
     assert np.isnan(first["max_A_deviation"]) and first["pass"] is False
@@ -356,8 +386,8 @@ def test_sweep_peak_memory_does_not_grow_with_the_sample_count():
     # sweep_frames pass of 50,000 frames alone peaks near 50 MB
     fam = BianchiFamily("L3(6)")
     genericity_sweep(fam, 10, 1)  # build the per-process constants outside the trace
-    verify_appendix(10, 1, 1e-9, 1e-7)
-    runs = (lambda: genericity_sweep(fam, 50_000, 1), lambda: verify_appendix(10_000, 1, 1e-9, 1e-7))
+    verify_appendix(10, 1, 1e-9)
+    runs = (lambda: genericity_sweep(fam, 50_000, 1), lambda: verify_appendix(10_000, 1, 1e-9))
     for run in runs:
         tracemalloc.start()
         try:
@@ -372,7 +402,7 @@ def test_verify_appendix_command_formats_the_payload(capsys):
     for extra, code in (((), 0), (("--tol", "1e-300"), 2)):
         argv = ["verify-appendix", "--samples", "10", "--seed", "4", *extra]
         assert cli.main(argv) == code
-        payload = verify_appendix(10, 4, float(extra[-1]) if extra else 1e-9, 1e-7)
+        payload = verify_appendix(10, 4, float(extra[-1]) if extra else 1e-9)
         assert capsys.readouterr().out == cli.to_json(payload) + "\n"
         assert cli.main([*argv, "--format", "table"]) == code
         table = capsys.readouterr().out.splitlines()

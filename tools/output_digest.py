@@ -25,8 +25,11 @@ and 16 with non-default ``--a/--b/--c``, where the order of the sum that gives
 families (identity and one ``frame_P`` metric, both formats) and on H(5),
 H(25) and H(33); one ``--format table`` line each of ``heisenberg`` (n = 9,
 non-default ``--a/--b/--c``), ``sweep``, ``table1`` and a ``verify-appendix --tol
-1e-300`` that exits 2; and a few command lines that exit 2 or 3.  Takes no
-options; run from anywhere.
+1e-300`` that exits 2; four command lines whose non-default ``--tol`` or
+``--gap-tol`` moves the symmetry verdicts or the distinct counts (``sweep`` of
+``L3(3)`` at ``--tol 0.5`` and of ``L3(2,-0.5)`` at ``--gap-tol 0.05 --tol 0.3``,
+``table1 --gap-tol 0.01`` and a ``verify-appendix --tol 0.5`` that exits 2); and a
+few command lines that exit 2 or 3.  Takes no options; run from anywhere.
 """
 
 import contextlib
@@ -91,6 +94,13 @@ def command_lines() -> list[tuple[str, ...]]:
         ("sweep", "--algebra", "L3(5)", "--samples", "300", "--seed", "4", "--format", "table"),
         ("table1", "--samples", "200", "--seed", "6", "--format", "table"),
         ("verify-appendix", "--samples", "20", "--tol", "1e-300", "--format", "table"),
+    ]
+    argvs += [
+        ("sweep", "--algebra", "L3(3)", "--samples", "50", "--seed", "2", "--tol", "0.5"),
+        ("sweep", "--algebra", "L3(2,-0.5)", "--samples", "200", "--seed", "9",
+         "--gap-tol", "0.05", "--tol", "0.3"),
+        ("table1", "--samples", "100", "--seed", "4", "--gap-tol", "0.01"),
+        ("verify-appendix", "--samples", "50", "--seed", "5", "--tol", "0.5"),
     ]
     return argvs + list(FAILING)
 
