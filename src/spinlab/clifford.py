@@ -31,11 +31,12 @@ spin lift and the vector combination also take a stack of skew matrices
 ``(..., d, d)`` or of frame vectors ``(..., d)``, one operator per stack
 entry, broadcast against the coefficient stacks.  ``apply_spin_lift`` and
 ``moment_matrix`` can evaluate a given set of output rows only, such as
-the rows a sparse spinor reaches (``reachable_rows``); the gather sources
-and phases come from bitmask rules on just those rows, so a module holds
-no ``2**n`` array until an action asks for every row.  A module keeps the
-tables of the last two row sets it built, so a caller that alternates a
-dense and a sparse spinor builds each set once.  Dense ``2**n x 2**n``
+the rows a sparse spinor reaches (``reachable_rows``, from the spinor's
+``support``); the gather sources and phases come from bitmask rules on just
+those rows, so a module holds no ``2**n`` array until an action asks for
+every row, and a unit-spinor report reads no ``2**n`` coefficients.  A
+module keeps the tables of the last two row sets it built, so a caller
+that alternates a dense and a sparse spinor builds each set once.  Dense ``2**n x 2**n``
 operators are those actions applied to the identity, available up to
 ``n = 8``.  Modules are capped at ``n = 16`` slots (see ``MAX_SLOTS``).
 """
@@ -43,7 +44,7 @@ operators are those actions applied to the identity, available up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,7 +82,15 @@ def _zeros(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spinor:
-    """Coefficient vector over the subset basis of the spinor space."""
+    """Coefficient vector over the subset basis of the spinor space.
+
+    ``coeffs`` is a read-only ``(2**n,)`` complex array: a copy of the
+    caller's array, or for ``one`` and ``basis`` the zero vector with its one
+    entry set.  ``support`` holds the sorted indices of the nonzero
+    coefficients: set directly by ``one`` and ``basis``, otherwise found by
+    one scan on first use.  ``norm`` reads the support entries only, so a
+    basis spinor costs no ``2**n`` work past its allocation.
+    """
 
     n: int
     coeffs: np.ndarray
@@ -99,9 +108,7 @@ class Spinor:
     @classmethod
     def one(cls, n: int) -> "Spinor":
         """The unit spinor (coefficient 1 on the empty subset)."""
-        coeffs = _zeros(n)
-        coeffs[0] = 1.0
-        return cls(n, coeffs)
+        return cls._unit(n, 0)
 
     @classmethod
     def basis(cls, n: int, *slots: int) -> "Spinor":
@@ -113,13 +120,25 @@ class Spinor:
             if mask & (1 << (p - 1)):
                 raise InvalidSpinorError(f"repeated slot {p}")
             mask |= 1 << (p - 1)
+        return cls._unit(n, mask)
+
+    @classmethod
+    def _unit(cls, n: int, mask: int) -> "Spinor":
+        """Coefficient 1 on subset ``mask``, built in place: no defensive copy."""
         coeffs = _zeros(n)
         coeffs[mask] = 1.0
-        return cls(n, coeffs)
+        coeffs.setflags(write=False)
+        psi = object.__new__(cls)
+        vars(psi).update(n=n, coeffs=coeffs, support=np.array([mask], dtype=np.int64))
+        return psi
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.coeffs)
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return float(np.linalg.norm(self.coeffs.take(self.support)))
 
 
 class CliffordModule:
@@ -187,18 +206,19 @@ class CliffordModule:
         """Dense matrix of the action of frame vector ``e_i`` (1-based)."""
         return self.apply_vector(i, self._identity())
 
-    def reachable_rows(self, coeffs: np.ndarray) -> np.ndarray | None:
+    def reachable_rows(self, psi: Spinor) -> np.ndarray | None:
         """Sorted rows on which some ``e_j psi`` or ``e_a e_b psi`` can be nonzero.
 
         A frame vector flips no slot bit (``e_1``) or one, so these rows are
-        ``supp(psi)`` XOR no bit, one slot bit or two of them: ``1 + n +
-        n(n-1)/2`` rows for a basis spinor.  ``None`` (every row) when the
-        support is too large for the set to be smaller.
+        ``psi.support`` XOR no bit, one slot bit or two of them: ``1 + n +
+        n(n-1)/2`` rows for a basis spinor.  The coefficients are not read.
+        ``None`` (every row) when the support is too large for the set to be
+        smaller.
         """
         flips = _flip_masks(self.n)
         if len(flips) >= self.dim_spinor:  # n <= 2: any one row reaches all of them
             return None
-        support = np.flatnonzero(coeffs)
+        support = psi.support
         if len(support) * len(flips) >= self.dim_spinor:
             return None
         # a mask, not np.unique or np.sort: np.unique imports numpy.ma (1.6 MB

@@ -18,7 +18,8 @@ the diagonal Heisenberg metrics, behind the ``heisenberg`` command and the
 Two builders of ``R`` remain, each the fast one on its workload.  For structure
 constants, ``_project`` makes one matrix-free spin lift per column, ``d`` calls per
 system, on the rows ``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a basis
-spinor), so the ``H(2n+1)`` ladder costs no ``2**n`` work per column.  For a frame
+spinor), so the ``H(2n+1)`` ladder reads no ``2**n`` coefficients per report; only
+the unit spinor's zero vector and the row mask reach that size.  For a frame
 stack from ``random_frames``, ``sweep_frames`` multiplies by the cached unit-spinor
 lift tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
 small ``d``.  ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
@@ -111,7 +112,7 @@ def _project(
     norm = psi.norm
     if norm == 0.0:
         raise InvalidSpinorError("cannot solve the Killing equation on the zero spinor")
-    rows = mod.reachable_rows(psi.coeffs)
+    rows = mod.reachable_rows(psi)
     m = mod.moment_matrix(psi, rows)
     cols = np.stack(
         [mod.apply_spin_lift(nm.mats[..., i, :, :], psi.coeffs, rows) for i in range(nm.dim)],

@@ -3,9 +3,10 @@
 Floats are printed with 17 significant digits (round-trip safe) and keys
 keep their construction order, so identical inputs produce byte-identical
 documents.  Tables use 6 significant digits.  Emission is one pass over the
-document: a list made only of Python floats, which is what every row of a
-float array becomes, is written with one ``"%.17g"`` template join instead
-of one call per number; every other value is written on its own.
+document: a non-empty 2-D float64 array (``A``, ``asymmetry``, ``ricci``) is
+written with one ``"%.17g"`` template for the whole matrix, and a list made
+only of Python floats with one template join, instead of one call per
+number; every other value is written on its own.
 
 Algebra documents look like::
 
@@ -49,10 +50,20 @@ def format_table_float(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _bracket(items: list[str], inner: str, pad: str) -> str:
+    """A non-empty JSON list of rendered items, one per line."""
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def _emit(obj, indent: int, level: int) -> str:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+            # the whole matrix in one template pass: "%.17g" % x is
+            # format(x, ".17g") for every double
+            row = _bracket(["%.17g"] * obj.shape[1], inner + " " * indent, inner)
+            return _bracket([row] * obj.shape[0], inner, pad) % tuple(obj.ravel().tolist())
         obj = obj.tolist()
     if obj is None:
         return "null"
@@ -75,13 +86,9 @@ def _emit(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {float}:
-            # a row of plain floats (an array row after tolist) in one template
-            # pass: "%.17g" % x is format(x, ".17g") for every double
-            body = (",\n" + inner).join(["%.17g"] * len(obj)) % tuple(obj)
-            return "[\n" + inner + body + "\n" + pad + "]"
-        items = [f"{inner}{_emit(v, indent, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if set(map(type, obj)) == {float}:  # a row of plain floats in one template pass
+            return _bracket(["%.17g"] * len(obj), inner, pad) % tuple(obj)
+        return _bracket([_emit(v, indent, level + 1) for v in obj], inner, pad)
     raise TypeError(f"cannot serialise object of type {type(obj)!r}")
 
 

@@ -40,6 +40,46 @@ def test_spinor_constructors():
         Spinor.basis(2, 1, 1)
 
 
+def test_unit_and_basis_spinors_match_the_dense_construction():
+    # built in place, they equal a copied dense vector bit for bit, are
+    # read-only, and know their support without a scan
+    for n in range(1, 17):
+        for psi, mask in [(Spinor.one(n), 0)] + [
+            (Spinor.basis(n, p), 1 << (p - 1)) for p in range(1, n + 1)
+        ]:
+            dense = np.zeros(2**n, dtype=complex)
+            dense[mask] = 1.0
+            ref = Spinor(n, dense)
+            assert psi.n == n and psi.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert psi.coeffs.dtype == complex and not psi.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                psi.coeffs[mask] = 2.0
+            assert psi.support.dtype == np.int64 and psi.support.tolist() == [mask]
+            assert ref.support.tolist() == [mask] and psi.norm == ref.norm == 1.0
+    psi = Spinor.basis(5, 2, 4, 5)
+    assert psi.support.tolist() == [0b11010] == np.flatnonzero(psi.coeffs).tolist()
+    coeffs = np.array([0.0, 1j, 0.0, -2.0])
+    psi = Spinor(2, coeffs)
+    coeffs[0] = 7.0  # the caller's array is copied
+    assert psi.support.tolist() == [1, 3] and psi.norm == np.sqrt(5.0)
+
+
+def test_unit_spinor_report_path_holds_one_coefficient_vector():
+    # building the unit spinor at n = 16, its norm and its reachable rows
+    # allocate the 1 MiB zero vector once: no copy of it, no scan of it
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        psi = Spinor.one(16)
+        assert psi.norm == 1.0
+        assert len(get_module(16).reachable_rows(psi)) == 137
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20, peak
+
+
 def test_vector_action_spot_values_n1():
     mod = get_module(1)
     one = Spinor.one(1)
@@ -361,16 +401,36 @@ def test_stacked_vector_actions_match_per_entry_calls():
             np.testing.assert_array_equal(applied[idx], mod.apply_vector(i, stacks[idx]))
 
 
+def _mask_rows(n, coeffs):
+    """Rows reached from the nonzero coefficients by every flip mask, read off a
+    scan of the coefficients: ``reachable_rows`` as it was before spinors knew
+    their support."""
+    size, flips = 2**n, [0] + [1 << p for p in range(n)]
+    flips += [x | y for k, x in enumerate(flips[1:]) for y in flips[k + 2 :]]
+    support = np.flatnonzero(coeffs)
+    if len(flips) >= size or len(support) * len(flips) >= size:
+        return None
+    hit = np.zeros(size, dtype=bool)
+    hit[np.bitwise_xor.outer(support, flips)] = True
+    return np.flatnonzero(hit)
+
+
 def test_actions_on_reachable_rows_match_full_actions():
     rng = np.random.default_rng(77)
     for n in range(1, 8):
         mod = get_module(n)
         d, size = mod.dim_frame, mod.dim_spinor
-        for support in (1, 2, size):
+        # one or two entries, the largest support whose reached rows can miss
+        # a row, one entry more, and every entry
+        cut = size // (1 + n + n * (n - 1) // 2)
+        for support in sorted({1, 2, max(1, cut), cut + 1, size}):
             coeffs = np.zeros(size, dtype=complex)
             picks = rng.choice(size, size=support, replace=False)
             coeffs[picks] = rng.normal(size=support) + 1j * rng.normal(size=support)
-            rows = mod.reachable_rows(coeffs)
+            psi = Spinor(n, coeffs)
+            rows = mod.reachable_rows(psi)
+            ref = _mask_rows(n, coeffs)
+            assert (rows is None) == (ref is None)
             if rows is None:  # every row: the full actions themselves
                 assert support * (1 + n + n * (n - 1) // 2) >= size
                 continue
@@ -386,16 +446,16 @@ def test_actions_on_reachable_rows_match_full_actions():
             part = mod.apply_spin_lift(omega, coeffs, rows)
             np.testing.assert_array_equal(part, full[..., rows])
             np.testing.assert_array_equal(full[..., outside], 0.0)
+            _same_bits(rows, ref)
             for i in range(1, d + 1):
                 np.testing.assert_array_equal(mod.apply_vector(i, coeffs)[outside], 0.0)
-            psi = Spinor(n, coeffs)
             both = np.concatenate([rows, size + rows])  # real parts, then imaginary
             np.testing.assert_array_equal(
                 mod.moment_matrix(psi, rows), mod.moment_matrix(psi)[both]
             )
     # a basis spinor reaches 1 + n + n(n-1)/2 rows
     for n, count in ((3, 7), (8, 37), (16, 137)):
-        assert len(get_module(n).reachable_rows(Spinor.basis(n, 2).coeffs)) == count
+        assert len(get_module(n).reachable_rows(Spinor.basis(n, 2))) == count
 
 
 def _eager_tables(n):
@@ -464,19 +524,19 @@ def test_row_set_cache_stays_within_the_eager_tables():
     for _ in range(4):
         coeffs = np.zeros(2**n, dtype=complex)
         coeffs[rng.choice(2**n, size=150, replace=False)] = 1.0
-        spinors.append(coeffs)
+        spinors.append(Spinor(n, coeffs))
     # int64 perms of all 2n+1 vectors; complex phases for e_1 and the e_{2p},
     # float ones for the e_{2p+1}
     eager = (8 * d + 16 * (n + 1) + 8 * n) * 2**n
     tracemalloc.start()
     try:
         mod = CliffordModule(n)
-        first = mod.apply_spin_lift(omega, spinors[0], mod.reachable_rows(spinors[0]))
-        for coeffs in spinors[1:]:
-            mod.apply_spin_lift(omega, coeffs, mod.reachable_rows(coeffs))
+        first = mod.apply_spin_lift(omega, spinors[0].coeffs, mod.reachable_rows(spinors[0]))
+        for psi in spinors[1:]:
+            mod.apply_spin_lift(omega, psi.coeffs, mod.reachable_rows(psi))
         sparse = tracemalloc.get_traced_memory()[0] - first.nbytes
         assert len(mod._row_sets) == 2
-        every = mod.apply_spin_lift(omega, spinors[0])
+        every = mod.apply_spin_lift(omega, spinors[0].coeffs)
         retained = tracemalloc.get_traced_memory()[0] - first.nbytes - every.nbytes
     finally:
         tracemalloc.stop()
@@ -484,13 +544,13 @@ def test_row_set_cache_stays_within_the_eager_tables():
     assert len(mod._row_sets) == 2 and None in mod._row_sets
     assert all(pairs is None for _, _, pairs in mod._row_sets.values())
     # the first set's tables were dropped; remade, they give the same entries
-    again = mod.apply_spin_lift(omega, spinors[0], mod.reachable_rows(spinors[0]))
+    again = mod.apply_spin_lift(omega, spinors[0].coeffs, mod.reachable_rows(spinors[0]))
     np.testing.assert_array_equal(again, first)
     # a set of at most 256 rows keeps its pairs: the unit spinor's 137 rows
     # at n = 16, and every row at n = 8
-    unit = Spinor.one(n).coeffs
+    unit = Spinor.one(n)
     rows = mod.reachable_rows(unit)
-    mod.apply_spin_lift(omega, unit, rows)
+    mod.apply_spin_lift(omega, unit.coeffs, rows)
     assert len(rows) == 137 and len(mod._row_sets) == 2 and mod._frames(rows)[2]
     mod = CliffordModule(8)
     mod.apply_spin_lift(omega[:17, :17], rng.normal(size=2**8) + 0j)
@@ -528,16 +588,16 @@ def test_alternating_dense_and_sparse_spinors_build_each_row_set_once(monkeypatc
         g[rng.random(size=(d, d)) < 0.9] = 0.0
         omega = g - g.T
         dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        spinors = (dense, Spinor.one(n).coeffs)
+        spinors = (Spinor(n, dense), Spinor.one(n))
         want = []
         for psi in spinors:
             fresh = CliffordModule(n)
-            want.append(fresh.apply_spin_lift(omega, psi, fresh.reachable_rows(psi)))
+            want.append(fresh.apply_spin_lift(omega, psi.coeffs, fresh.reachable_rows(psi)))
         builds.clear()
         mod = CliffordModule(n)
         for _ in range(3):
             for psi, ref in zip(spinors, want):
-                _same_bits(mod.apply_spin_lift(omega, psi, mod.reachable_rows(psi)), ref)
+                _same_bits(mod.apply_spin_lift(omega, psi.coeffs, mod.reachable_rows(psi)), ref)
             assert builds == [2**n, 1 + n + n * (n - 1) // 2], n
 
 

@@ -509,7 +509,7 @@ def test_reachable_row_projection_matches_dense_projection():
         ref_sym_res = np.sqrt(np.sum(misfit**2) + norm2 * np.sum(skew**2))
         assert np.max(np.abs(a_sym - 0.5 * (ref + ref.T))) <= 1e-12 * scale
         assert abs(sym_res - ref_sym_res) <= 1e-12 * max(1.0, ref_sym_res)
-        strict += get_module(psi.n).reachable_rows(psi.coeffs) is not None
+        strict += get_module(psi.n).reachable_rows(psi) is not None
     # a strict subset of the rows: the ladder and the basis spinors for n >= 3,
     # and the 3-entry spinor at n = 7
     assert strict == 6 + 4 * 5 + 1
@@ -560,7 +560,7 @@ def test_stacked_projection_matches_per_metric_solves():
             one, one_res = solve_endomorphism(mla.ortho_c, psi)  # one metric's constants
             assert type(one_res) is float and one_res == ref_res
             assert one.tobytes() == ref.tobytes(), (d, k)
-        strict += get_module(psi.n).reachable_rows(psi.coeffs) is not None
+        strict += get_module(psi.n).reachable_rows(psi) is not None
     # a strict subset of the rows for n >= 3, except the 3-entry spinor below n = 7;
     # every row for n <= 2 and for the 3-d stack
     assert strict == 3 * 5 + 1

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -84,6 +84,24 @@ _payloads = st.recursive(
 @given(_payloads, st.sampled_from([0, 1, 2, 4]))
 def test_to_json_matches_the_per_value_emitter(payload, indent):
     assert to_json(payload, indent) == _reference_emit(payload, indent, 0)
+
+
+_matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=33),
+    elements=_floats,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@example(np.resize(np.array(_EDGE_FLOATS), (33, 33)), 2, False)
+@given(_matrices, st.sampled_from([0, 1, 2, 4]), st.booleans())
+def test_whole_matrix_template_matches_the_per_value_emitter(matrix, indent, transposed):
+    # float64 matrices up to the 33 x 33 of an H(33) report, empty ones and
+    # non-contiguous views too, at the top level and nested as in a report
+    matrix = matrix.T if transposed else matrix
+    for payload in (matrix, {"A": matrix, "rows": [matrix, [matrix]]}):
+        assert to_json(payload, indent) == _reference_emit(payload, indent, 0)
 
 
 def test_to_json_refuses_what_the_per_value_emitter_refuses():
