@@ -80,7 +80,7 @@ def _zeros(n: int) -> np.ndarray:
     return np.zeros(2**n, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spinor:
     """Coefficient vector over the subset basis of the spinor space.
 
@@ -89,7 +89,8 @@ class Spinor:
     entry set.  ``support`` holds the sorted indices of the nonzero
     coefficients: set directly by ``one`` and ``basis``, otherwise found by
     one scan on first use.  ``norm`` reads the support entries only, so a
-    basis spinor costs no ``2**n`` work past its allocation.
+    basis spinor costs no ``2**n`` work past its allocation.  Spinors compare
+    and hash by identity, as the arrays they hold do not compare to one bool.
     """
 
     n: int
@@ -314,6 +315,18 @@ class CliffordModule:
             w = (0.5 * omega[..., b, a]).reshape(lead + (1,))
             out += w * coef * vecs.take(src, axis=-1)
         return _as_columns(out, coeffs)
+
+
+def elementary_skews(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, b, skew)``: the frame pairs ``a < b``, a-major, and ``skew[k]``, the
+    elementary skew matrix ``E_ba`` of pair ``k`` (entry ``(b, a) = 1``, ``(a, b) = -1``),
+    so ``omega = sum_k omega[b_k, a_k] skew[k]`` for a skew ``(d, d)`` matrix."""
+    a, b = np.triu_indices(d, 1)
+    pair = np.arange(len(a))
+    skew = np.zeros((len(a), d, d))
+    skew[pair, b, a] = 1.0
+    skew[pair, a, b] = -1.0
+    return a, b, skew
 
 
 def _bit(frames: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, MetricLieAlgebra, frame_structure, random_frames
 from .catalog import BianchiFamily, _mat3, _structure_3d, heisenberg_ortho_c, make_bianchi
-from .clifford import CliffordModule, Spinor, module_for_dim
+from .clifford import CliffordModule, Spinor, elementary_skews, module_for_dim
 from .connection import NomizuMap, curvature, nomizu
 from .errors import InvalidSpinorError, SpinlabError, StructureError
 
@@ -317,15 +317,11 @@ def _unit_spinor_tensors(mod: CliffordModule) -> tuple[np.ndarray, np.ndarray]:
     """Moment matrix ``M`` of the unit spinor and its lift tensor ``W``, once per module.
 
     Column ``b * d + a`` of ``W`` is the realified ``lift(E_ba) . psi`` for
-    the elementary skew matrix ``E_ba`` (entry ``(b, a) = 1``) when
+    the elementary skew matrix ``E_ba`` (``clifford.elementary_skews``) when
     ``a < b``, and zero otherwise, so ``W @ L.ravel()`` is ``lift(L) . psi``."""
     psi = Spinor.one(mod.n)
     d = mod.dim_frame
-    a, b = np.triu_indices(d, 1)
-    pair = np.arange(len(a))
-    skew = np.zeros((len(a), d, d))  # skew[pair] is E_ba for the pair's a < b
-    skew[pair, b, a] = 1.0
-    skew[pair, a, b] = -1.0
+    a, b, skew = elementary_skews(d)
     cols = mod.apply_spin_lift(skew, psi.coeffs)  # one call for every pair
     w = np.zeros((2 * mod.dim_spinor, d, d))
     w[:, b, a] = np.concatenate([cols.real, cols.imag], axis=-1).T

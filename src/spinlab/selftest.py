@@ -14,7 +14,10 @@ The sweep only solves: ``verify_appendix`` judges symmetry itself (``gks._symmet
 and takes no ``gap_tol``; the ``run_selftest`` grid pass computes no verdict or eigenvalues.
 Every closed form is evaluated on a whole frame stack, the family closed forms once
 per run of same-tag families, so no check loops over samples; the Clifford relations check
-reads the spin lift's product rule, ``clifford._product``, on every row.  The
+reads the spin lift's product rule, ``clifford._product``, on every row.  Spin-lift
+equivariance builds each module size's dense lifts and frame-vector actions as one
+matmul of the drawn weights with the module's cached dense bases, ``_dense_bases``,
+which ``apply_spin_lift`` and ``apply_combo`` build on the identity.  The
 Heisenberg ladder draws each rung's six parameter sets in one call and solves them
 as one stacked Killing system with ``gks.solve_heisenberg``, the solve of the
 ``heisenberg`` command, on the stacked structure constants
@@ -24,6 +27,7 @@ as one stacked Killing system with ``gks.solve_heisenberg``, the solve of the
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -39,7 +43,7 @@ from .catalog import (
     reference_eigenvalues,
     reference_ricci_3d,
 )
-from .clifford import Spinor, cliff_relations_check, get_module
+from .clifford import CliffordModule, Spinor, cliff_relations_check, elementary_skews, get_module
 from .connection import (
     curvature,
     metricity_violation,
@@ -81,18 +85,46 @@ def _skew_vector_pairs(rng: np.random.Generator, d: int, pairs: int):
     return g - g.swapaxes(-1, -2), draws[:, d * d :]
 
 
+@lru_cache(maxsize=_EQUIVARIANCE_N_MAX)  # the modules of one run
+def _dense_bases(mod: CliffordModule) -> tuple[np.ndarray, ...]:
+    """``(b, a)`` of the frame pairs, the dense lifts of their ``E_ba`` and the dense
+    actions of the frame vectors, once per module and read-only.
+
+    Row ``k`` of the lifts is ``spin_lift(E_ba)`` of pair ``k`` from one ``apply_spin_lift``
+    call, row ``i`` of the actions ``vector_matrix(i + 1)`` from one ``apply_combo`` call.
+    Each operator is kept transposed, the layout those routes return, and realified as
+    ``2 * 4**n`` floats, so weights ``(K, rows)`` times a basis are ``K`` operators."""
+    a, b, skew = elementary_skews(mod.dim_frame)
+    eye = np.eye(mod.dim_spinor)
+    ops = mod.apply_spin_lift(skew, eye), mod.apply_combo(np.eye(mod.dim_frame), eye)
+    bases = [np.ascontiguousarray(op.swapaxes(-1, -2)).view(float) for op in ops]
+    bases = [basis.reshape(len(basis), -1) for basis in bases]
+    for arr in (b, a, *bases):
+        arr.setflags(write=False)
+    return (b, a, *bases)
+
+
 def _equivariance(seed) -> float:
     """Worst deviation of [lift(omega), v.] from (omega v). over random draws,
-    all pairs of one module size checked in one stacked commutator."""
+    all pairs of one module size checked in one stacked commutator.
+
+    The dense operators are linear in their weights: the lifts are one matmul of the
+    drawn ``omega[b, a]`` with the cached lifts of the ``E_ba``, the frame-vector
+    actions of ``v`` and ``omega v`` one matmul with the cached actions.  Every float
+    of a basis is 0, +-1/2 or +-1, so each product is exact; a matmul that adds them in
+    pair order, as ``apply_spin_lift`` does, gives the ``spin_lift`` route's deviation
+    bit for bit (a test checks it against the BLAS it runs on)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(1, _EQUIVARIANCE_N_MAX + 1):
         mod = get_module(n)
-        eye = np.eye(mod.dim_spinor)
+        b, a, lifts, actions = _dense_bases(mod)
         omega, v = _skew_vector_pairs(rng, mod.dim_frame, _EQUIVARIANCE_PAIRS)
-        lift = mod.spin_lift(omega)
-        ev = mod.apply_combo(v, eye)
-        et = mod.apply_combo((omega @ v[..., None])[..., 0], eye)
+        omega = mod._require_skew(omega)
+        shape = (-1, mod.dim_spinor, mod.dim_spinor)
+        lift = (omega[:, b, a] @ lifts).view(complex).reshape(shape).swapaxes(-1, -2)
+        weights = np.concatenate([v, (omega @ v[..., None])[..., 0]])
+        ev, et = np.split((weights @ actions).view(complex).reshape(shape).swapaxes(-1, -2), 2)
         worst = max(worst, float(np.max(np.abs(lift @ ev - ev @ lift - et))))
     return worst
 

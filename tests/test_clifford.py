@@ -40,6 +40,15 @@ def test_spinor_constructors():
         Spinor.basis(2, 1, 1)
 
 
+def test_spinors_compare_and_hash_by_identity():
+    # an array field has no one-bool ==, so equality is identity and no call raises
+    psi = Spinor.one(2)
+    assert psi == psi and not psi != psi
+    assert psi != Spinor.one(2) and Spinor(1, [1.0, 0.0]) != Spinor(1, [1.0, 0.0])
+    assert isinstance(hash(Spinor.one(1)), int)
+    assert len({Spinor.one(1)}) == 1 and len({psi, psi, Spinor.one(2)}) == 2
+
+
 def test_unit_and_basis_spinors_match_the_dense_construction():
     # built in place, they equal a copied dense vector bit for bit, are
     # read-only, and know their support without a scan

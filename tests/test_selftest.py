@@ -20,7 +20,7 @@ from spinlab.catalog import (
     reference_eigenvalues,
     reference_ricci_3d,
 )
-from spinlab.clifford import Spinor, get_module
+from spinlab.clifford import Spinor, elementary_skews, get_module
 from spinlab.connection import curvature, metricity_violation, nomizu, torsion_violation
 from spinlab.gks import (
     GRID_PASS_FRAMES,
@@ -33,11 +33,14 @@ from spinlab.gks import (
     symmetry_conditions_3d,
 )
 from spinlab.selftest import (
+    _EQUIVARIANCE_N_MAX,
     FAMILY_GRID,
     _HEISENBERG_N_MAX,
     _HEISENBERG_PER_N,
     _catalog_jacobi,
     _check,
+    _dense_bases,
+    _equivariance,
     _skew_vector_pairs,
     closed_form_sweep,
     family_grid,
@@ -63,6 +66,23 @@ def equivariance_per_pair(seed, n_max=4, pairs=100):
             target = omega @ v
             et = sum(target[i] * mats[i] for i in range(d))
             worst = max(worst, float(np.max(np.abs(lift @ ev - ev @ lift - et))))
+    return worst
+
+
+def equivariance_stacked(seed, n_max=4, pairs=100):
+    """One bulk draw per module size, lifted by ``spin_lift`` and acted on by
+    ``apply_combo`` on the identity: the dense route ``_equivariance`` combines
+    from its cached bases."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in range(1, n_max + 1):
+        mod = get_module(n)
+        eye = np.eye(mod.dim_spinor)
+        omega, v = _skew_vector_pairs(rng, mod.dim_frame, pairs)
+        lift = mod.spin_lift(omega)
+        ev = mod.apply_combo(v, eye)
+        et = mod.apply_combo((omega @ v[..., None])[..., 0], eye)
+        worst = max(worst, float(np.max(np.abs(lift @ ev - ev @ lift - et))))
     return worst
 
 
@@ -152,6 +172,40 @@ def test_bulk_equivariance_draw_matches_per_pair_draws():
             np.testing.assert_array_equal(omega_k, g - g.T)
             np.testing.assert_array_equal(v_k, one.uniform(-1.0, 1.0, size=d))
         assert bulk.uniform() == one.uniform()
+
+
+def test_equivariance_bases_combine_bit_for_bit():
+    # exact products summed in pair order: the same deviation as the spin_lift route,
+    # to the last bit, whatever BLAS adds the matmul
+    for seed in range(1, 51):
+        assert _equivariance([seed, 1]) == equivariance_stacked([seed, 1]), seed
+    rng = np.random.default_rng(5)
+    for n in range(1, _EQUIVARIANCE_N_MAX + 1):
+        mod = get_module(n)
+        d, s = mod.dim_frame, mod.dim_spinor
+        b, a, lifts, actions = _dense_bases(mod)
+        assert all(not arr.flags.writeable for arr in (b, a, lifts, actions))
+        a_ref, b_ref, skew = elementary_skews(d)
+        np.testing.assert_array_equal(a, a_ref)
+        np.testing.assert_array_equal(b, b_ref)
+        g = rng.uniform(-1.0, 1.0, size=(d, d))
+        np.testing.assert_array_equal(np.tensordot((g - g.T)[b, a], skew, 1), g - g.T)
+        lifts, actions = (x.view(complex).reshape(-1, s, s).swapaxes(-1, -2) for x in (lifts, actions))
+        assert len(lifts) == d * (d - 1) // 2 and len(actions) == d
+        for k, e_ba in enumerate(skew):
+            np.testing.assert_array_equal(lifts[k], mod.spin_lift(e_ba))
+        for i in range(d):
+            np.testing.assert_array_equal(actions[i], mod.vector_matrix(i + 1))
+
+
+def test_equivariance_bases_follow_the_module_cache(clifford_sign_fault):
+    # the dense bases are keyed on the module, so emptying the module cache alone
+    # brings a fault in and takes it out again
+    clean = _equivariance([1, 1])
+    assert clean <= 1e-12
+    with clifford_sign_fault():
+        assert _equivariance([1, 1]) > 1.0
+    assert _equivariance([1, 1]) == clean
 
 
 def test_catalog_jacobi_checks_the_cached_grid_algebras_on_every_call(monkeypatch):
