@@ -111,18 +111,26 @@ def _frame_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(_freeze(idx) for idx in (np.arange(dim), *np.triu_indices(dim, 1)))
 
 
+def _frames_from_draws(dim: int, draws: np.ndarray) -> np.ndarray:
+    """``(..., dim, dim)`` frames of ``random_frames`` from their ``(..., dim + dim(dim-1)/2)``
+    uniform draws: one ``exp`` and one zero stack for any number of leading axes."""
+    frames = np.zeros(draws.shape[:-1] + (dim, dim))
+    diag, rows, cols = _frame_indices(dim)
+    frames[..., diag, diag] = np.exp(draws[..., :dim])
+    frames[..., rows, cols] = draws[..., dim:]
+    return frames
+
+
 def random_frames(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Stack of ``count`` random well-conditioned ``(dim, dim)`` frame matrices.
 
     Each sample draws its diagonal log-uniform on ``[1/e, e]`` first, then its
     strict upper triangle uniform on ``[-1, 1]`` row-major: a seeded generator
-    gives the same frames drawn in one stack or one at a time."""
+    gives the same frames drawn in one stack or one at a time.  ``gks.sweep_grid``
+    makes the same draws per family and builds a whole pass through
+    ``_frames_from_draws`` at once."""
     draws = rng.uniform(-1.0, 1.0, size=(count, dim + dim * (dim - 1) // 2))
-    frames = np.zeros((count, dim, dim))
-    diag, rows, cols = _frame_indices(dim)
-    frames[:, diag, diag] = np.exp(draws[:, :dim])
-    frames[:, rows, cols] = draws[:, dim:]
-    return frames
+    return _frames_from_draws(dim, draws)
 
 
 @dataclass(frozen=True)
@@ -212,13 +220,15 @@ def _check_orthonormal(gram: np.ndarray, frame: np.ndarray) -> None:
 def _orthonormal_structure(c: np.ndarray, frame: np.ndarray, frame_inv: np.ndarray):
     """Structure constants ``(..., d, d, d)`` in the frames ``(..., d, d)`` given in f-coords,
     with ``frame_inv`` their inverses; the leading axes of ``c`` and ``frame`` broadcast
-    against each other."""
+    against each other.
+
+    The matmuls work in the ``(..., m, i, j)`` layout, output index ``m`` first; the
+    antisymmetrisation runs there too, and one ``moveaxis`` then puts ``m`` last."""
     p = frame[..., None, :, :]
     s = p.swapaxes(-1, -2) @ np.moveaxis(c, -1, -3) @ p  # (P^T c_m P)_ij at [..., m, i, j]
-    oc = frame_inv @ s.reshape(*s.shape[:-2], c.shape[-1] ** 2)  # m with P^-1
-    oc = np.moveaxis(oc.reshape(s.shape), -3, -1)
+    t = (frame_inv @ s.reshape(*s.shape[:-2], c.shape[-1] ** 2)).reshape(s.shape)  # m with P^-1
     # exact antisymmetry, so metricity of the connection cancels bit-exactly
-    return 0.5 * (oc - oc.swapaxes(-3, -2))
+    return np.moveaxis(0.5 * (t - t.swapaxes(-1, -2)), -3, -1)
 
 
 def frame_structure(

@@ -242,7 +242,7 @@ def _mat3(rows, scale=1.0) -> np.ndarray:
     """``scale`` times the matrix of nine entries given as three rows of scalars
     or arrays that broadcast together: ``(3, 3)``, or ``(..., 3, 3)`` for a stack."""
     entries = [e for row in rows for e in row]
-    out = np.empty(np.broadcast_shapes(np.shape(scale), *map(np.shape, entries)) + (9,))
+    out = np.empty(np.broadcast(scale, *entries).shape + (9,))
     for k, e in enumerate(entries):
         out[..., k] = e
     out *= np.asarray(scale)[..., None]

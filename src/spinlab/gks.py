@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import LieAlgebra, MetricLieAlgebra, frame_structure, random_frames
+from .algebra import LieAlgebra, MetricLieAlgebra, _frames_from_draws, frame_structure
 from .catalog import BianchiFamily, _mat3, _structure_3d, heisenberg_ortho_c, make_bianchi
 from .clifford import CliffordModule, Spinor, elementary_skews, module_for_dim
 from .connection import NomizuMap, curvature, nomizu
@@ -228,6 +228,14 @@ def dirac_trace_3d(ortho_c: np.ndarray) -> np.ndarray:
     return 0.25 * (c[..., 0, 1, 2] - c[..., 0, 2, 1] + c[..., 1, 2, 0])
 
 
+def _spectrum(a: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted eigenvalues of the symmetric parts of ``(..., d, d)`` float matrices and their
+    distinct counts, with no symmetry verdict: the caller has judged ``a`` already."""
+    vals = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))
+    spread = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
+    return vals, 1 + np.count_nonzero(np.diff(vals) > gap_tol * spread, axis=-1)
+
+
 def eigen_analysis(
     a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL, sym_tol: float = 1e-8
 ) -> tuple[np.ndarray, int]:
@@ -235,15 +243,13 @@ def eigen_analysis(
 
     Eigenvalues closer than ``gap_tol * max(1, spectral radius)`` are
     clustered together.  Raises unless ``a`` passes the symmetry verdict
-    ``_symmetric`` at ``sym_tol`` (``full_report`` and the ``_r_tally`` reducer
-    pass their ``tol``).  A ``(N, d, d)`` stack gives ``(N, d)`` eigenvalues and ``N`` counts.
+    ``_symmetric`` at ``sym_tol`` (``full_report`` passes its ``tol``).  A
+    ``(N, d, d)`` stack gives ``(N, d)`` eigenvalues and ``N`` counts.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(_symmetric(a, sym_tol)):
         raise StructureError("eigen analysis requires a symmetric matrix")
-    vals = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))
-    spread = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
-    distinct = 1 + np.count_nonzero(np.diff(vals) > gap_tol * spread, axis=-1)
+    vals, distinct = _spectrum(a, gap_tol)
     return vals, distinct if a.ndim > 2 else int(distinct)
 
 
@@ -361,12 +367,14 @@ def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> FrameSweep
 
 def _r_tally(tol: float, gap_tol: float):
     """The ``sweep_grid`` reducer of the ``r`` statistics: per family, ``tally[r]`` samples
-    with ``r = 1..3`` distinct eigenvalues, and in bin 0 those failing ``_symmetric`` at ``tol``."""
+    with ``r = 1..3`` distinct eigenvalues, and in bin 0 those failing ``_symmetric`` at ``tol``.
+    One verdict a pass: the symmetric samples go to ``_spectrum``, not ``eigen_analysis``,
+    whose guard would judge them again."""
 
     def tally(fams, frames, batch: FrameSweep) -> np.ndarray:
         symmetric = _symmetric(batch.A, tol)
         distinct = np.zeros(symmetric.shape, dtype=int)
-        distinct[symmetric] = eigen_analysis(batch.A[symmetric], gap_tol, sym_tol=tol)[1]
+        distinct[symmetric] = _spectrum(batch.A[symmetric], gap_tol)[1]
         return (distinct[..., None] == np.arange(4)).sum(axis=-2)
 
     return tally
@@ -455,7 +463,10 @@ def sweep_grid(seeds, samples: int, reduce, grid=None):
 
     ``grid`` is ``(families, (F, 3, 3, 3) structure constants)``, by default the
     ``FAMILY_GRID`` stack of ``_grid_stack`` (built once per process, read-only).  Family
-    ``i`` gets ``samples`` frames from ``default_rng(seeds[i])``.  Up to
+    ``i`` gets ``samples`` frames from ``default_rng(seeds[i])``: a pass draws each family's
+    uniforms from its own generator and builds one ``(F, n, 3, 3)`` frame stack from them
+    (``algebra._frames_from_draws``), bit for bit the ``random_frames(3, rng, n)`` of each
+    family.  Up to
     ``GRID_PASS_FRAMES`` samples, one pass solves ``max(1, GRID_PASS_FRAMES // samples)``
     consecutive families whole; past that, each family runs alone as successive chunks of
     at most ``GRID_PASS_FRAMES`` frames drawn from its one generator, which gives the
@@ -469,10 +480,11 @@ def sweep_grid(seeds, samples: int, reduce, grid=None):
     chunks = [min(GRID_PASS_FRAMES, samples - k) for k in range(0, samples or 1, GRID_PASS_FRAMES)]
     for i in range(0, len(fams), step):
         for n in chunks:  # several only when a pass holds one family: rows stay in grid order
-            frames = np.array([random_frames(3, rng, n) for rng in rngs[i : i + step]])
+            draws = [rng.uniform(-1.0, 1.0, (n, 6)) for rng in rngs[i : i + step]]
+            frames = _frames_from_draws(3, np.array(draws))  # random_frames(3, rng, n) per rng
             batch = sweep_frames(cs[i : i + step], frames)
             rows.append(reduce(fams[i : i + step], frames, batch))
-            del frames, batch  # let go of this pass before the next draw
+            del draws, frames, batch  # let go of this pass before the next draw
     return np.concatenate(rows).reshape(len(fams), len(chunks), -1)
 
 

@@ -6,7 +6,8 @@ documents.  Tables use 6 significant digits.  Emission is one pass over the
 document: a non-empty 2-D float64 array (``A``, ``asymmetry``, ``ricci``) is
 written with one ``"%.17g"`` template for the whole matrix, and a list made
 only of Python floats with one template join, instead of one call per
-number; every other value is written on its own.
+number; every other value is written on its own.  Dict keys are escaped through
+``_key``, a per-process cache of ``json.dumps`` (at most 256 keys).
 
 Algebra documents look like::
 
@@ -28,6 +29,7 @@ bracket pair ``(i, j)`` given more than once.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +57,13 @@ def _bracket(items: list[str], inner: str, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
+@lru_cache(maxsize=256)
+def _key(key: str) -> str:
+    """A dict key as a JSON string; payload keys are a fixed schema, so nearly every
+    call is a cache hit."""
+    return json.dumps(key)
+
+
 def _emit(obj, indent: int, level: int) -> str:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
@@ -79,7 +88,7 @@ def _emit(obj, indent: int, level: int) -> str:
         if not obj:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(k))}: {_emit(v, indent, level + 1)}"
+            f"{inner}{_key(str(k))}: {_emit(v, indent, level + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from spinlab.algebra import (
     FrameChange,
+    _orthonormal_structure,
     LieAlgebra,
     MetricLieAlgebra,
     check_jacobi,
@@ -15,7 +16,7 @@ from spinlab.algebra import (
     random_frames,
 )
 from spinlab.catalog import BianchiFamily, make_bianchi, make_heisenberg
-from spinlab.gks import family_grid
+from spinlab.gks import _grid_stack, family_grid
 from spinlab.errors import InvalidFrameError, InvalidMetricError, StructureError
 
 
@@ -217,3 +218,36 @@ def test_stacked_frame_structure_matches_per_algebra_calls():
             np.testing.assert_array_equal(gram[f], want_gram)
             np.testing.assert_array_equal(oc[f], want_oc)
             np.testing.assert_array_equal(oc[f, 2], frame_structure(alg, frames[f, 2])[1])
+
+
+def orthonormal_structure_m_moved_first(c, frame, frame_inv):
+    """``_orthonormal_structure`` as it was: ``m`` moved last before the antisymmetrisation,
+    which then subtracts two strided views."""
+    p = frame[..., None, :, :]
+    s = p.swapaxes(-1, -2) @ np.moveaxis(c, -1, -3) @ p
+    oc = frame_inv @ s.reshape(*s.shape[:-2], c.shape[-1] ** 2)
+    oc = np.moveaxis(oc.reshape(s.shape), -3, -1)
+    return 0.5 * (oc - oc.swapaxes(-3, -2))
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 included
+
+
+def test_orthonormal_structure_is_bit_identical_to_the_m_moved_first_form():
+    rng = np.random.default_rng(25)
+    cs = _grid_stack()[2]  # the 13 grid families in the (F, 1, 3, 3, 3) layout of sweeps
+    frames = np.array([random_frames(3, rng, 20) for _ in cs])
+    cases = [(cs[:, None], frames)]
+    for d in (5, 7, 9, 25):
+        for batch in ((), (3,)):
+            c = rng.normal(size=batch + (d, d, d))
+            diag = np.exp(rng.uniform(-1.0, 1.0, batch + (d,)))
+            frame = np.triu(rng.uniform(-1.0, 1.0, batch + (d, d)), 1) + diag[..., None] * np.eye(d)
+            cases.append((c - c.swapaxes(-3, -2), frame))
+    h33 = make_heisenberg(16).c
+    cases += [(h33, random_frames(33, rng, 1)[0]), (h33, random_frames(33, rng, 2))]
+    for c, frame in cases:
+        args = (c, frame, np.linalg.inv(frame))
+        assert_same_bits(_orthonormal_structure(*args), orthonormal_structure_m_moved_first(*args))

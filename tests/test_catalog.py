@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spinlab.algebra import FrameChange, check_jacobi, orthonormalize
 from spinlab.catalog import (
     BianchiFamily,
+    _mat3,
     FAMILY_TAGS,
     HeisenbergParams,
     heisenberg_gk_eigenvalues,
@@ -296,3 +297,30 @@ def test_reference_ricci_spot_values():
     np.testing.assert_allclose(
         reference_ricci_3d(l36.c), 0.5 * np.eye(3), atol=1e-15
     )
+
+
+def mat3_shape_per_entry(rows, scale=1.0):
+    """``_mat3`` as it was: the shape from one ``np.shape`` per operand and
+    ``np.broadcast_shapes``."""
+    entries = [e for row in rows for e in row]
+    out = np.empty(np.broadcast_shapes(np.shape(scale), *map(np.shape, entries)) + (9,))
+    for k, e in enumerate(entries):
+        out[..., k] = e
+    out *= np.asarray(scale)[..., None]
+    return out.reshape(out.shape[:-1] + (3, 3))
+
+
+def test_mat3_is_bit_identical_to_the_shape_per_entry_form():
+    rng = np.random.default_rng(3)
+    u, v = rng.normal(size=5), rng.normal(size=(2, 1))
+    rows_cases = [
+        [[1.0, -0.0, 0.0], [0.5, -2.0, 0.0], [-0.0, 0.0, 3.0]],
+        [[u, -0.0, 0.0], [2 * u, -u, 0.0], [0.0, -0.0, u * u]],
+        [[u, v, -0.0], [0.0, -u, 1.0], [v * u, -0.0, -v]],
+    ]
+    for rows in rows_cases:
+        for scale in (1.0, -0.5, 0.25 / u, rng.normal(size=(2, 5)), v):
+            got, want = _mat3(rows, scale), mat3_shape_per_entry(rows, scale)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))

@@ -338,18 +338,25 @@ def test_verify_appendix_matches_per_sample_loop():
 def test_eigen_analysis_runs_only_where_a_reducer_reads_eigenvalues(monkeypatch):
     # the sweep engine only solves: the selftest grid pass reads no eigenvalue,
     # verify_appendix reads those of the closed-form families in one call, and a one-pass
-    # sweep counts its symmetric samples in one call
-    stacks, analyse = [], gks.eigen_analysis
+    # sweep counts its symmetric samples in one call.  The spy sits on gks._spectrum, the
+    # eigenvalue step of both eigen_analysis and the _r_tally reducer, which judges
+    # symmetry once a pass and so skips eigen_analysis's guard
+    stacks, guarded, spectrum, analyse = [], [], gks._spectrum, gks.eigen_analysis
 
     def spy(a, *args, **kwargs):
         stacks.append(np.array(a))
+        return spectrum(a, *args, **kwargs)
+
+    def analyse_spy(a, *args, **kwargs):
+        guarded.append(np.array(a))
         return analyse(a, *args, **kwargs)
 
     bound = [name for name, module in sorted(sys.modules.items())
              if name.startswith("spinlab") and getattr(module, "eigen_analysis", None) is analyse]
     assert {"spinlab.gks", "spinlab.selftest", "spinlab.cli"} <= set(bound)
     for name in bound:
-        monkeypatch.setattr(sys.modules[name], "eigen_analysis", spy)
+        monkeypatch.setattr(sys.modules[name], "eigen_analysis", analyse_spy)
+    monkeypatch.setattr(gks, "_spectrum", spy)
     run_selftest(seed=1)
     assert stacks == []
     verify_appendix(10, 1, 1e-9)
@@ -363,6 +370,12 @@ def test_eigen_analysis_runs_only_where_a_reducer_reads_eigenvalues(monkeypatch)
     stacks.clear()
     genericity_sweep(BianchiFamily("L3(6)"), 10, 1)
     assert len(stacks) == 1 and stacks[0].shape == (10, 3, 3)
+    # a report keeps the guarded call: one eigen_analysis, on its own A
+    guarded.clear()
+    report = gks.full_report(metric_from_frame_change(make_bianchi(BianchiFamily("L3(6)")),
+                                                      FrameChange.from_entries(1.3, 0.2)))
+    assert report.is_symmetric and len(guarded) == 1
+    np.testing.assert_array_equal(guarded[0], report.A)
 
 
 def test_closed_form_sweep_matches_per_family_sweeps():

@@ -22,10 +22,14 @@ boundaries split the ``L3(2,x)`` and ``L3(4,x)`` runs) and ``--samples 4097``
 member that keeps its own -0.0 structure constants); ``heisenberg`` at n = 8, 9
 and 16 with non-default ``--a/--b/--c``, where the order of the sum that gives
 ``mu`` shows in the last digit; ``analyze`` on the 13 Table 1 grid
-families (identity and one ``frame_P`` metric, both formats) and on H(5),
-H(25) and H(33); one ``--format table`` line each of ``heisenberg`` (n = 9,
-non-default ``--a/--b/--c``), ``sweep``, ``table1`` and a ``verify-appendix --tol
-1e-300`` that exits 2; four command lines whose non-default ``--tol`` or
+families (identity and one ``frame_P`` metric, both formats), on H(5),
+H(25) and H(33) with the identity metric (where every structure-constant product
+is exact), and with a dense SPD ``gram`` on ``H(7)`` and on ``SEMIDIRECT_5``, a
+5-dimensional JSON algebra with dense, rounded structure constants, where a
+reordered sum in the orthonormal-frame constants shows in the last digit; one
+``--format table`` line each of ``heisenberg`` (n = 9, non-default
+``--a/--b/--c``), ``sweep``, ``table1`` and a ``verify-appendix --tol 1e-300``
+that exits 2; four command lines whose non-default ``--tol`` or
 ``--gap-tol`` moves the symmetry verdicts or the distinct counts (``sweep`` of
 ``L3(3)`` at ``--tol 0.5`` and of ``L3(2,-0.5)`` at ``--gap-tol 0.05 --tol 0.3``,
 ``table1 --gap-tol 0.01`` and a ``verify-appendix --tol 0.5`` that exits 2); and a
@@ -35,6 +39,7 @@ few command lines that exit 2 or 3.  Takes no options; run from anywhere.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -53,6 +58,21 @@ CYCLES, BENCH_SEEDS, SELFTEST_SEEDS = 5, (1, 2, 3), range(1, 6)
 HEISENBERG_ABC = ((8, 2.5), (9, 2.5), (16, 0.7))
 FRAME_P = ('{"frame_P": {"alpha": 1.3, "beta": -0.4, "gamma": 0.7, '
            '"epsilon": 0.8, "zeta": 0.2, "iota": 1.9}}')
+# R acting on the abelian ideal span(e2..e5) by a dense derivation D: [e1, e_k] = sum_j
+# D[j][k] e_j, so Jacobi holds for any D, and every structure constant has a rounded value
+SEMIDIRECT_D = ((0.7, -1.3, 0.4, 0.2), (0.3, 0.9, -0.6, 1.1),
+                (-0.5, 0.8, 1.7, -0.2), (1.2, -0.4, 0.3, -0.9))
+SEMIDIRECT_5 = json.dumps({"dim": 5, "brackets": [
+    {"i": 1, "j": k, "coeffs": [0.0] + [row[k - 2] for row in SEMIDIRECT_D]}
+    for k in range(2, 6)]})
+
+
+def dense_gram(d: int) -> str:
+    """A dense SPD gram: 1.3 on the diagonal and 0.4 ** |i - j| off it."""
+    return json.dumps({"gram": [[1.3 if i == j else 0.4 ** abs(i - j) for j in range(d)]
+                                for i in range(d)]})
+
+
 FAILING = (
     ("analyze", "--algebra", '{"dim": 3, "brackets": ['),
     ("analyze", "--algebra", '{"dim": 3.9, "brackets": []}'),
@@ -90,6 +110,8 @@ def command_lines() -> list[tuple[str, ...]]:
             argvs += [("analyze", "--algebra", fam.label, "--metric", metric, "--format", fmt)
                       for fmt in ("json", "table")]
     argvs += [("analyze", "--algebra", f"H({d})") for d in (5, 25, 33)]
+    argvs += [("analyze", "--algebra", alg, "--metric", dense_gram(d))
+              for alg, d in (("H(7)", 7), (SEMIDIRECT_5, 5))]
     argvs += [
         ("sweep", "--algebra", "L3(5)", "--samples", "300", "--seed", "4", "--format", "table"),
         ("table1", "--samples", "200", "--seed", "6", "--format", "table"),
