@@ -15,14 +15,15 @@ of the spinor space or zero.
 ``(..., d, d, d)`` stack solved as one system; ``solve_heisenberg`` is its solve on
 the diagonal Heisenberg metrics, behind the ``heisenberg`` command and the
 ``selftest`` ladder, and builds no algebra or metric object (only ``analyze`` does).
-Two builders of ``R`` remain, each the fast one on its workload.  For structure
-constants, ``_project`` makes one matrix-free spin lift per column, ``d`` calls per
-system, on the rows ``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a basis
-spinor), so the ``H(2n+1)`` ladder reads no ``2**n`` coefficients per report; only
-the unit spinor's zero vector and the row mask reach that size.  For a frame
-stack from ``random_frames``, ``sweep_frames`` multiplies by the cached unit-spinor
-lift tensor: a few array calls per stack, but ``2**(n+1) d**2`` entries, so only for
-small ``d``.  ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
+``_project`` is the one builder of ``R``: ``d`` matrix-free spin lifts per system, one
+per column, on the rows ``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a basis
+spinor), so the ``H(2n+1)`` ladder reads no ``2**n`` coefficients per report; only the
+unit spinor's zero vector and the row mask reach that size.  The 3-d frame sweep builds
+none: there the constants are a 3x3 matrix ``C`` under Hodge duality, ``c[a, b, :] =
+eps_abe C[e, :]`` (Milnor, 1976), a frame ``P`` takes ``C`` to ``det(P) P^-1 C P^-T``,
+and Nomizu, lift and fit are linear, so ``sweep_frames`` applies one constant ``9 x 9``
+map, ``_dual_map``, which ``_project`` and ``_fit`` build once from the nine
+basis duals.  ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
 and the closed-form comparison of ``selftest`` run it over the 13 ``FAMILY_GRID``
 families, ``genericity_sweep`` over one family.  No ``sweep_frames`` pass holds more
 than ``GRID_PASS_FRAMES`` frames, so memory stays flat in the sample count; the sweep
@@ -31,7 +32,7 @@ only solves, and each pass's reducer judges what it reads, one row per family.
 Constants that never change are built once per process, on first use, and are
 read-only: the grid families, their algebras and stacked structure constants
 (``_grid_stack``), the index arrays of ``algebra.random_frames`` and the
-unit-spinor tensors.  The Heisenberg algebras and metrics are not cached: at
+dual map.  The Heisenberg algebras and metrics are not cached: at
 n = 12..16 their tensors would stay resident for the life of the process.
 """
 
@@ -42,9 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import LieAlgebra, MetricLieAlgebra, _frames_from_draws, frame_structure
+from .algebra import LieAlgebra, MetricLieAlgebra, _check_orthonormal, _frames_from_draws, _freeze
 from .catalog import BianchiFamily, _mat3, _structure_3d, heisenberg_ortho_c, make_bianchi
-from .clifford import CliffordModule, Spinor, elementary_skews, module_for_dim
+from .clifford import CliffordModule, Spinor, module_for_dim
 from .connection import NomizuMap, curvature, nomizu
 from .errors import InvalidSpinorError, SpinlabError, StructureError
 
@@ -318,23 +319,28 @@ def full_report(
     )
 
 
-@lru_cache(maxsize=16)  # the size of get_module's cache
-def _unit_spinor_tensors(mod: CliffordModule) -> tuple[np.ndarray, np.ndarray]:
-    """Moment matrix ``M`` of the unit spinor and its lift tensor ``W``, once per module.
+# (i, j) with eps_ijl = 1 for l = 0, 1, 2: c[..., _DUAL_I, _DUAL_J, :] is the Hodge dual C
+_DUAL_I, _DUAL_J = (1, 2, 0), (2, 0, 1)
 
-    Column ``b * d + a`` of ``W`` is the realified ``lift(E_ba) . psi`` for
-    the elementary skew matrix ``E_ba`` (``clifford.elementary_skews``) when
-    ``a < b``, and zero otherwise, so ``W @ L.ravel()`` is ``lift(L) . psi``."""
-    psi = Spinor.one(mod.n)
-    d = mod.dim_frame
-    a, b, skew = elementary_skews(d)
-    cols = mod.apply_spin_lift(skew, psi.coeffs)  # one call for every pair
-    w = np.zeros((2 * mod.dim_spinor, d, d))
-    w[:, b, a] = np.concatenate([cols.real, cols.imag], axis=-1).T
-    m, w = mod.moment_matrix(psi), w.reshape(-1, d * d)
-    m.setflags(write=False)
-    w.setflags(write=False)
-    return m, w
+
+def _from_dual(dual: np.ndarray) -> np.ndarray:
+    """``c[..., i, j, :] = eps_ijl C[..., l, :]`` of duals ``C``, with +0.0 at ``i = j``."""
+    c = np.zeros(dual.shape[:-2] + (3, 3, 3))
+    c[..., _DUAL_I, _DUAL_J, :], c[..., _DUAL_J, _DUAL_I, :] = dual, -dual
+    return c
+
+
+# [l, 3 i + j] = eps_ijl: u @ _AXIAL is the flattened skew matrix of the axial vector u
+_AXIAL = _freeze(np.moveaxis(_from_dual(np.eye(3)), -1, 0).reshape(3, 9))
+
+
+@lru_cache(maxsize=16)  # the size of get_module's cache
+def _dual_map(mod: CliffordModule) -> np.ndarray:
+    """Read-only ``T`` with ``A = C.ravel() @ T`` for the unit spinor and any 3-d dual ``C``:
+    row ``3 l + m`` is the fit of the basis dual ``E_lm`` (the fit is linear in ``C``)."""
+    basis = _from_dual(np.eye(9).reshape(9, 3, 3))
+    # not a solve_endomorphism call: perfbench's tracer reads .dim of its first argument
+    return _freeze(_fit(*_project(basis, Spinor.one(mod.n), None))[0].reshape(9, 9))
 
 
 @dataclass(frozen=True)
@@ -343,26 +349,38 @@ class FrameSweep:
 
     ortho_c: np.ndarray
     A: np.ndarray
-    solve_residual: np.ndarray
 
 
 def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> FrameSweep:
-    """The unit-spinor ``_fit`` of ``full_report`` for a ``(N, d, d)`` frame stack, no verdict.
+    """The unit-spinor ``A`` of ``full_report`` for a ``(N, 3, 3)`` frame stack, no verdict.
 
-    ``(F, d, d, d)`` structure constants with ``(F, N, d, d)`` frames keep the family axis.
-    Raises ``InvalidMetricError`` if any frame fails the orthonormality guard of
-    ``MetricLieAlgebra``, and ``StructureError`` if any ``A`` is not finite."""
-    c = alg.c if isinstance(alg, LieAlgebra) else alg
-    d = c.shape[-1]
-    m, w = _unit_spinor_tensors(module_for_dim(d))
-    _, oc = frame_structure(c[..., None, :, :, :], frames)
-    lam = nomizu(oc).mats.reshape(*frames.shape[:-2], d, d * d)
-    a, _, residual = _fit(m, w @ lam.swapaxes(-1, -2))
+    ``(F, 3, 3, 3)`` structure constants with ``(F, N, 3, 3)`` frames keep the family axis.
+    ``A = C'.ravel() @ _dual_map`` for the frame's dual ``C' = det(P) P^-1 C P^-T``, built
+    as a symmetric part plus the skew part of axial vector ``w P`` (``w = -tr c / 2``), so
+    ``A`` is exactly symmetric where ``C`` is.  Raises ``UnsupportedDimensionError`` unless
+    3-d, ``InvalidMetricError`` if a frame fails the orthonormality guard (a nonzero lower
+    entry does) and ``StructureError`` if ``A`` is not finite."""
+    c = _structure_3d(alg.c if isinstance(alg, LieAlgebra) else alg, "the frame sweep")
+    # P^-1 of the upper-triangular P, row-major: the diagonal is flat 0, 4, 8, the first
+    # superdiagonal flat 1 and 5, the corner flat 2 (back-substitution)
+    p = frames.reshape(*frames.shape[:-2], 9)
+    pinv = np.zeros(p.shape)
+    pinv[..., ::4] = inv_diag = 1.0 / p[..., ::4]
+    pinv[..., 1:6:4] = -p[..., 1:6:4] * inv_diag[..., :2] * inv_diag[..., 1:]
+    pinv[..., 2] = -inv_diag[..., 0] * (p[..., 1] * pinv[..., 5] + p[..., 2] * inv_diag[..., 2])
+    pinv = pinv.reshape(frames.shape)
+    pinv_t = pinv.swapaxes(-1, -2).copy()  # a copy: numpy's A^T A path is slow on 3x3 stacks
+    _check_orthonormal(pinv_t @ pinv, frames)
+    half_det = 0.5 * p[..., 0] * p[..., 4] * p[..., 8]
+    half = pinv @ c[..., None, _DUAL_I, _DUAL_J, :] @ pinv_t * half_det[..., None, None]
+    axial = -0.5 * np.trace(c, axis1=-2, axis2=-1)[..., None, None, :] @ frames
+    dual = (half + half.swapaxes(-1, -2)).reshape(p.shape) + (axial @ _AXIAL)[..., 0, :]
+    a = dual @ _dual_map(module_for_dim(3))
     if not np.isfinite(a).all():
         raise StructureError(
             "A is not finite: the structure constants are out of floating-point range"
         )
-    return FrameSweep(oc, a, residual)
+    return FrameSweep(_from_dual(dual.reshape(frames.shape)), a.reshape(frames.shape))
 
 
 def _r_tally(tol: float, gap_tol: float):

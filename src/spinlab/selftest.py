@@ -245,7 +245,7 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
         ortho_c, psis = batch.ortho_c, (Spinor.one(1), Spinor.basis(1, 1))
         nm, sym = nomizu(ortho_c), np.array([is_symmetric_family(fam) for fam in fams])
         spinorial = np.maximum(*(ricci_spinorial_check(nm, ortho_c, psi)[1] for psi in psis))
-        ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(batch.solve_residual.shape)
+        ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(batch.A.shape[:-2])
         rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
         ricci = curvature(nm, ortho_c).ricci[sym]  # symmetric families only: 0 elsewhere
         ricci_dev[sym] = np.max(np.abs(ricci - ref), axis=(-2, -1)) / rscale

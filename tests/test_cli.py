@@ -283,6 +283,8 @@ def test_exit_codes(tmp_path):
         (("sweep", "--algebra", "L3(4,nan)", "--samples", "5"), 2),
         (("sweep", "--algebra", "L3(4,inf)", "--samples", "5"), 2),
         (("sweep", "--algebra", "L3(4,8.9e307)", "--samples", "5", "--seed", "1"), 2),
+        # the upper side of that seed's overflow boundary, near 6.18e307
+        (("sweep", "--algebra", "L3(4,6.25e307)", "--samples", "5", "--seed", "1"), 2),
     ]
     for args, code in cases:
         res = run_cli(*args)
@@ -290,6 +292,12 @@ def test_exit_codes(tmp_path):
         assert res.stdout == "", args
         assert "Traceback" not in res.stderr, args
         assert len(res.stderr.strip().splitlines()) == 1, args
+    # both sides of the boundary: a finite report below it, the one overflow line above it
+    below = run_cli("sweep", "--algebra", "L3(4,6.1e307)", "--samples", "5", "--seed", "1")
+    assert below.returncode == 0 and json.loads(below.stdout)["symmetric_count"] == 0
+    above = run_cli("sweep", "--algebra", "L3(4,6.25e307)", "--samples", "5", "--seed", "1")
+    assert above.stderr.strip() == (
+        "error: A is not finite: the structure constants are out of floating-point range")
 
 
 def test_usage_errors_are_one_line_with_exit_2(capsys):

@@ -5,6 +5,7 @@ from spinlab.algebra import (
     FrameChange,
     LieAlgebra,
     _frame_indices,
+    frame_structure,
     metric_from_frame_change,
     orthonormalize,
     random_frames,
@@ -342,21 +343,18 @@ def test_gk_equation_residual_matches_per_column_reference():
         gk_equation_residual(unit_h3(), np.eye(3), Spinor(1, np.zeros(2)))
 
 
-def test_unit_spinor_tensor_is_the_per_pair_lift():
-    from spinlab.gks import _unit_spinor_tensors
-
-    for n in (1, 2, 4):
-        mod, psi = get_module(n), Spinor.one(n)
-        d = mod.dim_frame
-        m, w = _unit_spinor_tensors(mod)
-        np.testing.assert_array_equal(m, mod.moment_matrix(psi))
-        ref = np.zeros((2 * mod.dim_spinor, d, d))
-        for a, b in zip(*np.triu_indices(d, 1)):
-            skew = np.zeros((d, d))
-            skew[b, a], skew[a, b] = 1.0, -1.0
-            col = mod.apply_spin_lift(skew, psi.coeffs)
-            ref[:, b, a] = np.concatenate([col.real, col.imag])
-        np.testing.assert_array_equal(w, ref.reshape(-1, d * d))
+def test_dual_map_is_the_exact_fit_of_the_basis_duals():
+    # the sweep's A = C'.ravel() @ T rests on three exact facts about the nine basis duals
+    basis = gks._from_dual(np.eye(9).reshape(9, 3, 3))
+    _, misfit, residual = gks._fit(*gks._project(basis, Spinor.one(1), None))
+    assert np.all(misfit == 0.0) and np.all(residual == 0.0)
+    t = gks._dual_map(get_module(1))
+    assert t.shape == (9, 9) and not t.flags.writeable
+    assert set(t.ravel().tolist()) <= {0.0, 0.25, -0.25, -0.5}
+    np.testing.assert_array_equal(t, explicit_A_3d(basis).reshape(9, 9))
+    assert gks._dual_map(get_module(1)) is t  # once per module
+    with pytest.raises(ValueError, match="read-only"):
+        t[0, 0] = 1.0
 
 
 def test_sweep_tensors_follow_the_module_cache(clifford_sign_fault):
@@ -669,31 +667,94 @@ def test_sampler_index_arrays_are_read_only_and_unchanged_by_use():
 
 def test_sweep_frames_matches_scalar_pipeline():
     rng = np.random.default_rng(606)
-    algebras = [make_bianchi(BianchiFamily(tag, x)) for tag, x in FAMILY_GRID]
-    for alg in algebras + [make_heisenberg(2)]:
-        frames = random_frames(alg.dim, rng, 25)
+    for tag, x in FAMILY_GRID:
+        alg = make_bianchi(BianchiFamily(tag, x))
+        frames = random_frames(3, rng, 25)
         batch = sweep_frames(alg, frames)
-        n, counts = (alg.dim - 1) // 2, []
+        counts = []
         for k, frame in enumerate(frames):
             mla = metric_from_frame_change(alg, FrameChange(frame))
-            a, residual = solve_endomorphism(mla, Spinor.one(n))
+            a, residual = solve_endomorphism(mla, Spinor.one(1))
             assert np.max(np.abs(batch.A[k] - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
             assert np.max(np.abs(batch.ortho_c[k] - mla.ortho_c)) <= 1e-12 * max(
                 1.0, np.max(np.abs(mla.ortho_c))
             )
-            # in dimension 3 every frame direction is solved exactly
-            assert abs(batch.solve_residual[k] - residual) <= 1e-12
-            assert alg.dim > 3 or batch.solve_residual[k] <= 1e-12
+            assert residual <= 1e-12  # in dimension 3 every frame direction is solved exactly
             # the verdicts a reducer takes from the solve: _symmetric, then eigen_analysis
             report = full_report(mla)
             symmetric, distinct = _verdicts(batch.A[k : k + 1])
             assert symmetric[0] == report.is_symmetric
             assert distinct[0] == (report.distinct_count or 0)
             counts.append(report.distinct_count or 0)
-        if alg.dim == 3:  # the r tally of genericity_sweep and table1_rows, bins 0..3
-            one_pass = FrameSweep(*(arr[None] for arr in vars(batch).values()))  # (1, N) arrays
-            tally = gks._r_tally(1e-9, 1e-7)(None, frames[None], one_pass)[0]
-            assert tally.tolist() == np.bincount(counts, minlength=4).tolist()
+        # the r tally of genericity_sweep and table1_rows, bins 0..3
+        one_pass = FrameSweep(*(arr[None] for arr in vars(batch).values()))  # (1, N) arrays
+        tally = gks._r_tally(1e-9, 1e-7)(None, frames[None], one_pass)[0]
+        assert tally.tolist() == np.bincount(counts, minlength=4).tolist()
+    with pytest.raises(UnsupportedDimensionError, match="frame sweep needs dimension 3"):
+        sweep_frames(make_heisenberg(2), random_frames(5, rng, 2))
+
+
+def test_stacked_solve_matches_per_metric_solves_in_dimension_5():
+    # the d = 5 stack goes through frame_structure and one solve_endomorphism call
+    alg, rng = make_heisenberg(2), np.random.default_rng(606)
+    frames = random_frames(5, rng, 25)
+    _, ortho_c = frame_structure(alg, frames)
+    a, residual = solve_endomorphism(ortho_c, Spinor.one(2))
+    assert a.shape == (25, 5, 5) and residual.shape == (25,)
+    for k, frame in enumerate(frames):
+        mla = metric_from_frame_change(alg, FrameChange(frame))
+        a_k, residual_k = solve_endomorphism(mla, Spinor.one(2))
+        assert np.max(np.abs(a[k] - a_k)) <= 1e-12 * max(1.0, np.max(np.abs(a_k)))
+        assert np.max(np.abs(ortho_c[k] - mla.ortho_c)) <= 1e-12 * max(
+            1.0, np.max(np.abs(mla.ortho_c))
+        )
+        assert abs(residual[k] - residual_k) <= 1e-12
+        report = full_report(mla)
+        symmetric, distinct = _verdicts(a[k : k + 1])
+        assert symmetric[0] == report.is_symmetric
+        assert distinct[0] == (report.distinct_count or 0)
+
+
+def _wide_frames(rng, n):
+    """Upper-triangular frames further from the identity than ``random_frames``: diagonal
+    log-uniform on ``[e^-2, e^2]``, upper entries uniform on ``[-3, 3]``."""
+    frames = np.zeros((n, 3, 3))
+    frames[:, range(3), range(3)] = np.exp(rng.uniform(-2.0, 2.0, (n, 3)))
+    frames[:, (0, 0, 1), (1, 2, 2)] = rng.uniform(-3.0, 3.0, (n, 3))
+    return frames
+
+
+def test_dual_kernel_matches_frame_structure():
+    # the closed inverse and the dual product against the per-index contraction, per sample
+    rng, cs = np.random.default_rng(2024), gks._grid_stack()[2]
+    antisym = rng.uniform(-2.0, 2.0, (40, 3, 3, 3))
+    stacks = [(cs, random_frames(3, rng, 13 * 200).reshape(13, 200, 3, 3)),
+              (antisym - antisym.swapaxes(1, 2), random_frames(3, rng, 2000).reshape(40, 50, 3, 3))]
+    for c, frames in stacks:
+        batch = sweep_frames(c, frames)
+        _, want = frame_structure(c[:, None], frames)
+        scale = np.max(np.abs(want), axis=(-3, -2, -1))
+        assert np.all(np.max(np.abs(batch.ortho_c - want), axis=(-3, -2, -1)) <= 1e-14 * scale)
+        diag = batch.ortho_c[..., range(3), range(3), :]
+        assert np.all(diag == 0.0) and not np.any(np.signbit(diag))  # +0.0, not 0 * negative
+        np.testing.assert_array_equal(batch.ortho_c, -batch.ortho_c.swapaxes(-3, -2))
+        a, _ = solve_endomorphism(want, Spinor.one(1))
+        a_scale = np.max(np.abs(a), axis=(-2, -1))
+        assert np.all(np.max(np.abs(batch.A - a), axis=(-2, -1)) <= 1e-14 * a_scale)
+
+
+def test_sweep_A_is_exactly_symmetric_where_the_dual_is():
+    # a unimodular algebra has a symmetric dual C; its A is symmetric to the last bit
+    rng = np.random.default_rng(31)
+    sym = rng.uniform(-2.0, 2.0, (20, 3, 3))
+    duals = [sym + sym.swapaxes(-1, -2)] + [
+        make_bianchi(BianchiFamily(tag, x)).c[(1, 2, 0), (2, 0, 1), :][None]
+        for tag, x in FAMILY_GRID if is_symmetric_family(BianchiFamily(tag, x))]
+    for dual in duals:
+        frames = _wide_frames(rng, len(dual) * 30).reshape(len(dual), 30, 3, 3)
+        a = sweep_frames(gks._from_dual(dual), frames).A
+        np.testing.assert_array_equal(a, a.swapaxes(-1, -2))
+        assert np.all(gks._symmetric(a, 1e-300))
 
 
 def test_sweep_frames_keeps_the_orthonormality_guard():
@@ -704,6 +765,15 @@ def test_sweep_frames_keeps_the_orthonormality_guard():
     frames = random_frames(3, np.random.default_rng(5), 6)
     frames[3] = bad
     with pytest.raises(InvalidMetricError):
+        sweep_frames(alg, frames)
+
+
+def test_sweep_frames_refuses_a_frame_with_a_lower_entry():
+    # the closed inverse reads the upper triangle only; the guard catches the rest
+    alg = make_bianchi(BianchiFamily("L3(6)"))
+    frames = random_frames(3, np.random.default_rng(5), 6)
+    frames[2, 2, 0] = 0.5
+    with pytest.raises(InvalidMetricError, match="frame is not gram-orthonormal"):
         sweep_frames(alg, frames)
 
 
@@ -897,7 +967,7 @@ def test_family_stacked_sweep_matches_per_family_sweeps():
     algs = [make_bianchi(BianchiFamily(tag, x)) for tag, x in FAMILY_GRID]
     frames = random_frames(3, np.random.default_rng(12), 13 * 9).reshape(13, 9, 3, 3)
     batch = sweep_frames(np.stack([alg.c for alg in algs]), frames)
-    assert batch.A.shape == (13, 9, 3, 3) and batch.solve_residual.shape == (13, 9)
+    assert batch.A.shape == (13, 9, 3, 3) and batch.ortho_c.shape == (13, 9, 3, 3, 3)
     for f, alg in enumerate(algs):
         one = sweep_frames(alg, frames[f])
         for name, arr in vars(one).items():
@@ -929,7 +999,7 @@ def _r_tally_of(distinct, symmetric):
     a = np.zeros((n, 3, 3))
     a[:, range(3), range(3)] = _SPECTRA[np.maximum(distinct, 1) - 1]
     a[~symmetric] += _SKEW
-    batch = FrameSweep(np.zeros((1, n, 3, 3, 3)), a[None], np.zeros((1, n)))
+    batch = FrameSweep(np.zeros((1, n, 3, 3, 3)), a[None])
     reduce = gks._r_tally(1e-9, 1e-7)
     return reduce((BianchiFamily("L3(6)"),), np.zeros((1, n, 3, 3)), batch)[0]
 

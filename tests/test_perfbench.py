@@ -13,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from spinlab import cli
+from spinlab import cli, gks
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,3 +37,20 @@ def test_heisenberg_cycle_passes_its_gates(capsys, monkeypatch):
         doc = wl.parse_output(capsys.readouterr().out)
         wl.check_finite(doc)
         inv.gate(doc)
+
+
+def test_traced_sweep_builds_its_dual_map(capsys, monkeypatch):
+    # the first sweep of a process builds gks._dual_map with every traced function patched:
+    # that build must not go through a traced wrapper that cannot read its arguments
+    argv = ["sweep", "--algebra", "L3(6)", "--samples", "5", "--seed", "1"]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    gks._dual_map.cache_clear()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == untraced
