@@ -267,19 +267,20 @@ class CliffordModule:
         return np.ascontiguousarray(np.hstack([cols.real, cols.imag]).T)
 
     def _require_skew(self, omega: np.ndarray) -> np.ndarray:
+        """``omega`` as a float array of ``(d, d)`` matrices, refused unless every
+        matrix is skew to within ``|omega + omega^T| <= 1e-12 max(1, max|omega|)``.
+
+        A stack whose defect ``omega + omega^T`` is exactly zero passes that rule, so
+        the scaled rule (``_inexact_skew``) runs only when some defect entry is nonzero
+        or NaN.  Every skew matrix the package builds (``nomizu``, ``elementary_skews``,
+        ``g - g^T``) is exact, so its check is one sum and one ``any``."""
         omega = np.asarray(omega, dtype=float)
         d = self.dim_frame
         if omega.shape[-2:] != (d, d):
             raise InvalidOperatorError(
                 f"expected {d}x{d} matrices, got shape {omega.shape}"
             )
-        if omega.ndim == 2:  # one matrix: the same test without per-matrix reductions
-            bad = abs(omega + omega.T).max() > 1e-12 * max(1.0, abs(omega).max())
-        else:
-            scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
-            defect = np.abs(omega + omega.swapaxes(-1, -2)).max(axis=(-2, -1))
-            bad = (defect > 1e-12 * scale).any()
-        if bad:
+        if (omega + omega.swapaxes(-1, -2)).any() and _inexact_skew(omega):
             raise InvalidOperatorError("spin lift requires a skew-symmetric matrix")
         return omega
 
@@ -293,7 +294,9 @@ class CliffordModule:
         """Apply the lift of ``omega`` to a coefficient vector or stack, matrix-free.
 
         ``omega`` is one skew matrix or a stack ``(..., d, d)``; the result is
-        ``lift(omega) @ coeffs`` with matmul broadcasting.  A pair ``(a, b)``
+        ``lift(omega) @ coeffs`` with matmul broadcasting.  ``_require_skew``
+        refuses a stack that is not skew; an exactly skew one costs it one sum
+        and one ``any``, and only an inexact one the scaled rule.  A pair ``(a, b)``
         is skipped when ``omega[..., b, a]`` is zero in every matrix of the
         stack.  With ``rows``, only those output entries are evaluated (in
         that order along the spinor axis); ``None`` evaluates all of them.
@@ -327,6 +330,15 @@ def elementary_skews(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     skew[pair, b, a] = 1.0
     skew[pair, a, b] = -1.0
     return a, b, skew
+
+
+def _inexact_skew(omega: np.ndarray) -> bool:
+    """True when some matrix of ``omega`` breaks ``|omega + omega^T| <= 1e-12 max(1,
+    max|omega|)``.  A NaN in a matrix makes both sides NaN, so that matrix passes, as
+    does an infinite entry against its infinite scale."""
+    scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
+    defect = np.abs(omega + omega.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return bool((defect > 1e-12 * scale).any())
 
 
 def _bit(frames: np.ndarray) -> np.ndarray:
@@ -396,10 +408,14 @@ def get_module(n: int) -> CliffordModule:
 
 
 def module_for_dim(dim: int) -> CliffordModule:
-    """Shared module for a frame of odd dimension ``dim = 2n + 1``."""
+    """Shared module for a frame of odd dimension ``dim = 2n + 1 >= 3``."""
     if dim % 2 == 0:
         raise UnsupportedDimensionError(
             f"invariant-spinor analysis needs odd dimension, got {dim}"
+        )
+    if dim < 3:  # checked here: CliffordModule(0) would name its slot count, not the dimension
+        raise UnsupportedDimensionError(
+            f"invariant-spinor analysis needs dimension at least 3, got {dim}"
         )
     return get_module((dim - 1) // 2)
 

@@ -120,16 +120,21 @@ def curvature(nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray) -> CurvatureDat
 
 
 def ricci_spinorial_check(
-    nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray, psi: Spinor
+    nm: NomizuMap,
+    mla: MetricLieAlgebra | np.ndarray,
+    psi: Spinor,
+    _ricci: np.ndarray | None = None,
 ) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Verify the spinorial Ricci identity on ``psi`` for every frame direction.
 
     The left side uses spin-lifted curvature operators assembled from the
     lifted Nomizu operators; the right side uses the Ricci matrix from the
-    frame-level curvature.  Returns ``(ok, max_residual)`` with the residual
-    relative to ``max(1, |rhs|)`` per direction and ``ok`` when it is at
-    most 1e-9; for structure constants with batch axes, both are arrays
-    over the batch.
+    frame-level curvature, ``curvature(nm, mla).ricci``, or ``_ricci`` when the
+    caller has already built that stack (the ``selftest`` grid pass builds it
+    once for both basis spinors and its closed-form Ricci check).  Returns
+    ``(ok, max_residual)`` with the residual relative to ``max(1, |rhs|)`` per
+    direction and ``ok`` when it is at most 1e-9; for structure constants with
+    batch axes, both are arrays over the batch.
     """
     c = _structure(mla)
     d = c.shape[-1]
@@ -143,7 +148,8 @@ def ricci_spinorial_check(
     for k in range(d):
         rv = rv - c[..., :, None, :, k] * lifted[..., None, k, :, None]
     lhs = sum(mod.apply_vector(j + 1, rv[..., j : j + 1]) for j in range(d))[..., 0]
-    rhs = -0.5 * mod.apply_combo(curvature(nm, c).ricci.swapaxes(-1, -2), vec)
+    ricci = curvature(nm, c).ricci if _ricci is None else _ricci
+    rhs = -0.5 * mod.apply_combo(ricci.swapaxes(-1, -2), vec)
     denom = np.maximum(1.0, np.max(np.abs(rhs), axis=-1))
     worst = np.max(np.max(np.abs(lhs - rhs), axis=-1) / denom, axis=-1)
     if worst.ndim == 0:

@@ -12,6 +12,8 @@ command) and ``run_selftest``; each reduces every pass's ``(F, N)`` stacks at on
 to one row of per-family maxima and flags, and combines a family's chunks by max.
 The sweep only solves: ``verify_appendix`` judges symmetry itself (``gks._symmetric``)
 and takes no ``gap_tol``; the ``run_selftest`` grid pass computes no verdict or eigenvalues.
+The ``run_selftest`` grid pass builds one Ricci stack with ``curvature`` and passes it
+to the spinorial Ricci identity on both basis spinors and to the closed-form Ricci check.
 Every closed form is evaluated on a whole frame stack, the family closed forms once
 per run of same-tag families, so no check loops over samples; the Clifford relations check
 reads the spin lift's product rule, ``clifford._product``, on every row.  Spin-lift
@@ -244,11 +246,12 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     def grid_checks(fams, frames, batch, devs):  # per-family maxima, one row per family
         ortho_c, psis = batch.ortho_c, (Spinor.one(1), Spinor.basis(1, 1))
         nm, sym = nomizu(ortho_c), np.array([is_symmetric_family(fam) for fam in fams])
-        spinorial = np.maximum(*(ricci_spinorial_check(nm, ortho_c, psi)[1] for psi in psis))
+        ric = curvature(nm, ortho_c).ricci  # one stack for both Ricci checks
+        spinorial = np.maximum(*(ricci_spinorial_check(nm, ortho_c, p, _ricci=ric)[1] for p in psis))
         ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(batch.A.shape[:-2])
         rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
-        ricci = curvature(nm, ortho_c).ricci[sym]  # symmetric families only: 0 elsewhere
-        ricci_dev[sym] = np.max(np.abs(ricci - ref), axis=(-2, -1)) / rscale
+        # symmetric families only: 0 elsewhere
+        ricci_dev[sym] = np.max(np.abs(ric[sym] - ref), axis=(-2, -1)) / rscale
         dirac = np.abs(np.trace(batch.A, axis1=-2, axis2=-1) - dirac_trace_3d(ortho_c))
         per_sample = (metricity_violation(nm), torsion_violation(nm, ortho_c), spinorial, ricci_dev)
         return np.max(np.concatenate([np.stack([*per_sample, dirac], -1), devs], axis=-1), axis=1)

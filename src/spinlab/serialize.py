@@ -17,11 +17,14 @@ listing only pairs with ``i < j`` (1-based); the antisymmetric completion
 is implicit.  Metric documents carry either a Gram matrix
 ``{"gram": [[...]]}`` or a frame change: a 3-dimensional one as
 ``{"frame_P": {"alpha": ..., "beta": ..., "gamma": ..., "epsilon": ...,
-"zeta": ..., "iota": ...}}``, or any as an upper-triangular matrix.
+"zeta": ..., "iota": ...}}``, or any as an upper-triangular matrix.  A metric
+document holds exactly one of ``gram`` and ``frame_P``, an algebra document
+only ``dim`` and ``brackets``.
 
-Documents that break the schema raise ``FormatError`` (CLI exit 3): ``dim``,
-``i`` and ``j`` that are not JSON integers; bracket coefficients, ``gram``
-and ``frame_P`` entries that are not JSON numbers (``true``, ``"1"``,
+Documents that break the schema raise ``FormatError`` (CLI exit 3): a
+top-level key outside those, or both ``gram`` and ``frame_P``; ``dim``, ``i``
+and ``j`` that are not JSON integers; bracket coefficients, ``gram`` and
+``frame_P`` entries that are not JSON numbers (``true``, ``"1"``,
 ``null``, a nested list); matrices with rows of unequal length; and a
 bracket pair ``(i, j)`` given more than once.
 """
@@ -139,10 +142,19 @@ def _json_reals(value, name: str) -> np.ndarray:
         raise FormatError(f"'{name}' has an entry out of floating-point range") from exc
 
 
+def _refuse_unknown(obj: dict, keys: set[str], what: str) -> None:
+    """Refuse a JSON object with a key outside ``keys``: a key the schema does not
+    read would otherwise be ignored without a word."""
+    unknown = set(obj) - keys
+    if unknown:
+        raise FormatError(f"unknown {what} {sorted(unknown)}")
+
+
 def algebra_from_obj(obj) -> LieAlgebra:
     """Build a Lie algebra from the documented JSON mapping."""
     if not isinstance(obj, dict):
         raise FormatError("algebra document must be a JSON object")
+    _refuse_unknown(obj, {"dim", "brackets"}, "algebra document fields")
     try:
         dim = _json_int(obj["dim"], "dim")
         entries = obj["brackets"]
@@ -195,9 +207,7 @@ _GREEK = ("alpha", "beta", "gamma", "epsilon", "zeta", "iota")
 def frame_change_from_obj(obj, dim: int) -> FrameChange:
     """Frame change from the ``frame_P`` payload (named entries or matrix)."""
     if isinstance(obj, dict):
-        unknown = set(obj) - set(_GREEK)
-        if unknown:
-            raise FormatError(f"unknown frame_P entries {sorted(unknown)}")
+        _refuse_unknown(obj, set(_GREEK), "frame_P entries")
         if dim != 3:
             raise FormatError("named frame_P entries are for 3-dimensional algebras")
         vals = {
@@ -217,6 +227,9 @@ def metric_from_obj(alg: LieAlgebra, obj) -> MetricLieAlgebra:
         return orthonormalize(alg, np.eye(alg.dim))
     if not isinstance(obj, dict):
         raise FormatError("metric document must be a JSON object")
+    _refuse_unknown(obj, {"gram", "frame_P"}, "metric document fields")
+    if len(obj) == 2:
+        raise FormatError("metric document takes one of 'gram' and 'frame_P', not both")
     if "gram" in obj:
         return orthonormalize(alg, _json_reals(obj["gram"], "gram"))
     if "frame_P" in obj:

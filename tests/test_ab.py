@@ -1,0 +1,72 @@
+"""``tools/ab.py``: its statistics on fixed numbers, and one child's gated cycles in-process.
+
+The tool is imported with ``tools/`` and ``perfbench/`` on the path; nothing here makes
+a worktree or starts a child process.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from spinlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def ab():
+    paths = [str(ROOT / "tools"), str(ROOT / "perfbench")]
+    sys.path[:0] = paths
+    try:
+        yield importlib.import_module("ab")
+    finally:
+        for path in paths:
+            sys.path.remove(path)
+
+
+def test_quartiles_and_paired_comparison(ab):
+    assert ab.quartiles([4.0]) == (4.0, 4.0, 4.0)
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([10.0, 2.0, 4.0, 8.0]) == (3.5, 6.0, 8.5)
+    a = [10.0, 11.0, 12.0, 13.0, 14.0]  # median 12, IQR 2
+    b = [9.0, 9.5, 12.5, 9.8, 10.0]  # median 9.8, IQR 0.5
+    got = ab.compare(a, b)
+    assert got == {
+        "rounds": 5,
+        "median_a": 12.0,
+        "iqr_a": 2.0,
+        "median_b": 9.8,
+        "iqr_b": 0.5,
+        "ratio": 9.8 / 12.0,
+        "b_faster": 4,  # not the round where B read 12.5 against 12
+        "resolved": True,  # a gap of 2.2 against A's IQR of 2
+    }
+    # a gap inside A's spread is not resolved, whatever the wins
+    near = ab.compare(a, [x - 0.5 for x in a])
+    assert near["b_faster"] == 5 and not near["resolved"] and near["ratio"] == 11.5 / 12.0
+    assert ab.compare([3.0, 3.0], [3.0, 3.0])["b_faster"] == 0
+    for a_, b_ in (([], []), ([1.0], [1.0, 2.0])):
+        with pytest.raises(ValueError):
+            ab.compare(a_, b_)
+
+
+def test_run_cycles_counts_items_and_gate_failures(ab, monkeypatch):
+    import workloads
+
+    oracle = workloads.WORKLOADS["oracle3d"]
+    items = sum(inv.items for inv in oracle.cycle(1, 0))
+    good = ab.run_cycles(cli.main, oracle, seed=1, first=0, cycles=1)
+    assert good["items"] == items and good["failed"] == 0 and good["errors"] == []
+    assert good["cycles"] == 1 and good["seconds"] > 0.0
+    # a command line that exits 0 with output its gate refuses fails its items
+    quiet = ab.run_cycles(lambda argv: 0, oracle, seed=1, first=0, cycles=2)
+    assert quiet["failed"] == quiet["items"] == 2 * items
+    assert len(quiet["errors"]) == 5 and "output is not finite JSON" in quiet["errors"][0]
+
+    def broken(argv):
+        raise RuntimeError("boom")
+
+    crashed = ab.run_cycles(broken, oracle, seed=1, first=0, cycles=1)
+    assert crashed["failed"] == items and "RuntimeError: boom" in crashed["errors"][0]

@@ -240,6 +240,11 @@ def test_exit_codes(tmp_path):
         (("heisenberg", "--n", "1", "--a", "1e-200", "--b", "1e-200", "--c", "1e200"), 2),
         (("analyze", "--algebra", '{"dim": -3, "brackets": []}'), 3),
         (("analyze", "--algebra", '{"dim": 0, "brackets": []}'), 3),
+        # a one-dimensional algebra is refused by its dimension, not by a slot count
+        (("analyze", "--algebra", '{"dim": 1, "brackets": []}'), 2),
+        # a metric document holds one of gram and frame_P, and no other key
+        (("analyze", "--algebra", "L3(2,-1)", "--metric",
+          '{"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "frame_P": {"alpha": 2, "beta": 0.5}}'), 3),
         (("analyze", "--algebra", '{"dim": 1e400, "brackets": []}'), 3),
         (("analyze", "--algebra",
           '{"dim": 3, "brackets": [{"i": 1e400, "j": 2, "coeffs": [0, 0, 0]}]}'), 3),

@@ -1,10 +1,12 @@
 import contextlib
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinlab import cli, clifford
 from spinlab.catalog import make_heisenberg
 from spinlab.clifford import (
     MAX_SLOTS,
@@ -212,6 +214,10 @@ def test_module_for_dim_is_the_one_odd_dimension_lookup():
     message = "invariant-spinor analysis needs odd dimension, got 4"
     with pytest.raises(UnsupportedDimensionError, match=message):
         module_for_dim(4)
+    # a one-dimensional frame is named by its dimension, not by a slot count of 0
+    for dim in (1, -1):
+        with pytest.raises(UnsupportedDimensionError, match=f"dimension at least 3, got {dim}$"):
+            module_for_dim(dim)
     # its callers refuse an even frame with its message
     with pytest.raises(UnsupportedDimensionError, match=message):
         ricci_spinorial_check(NomizuMap(np.zeros((4, 4, 4))), np.zeros((4, 4, 4)), Spinor.one(1))
@@ -368,9 +374,19 @@ def test_stacked_spin_lift_matches_per_matrix_calls():
         mod.spin_lift(np.stack([omega[0, 0], np.eye(d)]))
 
 
+def scaled_skew_verdict(omega) -> bool:
+    """The skew rule on its own, per matrix: ``max|omega + omega^T| <= 1e-12 max(1,
+    max|omega|)``, with NaN comparisons false, so a matrix holding a NaN passes."""
+    omega = np.asarray(omega, dtype=float)
+    scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
+    defect = np.abs(omega + omega.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return not (defect > 1e-12 * scale).any()
+
+
 def test_single_matrix_skew_check_matches_the_stacked_check():
     mod = get_module(2)
     rng = np.random.default_rng(5)
+    inputs = []
     for size in (0.3, 1.0, 40.0):
         base = rng.normal(size=(5, 5)) * size
         base = base - base.T
@@ -378,14 +394,58 @@ def test_single_matrix_skew_check_matches_the_stacked_check():
         for excess in (0.0, 0.5e-12, 0.99e-12, 1.01e-12, 2e-12, np.nan, np.inf):
             omega = base.copy()
             omega[1, 3] = -omega[3, 1] + excess * scale
-            verdicts = []
-            for arg in (omega, omega[None], np.stack([base, omega])):
-                try:
+            inputs.append((base, omega))
+    # exactly skew inputs, whose defect omega + omega^T is zero or NaN in every entry
+    zeros = np.zeros((5, 5))
+    zeros[[0, 2, 4], [0, 2, 4]] = -0.0  # signed zeros on the diagonal
+    zeros[1, 3], zeros[3, 1] = 0.0, -0.0  # and in a mirrored pair
+    zeros[0, 4], zeros[4, 0] = -0.0, -0.0
+    infinite, nan = base.copy(), base.copy()
+    infinite[1, 3], infinite[3, 1] = np.inf, -np.inf
+    nan[2, 4], nan[4, 2] = np.nan, np.nan
+    g = rng.normal(size=(7, 5, 5))
+    stack = g - g.swapaxes(-1, -2)
+    inputs += [(base, zeros), (base, infinite), (base, nan), (stack[0], stack[1])]
+    for base, omega in inputs:
+        with np.errstate(invalid="ignore"):  # inf + -inf in the defect
+            expected = scaled_skew_verdict(omega)
+        verdicts = []
+        for arg in (omega, omega[None], np.stack([base, omega]), np.stack([*stack, omega])):
+            try:
+                with np.errstate(invalid="ignore"):
                     mod.apply_spin_lift(arg, np.ones(4))
-                    verdicts.append(True)
-                except InvalidOperatorError:
-                    verdicts.append(False)
-            assert len(set(verdicts)) == 1, (size, excess, verdicts)
+                verdicts.append(True)
+            except InvalidOperatorError as exc:
+                assert str(exc) == "spin lift requires a skew-symmetric matrix"
+                verdicts.append(False)
+        assert verdicts == [expected] * 4, (omega, verdicts)
+    # the near-threshold excesses split the verdicts; NaN and inf excesses pass
+    thresholds = [scaled_skew_verdict(omega) for _, omega in inputs[:7]]
+    assert thresholds == [True, True, True, False, False, True, True]
+
+
+def test_exactly_skew_stacks_skip_the_scaled_rule(monkeypatch):
+    calls = []
+
+    def recording(omega):
+        calls.append(omega.shape)
+        return original(omega)
+
+    original = clifford._inexact_skew
+    monkeypatch.setattr(clifford, "_inexact_skew", recording)
+    mod = get_module(2)
+    g = np.random.default_rng(8).normal(size=(4, 5, 5))
+    mod.apply_spin_lift(g - g.swapaxes(-1, -2), np.ones(4))
+    assert calls == []
+    inexact = g - g.swapaxes(-1, -2)
+    inexact[2, 1, 3] += 1e-14
+    mod.apply_spin_lift(inexact, np.ones(4))  # within the scaled rule, so accepted
+    assert calls == [(4, 5, 5)]
+    # the commands whose lifts are Nomizu stacks and skew draws reach it never
+    for argv in (["selftest"], ["heisenberg", "--n", "16"], ["analyze", "--algebra", "H(33)"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert calls == [(4, 5, 5)]
 
 
 def test_stacked_vector_actions_match_per_entry_calls():

@@ -184,6 +184,27 @@ def test_spinorial_ricci_identity_heisenberg_higher():
     assert ok and residual <= 1e-12
 
 
+def test_spinorial_check_with_a_given_ricci_stack_matches_the_plain_call():
+    rng = np.random.default_rng(27)
+    stack = np.stack([
+        metric_from_frame_change(make_bianchi(fam), FrameChange.random(3, rng)).ortho_c
+        for fam in family_grid()
+    ])
+    h5 = heisenberg_metric(HeisenbergParams(2, (1.0, 4.0), (2.0, 1.0), 3.0)).ortho_c
+    for c, psis in (
+        (stack, (Spinor.one(1), Spinor.basis(1, 1))),
+        (stack[3], (Spinor.one(1),)),
+        (h5, (Spinor.one(2), Spinor.basis(2, 2))),
+    ):
+        nm = nomizu(c)
+        for psi in psis:
+            plain = ricci_spinorial_check(nm, c, psi)
+            given = ricci_spinorial_check(nm, c, psi, _ricci=curvature(nm, c).ricci)
+            np.testing.assert_array_equal(given[0], plain[0])
+            np.testing.assert_array_equal(given[1], plain[1])
+            assert type(given[1]) is type(plain[1])
+
+
 def ricci_spinorial_loop(nm, c, psi):
     """Per-direction loop form of ``ricci_spinorial_check`` on one metric's
     ``ortho_c``: the reference for the stacked form, one matrix per spin-lift call."""

@@ -225,6 +225,23 @@ def test_catalog_jacobi_checks_the_cached_grid_algebras_on_every_call(monkeypatc
         assert [alg.dim for alg in checked[len(FAMILY_GRID) :]] == [3, 5, 7, 9]
 
 
+def test_run_selftest_builds_one_ricci_stack_per_grid_pass(monkeypatch):
+    # the spinorial identity on both basis spinors and the closed-form Ricci check
+    # read the same curvature stack
+    from spinlab import connection
+
+    calls = []
+
+    def counting(nm, mla):
+        calls.append(nm.mats.shape)
+        return curvature(nm, mla)
+
+    monkeypatch.setattr(connection, "curvature", counting)
+    monkeypatch.setattr(selftest, "curvature", counting)
+    assert selftest.run_selftest(seed=4)["all_pass"]
+    assert calls == [(13, 20, 3, 3, 3)]
+
+
 def test_stacked_selftest_matches_per_sample_suite():
     for seed in range(1, 6):
         stacked = run_selftest(seed=seed)["checks"]

@@ -183,6 +183,32 @@ def test_metric_from_obj_variants():
         metric_from_obj(alg, {"frame_P": {"alpha": 1.0, "delta": 2.0}})
 
 
+def test_documents_refuse_keys_the_schema_does_not_read():
+    alg = make_bianchi(BianchiFamily("L3(2,x)", -1.0))
+    gram, frame = np.eye(3).tolist(), {"alpha": 2, "beta": 0.5}
+    for doc, message in (
+        ({"gram": gram, "frame_P": frame}, "one of 'gram' and 'frame_P', not both"),
+        ({"frame_P": frame, "gram": gram}, "one of 'gram' and 'frame_P', not both"),
+        ({"gram": gram, "Gram": gram}, r"unknown metric document fields \['Gram'\]"),
+        ({"frame_P": frame, "note": "x", "seed": 1},
+         r"unknown metric document fields \['note', 'seed'\]"),
+        ({}, "needs a 'gram' or 'frame_P' field"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            metric_from_obj(alg, doc)
+    # each of them alone is still read
+    assert metric_from_obj(alg, {"frame_P": frame}).frame[0, 1] == 0.5
+    np.testing.assert_array_equal(metric_from_obj(alg, {"gram": gram}).frame, np.eye(3))
+    brackets = algebra_to_obj(alg)["brackets"]
+    for doc in (
+        {"dim": 3, "brackets": brackets, "metric": "identity"},
+        {"dim": 3, "brackets": brackets, "bracket": []},
+    ):
+        with pytest.raises(FormatError, match=r"unknown algebra document fields \['"):
+            algebra_from_obj(doc)
+    np.testing.assert_array_equal(algebra_from_obj({"dim": 3, "brackets": brackets}).c, alg.c)
+
+
 def test_metric_frame_matrix_form():
     alg = make_heisenberg(2)
     mat = np.diag([1.0, 1.0, 2.0, 1.0, 0.5]).tolist()
