@@ -25,20 +25,20 @@ The lift of a skew matrix ``omega`` to a spinor operator uses
 ``e_i`` to ``e_j`` (entry ``(j, i) = +1``); this normalisation is the one
 for which ``[lift(omega), v.] = (omega v).`` holds as operators.
 
-All actions are matrix-free and act as a matrix product would: on one
-coefficient vector ``(2**n,)`` or on column stacks ``(..., 2**n, k)``.  The
-spin lift and the vector combination also take a stack of skew matrices
-``(..., d, d)`` or of frame vectors ``(..., d)``, one operator per stack
-entry, broadcast against the coefficient stacks.  ``apply_spin_lift`` and
-``moment_matrix`` can evaluate a given set of output rows only, such as
-the rows a sparse spinor reaches (``reachable_rows``, from the spinor's
-``support``); the gather sources and phases come from bitmask rules on just
-those rows, so a module holds no ``2**n`` array until an action asks for
-every row, and a unit-spinor report reads no ``2**n`` coefficients.  A
-module keeps the tables of the last two row sets it built, so a caller
-that alternates a dense and a sparse spinor builds each set once.  Dense ``2**n x 2**n``
-operators are those actions applied to the identity, available up to
-``n = 8``.  Modules are capped at ``n = 16`` slots (see ``MAX_SLOTS``).
+All actions are matrix-free and take coefficients with the spinor axis last,
+``(..., 2**n)``: one coefficient vector, or a stack of them.  The spin lift
+and the vector combination also take a stack of skew matrices ``(..., d, d)``
+or of frame vectors ``(..., d)``, one operator per stack entry, whose batch
+axes broadcast against the leading axes of the coefficients by numpy's rules.
+``apply_spin_lift`` and ``moment_matrix`` can evaluate a given set of output
+rows only, such as the rows a sparse spinor reaches (``reachable_rows``, from
+the spinor's ``support``); the gather sources and phases come from bitmask
+rules on just those rows, so a module holds no ``2**n`` array until an action
+asks for every row, and a unit-spinor report reads no ``2**n`` coefficients.
+A module keeps the tables of the last row set it built.  Dense ``2**n x 2**n``
+operators are those actions applied to the rows of the identity, transposed,
+available up to ``n = 8``.  Modules are capped at ``n = 16`` slots (see
+``MAX_SLOTS``).
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ _DENSE_LIMIT = 8  # largest n for which dense operators are built
 
 # Largest n a module is built for (dimension 33).  A unit-spinor report there
 # stays on 137 rows, but an action on every row (a dense spinor, apply_combo)
-# builds tables of 40n + 24 bytes per row: 43.5 MB per full-row set and 79 MB
-# at peak at n = 16, and a module keeps at most two sets, 87 MB.  Each further
+# builds tables of 40n + 24 bytes per row: 43.5 MB per full-row set, the most a
+# module keeps at rest, and 79 MB at peak during a build at n = 16.  Each further
 # slot doubles them; refusing larger modules up front turns an allocation
 # failure deep in numpy into a domain error.
 MAX_SLOTS = 16
@@ -150,9 +150,9 @@ class CliffordModule:
     of rows, so no ``2**n`` table exists until an action asks for every row.
     Per row set the module keeps ``perm``, the rows ``S ^ bit`` of each slot,
     the per-frame ``phase`` and, on a set of at most ``2**_DENSE_LIMIT`` rows,
-    the ``_product`` of each pair as it is used.  It keeps the two row sets it
-    built last; building a third drops the older one.  Every ``perm`` flips a
-    fixed set of bits, so it and all its compositions are their own inverses.
+    the ``_product`` of each pair as it is used.  It keeps the row set it built
+    last; building another replaces it.  Every ``perm`` flips a fixed set of
+    bits, so it and all its compositions are their own inverses.
     """
 
     def __init__(self, n: int):
@@ -165,7 +165,7 @@ class CliffordModule:
         a, b = np.triu_indices(self.dim_frame, 1)  # frame pairs a < b, a-major
         self._pairs = list(zip(a.tolist(), b.tolist()))
         self._pair_entries = b * self.dim_frame + a  # omega[b, a] in a flattened omega
-        self._row_sets: dict[bytes | None, tuple] = {}  # the last two built, oldest first
+        self._last: tuple | None = None  # (key, tables) of the last row set built
 
     def _frames(self, rows: np.ndarray | None) -> tuple:
         """``(perm, phase, pair cache)`` of a row set, ``None`` for every row.
@@ -174,16 +174,12 @@ class CliffordModule:
         (1-based ``i``), and ``phase`` is ``(2n+1, len(rows))``.  The pair
         cache is ``None`` on a set of more than ``2**_DENSE_LIMIT`` rows."""
         key = None if rows is None else np.asarray(rows, dtype=np.int64).tobytes()
-        frames = self._row_sets.get(key)
-        if frames is None:
+        if self._last is None or self._last[0] != key:
             out = np.arange(self.dim_spinor) if rows is None else np.frombuffer(key, np.int64)
             perm = out ^ ((1 << np.arange(self.n + 1)[:, None]) >> 1)  # slot 0 flips no bit
             phase = _frame_phase(np.arange(self.dim_frame)[:, None], out)
-            frames = perm, phase, {} if len(out) <= 1 << _DENSE_LIMIT else None
-            if len(self._row_sets) == 2:
-                del self._row_sets[next(iter(self._row_sets))]
-            self._row_sets[key] = frames
-        return frames
+            self._last = key, (perm, phase, {} if len(out) <= 1 << _DENSE_LIMIT else None)
+        return self._last[1]
 
     def _pair(self, frames: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
         """``_product`` of frame pair ``k`` on the row set of ``frames``, kept
@@ -205,7 +201,7 @@ class CliffordModule:
 
     def vector_matrix(self, i: int) -> np.ndarray:
         """Dense matrix of the action of frame vector ``e_i`` (1-based)."""
-        return self.apply_vector(i, self._identity())
+        return self.apply_vector(i, self._identity()).swapaxes(-1, -2)
 
     def reachable_rows(self, psi: Spinor) -> np.ndarray | None:
         """Sorted rows on which some ``e_j psi`` or ``e_a e_b psi`` can be nonzero.
@@ -229,29 +225,29 @@ class CliffordModule:
         return np.flatnonzero(hit)
 
     def apply_vector(self, i: int, coeffs: np.ndarray) -> np.ndarray:
-        """Apply ``e_i`` to a coefficient vector or to each column of a stack."""
+        """Apply ``e_i`` to coefficients ``(..., 2**n)``."""
         if not 1 <= i <= self.dim_frame:
             raise IndexError(f"frame index {i} out of range 1..{self.dim_frame}")
+        coeffs = _last_axis(coeffs, self.dim_spinor, InvalidSpinorError, "coefficients")
         perm, phase, _ = self._frames(None)
-        return _as_columns(phase[i - 1] * _as_rows(coeffs).take(perm[i >> 1], axis=-1), coeffs)
+        return phase[i - 1] * coeffs.take(perm[i >> 1], axis=-1)
 
     def apply_combo(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Apply the Clifford action of the real frame vector ``sum v_i e_i``.
 
-        ``v`` may carry leading batch axes ``(..., d)``; a frame index is
-        skipped when its coefficient is zero in every vector of the stack.
+        ``v`` may carry batch axes ``(..., d)``, which broadcast against the
+        leading axes of ``coeffs``; a frame index is skipped when its
+        coefficient is zero in every vector of the stack.
         """
-        v = np.asarray(v, dtype=float)
-        rows = _as_rows(coeffs)
-        lead = _lead(v.shape[:-1], coeffs)
-        out = np.zeros(np.broadcast_shapes(lead + rows.shape[-1:], rows.shape), dtype=complex)
+        v = _last_axis(v, self.dim_frame, InvalidOperatorError, "frame vectors", float)
+        coeffs = _last_axis(coeffs, self.dim_spinor, InvalidSpinorError, "coefficients")
+        out = np.zeros(np.broadcast_shapes(v.shape[:-1] + (1,), coeffs.shape), dtype=complex)
         perm, phase, _ = self._frames(None)
         live = (v != 0.0).any(axis=tuple(range(v.ndim - 1))).tolist()
         for i, on in enumerate(live):
             if on:
-                w = v[..., i].reshape(lead + (1,))
-                out += w * phase[i] * rows.take(perm[(i + 1) >> 1], axis=-1)
-        return _as_columns(out, coeffs)
+                out += v[..., i, None] * phase[i] * coeffs.take(perm[(i + 1) >> 1], axis=-1)
+        return out
 
     def moment_matrix(self, psi: Spinor, rows: np.ndarray | None = None) -> np.ndarray:
         """Real ``2**(n+1) x (2n+1)`` matrix of ``v -> v . psi``.
@@ -268,46 +264,52 @@ class CliffordModule:
 
     def _require_skew(self, omega: np.ndarray) -> np.ndarray:
         """``omega`` as a float array of ``(d, d)`` matrices, refused unless every
-        matrix is skew to within ``|omega + omega^T| <= 1e-12 max(1, max|omega|)``.
+        matrix is finite and skew to within ``|omega + omega^T| <= 1e-12 max(1, max|omega|)``.
 
-        A stack whose defect ``omega + omega^T`` is exactly zero passes that rule, so
-        the scaled rule (``_inexact_skew``) runs only when some defect entry is nonzero
-        or NaN.  Every skew matrix the package builds (``nomizu``, ``elementary_skews``,
-        ``g - g^T``) is exact, so its check is one sum and one ``any``."""
+        A stack with ``omega^T == -omega`` in every entry passes that rule, so the
+        scaled rule (``_inexact_skew``) runs only when some entry differs from its
+        mirror's negation or is NaN.  On finite entries that test is the verdict of
+        ``omega + omega^T != 0`` without the warning of ``inf + -inf``; an exactly
+        mirrored ``+-inf`` pair passes it and lifts to a non-finite result.  Every
+        skew matrix the package builds (``nomizu``, ``elementary_skews``, ``g - g^T``)
+        is exact, so its check is one negation, one comparison and one ``any``."""
         omega = np.asarray(omega, dtype=float)
         d = self.dim_frame
         if omega.shape[-2:] != (d, d):
             raise InvalidOperatorError(
                 f"expected {d}x{d} matrices, got shape {omega.shape}"
             )
-        if (omega + omega.swapaxes(-1, -2)).any() and _inexact_skew(omega):
-            raise InvalidOperatorError("spin lift requires a skew-symmetric matrix")
+        if (omega.swapaxes(-1, -2) != -omega).any() and _inexact_skew(omega):
+            raise InvalidOperatorError("spin lift requires a finite skew-symmetric matrix")
         return omega
 
     def spin_lift(self, omega: np.ndarray) -> np.ndarray:
         """Dense spinor operator of the skew frame matrix ``omega``, or a stack of them."""
-        return self.apply_spin_lift(omega, self._identity())
+        eye = self._identity()
+        omega = self._require_skew(omega)
+        return self.apply_spin_lift(omega[..., None, :, :], eye).swapaxes(-1, -2)
 
     def apply_spin_lift(
         self, omega: np.ndarray, coeffs: np.ndarray, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """Apply the lift of ``omega`` to a coefficient vector or stack, matrix-free.
+        """Apply the lift of ``omega`` to coefficients ``(..., 2**n)``, matrix-free.
 
-        ``omega`` is one skew matrix or a stack ``(..., d, d)``; the result is
-        ``lift(omega) @ coeffs`` with matmul broadcasting.  ``_require_skew``
-        refuses a stack that is not skew; an exactly skew one costs it one sum
-        and one ``any``, and only an inexact one the scaled rule.  A pair ``(a, b)``
-        is skipped when ``omega[..., b, a]`` is zero in every matrix of the
-        stack.  With ``rows``, only those output entries are evaluated (in
-        that order along the spinor axis); ``None`` evaluates all of them.
-        Costs O(nonzero pairs * rows) per column and stack entry, so it
-        stays usable past the dense operator cutoff.
+        ``omega`` is one skew matrix or a stack ``(..., d, d)`` whose batch axes
+        broadcast against the leading axes of ``coeffs``; each result vector is
+        ``lift(omega) @ psi``.  ``_require_skew`` refuses a stack that is not
+        finite and skew; an exactly skew one costs it one comparison, and only
+        an inexact one the scaled rule.  A pair ``(a, b)`` is skipped when
+        ``omega[..., b, a]`` is zero in every matrix of the stack.  With
+        ``rows``, only those output entries are evaluated (in that order along
+        the spinor axis); ``None`` evaluates all of them.  Costs O(nonzero pairs
+        x rows) per vector and stack entry, so it stays usable past the dense
+        operator cutoff.
         """
         omega = self._require_skew(omega)
-        vecs = _as_rows(coeffs)
-        lead = _lead(omega.shape[:-2], coeffs)
-        width = (self.dim_spinor if rows is None else len(rows),)
-        out = np.zeros(np.broadcast_shapes(lead + width, vecs.shape[:-1] + width), dtype=complex)
+        coeffs = _last_axis(coeffs, self.dim_spinor, InvalidSpinorError, "coefficients")
+        width = self.dim_spinor if rows is None else len(rows)
+        shape = np.broadcast_shapes(omega.shape[:-2] + (1,), coeffs.shape[:-1] + (width,))
+        out = np.zeros(shape, dtype=complex)
         live = omega != 0.0
         if omega.ndim > 2:
             live = live.any(axis=tuple(range(omega.ndim - 2)))
@@ -315,9 +317,8 @@ class CliffordModule:
         for k in np.flatnonzero(live.take(self._pair_entries)).tolist():
             a, b = self._pairs[k]
             src, coef = self._pair(frames, k)
-            w = (0.5 * omega[..., b, a]).reshape(lead + (1,))
-            out += w * coef * vecs.take(src, axis=-1)
-        return _as_columns(out, coeffs)
+            out += 0.5 * omega[..., b, a, None] * coef * coeffs.take(src, axis=-1)
+        return out
 
 
 def elementary_skews(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,10 +333,20 @@ def elementary_skews(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, skew
 
 
+def _last_axis(arr, size: int, error: type, what: str, dtype=None) -> np.ndarray:
+    """``arr`` as an array of ``dtype``, refused with ``error`` unless its last axis
+    has length ``size``."""
+    arr = np.asarray(arr, dtype=dtype)
+    if arr.shape[-1:] != (size,):
+        raise error(f"{what} need a last axis of length {size}, got shape {arr.shape}")
+    return arr
+
+
 def _inexact_skew(omega: np.ndarray) -> bool:
-    """True when some matrix of ``omega`` breaks ``|omega + omega^T| <= 1e-12 max(1,
-    max|omega|)``.  A NaN in a matrix makes both sides NaN, so that matrix passes, as
-    does an infinite entry against its infinite scale."""
+    """True when some matrix of ``omega`` holds a NaN or infinite entry or breaks
+    ``|omega + omega^T| <= 1e-12 max(1, max|omega|)``."""
+    if not np.isfinite(omega).all():
+        return True
     scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
     defect = np.abs(omega + omega.swapaxes(-1, -2)).max(axis=(-2, -1))
     return bool((defect > 1e-12 * scale).any())
@@ -382,28 +393,9 @@ def _flip_masks(n: int) -> np.ndarray:
     return np.array([0, *bits, *pairs], dtype=np.int64)
 
 
-def _as_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Spinor axis last: a vector as is, a column stack ``(..., S, k)`` as ``(..., k, S)``.
-
-    The stack is copied to C order: on a strided view, broadcast products and
-    ``take`` along the spinor axis run several times slower."""
-    coeffs = np.asarray(coeffs)
-    return coeffs if coeffs.ndim == 1 else np.ascontiguousarray(coeffs.swapaxes(-1, -2))
-
-
-def _as_columns(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of ``_as_rows`` for the result of an action on ``coeffs``."""
-    return rows if np.ndim(coeffs) == 1 else rows.swapaxes(-1, -2)
-
-
-def _lead(batch: tuple[int, ...], coeffs: np.ndarray) -> tuple[int, ...]:
-    """Shape of per-operator weights against ``_as_rows(coeffs)``: one more axis for columns."""
-    return batch + (1,) * (np.ndim(coeffs) > 1)
-
-
 @lru_cache(maxsize=16)
 def get_module(n: int) -> CliffordModule:
-    """Shared module instance for ``n`` slots; only its cache of two row sets changes."""
+    """Shared module instance for ``n`` slots; only the row set it keeps changes."""
     return CliffordModule(n)
 
 

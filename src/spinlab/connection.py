@@ -141,13 +141,13 @@ def ricci_spinorial_check(
     mod = module_for_dim(d)
     lam, vec = nm.mats, psi.coeffs
     lifted = mod.apply_spin_lift(lam, vec)  # [..., j, :] = lift(L_j) psi
-    # twice[..., i, :, j] = lift(L_i) lift(L_j) psi, so that
-    # rv[..., i, :, j] = R(e_i, e_j) . psi
-    twice = mod.apply_spin_lift(lam, lifted.swapaxes(-1, -2)[..., None, :, :])
-    rv = twice - twice.swapaxes(-3, -1)
+    # twice[..., i, j, :] = lift(L_i) lift(L_j) psi, so that
+    # rv[..., i, j, :] = R(e_i, e_j) . psi
+    twice = mod.apply_spin_lift(lam[..., None, :, :], lifted[..., None, :, :])
+    rv = twice - twice.swapaxes(-3, -2)
     for k in range(d):
-        rv = rv - c[..., :, None, :, k] * lifted[..., None, k, :, None]
-    lhs = sum(mod.apply_vector(j + 1, rv[..., j : j + 1]) for j in range(d))[..., 0]
+        rv = rv - c[..., k, None] * lifted[..., None, None, k, :]
+    lhs = sum(mod.apply_vector(j + 1, rv[..., j, :]) for j in range(d))
     ricci = curvature(nm, c).ricci if _ricci is None else _ricci
     rhs = -0.5 * mod.apply_combo(ricci.swapaxes(-1, -2), vec)
     denom = np.maximum(1.0, np.max(np.abs(rhs), axis=-1))

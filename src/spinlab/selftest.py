@@ -94,13 +94,14 @@ def _dense_bases(mod: CliffordModule) -> tuple[np.ndarray, ...]:
 
     Row ``k`` of the lifts is ``spin_lift(E_ba)`` of pair ``k`` from one ``apply_spin_lift``
     call, row ``i`` of the actions ``vector_matrix(i + 1)`` from one ``apply_combo`` call.
-    Each operator is kept transposed, the layout those routes return, and realified as
-    ``2 * 4**n`` floats, so weights ``(K, rows)`` times a basis are ``K`` operators."""
+    Each operator is kept transposed, the layout those routes return on the rows of the
+    identity, and realified as ``2 * 4**n`` floats, so weights ``(K, rows)`` times a basis
+    are ``K`` operators."""
     a, b, skew = elementary_skews(mod.dim_frame)
     eye = np.eye(mod.dim_spinor)
-    ops = mod.apply_spin_lift(skew, eye), mod.apply_combo(np.eye(mod.dim_frame), eye)
-    bases = [np.ascontiguousarray(op.swapaxes(-1, -2)).view(float) for op in ops]
-    bases = [basis.reshape(len(basis), -1) for basis in bases]
+    lifts = mod.apply_spin_lift(skew[:, None], eye)
+    actions = mod.apply_combo(np.eye(mod.dim_frame)[:, None], eye)
+    bases = [op.view(float).reshape(len(op), -1) for op in (lifts, actions)]
     for arr in (b, a, *bases):
         arr.setflags(write=False)
     return (b, a, *bases)

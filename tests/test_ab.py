@@ -52,6 +52,30 @@ def test_quartiles_and_paired_comparison(ab):
             ab.compare(a_, b_)
 
 
+def test_verdict_needs_nine_wins_in_ten_and_a_gap_beyond_a_iqr(ab):
+    a = [10.0, 11.0, 12.0, 13.0, 14.0] * 2  # median 12, IQR 2
+    assert ab.quartiles(a) == (11.0, 12.0, 13.0)
+
+    def verdict(b):
+        return ab.verdict(ab.compare(a, b))
+
+    assert verdict([x - 2.5 for x in a]) == "faster"  # 10/10, gap 2.5
+    nine = [11.0, 8.0, 9.0, 10.0, 11.0, 7.0, 8.0, 9.0, 10.0, 11.0]  # median 9.5
+    assert ab.compare(a, nine)["b_faster"] == 9 and verdict(nine) == "faster"
+    eight = [11.0, 12.0, 8.0, 9.0, 10.0, 6.0, 7.0, 8.0, 9.0, 10.0]  # median 9, gap 3
+    assert ab.compare(a, eight)["b_faster"] == 8 and ab.compare(a, eight)["resolved"]
+    assert verdict(eight) == "unresolved"  # the gap flag alone would read it as a gain
+    assert verdict([x - 0.5 for x in a]) == "unresolved"  # 10/10, gap inside A's IQR
+    assert verdict([x - 2.0 for x in a]) == "unresolved"  # a gap equal to the IQR
+    assert verdict([x + 2.0 for x in a]) == "unresolved"
+    assert verdict([x + 2.5 for x in a]) == "slower"
+    # slower needs no count of rounds: B faster in 3 of 10, median 15 against 12
+    mixed = [9.0, 10.0, 11.0, 16.0, 17.0, 15.0, 15.0, 15.0, 16.0, 17.0]
+    assert ab.compare(a, mixed)["b_faster"] == 3 and verdict(mixed) == "slower"
+    line = ab.report("oracle3d", {"A": a, "B": nine}, {"A": a, "B": nine})
+    assert line.endswith("B faster in 9/10 rounds; median gap exceeds A's IQR; verdict: faster")
+
+
 def test_run_cycles_counts_items_and_gate_failures(ab, monkeypatch):
     import workloads
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,18 +323,19 @@ def test_dense_operators_match_add_at_reference():
             np.testing.assert_array_equal(mod.vector_matrix(i), ref)
 
 
-def test_actions_on_a_stack_match_columns():
+def test_actions_on_a_stack_match_per_spinor_calls():
+    # a stack holds its spinors along the leading axes, the spinor axis last
     rng = np.random.default_rng(8)
     mod = get_module(3)
     d = mod.dim_frame
-    stack = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+    stack = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
     g = rng.uniform(-1, 1, size=(d, d))
     omega = g - g.T
     for i in range(1, d + 1):
-        cols = np.column_stack([mod.apply_vector(i, c) for c in stack.T])
-        np.testing.assert_array_equal(mod.apply_vector(i, stack), cols)
-    cols = np.column_stack([mod.apply_spin_lift(omega, c) for c in stack.T])
-    np.testing.assert_array_equal(mod.apply_spin_lift(omega, stack), cols)
+        each = np.stack([mod.apply_vector(i, psi) for psi in stack])
+        np.testing.assert_array_equal(mod.apply_vector(i, stack), each)
+    each = np.stack([mod.apply_spin_lift(omega, psi) for psi in stack])
+    np.testing.assert_array_equal(mod.apply_spin_lift(omega, stack), each)
 
 
 def test_dense_operators_disabled_past_cutoff():
@@ -354,33 +356,48 @@ def test_stacked_spin_lift_matches_per_matrix_calls():
         g[..., 1, 0] = g[..., 0, 1] = 0.0  # a pair that is zero in every matrix
         omega = g - g.swapaxes(-1, -2)
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-        cols = rng.normal(size=(size, 2)) + 1j * rng.normal(size=(size, 2))
-        per_entry = rng.normal(size=(4, 3, size, 2)) + 1j * rng.normal(size=(4, 3, size, 2))
+        pair = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+        per_entry = rng.normal(size=(4, 3, size)) + 1j * rng.normal(size=(4, 3, size))
+        per_entry_pair = rng.normal(size=(4, 3, 2, size)) + 1j * rng.normal(size=(4, 3, 2, size))
         on_vec = mod.apply_spin_lift(omega, vec)
-        on_cols = mod.apply_spin_lift(omega, cols)
+        # an axis of length one in the operator stack lifts each matrix onto both spinors
+        on_pair = mod.apply_spin_lift(omega[..., None, :, :], pair)
         on_entries = mod.apply_spin_lift(omega, per_entry)
+        on_entry_pairs = mod.apply_spin_lift(omega[..., None, :, :], per_entry_pair)
         dense = mod.spin_lift(omega)
-        assert on_vec.shape == (4, 3, size) and on_cols.shape == (4, 3, size, 2)
-        assert on_entries.shape == (4, 3, size, 2) and dense.shape == (4, 3, size, size)
+        assert on_vec.shape == on_entries.shape == (4, 3, size)
+        assert on_pair.shape == on_entry_pairs.shape == (4, 3, 2, size)
+        assert dense.shape == (4, 3, size, size)
         for idx in np.ndindex(4, 3):
             np.testing.assert_array_equal(on_vec[idx], mod.apply_spin_lift(omega[idx], vec))
-            np.testing.assert_array_equal(on_cols[idx], mod.apply_spin_lift(omega[idx], cols))
             np.testing.assert_array_equal(
                 on_entries[idx], mod.apply_spin_lift(omega[idx], per_entry[idx])
             )
+            for m in range(2):
+                np.testing.assert_array_equal(
+                    on_pair[idx][m], mod.apply_spin_lift(omega[idx], pair[m])
+                )
+                np.testing.assert_array_equal(
+                    on_entry_pairs[idx][m], mod.apply_spin_lift(omega[idx], per_entry_pair[idx][m])
+                )
             np.testing.assert_array_equal(dense[idx], mod.spin_lift(omega[idx]))
             np.testing.assert_array_equal(dense[idx], _add_at_spin_lift(mod, omega[idx]))
     with pytest.raises(InvalidOperatorError):
         mod.spin_lift(np.stack([omega[0, 0], np.eye(d)]))
 
 
-def scaled_skew_verdict(omega) -> bool:
-    """The skew rule on its own, per matrix: ``max|omega + omega^T| <= 1e-12 max(1,
-    max|omega|)``, with NaN comparisons false, so a matrix holding a NaN passes."""
+def skew_verdict(omega) -> bool:
+    """The skew rule on its own: a stack passes when ``omega^T == -omega`` in every
+    entry (an exactly mirrored ``+-inf`` pair too), or when every entry is finite and
+    every matrix has ``max|omega + omega^T| <= 1e-12 max(1, max|omega|)``."""
     omega = np.asarray(omega, dtype=float)
+    if (omega.swapaxes(-1, -2) == -omega).all():
+        return True
+    if not np.isfinite(omega).all():
+        return False
     scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
     defect = np.abs(omega + omega.swapaxes(-1, -2)).max(axis=(-2, -1))
-    return not (defect > 1e-12 * scale).any()
+    return bool((defect <= 1e-12 * scale).all())
 
 
 def test_single_matrix_skew_check_matches_the_stacked_check():
@@ -403,25 +420,75 @@ def test_single_matrix_skew_check_matches_the_stacked_check():
     infinite, nan = base.copy(), base.copy()
     infinite[1, 3], infinite[3, 1] = np.inf, -np.inf
     nan[2, 4], nan[4, 2] = np.nan, np.nan
+    nan_below, inf_diagonal = base.copy(), base.copy()
+    nan_below[3, 1] = np.nan
+    inf_diagonal[2, 2] = np.inf
     g = rng.normal(size=(7, 5, 5))
     stack = g - g.swapaxes(-1, -2)
-    inputs += [(base, zeros), (base, infinite), (base, nan), (stack[0], stack[1])]
+    inputs += [(base, zeros), (base, infinite), (base, nan), (base, nan_below),
+               (base, inf_diagonal), (stack[0], stack[1])]
     for base, omega in inputs:
-        with np.errstate(invalid="ignore"):  # inf + -inf in the defect
-            expected = scaled_skew_verdict(omega)
+        expected = skew_verdict(omega)
         verdicts = []
         for arg in (omega, omega[None], np.stack([base, omega]), np.stack([*stack, omega])):
             try:
-                with np.errstate(invalid="ignore"):
-                    mod.apply_spin_lift(arg, np.ones(4))
-                verdicts.append(True)
+                mod._require_skew(arg)  # this suite turns a RuntimeWarning into an error
             except InvalidOperatorError as exc:
-                assert str(exc) == "spin lift requires a skew-symmetric matrix"
+                assert str(exc) == "spin lift requires a finite skew-symmetric matrix"
                 verdicts.append(False)
+                continue
+            verdicts.append(True)
+            with np.errstate(invalid="ignore"):  # inf times the zero imaginary part
+                lifted = mod.apply_spin_lift(arg, np.ones(4))
+            # a lift that passes is finite exactly when its matrices are
+            assert np.isfinite(lifted).all() == np.isfinite(arg).all()
         assert verdicts == [expected] * 4, (omega, verdicts)
-    # the near-threshold excesses split the verdicts; NaN and inf excesses pass
-    thresholds = [scaled_skew_verdict(omega) for _, omega in inputs[:7]]
-    assert thresholds == [True, True, True, False, False, True, True]
+    # the near-threshold excesses split the verdicts; NaN and inf excesses are refused,
+    # as are a NaN below the diagonal and an infinite diagonal entry, and only the
+    # exactly mirrored +-inf pair passes among the non-finite inputs
+    assert [skew_verdict(omega) for _, omega in inputs[:7]] == [True] * 3 + [False] * 4
+    tail = [skew_verdict(omega) for _, omega in inputs[-6:]]
+    assert tail == [True, True, False, False, False, True]
+
+
+def test_non_finite_non_skew_matrices_do_not_lift():
+    mod, psi = get_module(1), Spinor.one(1).coeffs
+    for entries in (((0, 1), np.inf, (1, 0), 5.0), ((0, 1), np.nan, (1, 0), 5.0),
+                    ((0, 1), 5.0, (1, 0), np.nan), ((2, 2), np.inf, (1, 0), 0.0),
+                    ((0, 1), -np.inf, (1, 0), -np.inf)):
+        w = np.zeros((3, 3))
+        w[entries[0]], w[entries[2]] = entries[1], entries[3]
+        with pytest.raises(InvalidOperatorError, match="finite skew-symmetric"):
+            mod.apply_spin_lift(w, psi)
+        with pytest.raises(InvalidOperatorError, match="finite skew-symmetric"):
+            mod.apply_spin_lift(np.stack([np.zeros((3, 3)), w]), psi)
+    # an exactly mirrored pair passes the skew check, and its lift is not finite
+    w = np.zeros((3, 3))
+    w[0, 1], w[1, 0] = -np.inf, np.inf
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(mod.apply_spin_lift(w, psi)).all()
+    # the one command line found to lift a non-finite Nomizu stack: all NaN
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["analyze", "--algebra", "L3(4,1e308)"]) == 2
+    assert err.getvalue() == "error: spin lift requires a finite skew-symmetric matrix\n"
+
+
+def test_actions_refuse_coefficients_and_frame_vectors_of_the_wrong_length():
+    mod = get_module(2)
+    psi = Spinor.one(2).coeffs
+    g = np.random.default_rng(9).normal(size=(5, 5))
+    omega = g - g.T
+    for coeffs in (np.ones(6), np.ones(3), np.float64(1.0), np.ones((4, 3))):
+        with pytest.raises(InvalidSpinorError, match="last axis of length 4"):
+            mod.apply_vector(2, coeffs)
+        with pytest.raises(InvalidSpinorError, match="last axis of length 4"):
+            mod.apply_combo(np.ones(5), coeffs)
+        with pytest.raises(InvalidSpinorError, match="last axis of length 4"):
+            mod.apply_spin_lift(omega, coeffs)
+    for v in ([1.0, 2.0], np.ones(7), np.ones((3, 4)), 1.0):
+        with pytest.raises(InvalidOperatorError, match="last axis of length 5"):
+            mod.apply_combo(v, psi)
 
 
 def test_exactly_skew_stacks_skip_the_scaled_rule(monkeypatch):
@@ -456,17 +523,18 @@ def test_stacked_vector_actions_match_per_entry_calls():
     v[:, 2] = 0.0
     v[1, 4] = 0.0
     vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-    stacks = rng.normal(size=(2, 5, size, 3)) + 1j * rng.normal(size=(2, 5, size, 3))
-    on_vec, on_stacks = mod.apply_combo(v, vec), mod.apply_combo(v, stacks)
-    assert on_vec.shape == (5, size) and on_stacks.shape == (2, 5, size, 3)
+    stacks = rng.normal(size=(2, 5, 3, size)) + 1j * rng.normal(size=(2, 5, 3, size))
+    # v[k] acts on the three spinors of stacks[j, k]
+    on_vec, on_stacks = mod.apply_combo(v, vec), mod.apply_combo(v[:, None], stacks)
+    assert on_vec.shape == (5, size) and on_stacks.shape == (2, 5, 3, size)
     for k in range(5):
         np.testing.assert_array_equal(on_vec[k], mod.apply_combo(v[k], vec))
         for j in range(2):
-            cols = [mod.apply_combo(v[k], c) for c in stacks[j, k].T]
-            np.testing.assert_array_equal(on_stacks[j, k], np.column_stack(cols))
+            each = [mod.apply_combo(v[k], psi) for psi in stacks[j, k]]
+            np.testing.assert_array_equal(on_stacks[j, k], np.stack(each))
     for i in range(1, d + 1):
         applied = mod.apply_vector(i, stacks)
-        for idx in np.ndindex(2, 5):
+        for idx in np.ndindex(2, 5, 3):
             np.testing.assert_array_equal(applied[idx], mod.apply_vector(i, stacks[idx]))
 
 
@@ -507,10 +575,11 @@ def test_actions_on_reachable_rows_match_full_actions():
             outside = np.setdiff1d(np.arange(size), rows)
             g = rng.uniform(-1, 1, size=(3, d, d))
             omega = g - g.swapaxes(-1, -2)
-            stack = np.stack([coeffs, 2 * coeffs], axis=-1)
+            stack = np.stack([coeffs, 2 * coeffs])
             full = mod.apply_spin_lift(omega[0], stack)
             part = mod.apply_spin_lift(omega[0], stack, rows)
-            np.testing.assert_array_equal(part, full[rows])
+            np.testing.assert_array_equal(part, full[:, rows])
+            np.testing.assert_array_equal(part[1], mod.apply_spin_lift(omega[0], 2 * coeffs, rows))
             full = mod.apply_spin_lift(omega, coeffs)
             part = mod.apply_spin_lift(omega, coeffs, rows)
             np.testing.assert_array_equal(part, full[..., rows])
@@ -579,9 +648,9 @@ def test_bitmask_rule_matches_eager_tables():
 
 def test_row_set_cache_stays_within_the_eager_tables():
     # large sparse row sets at n = 16, then every row: the module keeps the
-    # two sets it built last, so it never holds more bytes than two copies of
-    # its 2n+1 eager tables of 2**16 rows, and a set of more than 256 rows
-    # keeps no pair cache
+    # set it built last, so it never holds more bytes than one copy of its
+    # 2n+1 eager tables of 2**16 rows, and a set of more than 256 rows keeps
+    # no pair cache
     import tracemalloc
 
     rng = np.random.default_rng(41)
@@ -597,22 +666,26 @@ def test_row_set_cache_stays_within_the_eager_tables():
     # int64 perms of all 2n+1 vectors; complex phases for e_1 and the e_{2p},
     # float ones for the e_{2p+1}
     eager = (8 * d + 16 * (n + 1) + 8 * n) * 2**n
+    for psi in spinors:  # read their supports before tracing starts
+        assert len(psi.support) == 150
+    mod = CliffordModule(n)
     tracemalloc.start()
     try:
-        mod = CliffordModule(n)
         first = mod.apply_spin_lift(omega, spinors[0].coeffs, mod.reachable_rows(spinors[0]))
         for psi in spinors[1:]:
             mod.apply_spin_lift(omega, psi.coeffs, mod.reachable_rows(psi))
         sparse = tracemalloc.get_traced_memory()[0] - first.nbytes
-        assert len(mod._row_sets) == 2
+        assert mod._last[0] == mod.reachable_rows(spinors[-1]).tobytes()
         every = mod.apply_spin_lift(omega, spinors[0].coeffs)
         retained = tracemalloc.get_traced_memory()[0] - first.nbytes - every.nbytes
     finally:
         tracemalloc.stop()
-    assert max(sparse, retained) <= 2 * eager, (sparse, retained, eager)
-    assert len(mod._row_sets) == 2 and None in mod._row_sets
-    assert all(pairs is None for _, _, pairs in mod._row_sets.values())
-    # the first set's tables were dropped; remade, they give the same entries
+    # the full-row tables are exactly the eager ones; 16 kB is room for the
+    # flip masks and the Python objects around the arrays
+    perm, phase, pairs = mod._last[1]
+    assert mod._last[0] is None and perm.nbytes + phase.nbytes == eager and pairs is None
+    assert max(sparse, retained) <= eager + 16 * 1024, (sparse, retained, eager)
+    # the sparse set's tables were dropped; remade, they give the same entries
     again = mod.apply_spin_lift(omega, spinors[0].coeffs, mod.reachable_rows(spinors[0]))
     np.testing.assert_array_equal(again, first)
     # a set of at most 256 rows keeps its pairs: the unit spinor's 137 rows
@@ -620,36 +693,43 @@ def test_row_set_cache_stays_within_the_eager_tables():
     unit = Spinor.one(n)
     rows = mod.reachable_rows(unit)
     mod.apply_spin_lift(omega, unit.coeffs, rows)
-    assert len(rows) == 137 and len(mod._row_sets) == 2 and mod._frames(rows)[2]
+    assert len(rows) == 137 and mod._last[0] == rows.tobytes() and mod._last[1][2]
     mod = CliffordModule(8)
     mod.apply_spin_lift(omega[:17, :17], rng.normal(size=2**8) + 0j)
-    assert list(mod._row_sets) == [None] and mod._frames(None)[2]
+    assert mod._last[0] is None and mod._last[1][2]
     # every row named explicitly at n = 10 is a set of its own, with no pairs
     mod = CliffordModule(10)
     omega = omega[:21, :21]
     coeffs = rng.normal(size=2**10) + 0j
     everything = np.arange(2**10)
-    np.testing.assert_array_equal(
-        mod.apply_spin_lift(omega, coeffs, everything), mod.apply_spin_lift(omega, coeffs)
-    )
-    assert len(mod._row_sets) == 2
-    assert all(pairs is None for _, _, pairs in mod._row_sets.values())
+    named = mod.apply_spin_lift(omega, coeffs, everything)
+    assert mod._last[0] == everything.tobytes() and mod._last[1][2] is None
+    np.testing.assert_array_equal(named, mod.apply_spin_lift(omega, coeffs))
+    assert mod._last[0] is None and mod._last[1][2] is None
 
 
-def test_alternating_dense_and_sparse_spinors_build_each_row_set_once(monkeypatch):
-    # a dense psi reaches every row and the unit spinor 1 + n + n(n-1)/2 of
-    # them; the module keeps both sets, so only the first round builds tables
-    from spinlab import clifford
-
+def _count_row_set_builds(monkeypatch) -> list[int]:
+    """Patch ``clifford._frame_phase`` to record the size of every row set whose
+    tables a module builds; return the list it appends to."""
     frame_phase = clifford._frame_phase
     builds = []
 
     def counting(frames, rows):
-        if np.ndim(frames) == 2:  # a row set's phases of every frame vector
+        # a row set's phases of every frame vector; cliff_relations_check asks for
+        # phases on a (d, 1, rows) stack of rows
+        if np.ndim(frames) == 2 and np.ndim(rows) == 1:
             builds.append(len(rows))
         return frame_phase(frames, rows)
 
     monkeypatch.setattr(clifford, "_frame_phase", counting)
+    return builds
+
+
+def test_a_repeated_row_set_builds_nothing_and_a_new_one_replaces_it(monkeypatch):
+    # a dense psi reaches every row and the unit spinor 1 + n + n(n-1)/2 of
+    # them; the module keeps the last set only, so repeating a spinor builds
+    # nothing and switching to the other one builds its set again
+    builds = _count_row_set_builds(monkeypatch)
     rng = np.random.default_rng(43)
     for n in (10, 16):
         d = 2 * n + 1
@@ -662,12 +742,59 @@ def test_alternating_dense_and_sparse_spinors_build_each_row_set_once(monkeypatc
         for psi in spinors:
             fresh = CliffordModule(n)
             want.append(fresh.apply_spin_lift(omega, psi.coeffs, fresh.reachable_rows(psi)))
+        sizes = [2**n, 1 + n + n * (n - 1) // 2]
         builds.clear()
         mod = CliffordModule(n)
-        for _ in range(3):
-            for psi, ref in zip(spinors, want):
-                _same_bits(mod.apply_spin_lift(omega, psi.coeffs, mod.reachable_rows(psi)), ref)
-            assert builds == [2**n, 1 + n + n * (n - 1) // 2], n
+        for _ in range(2):
+            for psi, ref, size in zip(spinors, want, sizes):
+                for _ in range(3):
+                    got = mod.apply_spin_lift(omega, psi.coeffs, mod.reachable_rows(psi))
+                    _same_bits(got, ref)
+                assert builds[-1] == size, n
+        assert builds == sizes * 2, n
+
+
+def test_an_empty_row_set_works():
+    # its key is the empty bytes string, which must not read as "nothing built yet"
+    rng = np.random.default_rng(44)
+    for n in (1, 3):
+        mod = CliffordModule(n)
+        d, size = mod.dim_frame, mod.dim_spinor
+        g = rng.normal(size=(2, d, d))
+        omega = g - g.swapaxes(-1, -2)
+        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+        none = np.array([], dtype=np.int64)
+        assert mod.apply_spin_lift(omega[0], coeffs, none).shape == (0,)
+        assert mod._last[0] == b"" and mod._last[1][0].shape == (n + 1, 0)
+        assert mod.apply_spin_lift(omega, np.stack([coeffs] * 3)[:, None], none).shape == (3, 2, 0)
+        assert mod.moment_matrix(Spinor(n, coeffs), none).shape == (0, d)
+        # then every row, and the empty set again
+        np.testing.assert_allclose(
+            mod.apply_spin_lift(omega[0], coeffs), mod.spin_lift(omega[0]) @ coeffs, atol=1e-12
+        )
+        assert mod._last[0] is None
+        assert mod.apply_spin_lift(omega[0], coeffs, []).shape == (0,)
+
+
+def test_workload_cycles_after_warm_up_build_no_row_set_tables(monkeypatch):
+    # each module uses its row sets in one block per command line, so after the
+    # warm-up lines and one cycle, the kept set is the one the next cycle reads
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    def run(argvs):
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                assert cli.main(list(argv)) == 0, argv
+
+    builds = _count_row_set_builds(monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        run(workload.warmup(1))
+        run(inv.argv for inv in workload.cycle(1, 0))
+        builds.clear()
+        run(inv.argv for inv in workload.cycle(1, 1))
+        assert builds == [], name
 
 
 def test_module_size_cap():

@@ -71,8 +71,8 @@ def equivariance_per_pair(seed, n_max=4, pairs=100):
 
 def equivariance_stacked(seed, n_max=4, pairs=100):
     """One bulk draw per module size, lifted by ``spin_lift`` and acted on by
-    ``apply_combo`` on the identity: the dense route ``_equivariance`` combines
-    from its cached bases."""
+    ``apply_combo`` on the rows of the identity, transposed: the dense route
+    ``_equivariance`` combines from its cached bases."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(1, n_max + 1):
@@ -80,8 +80,8 @@ def equivariance_stacked(seed, n_max=4, pairs=100):
         eye = np.eye(mod.dim_spinor)
         omega, v = _skew_vector_pairs(rng, mod.dim_frame, pairs)
         lift = mod.spin_lift(omega)
-        ev = mod.apply_combo(v, eye)
-        et = mod.apply_combo((omega @ v[..., None])[..., 0], eye)
+        ev = mod.apply_combo(v[:, None], eye).swapaxes(-1, -2)
+        et = mod.apply_combo((omega @ v[..., None])[:, None, :, 0], eye).swapaxes(-1, -2)
         worst = max(worst, float(np.max(np.abs(lift @ ev - ev @ lift - et))))
     return worst
 

@@ -14,7 +14,11 @@ same cycle indices, so a round is one pair of like samples.  The children altern
 ABBA order: A first in even rounds and B first in odd ones.  Per workload the tool
 prints the median and interquartile range of each tree's milliseconds per cycle and
 items per second, the ratio B/A of the median cycle times, how many rounds B was
-faster in, and whether the median gap exceeds A's interquartile range.  A gate
+faster in, whether the median gap exceeds A's interquartile range, and a verdict
+(``verdict``): "faster" when B was faster in at least 9 of 10 rounds and its median
+is faster by more than A's interquartile range, "slower" when its median is slower
+by more than that range, and "unresolved" otherwise.  The gap flag alone misreads:
+an A/A run can read a gap beyond A's range with B faster in 4 of 10 rounds.  A gate
 failure or a non-zero exit fails the run (exit 1); a bad revision exits 2.  Children
 run with ``OPENBLAS_NUM_THREADS=1`` unless it is set, and write no bytecode.
 
@@ -70,6 +74,16 @@ def compare(a: list[float], b: list[float]) -> dict:
         "b_faster": sum(y < x for x, y in zip(a, b)),
         "resolved": abs(mb - ma) > qa3 - qa1,
     }
+
+
+def verdict(c: dict) -> str:
+    """The verdict on a ``compare`` result: ``faster`` needs B faster in at least 9 of
+    10 rounds and a median gap beyond A's IQR, ``slower`` only a gap beyond A's IQR
+    the other way, and anything else is ``unresolved``."""
+    gap = c["median_a"] - c["median_b"]
+    if gap > c["iqr_a"] and 10 * c["b_faster"] >= 9 * c["rounds"]:
+        return "faster"
+    return "slower" if -gap > c["iqr_a"] else "unresolved"
 
 
 # ---------------------------------------------------------------------- child
@@ -214,7 +228,8 @@ def report(workload: str, ms: dict[str, list[float]], rate: dict[str, list[float
         f"B {c['median_b']:.3f} (IQR {c['iqr_b']:.3f}), B/A {c['ratio']:.4f}; "
         f"items/s A {ia[1]:.1f} (IQR {ia[2] - ia[0]:.1f}), B {ib[1]:.1f} "
         f"(IQR {ib[2] - ib[0]:.1f}); B faster in {c['b_faster']}/{c['rounds']} rounds; "
-        f"median gap {'exceeds' if c['resolved'] else 'within'} A's IQR"
+        f"median gap {'exceeds' if c['resolved'] else 'within'} A's IQR; "
+        f"verdict: {verdict(c)}"
     )
 
 
