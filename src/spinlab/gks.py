@@ -23,23 +23,27 @@ none: there the constants are a 3x3 matrix ``C`` under Hodge duality, ``c[a, b, 
 eps_abe C[e, :]`` (Milnor, 1976), a frame ``P`` takes ``C`` to ``det(P) P^-1 C P^-T``,
 and Nomizu, lift and fit are linear, so ``sweep_frames`` applies one constant ``9 x 9``
 map, ``_dual_map``, which ``_project`` and ``_fit`` build once from the nine
-basis duals.  ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
+basis duals.  It returns the duals and ``A``; the ``(..., 3, 3, 3)`` constants
+``FrameSweep.ortho_c`` are scattered from the duals only when a reducer reads them.
+``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
 and the closed-form comparison of ``selftest`` run it over the 13 ``FAMILY_GRID``
 families, ``genericity_sweep`` over one family.  No ``sweep_frames`` pass holds more
 than ``GRID_PASS_FRAMES`` frames, so memory stays flat in the sample count; the sweep
-only solves, and each pass's reducer judges what it reads, one row per family.
+only solves, and each pass's reducer judges what it reads, one row per family.  The
+``r`` statistics of both ``r`` sweeps come from one summary of the summed tallies,
+``_r_summary``.
 
 Constants that never change are built once per process, on first use, and are
 read-only: the grid families, their algebras and stacked structure constants
-(``_grid_stack``), the index arrays of ``algebra.random_frames`` and the
-dual map.  The Heisenberg algebras and metrics are not cached: at
-n = 12..16 their tensors would stay resident for the life of the process.
+(``_grid_stack``) and the row of each family (``_grid_rows``), the index arrays of
+``algebra.random_frames`` and the dual map.  The Heisenberg algebras and metrics are
+not cached: at n = 12..16 their tensors would stay resident for the life of the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -286,6 +290,10 @@ def full_report(
     """
     d = mla.dim
     nm = nomizu(mla)
+    if not np.isfinite(nm.mats).all():
+        raise StructureError(
+            "Nomizu map is not finite: the structure constants are out of floating-point range"
+        )
     a, residual = solve_endomorphism(mla, Spinor.one(module_for_dim(d).n), _nm=nm)
     symmetric = bool(_symmetric(a, tol))
     solved = symmetric and residual <= tol
@@ -345,10 +353,17 @@ def _dual_map(mod: CliffordModule) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameSweep:
-    """Per-sample arrays of ``sweep_frames``."""
+    """Per-sample arrays of ``sweep_frames``: the ``(..., 3, 3)`` Hodge duals of the
+    orthonormal structure constants and ``A``.  ``ortho_c``, the ``(..., 3, 3, 3)``
+    constants themselves, is scattered from ``dual`` on first read and kept, so a reducer
+    that reads only ``A`` (``_r_tally``) never builds it."""
 
-    ortho_c: np.ndarray
+    dual: np.ndarray
     A: np.ndarray
+
+    @cached_property
+    def ortho_c(self) -> np.ndarray:
+        return _from_dual(self.dual)
 
 
 def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> FrameSweep:
@@ -380,39 +395,38 @@ def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> FrameSweep
         raise StructureError(
             "A is not finite: the structure constants are out of floating-point range"
         )
-    return FrameSweep(_from_dual(dual.reshape(frames.shape)), a.reshape(frames.shape))
+    return FrameSweep(dual.reshape(frames.shape), a.reshape(frames.shape))
 
 
 def _r_tally(tol: float, gap_tol: float):
     """The ``sweep_grid`` reducer of the ``r`` statistics: per family, ``tally[r]`` samples
     with ``r = 1..3`` distinct eigenvalues, and in bin 0 those failing ``_symmetric`` at ``tol``.
     One verdict a pass: the symmetric samples go to ``_spectrum``, not ``eigen_analysis``,
-    whose guard would judge them again."""
+    whose guard would judge them again, and a pass with none makes no ``_spectrum`` call."""
 
     def tally(fams, frames, batch: FrameSweep) -> np.ndarray:
         symmetric = _symmetric(batch.A, tol)
         distinct = np.zeros(symmetric.shape, dtype=int)
-        distinct[symmetric] = _spectrum(batch.A[symmetric], gap_tol)[1]
+        if symmetric.any():  # four of the seven families never have a symmetric sample
+            distinct[symmetric] = _spectrum(batch.A[symmetric], gap_tol)[1]
         return (distinct[..., None] == np.arange(4)).sum(axis=-2)
 
     return tally
 
 
-def _r_stats(family: BianchiFamily, tally: np.ndarray) -> dict:
-    """Distribution of the distinct count ``r`` over the symmetric samples of one family,
-    from its ``_r_tally`` row summed over the sweep."""
-    r_counts = {r: cnt for r, cnt in enumerate(tally.tolist()) if r and cnt}  # ascending r
-    symmetric_count = sum(r_counts.values())
-    below = sum(cnt for r, cnt in r_counts.items() if r < 3)
-    modal_r = max(r_counts, key=lambda r: (r_counts[r], r)) if r_counts else None
-    return {
-        "family": family.label,
-        "samples": int(tally.sum()),
-        "symmetric_count": symmetric_count,
-        "modal_r": modal_r,
-        "r_counts": {str(r): cnt for r, cnt in r_counts.items()},
-        "fraction_r_lt_3": below / symmetric_count if symmetric_count else None,
-    }
+def _r_summary(tallies: np.ndarray) -> tuple[list, list, list, list]:
+    """Per row of ``(F, 4)`` ``_r_tally`` rows summed over a sweep, as lists of Python ints:
+    the samples, the symmetric count, the modal ``r`` (of tied counts the larger ``r``;
+    ``None`` without a symmetric sample) and the symmetric samples below the modal ``r``.
+    A few rows of four counts, so plain Python beats a chain of numpy calls here."""
+    rows = tallies.tolist()
+    samples = [sum(row) for row in rows]
+    symmetric = [n - row[0] for n, row in zip(samples, rows)]
+    # max keeps the first of tied counts, so r runs downwards
+    modal_r = [max((3, 2, 1), key=row.__getitem__) if n else None
+               for row, n in zip(rows, symmetric)]
+    below = [sum(row[1:r]) if r else 0 for row, r in zip(rows, modal_r)]
+    return samples, symmetric, modal_r, below
 
 
 def genericity_sweep(
@@ -428,13 +442,20 @@ def genericity_sweep(
     analyses them in ``sweep_grid`` passes of one family; reports the distribution of
     the distinct count ``r`` over the symmetric cases and the fraction with ``r < 3``.
     """
-    key, (fams, _, cs) = (family.tag, str(family.x)), _grid_stack()
-    # a grid member reuses its cached row; str(x) tells every float apart, so any other
-    # family, L3(4,-0) among them (equal to L3(4,0), but x is -0.0), goes to make_bianchi
-    rows = [k for k, fam in enumerate(fams) if (fam.tag, str(fam.x)) == key]
-    c = cs[rows] if rows else make_bianchi(family).c[None]
-    tally = sweep_grid([seed], samples, _r_tally(tol, gap_tol), ((family,), c))
-    return _r_stats(family, tally[0].sum(axis=0))
+    # a grid member reuses its cached row; any other family goes to make_bianchi
+    row = _grid_rows().get((family.tag, str(family.x)))
+    c = make_bianchi(family).c[None] if row is None else _grid_stack()[2][row : row + 1]
+    tallies = sweep_grid([seed], samples, _r_tally(tol, gap_tol), ((family,), c)).sum(axis=1)
+    (total,), (symmetric,), (modal_r,), _ = _r_summary(tallies)
+    counts = tallies[0].tolist()
+    return {
+        "family": family.label,
+        "samples": total,
+        "symmetric_count": symmetric,
+        "modal_r": modal_r,
+        "r_counts": {str(r): counts[r] for r in (1, 2, 3) if counts[r]},
+        "fraction_r_lt_3": (counts[1] + counts[2]) / symmetric if symmetric else None,
+    }
 
 
 TABLE1_ROWS: tuple[tuple[str, tuple[float | None, ...], str], ...] = (
@@ -476,6 +497,13 @@ def _grid_stack() -> tuple[tuple[BianchiFamily, ...], tuple[LieAlgebra, ...], np
     return fams, algs, cs
 
 
+@lru_cache(maxsize=1)
+def _grid_rows() -> dict[tuple[str, str], int]:
+    """The row of each ``_grid_stack`` family, keyed ``(tag, str(x))``: ``str`` tells every
+    float apart, so ``L3(4,-0)`` (equal to ``L3(4,0)``, but x is -0.0) has no row."""
+    return {(fam.tag, str(fam.x)): k for k, fam in enumerate(_grid_stack()[0])}
+
+
 def sweep_grid(seeds, samples: int, reduce, grid=None):
     """Seeded ``sweep_frames`` passes over a family stack, reduced to ``(families, chunks, k)``.
 
@@ -510,20 +538,19 @@ def table1_rows(samples: int, seed: int, gap_tol: float, tol: float) -> list[dic
     """Eigenvalue-count table per family, via seeded metric sweeps of the whole grid."""
     seeds = [[seed, row, k] for row, (_, xs, _) in enumerate(TABLE1_ROWS) for k in range(len(xs))]
     tallies = sweep_grid(seeds, samples, _r_tally(tol, gap_tol)).sum(axis=1)
-    grid_stats = map(_r_stats, _grid_stack()[0], tallies)
-    rows = []
+    _, symmetric, modal_r, below = _r_summary(tallies)
+    rows, start = [], 0
     for tag, xs, case in TABLE1_ROWS:
-        stats = [next(grid_stats) for _ in xs]
-        sym_counts = [st["symmetric_count"] for st in stats]
-        modal_rs = [st["modal_r"] for st in stats]
+        part = slice(start, start + len(xs))
+        start = part.stop
+        sym_counts, modal_rs = symmetric[part], modal_r[part]
         r = degenerate = None
         if all(c == samples for c in sym_counts):
             gk_dim = 2
             if len(set(modal_rs)) != 1:
                 raise SpinlabError(f"inconsistent generic r within row {tag}: {modal_rs}")
             r = modal_rs[0]
-            below = sum(c for st in stats for k, c in st["r_counts"].items() if int(k) < r)
-            degenerate = below / sum(sym_counts)
+            degenerate = sum(below[part]) / sum(sym_counts)
         elif all(c == 0 for c in sym_counts):
             gk_dim = 0
         else:

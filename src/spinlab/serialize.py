@@ -6,8 +6,10 @@ documents.  Tables use 6 significant digits.  Emission is one pass over the
 document: a non-empty 2-D float64 array (``A``, ``asymmetry``, ``ricci``) is
 written with one ``"%.17g"`` template for the whole matrix, and a list made
 only of Python floats with one template join, instead of one call per
-number; every other value is written on its own.  Dict keys are escaped through
-``_key``, a per-process cache of ``json.dumps`` (at most 256 keys).
+number; every other value is written on its own.  A scalar is dispatched on its
+exact type (``float``, ``str``, ``int``, ``bool``, ``None``), a numpy scalar after one
+``.item()``.  Dict keys and strings of up to 64 characters are escaped through
+``_key``, a per-process cache of ``json.dumps`` (at most 256 entries).
 
 Algebra documents look like::
 
@@ -60,14 +62,32 @@ def _bracket(items: list[str], inner: str, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
+# strings up to this length are escaped through the _key cache; a longer one is
+# rare in a payload and would only push schema keys out of the cache
+_CACHED_STR_LEN = 64
+
+
 @lru_cache(maxsize=256)
 def _key(key: str) -> str:
-    """A dict key as a JSON string; payload keys are a fixed schema, so nearly every
-    call is a cache hit."""
+    """A dict key or short string value as a JSON string; payload keys are a fixed schema
+    and string values a few family labels and cases, so nearly every call is a cache hit."""
     return json.dumps(key)
 
 
 def _emit(obj, indent: int, level: int) -> str:
+    if isinstance(obj, np.generic):
+        obj = obj.item()  # numpy scalars as the Python scalars they hold
+    kind = type(obj)
+    if kind is float:
+        return "%.17g" % obj  # format_float, without its float() and format() calls
+    if kind is str:
+        return _key(obj) if len(obj) <= _CACHED_STR_LEN else json.dumps(obj)
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
     if isinstance(obj, np.ndarray):
@@ -76,17 +96,7 @@ def _emit(obj, indent: int, level: int) -> str:
             # format(x, ".17g") for every double
             row = _bracket(["%.17g"] * obj.shape[1], inner + " " * indent, inner)
             return _bracket([row] * obj.shape[0], inner, pad) % tuple(obj.ravel().tolist())
-        obj = obj.tolist()
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+        return _emit(obj.tolist(), indent, level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

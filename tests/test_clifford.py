@@ -467,11 +467,16 @@ def test_non_finite_non_skew_matrices_do_not_lift():
     w[0, 1], w[1, 0] = -np.inf, np.inf
     with np.errstate(invalid="ignore"):
         assert not np.isfinite(mod.apply_spin_lift(w, psi)).all()
-    # the one command line found to lift a non-finite Nomizu stack: all NaN
+    # the all-NaN Nomizu stack of L3(4,1e308) does not lift; full_report refuses that
+    # stack before any lift, so the command line names the out-of-range input
+    with pytest.raises(InvalidOperatorError, match="finite skew-symmetric"):
+        mod.apply_spin_lift(np.full((3, 3, 3), np.nan), psi)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert cli.main(["analyze", "--algebra", "L3(4,1e308)"]) == 2
-    assert err.getvalue() == "error: spin lift requires a finite skew-symmetric matrix\n"
+    assert err.getvalue() == (
+        "error: Nomizu map is not finite: the structure constants are out of floating-point range\n"
+    )
 
 
 def test_actions_refuse_coefficients_and_frame_vectors_of_the_wrong_length():

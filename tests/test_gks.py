@@ -49,6 +49,7 @@ from spinlab.gks import (
     symmetry_conditions_3d,
     table1_rows,
 )
+from spinlab.selftest import verify_appendix
 from spinlab.serialize import to_json
 
 
@@ -687,7 +688,7 @@ def test_sweep_frames_matches_scalar_pipeline():
             assert distinct[0] == (report.distinct_count or 0)
             counts.append(report.distinct_count or 0)
         # the r tally of genericity_sweep and table1_rows, bins 0..3
-        one_pass = FrameSweep(*(arr[None] for arr in vars(batch).values()))  # (1, N) arrays
+        one_pass = FrameSweep(batch.dual[None], batch.A[None])  # (1, N) arrays
         tally = gks._r_tally(1e-9, 1e-7)(None, frames[None], one_pass)[0]
         assert tally.tolist() == np.bincount(counts, minlength=4).tolist()
     with pytest.raises(UnsupportedDimensionError, match="frame sweep needs dimension 3"):
@@ -775,6 +776,52 @@ def test_sweep_frames_refuses_a_frame_with_a_lower_entry():
     frames[2, 2, 0] = 0.5
     with pytest.raises(InvalidMetricError, match="frame is not gram-orthonormal"):
         sweep_frames(alg, frames)
+
+
+def test_frame_sweep_scatters_ortho_c_from_the_dual_on_first_read():
+    cs = gks._grid_stack()[2]
+    frames = random_frames(3, np.random.default_rng(8), 13 * 6).reshape(13, 6, 3, 3)
+    batch = sweep_frames(cs, frames)
+    assert batch.dual.shape == (13, 6, 3, 3) and "ortho_c" not in vars(batch)
+    oc = batch.ortho_c
+    assert batch.ortho_c is oc  # kept after the first read
+    want = gks._from_dual(batch.dual)
+    assert oc.shape == (13, 6, 3, 3, 3) and oc.tobytes() == want.tobytes()  # bit for bit
+
+
+def test_r_sweeps_never_scatter_ortho_c_and_verify_appendix_scatters_once_a_pass(monkeypatch):
+    calls, scatter = [], gks._from_dual
+    monkeypatch.setattr(gks, "_from_dual", lambda dual: calls.append(dual.shape) or scatter(dual))
+    table1_rows(10, 1, 1e-7, 1e-9)
+    for name in ("L3(6)", "L3(2,0.25)"):  # a grid member and a family off the grid
+        genericity_sweep(BianchiFamily.parse(name), GRID_PASS_FRAMES + 3, 2)
+    assert calls == []
+    verify_appendix(20, 1, 1e-9)  # one pass of 13 families, whose ortho_c two reducers read
+    assert calls == [(13, 20, 3, 3)]
+    calls.clear()
+    verify_appendix(400, 1, 1e-9)  # ten families, then three
+    assert calls == [(10, 400, 3, 3), (3, 400, 3, 3)]
+
+
+def test_r_tally_skips_the_spectrum_of_a_pass_with_no_symmetric_sample(monkeypatch):
+    calls, spectrum = [], gks._spectrum
+    monkeypatch.setattr(
+        gks, "_spectrum", lambda a, gap_tol: calls.append(len(a)) or spectrum(a, gap_tol)
+    )
+    stats = genericity_sweep(BianchiFamily("L3(3)"), 30, 4)
+    assert calls == [] and stats["symmetric_count"] == 0 and stats["modal_r"] is None
+    stats = genericity_sweep(BianchiFamily("L3(6)"), 30, 4)
+    assert calls == [30] and stats["symmetric_count"] == 30
+
+
+def test_full_report_refuses_a_non_finite_nomizu_map():
+    # the overflow of L3(4,1e308) makes every Nomizu entry NaN; the report stops before
+    # any spin lift, as the CLI's errstate lets it
+    with np.errstate(all="ignore"):
+        mla = orthonormalize(make_bianchi(BianchiFamily("L3(4,x)", 1e308)), np.eye(3))
+        assert np.isnan(nomizu(mla).mats).all()
+        with pytest.raises(StructureError, match="Nomizu map is not finite: the structure"):
+            full_report(mla)
 
 
 def _verdicts(a, tol=1e-9, gap_tol=1e-7):
@@ -975,7 +1022,7 @@ def test_family_stacked_sweep_matches_per_family_sweeps():
 
 
 def _unique_r_stats(distinct, symmetric):
-    """The r tally of ``_r_stats`` through a sorting ``np.unique``."""
+    """The r statistics of ``genericity_sweep`` through a sorting ``np.unique``."""
     rs, counts = np.unique(distinct[symmetric], return_counts=True)
     r_counts = {int(r): int(cnt) for r, cnt in zip(rs, counts)}
     total = int(np.count_nonzero(symmetric))
@@ -999,48 +1046,53 @@ def _r_tally_of(distinct, symmetric):
     a = np.zeros((n, 3, 3))
     a[:, range(3), range(3)] = _SPECTRA[np.maximum(distinct, 1) - 1]
     a[~symmetric] += _SKEW
-    batch = FrameSweep(np.zeros((1, n, 3, 3, 3)), a[None])
+    batch = FrameSweep(np.zeros((1, n, 3, 3)), a[None])
     reduce = gks._r_tally(1e-9, 1e-7)
     return reduce((BianchiFamily("L3(6)"),), np.zeros((1, n, 3, 3)), batch)[0]
 
 
-def _r_stats_of(distinct, symmetric):
-    """``_r_stats`` of a hand-built sweep, tallied as two chunks and summed as
+def _chunked_r_tally(distinct, symmetric):
+    """The ``_r_tally`` row of a hand-built sweep, tallied as two chunks and summed as
     ``genericity_sweep`` and ``table1_rows`` sum the chunks of a family."""
     half = len(distinct) // 2
     parts = (np.s_[:half], np.s_[half:])
     tally = sum(_r_tally_of(distinct[part], symmetric[part]) for part in parts)
     np.testing.assert_array_equal(tally, _r_tally_of(distinct, symmetric))
-    return gks._r_stats(BianchiFamily("L3(6)"), tally)
+    return tally
 
 
-def test_r_stats_matches_a_unique_tally_on_hand_built_sweeps():
+def test_r_summary_matches_a_unique_tally_on_hand_built_tallies():
     cases = [
         ([0, 0, 0], [False, False, False]),  # no symmetric sample
         ([1, 1, 3, 3], [True] * 4),  # a gap in r, and a tie
-        ([2, 3, 3, 2, 1], [True] * 5),  # a tie: the larger r wins
+        ([2, 3, 3, 2, 1], [True] * 5),  # a tie of r = 2 and r = 3: the larger r wins
+        ([3, 2, 2, 3], [True] * 4),  # the same tie alone
+        ([1, 2, 1, 2, 3], [True] * 5),  # a tie of r = 1 and r = 2 below a lone r = 3
         ([3, 1, 2, 3, 2, 3, 1], [True] * 7),  # drawn out of order
         ([3, 3, 1, 2, 2], [True, False, True, False, True]),
+        ([2, 3, 3], [True, False, False]),  # one symmetric sample
         ([], []),
     ]
     rng = np.random.default_rng(40)
     for _ in range(50):
         n = int(rng.integers(0, 30))
         cases.append((rng.integers(1, 4, size=n), rng.random(n) < 0.7))
-    results = []
-    for distinct, symmetric in cases:
-        distinct = np.asarray(distinct, dtype=int)
-        symmetric = np.asarray(symmetric, dtype=bool)
-        stats = _r_stats_of(distinct, symmetric)
-        want = _unique_r_stats(distinct, symmetric)
-        assert stats == {"family": "L3(6)", "samples": len(distinct), **want}
-        assert list(stats["r_counts"]) == list(want["r_counts"])  # ascending r
-        results.append(stats)
-    none, gap, tie = results[:3]
-    assert none["r_counts"] == {} and none["modal_r"] is None and none["fraction_r_lt_3"] is None
-    assert gap["r_counts"] == {"1": 2, "3": 2} and gap["modal_r"] == 3
-    assert gap["fraction_r_lt_3"] == 0.5
-    assert tie["r_counts"] == {"1": 1, "2": 2, "3": 2} and tie["modal_r"] == 3
+    cases = [(np.asarray(d, dtype=int), np.asarray(s, dtype=bool)) for d, s in cases]
+    # one block, as table1_rows sums its grid, and row by row, as genericity_sweep does
+    block = gks._r_summary(np.stack([_chunked_r_tally(d, s) for d, s in cases]))
+    samples, symmetric, modal_r, below = block
+    for k, (distinct, sym) in enumerate(cases):
+        row = gks._r_summary(_chunked_r_tally(distinct, sym)[None])
+        assert [col[0] for col in row] == [col[k] for col in block]
+        want = _unique_r_stats(distinct, sym)
+        r_counts = {int(r): cnt for r, cnt in want["r_counts"].items()}
+        assert samples[k] == len(distinct)
+        assert symmetric[k] == want["symmetric_count"]
+        assert modal_r[k] == want["modal_r"]
+        assert below[k] == sum(cnt for r, cnt in r_counts.items() if r < (modal_r[k] or 0))
+    assert all(type(v) is int for col in (samples, symmetric, below) for v in col)
+    assert modal_r[:9] == [None, 3, 3, 3, 2, 3, 3, 2, None]
+    assert below[:9] == [0, 2, 3, 2, 2, 4, 2, 0, 0]
 
 
 def test_grid_stack_is_built_once_read_only_and_unchanged_by_use():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinlab import cli
+from spinlab import cli, serialize
 from spinlab.catalog import BianchiFamily, make_bianchi, make_heisenberg
 from spinlab.errors import FormatError, UnsupportedDimensionError
 from spinlab.serialize import (
@@ -102,6 +102,27 @@ def test_whole_matrix_template_matches_the_per_value_emitter(matrix, indent, tra
     matrix = matrix.T if transposed else matrix
     for payload in (matrix, {"A": matrix, "rows": [matrix, [matrix]]}):
         assert to_json(payload, indent) == _reference_emit(payload, indent, 0)
+
+
+def test_exact_type_dispatch_matches_the_per_value_emitter():
+    # numpy scalars go through .item() once, then one exact-type branch each; strings
+    # up to the cache length are escaped through _key, longer ones by json.dumps
+    long = "q" * (serialize._CACHED_STR_LEN + 1)
+    scalars = [
+        True, False, np.True_, np.False_, np.int64(-7), np.int64(2**63 - 1), 0, -(2**70),
+        np.float64(1.0 / 3.0), np.float32(0.1), np.float32("nan"), -0.0, np.float64(-0.0),
+        float("nan"), -float("inf"), None, "", long, long[:-1], 'say "hi"', "back\\slash",
+        "tab\tline\nnul\x00\x1f", "é ∑ 😀", np.str_("L3(6)"),
+    ]
+    for _ in range(2):  # the second round reads the cached escapes
+        for obj in scalars:
+            for payload in (obj, [obj], [obj, 1], {"k": obj}, (obj,)):
+                assert to_json(payload) == _reference_emit(payload, 2, 0), repr(payload)
+    serialize._key.cache_clear()
+    to_json(long)
+    assert serialize._key.cache_info().currsize == 0
+    to_json(long[:-1])
+    assert serialize._key.cache_info().currsize == 1
 
 
 def test_to_json_refuses_what_the_per_value_emitter_refuses():
