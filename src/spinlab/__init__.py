@@ -36,8 +36,6 @@ from .clifford import (
     get_module,
 )
 from .connection import (
-    CurvatureData,
-    NomizuMap,
     curvature,
     metricity_violation,
     nomizu,

@@ -250,17 +250,16 @@ class CliffordModule:
         return out
 
     def moment_matrix(self, psi: Spinor, rows: np.ndarray | None = None) -> np.ndarray:
-        """Real ``2**(n+1) x (2n+1)`` matrix of ``v -> v . psi``.
+        """Complex ``2**n x (2n+1)`` matrix of ``v -> v . psi`` on real frame vectors ``v``.
 
-        Columns are the actions of the frame vectors on ``psi`` with real
-        and imaginary parts stacked; it has full column rank for any
-        nonzero ``psi``.  With ``rows``, only those spinor entries are kept
-        (``2 len(rows)`` matrix rows).
+        Column ``i`` is ``e_{i+1} . psi``; the matrix has full real column rank
+        for any nonzero ``psi``.  With ``rows``, only those spinor entries are
+        kept (``len(rows)`` matrix rows).
         """
         perm, phase, _ = self._frames(rows)
         # one gather per slot; column i is e_{i+1} psi
         cols = phase * psi.coeffs.take(perm)[(np.arange(self.dim_frame) + 1) >> 1]
-        return np.ascontiguousarray(np.hstack([cols.real, cols.imag]).T)
+        return np.ascontiguousarray(cols.T)
 
     def _require_skew(self, omega: np.ndarray) -> np.ndarray:
         """``omega`` as a float array of ``(d, d)`` matrices, refused unless every

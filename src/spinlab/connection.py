@@ -22,45 +22,18 @@ independently.
 
 Every function takes a ``MetricLieAlgebra`` or its orthonormal structure
 constants, which may carry leading batch axes ``(..., d, d, d)``; a batch
-gives per-entry results, and one metric is the batch-of-one case.
+gives per-entry results, and one metric is the batch-of-one case.  Stages hand
+over plain read-only float arrays: ``nomizu`` returns the ``(..., d, d, d)``
+stack ``nm[..., i, :, :] = L_i``, which the other functions take as ``nm``, and
+``curvature`` returns the ``(..., d, d)`` Ricci stack ``Ric(e_x, e_y)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import MetricLieAlgebra
+from .algebra import MetricLieAlgebra, _freeze
 from .clifford import Spinor, module_for_dim
-
-
-@dataclass(frozen=True)
-class NomizuMap:
-    """Stack of skew matrices ``mats[..., i, :, :] = L_i`` in the orthonormal frame."""
-
-    mats: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.mats, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "mats", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.mats.shape[-1]
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    """Ricci matrices ``ricci[..., x, y] = Ric(e_x, e_y)`` in the orthonormal frame."""
-
-    ricci: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.ricci, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "ricci", arr)
 
 
 def _structure(mla: MetricLieAlgebra | np.ndarray) -> np.ndarray:
@@ -73,31 +46,28 @@ def _worst(x: np.ndarray, axes: int) -> float | np.ndarray:
     return float(worst) if worst.ndim == 0 else worst
 
 
-def nomizu(mla: MetricLieAlgebra | np.ndarray) -> NomizuMap:
-    """Nomizu map of ``mla``, or of orthonormal structure constants with any batch axes."""
+def nomizu(mla: MetricLieAlgebra | np.ndarray) -> np.ndarray:
+    """Read-only stack ``[..., i, :, :] = L_i`` of the Nomizu map of ``mla``, or of
+    orthonormal structure constants with any batch axes."""
     c = _structure(mla)
     raw = 0.5 * (c.swapaxes(-1, -2) - c.swapaxes(-3, -1) + c.swapaxes(-3, -2))
     # skew-symmetrise so metricity holds bit-exactly
-    return NomizuMap(0.5 * (raw - raw.swapaxes(-1, -2)))
+    return _freeze(0.5 * (raw - raw.swapaxes(-1, -2)))
 
 
-def metricity_violation(nm: NomizuMap) -> float | np.ndarray:
+def metricity_violation(nm: np.ndarray) -> float | np.ndarray:
     """Worst entry of ``L_i + L_i^T`` (exactly zero by construction); an array for a batch."""
-    lam = nm.mats
-    return _worst(lam + lam.swapaxes(-1, -2), 3)
+    return _worst(nm + nm.swapaxes(-1, -2), 3)
 
 
-def torsion_violation(
-    nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray
-) -> float | np.ndarray:
+def torsion_violation(nm: np.ndarray, mla: MetricLieAlgebra | np.ndarray) -> float | np.ndarray:
     """Worst entry of ``(L_i)_{kj} - (L_j)_{ki} - c_ij^k``; an array for a batch."""
-    lam = nm.mats
     # axes (i, j, k) of (L_i)_{kj} and of (L_j)_{ki}
-    return _worst(lam.swapaxes(-1, -2) - np.moveaxis(lam, -1, -3) - _structure(mla), 3)
+    return _worst(nm.swapaxes(-1, -2) - np.moveaxis(nm, -1, -3) - _structure(mla), 3)
 
 
-def curvature(nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray) -> CurvatureData:
-    """Ricci matrix of the connection, per batch entry, by direct contraction.
+def curvature(nm: np.ndarray, mla: MetricLieAlgebra | np.ndarray) -> np.ndarray:
+    """Read-only Ricci matrix of the connection, per batch entry, by direct contraction.
 
     Expanding ``sum_j R(e_j, e_x)_{jy}`` gives
 
@@ -107,20 +77,19 @@ def curvature(nm: NomizuMap, mla: MetricLieAlgebra | np.ndarray) -> CurvatureDat
     structure-constant term share one ``(d, d^2) @ (d^2, d)`` product, so the
     work is ``O(d^4)`` flops and ``O(d^3)`` memory, not ``O(d^5)`` and ``O(d^4)``.
     """
-    lam = nm.mats
-    d = lam.shape[-1]
-    batch = lam.shape[:-3]
-    trace = np.trace(lam, axis1=-3, axis2=-2)  # t_b
-    first = (trace[..., None, None, :] @ lam)[..., 0, :]
+    d = nm.shape[-1]
+    batch = nm.shape[:-3]
+    trace = np.trace(nm, axis1=-3, axis2=-2)  # t_b
+    first = (trace[..., None, None, :] @ nm)[..., 0, :]
     # rows (x), columns (j, b): (L_x)_{jb} + c_{bxj}
-    left = lam.reshape(batch + (d, d * d)) + np.moveaxis(_structure(mla), -3, -1).reshape(
+    left = nm.reshape(batch + (d, d * d)) + np.moveaxis(_structure(mla), -3, -1).reshape(
         batch + (d, d * d)
     )
-    return CurvatureData(ricci=first - left @ lam.reshape(batch + (d * d, d)))
+    return _freeze(first - left @ nm.reshape(batch + (d * d, d)))
 
 
 def ricci_spinorial_check(
-    nm: NomizuMap,
+    nm: np.ndarray,
     mla: MetricLieAlgebra | np.ndarray,
     psi: Spinor,
     _ricci: np.ndarray | None = None,
@@ -129,7 +98,7 @@ def ricci_spinorial_check(
 
     The left side uses spin-lifted curvature operators assembled from the
     lifted Nomizu operators; the right side uses the Ricci matrix from the
-    frame-level curvature, ``curvature(nm, mla).ricci``, or ``_ricci`` when the
+    frame-level curvature, ``curvature(nm, mla)``, or ``_ricci`` when the
     caller has already built that stack (the ``selftest`` grid pass builds it
     once for both basis spinors and its closed-form Ricci check).  Returns
     ``(ok, max_residual)`` with the residual relative to ``max(1, |rhs|)`` per
@@ -139,17 +108,16 @@ def ricci_spinorial_check(
     c = _structure(mla)
     d = c.shape[-1]
     mod = module_for_dim(d)
-    lam, vec = nm.mats, psi.coeffs
-    lifted = mod.apply_spin_lift(lam, vec)  # [..., j, :] = lift(L_j) psi
+    lifted = mod.apply_spin_lift(nm, psi.coeffs)  # [..., j, :] = lift(L_j) psi
     # twice[..., i, j, :] = lift(L_i) lift(L_j) psi, so that
     # rv[..., i, j, :] = R(e_i, e_j) . psi
-    twice = mod.apply_spin_lift(lam[..., None, :, :], lifted[..., None, :, :])
+    twice = mod.apply_spin_lift(nm[..., None, :, :], lifted[..., None, :, :])
     rv = twice - twice.swapaxes(-3, -2)
     for k in range(d):
         rv = rv - c[..., k, None] * lifted[..., None, None, k, :]
     lhs = sum(mod.apply_vector(j + 1, rv[..., j, :]) for j in range(d))
-    ricci = curvature(nm, c).ricci if _ricci is None else _ricci
-    rhs = -0.5 * mod.apply_combo(ricci.swapaxes(-1, -2), vec)
+    ricci = curvature(nm, c) if _ricci is None else _ricci
+    rhs = -0.5 * mod.apply_combo(ricci.swapaxes(-1, -2), psi.coeffs)
     denom = np.maximum(1.0, np.max(np.abs(rhs), axis=-1))
     worst = np.max(np.max(np.abs(lhs - rhs), axis=-1) / denom, axis=-1)
     if worst.ndim == 0:

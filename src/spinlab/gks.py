@@ -2,9 +2,10 @@
 
 Given a metric Lie algebra of odd dimension and a nonzero invariant spinor
 ``psi``, the equations ``v . psi = lift(L_i) . psi`` over the frame vectors
-``e_i`` form one real system ``M A = R``: ``M`` is the moment matrix of
-``v -> v . psi`` and column ``i`` of ``R`` is ``lift(L_i) . psi``.  ``_fit``
-solves it exactly and ``_symmetric`` gives the symmetry verdict.  The spinor
+``e_i`` form one complex system ``M A = R`` in a real unknown ``A``: ``M`` is the
+moment matrix of ``v -> v . psi`` and column ``i`` of ``R`` is ``lift(L_i) . psi``.
+``_fit`` solves it exactly, and is the one place that takes real parts;
+``_symmetric`` gives the symmetry verdict.  The spinor
 is generalised Killing precisely when the fit leaves no misfit and ``A`` is
 symmetric; in dimension 3 the same ``A`` then works for every invariant
 spinor, so the space of invariant generalised Killing spinors is either all
@@ -22,8 +23,8 @@ unit spinor's zero vector and the row mask reach that size.  The 3-d frame sweep
 none: there the constants are a 3x3 matrix ``C`` under Hodge duality, ``c[a, b, :] =
 eps_abe C[e, :]`` (Milnor, 1976), a frame ``P`` takes ``C`` to ``det(P) P^-1 C P^-T``,
 and Nomizu, lift and fit are linear, so ``sweep_frames`` applies one constant ``9 x 9``
-map, ``_dual_map``, which ``_project`` and ``_fit`` build once from the nine
-basis duals.  It returns the duals and ``A``; the ``(..., 3, 3, 3)`` constants
+map, ``_dual_map``, which ``_project`` and ``_fit`` build once per process from the
+nine basis duals.  It returns the duals and ``A``; the ``(..., 3, 3, 3)`` constants
 ``FrameSweep.ortho_c`` are scattered from the duals only when a reducer reads them.
 ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
 and the closed-form comparison of ``selftest`` run it over the 13 ``FAMILY_GRID``
@@ -49,8 +50,8 @@ import numpy as np
 
 from .algebra import LieAlgebra, MetricLieAlgebra, _check_orthonormal, _frames_from_draws, _freeze
 from .catalog import BianchiFamily, _mat3, _structure_3d, heisenberg_ortho_c, make_bianchi
-from .clifford import CliffordModule, Spinor, module_for_dim
-from .connection import NomizuMap, curvature, nomizu
+from .clifford import Spinor, module_for_dim
+from .connection import curvature, nomizu
 from .errors import InvalidSpinorError, SpinlabError, StructureError
 
 DEFAULT_TOL = 1e-9
@@ -98,18 +99,19 @@ class GKReport:
 
 
 def _project(
-    mla: MetricLieAlgebra | np.ndarray, psi: Spinor, nm: NomizuMap | None
+    mla: MetricLieAlgebra | np.ndarray, psi: Spinor, nm: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The Killing system ``M v = R`` of a metric and a spinor: ``(M, R, |psi|^2)``.
+    """The complex Killing system ``M v = R`` of a metric and a spinor: ``(M, R, |psi|^2)``.
 
-    ``mla`` is read through ``nomizu`` unless its Nomizu map ``nm`` is given; a stack
+    ``mla`` is read through ``nomizu`` unless its Nomizu stack ``nm`` is given; a stack
     of structure constants gives a ``(..., rows, d)`` stack of ``R`` against the one
-    ``M``; either way the system takes ``d`` spin-lift calls, one per column.
-    Real and imaginary parts are stacked, on the rows ``psi`` can reach
-    (``CliffordModule.reachable_rows``): every other row of both is zero.
+    ``M``; either way the system takes ``d`` spin-lift calls, one per column.  Both
+    are kept on the rows ``psi`` can reach (``CliffordModule.reachable_rows``): every
+    other row of both is zero.
     """
     nm = nm if nm is not None else nomizu(mla)
-    mod = module_for_dim(nm.dim)
+    d = nm.shape[-1]
+    mod = module_for_dim(d)
     if psi.n != mod.n:
         raise InvalidSpinorError(
             f"spinor has {psi.n} slots, metric algebra needs {mod.n}"
@@ -119,23 +121,25 @@ def _project(
         raise InvalidSpinorError("cannot solve the Killing equation on the zero spinor")
     rows = mod.reachable_rows(psi)
     m = mod.moment_matrix(psi, rows)
-    cols = np.stack(
-        [mod.apply_spin_lift(nm.mats[..., i, :, :], psi.coeffs, rows) for i in range(nm.dim)],
-        axis=-1,
+    rhs = np.stack(
+        [mod.apply_spin_lift(nm[..., i, :, :], psi.coeffs, rows) for i in range(d)], axis=-1
     )
-    return m, np.concatenate([cols.real, cols.imag], axis=-2), norm**2
+    return m, rhs, norm**2
 
 
-def _fit(m: np.ndarray, rhs: np.ndarray, norm2: float = 1.0) -> tuple:
-    """Least-squares fit of ``M A = R``: ``(A, M A - R, worst column residual)``.
+def _fit(m: np.ndarray, rhs: np.ndarray, norm2: float) -> tuple:
+    """Least-squares fit of ``M A = R`` over real ``A``: ``(A, M A - R, worst column residual)``.
 
-    The frame vectors anticommute and square to ``-1``, so ``M^T M =
-    |psi|^2 I`` and the fit is exactly ``A = M^T R / |psi|^2``.  Each column
-    misfit is relative to ``max(1, |R column|)``; a stack of ``R`` gives a
-    stack of fits and residuals.
+    The frame vectors anticommute and square to ``-1``, so ``Re(M^H M) =
+    |psi|^2 I`` and the real fit is exactly ``A = Re(M^H R) / |psi|^2``, taken as
+    two real products (``(M^H R).real`` can flip the sign of a zero entry).  The
+    misfit stays complex.  Each column misfit is relative to ``max(1, |R column|)``;
+    a stack of ``R`` gives a stack of fits and residuals.
     """
-    a = m.T @ rhs / norm2
-    misfit = m @ a - rhs
+    a = (m.real.T @ rhs.real + m.imag.T @ rhs.imag) / norm2
+    # real products: a complex matmul would page in the complex GEMM kernels, about
+    # 0.3 MB more peak RSS per process
+    misfit = m.real @ a + 1j * (m.imag @ a) - rhs
     col_res = np.linalg.norm(misfit, axis=-2)
     residual = np.max(col_res / np.maximum(1.0, np.linalg.norm(rhs, axis=-2)), axis=-1)
     return a, misfit, residual
@@ -150,7 +154,7 @@ def _symmetric(a: np.ndarray, tol: float) -> bool | np.ndarray:
 def solve_endomorphism(
     mla: MetricLieAlgebra | np.ndarray,
     psi: Spinor,
-    _nm: NomizuMap | None = None,
+    _nm: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Endomorphism ``A`` of the generalised Killing equation, and its residual.
 
@@ -176,7 +180,7 @@ def solve_heisenberg(a, b, c) -> tuple[np.ndarray, np.ndarray]:
 def solve_symmetric_endomorphism(
     mla: MetricLieAlgebra,
     psi: Spinor,
-    _nm: NomizuMap | None = None,
+    _nm: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Best symmetric endomorphism for the Killing equation, with misfit.
 
@@ -191,7 +195,7 @@ def solve_symmetric_endomorphism(
     m, rhs, norm2 = _project(mla, psi, _nm)
     a, misfit, _ = _fit(m, rhs, norm2)
     skew = 0.5 * (a - a.T)
-    residual = float(np.sqrt(np.sum(misfit**2) + norm2 * np.sum(skew**2)))
+    residual = float(np.sqrt(np.sum(np.abs(misfit) ** 2) + norm2 * np.sum(skew**2)))
     return 0.5 * (a + a.T), residual
 
 
@@ -237,8 +241,8 @@ def _spectrum(a: np.ndarray, gap_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sorted eigenvalues of the symmetric parts of ``(..., d, d)`` float matrices and their
     distinct counts, with no symmetry verdict: the caller has judged ``a`` already."""
     vals = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))
-    spread = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
-    return vals, 1 + np.count_nonzero(np.diff(vals) > gap_tol * spread, axis=-1)
+    spread = np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True))
+    return vals, 1 + (vals[..., 1:] - vals[..., :-1] > gap_tol * spread).sum(axis=-1)
 
 
 def eigen_analysis(
@@ -262,18 +266,16 @@ def gk_equation_residual(
     mla: MetricLieAlgebra,
     a: np.ndarray,
     psi: Spinor,
-    _nm: NomizuMap | None = None,
+    _nm: np.ndarray | None = None,
 ) -> float:
     """Worst relative misfit of the Killing equation for a given ``A`` and spinor.
 
-    Per column ``i``, the largest complex entry of ``M a_i - R_i`` on the
+    Per column ``i``, the largest modulus of ``M a_i - R_i`` on the complex
     system of ``_project``, relative to ``max(1, max |R_i|)``.
     """
     m, rhs, _ = _project(mla, psi, _nm)
-    half = len(rhs) // 2  # real rows, then imaginary rows
-    miss = m @ a - rhs
-    misfit = np.max(np.hypot(miss[:half], miss[half:]), axis=0)
-    scale = np.maximum(1.0, np.max(np.hypot(rhs[:half], rhs[half:]), axis=0))
+    misfit = np.max(np.abs(m @ a - rhs), axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=0))
     return float(np.max(misfit / scale))
 
 
@@ -290,7 +292,7 @@ def full_report(
     """
     d = mla.dim
     nm = nomizu(mla)
-    if not np.isfinite(nm.mats).all():
+    if not np.isfinite(nm).all():
         raise StructureError(
             "Nomizu map is not finite: the structure constants are out of floating-point range"
         )
@@ -311,7 +313,7 @@ def full_report(
             gk_equation_residual(mla, a, Spinor.basis(1, 1), _nm=nm),
         )
         solved = basis_residual <= tol
-    ric = curvature(nm, mla).ricci
+    ric = curvature(nm, mla)
     return GKReport(
         A=a,
         solve_residual=residual,
@@ -342,13 +344,13 @@ def _from_dual(dual: np.ndarray) -> np.ndarray:
 _AXIAL = _freeze(np.moveaxis(_from_dual(np.eye(3)), -1, 0).reshape(3, 9))
 
 
-@lru_cache(maxsize=16)  # the size of get_module's cache
-def _dual_map(mod: CliffordModule) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _dual_map() -> np.ndarray:
     """Read-only ``T`` with ``A = C.ravel() @ T`` for the unit spinor and any 3-d dual ``C``:
     row ``3 l + m`` is the fit of the basis dual ``E_lm`` (the fit is linear in ``C``)."""
     basis = _from_dual(np.eye(9).reshape(9, 3, 3))
     # not a solve_endomorphism call: perfbench's tracer reads .dim of its first argument
-    return _freeze(_fit(*_project(basis, Spinor.one(mod.n), None))[0].reshape(9, 9))
+    return _freeze(_fit(*_project(basis, Spinor.one(1), None))[0].reshape(9, 9))
 
 
 @dataclass(frozen=True)
@@ -390,7 +392,7 @@ def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> FrameSweep
     half = pinv @ c[..., None, _DUAL_I, _DUAL_J, :] @ pinv_t * half_det[..., None, None]
     axial = -0.5 * np.trace(c, axis1=-2, axis2=-1)[..., None, None, :] @ frames
     dual = (half + half.swapaxes(-1, -2)).reshape(p.shape) + (axial @ _AXIAL)[..., 0, :]
-    a = dual @ _dual_map(module_for_dim(3))
+    a = dual @ _dual_map()
     if not np.isfinite(a).all():
         raise StructureError(
             "A is not finite: the structure constants are out of floating-point range"

@@ -247,7 +247,7 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     def grid_checks(fams, frames, batch, devs):  # per-family maxima, one row per family
         ortho_c, psis = batch.ortho_c, (Spinor.one(1), Spinor.basis(1, 1))
         nm, sym = nomizu(ortho_c), np.array([is_symmetric_family(fam) for fam in fams])
-        ric = curvature(nm, ortho_c).ricci  # one stack for both Ricci checks
+        ric = curvature(nm, ortho_c)  # one stack for both Ricci checks
         spinorial = np.maximum(*(ricci_spinorial_check(nm, ortho_c, p, _ricci=ric)[1] for p in psis))
         ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(batch.A.shape[:-2])
         rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))

@@ -12,7 +12,7 @@ if str(SRC) not in sys.path:
 
 @contextlib.contextmanager
 def _clifford_sign_fault():
-    from spinlab import clifford
+    from spinlab import clifford, gks
 
     frame_phase = clifford._frame_phase
 
@@ -22,20 +22,23 @@ def _clifford_sign_fault():
         return np.where(contraction, -phase, phase)
 
     clifford.get_module.cache_clear()
+    gks._dual_map.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(clifford, "_frame_phase", broken)
             yield
     finally:
         clifford.get_module.cache_clear()
+        gks._dual_map.cache_clear()
 
 
 @pytest.fixture
 def broken_clifford_sign():
     """Negate every contraction phase of the Clifford action: the fault that
-    ``cliff_relations_check`` must catch.  The module cache is emptied before
-    and after; every cache built from a module is keyed on the module object,
-    so nothing built with the fault outlives the test."""
+    ``cliff_relations_check`` must catch.  The module cache and the 3-d sweep's
+    process-wide ``gks._dual_map`` are emptied before and after; every other
+    cache built from a module is keyed on the module object, so nothing built
+    with the fault outlives the test."""
     with _clifford_sign_fault():
         yield
 

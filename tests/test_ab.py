@@ -72,8 +72,17 @@ def test_verdict_needs_nine_wins_in_ten_and_a_gap_beyond_a_iqr(ab):
     # slower needs no count of rounds: B faster in 3 of 10, median 15 against 12
     mixed = [9.0, 10.0, 11.0, 16.0, 17.0, 15.0, 15.0, 15.0, 16.0, 17.0]
     assert ab.compare(a, mixed)["b_faster"] == 3 and verdict(mixed) == "slower"
-    line = ab.report("oracle3d", {"A": a, "B": nine}, {"A": a, "B": nine})
+    line = ab.report("oracle3d", {"A": a, "B": nine}, {"A": a, "B": nine}, 20)
+    assert line.startswith("oracle3d (20 cycles a round): ms/cycle A 12.000")
     assert line.endswith("B faster in 9/10 rounds; median gap exceeds A's IQR; verdict: faster")
+
+
+def test_round_cycles_fill_the_round_for_the_slower_tree(ab):
+    assert (ab.CYCLES, ab.ROUND_SECONDS) == (20, 0.5)
+    assert ab.round_cycles([0.004, 0.0045]) == 112  # ceil(0.5 / 0.0045): the slower tree
+    assert ab.round_cycles([0.0045, 0.004]) == 112
+    assert ab.round_cycles([0.025, 0.02]) == 20  # exactly 0.5 s of the slower tree
+    assert ab.round_cycles([0.03, 0.2]) == 20  # never fewer than CYCLES
 
 
 def test_run_cycles_counts_items_and_gate_failures(ab, monkeypatch):

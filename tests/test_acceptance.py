@@ -175,7 +175,7 @@ def test_criterion_4_ricci_commutation():
             continue
         count += 1
         a, _ = solve_endomorphism(mla, Spinor.one(1))
-        ric = curvature(nomizu(mla), mla).ricci
+        ric = curvature(nomizu(mla), mla)
         comm = float(np.max(np.abs(a @ ric - ric @ a)))
         bound = 1e-9 * (np.linalg.norm(a) * np.linalg.norm(ric) + 1.0)
         worst_comm = max(worst_comm, comm / bound)

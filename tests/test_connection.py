@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spinlab.algebra import (
     FrameChange,
@@ -59,23 +60,37 @@ def test_h3_nomizu_matrices():
     lam_z = np.array([[0.0, 0, 0], [0, 0, 0.5], [0, -0.5, 0]])
     lam_e = np.array([[0.0, 0, 0.5], [0, 0, 0], [-0.5, 0, 0]])
     lam_f = np.array([[0.0, -0.5, 0], [0.5, 0, 0], [0, 0, 0]])
-    np.testing.assert_allclose(nm.mats[0], lam_z, atol=1e-15)
-    np.testing.assert_allclose(nm.mats[1], lam_e, atol=1e-15)
-    np.testing.assert_allclose(nm.mats[2], lam_f, atol=1e-15)
+    np.testing.assert_allclose(nm[0], lam_z, atol=1e-15)
+    np.testing.assert_allclose(nm[1], lam_e, atol=1e-15)
+    np.testing.assert_allclose(nm[2], lam_f, atol=1e-15)
+
+
+def test_nomizu_and_curvature_are_read_only_arrays():
+    # one metric and a stack: plain float arrays that refuse writes
+    one = unit_h3()
+    stack = np.stack([one.ortho_c, abelian().ortho_c])
+    for c, batch in ((one, ()), (stack, (2,))):
+        nm = nomizu(c)
+        ric = curvature(nm, c)
+        assert type(nm) is np.ndarray and nm.dtype == float and nm.shape == batch + (3, 3, 3)
+        assert type(ric) is np.ndarray and ric.dtype == float and ric.shape == batch + (3, 3)
+        for arr in (nm, ric):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[..., 0, 0] = 1.0
 
 
 def test_abelian_nomizu_flat():
     mla = abelian()
     nm = nomizu(mla)
-    np.testing.assert_array_equal(nm.mats, np.zeros((3, 3, 3)))
-    np.testing.assert_array_equal(curvature(nm, mla).ricci, np.zeros((3, 3)))
-    for op in module_for_dim(3).spin_lift(nm.mats):
+    np.testing.assert_array_equal(nm, np.zeros((3, 3, 3)))
+    np.testing.assert_array_equal(curvature(nm, mla), np.zeros((3, 3)))
+    for op in module_for_dim(3).spin_lift(nm):
         np.testing.assert_array_equal(op, np.zeros((2, 2)))
 
 
 def test_h5_nomizu_center_rotation():
     mla = heisenberg_metric(HeisenbergParams(2, (1.0, 4.0), (1.0, 1.0), 1.0))
-    lam_z = nomizu(mla).mats[0]
+    lam_z = nomizu(mla)[0]
     expected = np.zeros((5, 5))
     expected[2, 1], expected[1, 2] = -0.5, 0.5
     expected[4, 3], expected[3, 4] = -0.25, 0.25
@@ -87,9 +102,9 @@ def test_nomizu_matches_direct_definition():
     for fam in family_grid():
         alg = make_bianchi(fam)
         mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
-        np.testing.assert_allclose(nomizu(mla).mats, nomizu_direct(mla), atol=1e-14)
+        np.testing.assert_allclose(nomizu(mla), nomizu_direct(mla), atol=1e-14)
     mla = heisenberg_metric(HeisenbergParams(3, (1.0, 4.0, 9.0), (1.0,) * 3, 1.0))
-    np.testing.assert_allclose(nomizu(mla).mats, nomizu_direct(mla), atol=1e-14)
+    np.testing.assert_allclose(nomizu(mla), nomizu_direct(mla), atol=1e-14)
 
 
 def test_torsion_and_metricity_sweep():
@@ -104,7 +119,7 @@ def test_torsion_and_metricity_sweep():
 
 
 def test_spin_nomizu_h3_values():
-    ops = module_for_dim(3).spin_lift(nomizu(unit_h3()).mats)
+    ops = module_for_dim(3).spin_lift(nomizu(unit_h3()))
     one = Spinor.one(1).coeffs
     np.testing.assert_allclose(ops[0] @ one, [-0.25j, 0.0], atol=1e-15)
     np.testing.assert_allclose(ops[1] @ one, [0.0, 0.25j], atol=1e-15)
@@ -113,14 +128,14 @@ def test_spin_nomizu_h3_values():
 
 def test_ricci_h3():
     mla = unit_h3()
-    ric = curvature(nomizu(mla), mla).ricci
+    ric = curvature(nomizu(mla), mla)
     np.testing.assert_allclose(ric, np.diag([0.5, -0.5, -0.5]), atol=1e-15)
 
 
 def test_ricci_round_sphere_frame():
     alg = make_bianchi(BianchiFamily("L3(6)"))
     mla = metric_from_frame_change(alg, FrameChange(np.eye(3)))
-    ric = curvature(nomizu(mla), mla).ricci
+    ric = curvature(nomizu(mla), mla)
     np.testing.assert_allclose(ric, 0.5 * np.eye(3), atol=1e-15)
 
 
@@ -130,7 +145,7 @@ def test_ricci_symmetry_sweep():
         alg = make_bianchi(fam)
         for _ in range(10):
             mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
-            ric = curvature(nomizu(mla), mla).ricci
+            ric = curvature(nomizu(mla), mla)
             assert np.max(np.abs(ric - ric.T)) <= 1e-10
 
 
@@ -142,7 +157,7 @@ def test_ricci_matches_closed_form_on_symmetric_families():
         alg = make_bianchi(fam)
         for _ in range(20):
             mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
-            ric = curvature(nomizu(mla), mla).ricci
+            ric = curvature(nomizu(mla), mla)
             ref = reference_ricci_3d(mla.ortho_c)
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(ric - ref)) <= 1e-9 * scale
@@ -152,7 +167,7 @@ def test_closed_form_ricci_needs_symmetry():
     # outside the symmetric locus the closed form is not the Ricci matrix
     alg = make_bianchi(BianchiFamily("L3(-1)"))
     mla = metric_from_frame_change(alg, FrameChange(np.eye(3)))
-    ric = curvature(nomizu(mla), mla).ricci
+    ric = curvature(nomizu(mla), mla)
     np.testing.assert_allclose(ric, np.diag([-1.0, -1.0, 0.0]), atol=1e-14)
     assert np.max(np.abs(ric - reference_ricci_3d(mla.ortho_c))) > 0.5
 
@@ -199,7 +214,7 @@ def test_spinorial_check_with_a_given_ricci_stack_matches_the_plain_call():
         nm = nomizu(c)
         for psi in psis:
             plain = ricci_spinorial_check(nm, c, psi)
-            given = ricci_spinorial_check(nm, c, psi, _ricci=curvature(nm, c).ricci)
+            given = ricci_spinorial_check(nm, c, psi, _ricci=curvature(nm, c))
             np.testing.assert_array_equal(given[0], plain[0])
             np.testing.assert_array_equal(given[1], plain[1])
             assert type(given[1]) is type(plain[1])
@@ -210,14 +225,14 @@ def ricci_spinorial_loop(nm, c, psi):
     ``ortho_c``: the reference for the stacked form, one matrix per spin-lift call."""
     d = c.shape[-1]
     mod = get_module((d - 1) // 2)
-    ric = curvature(nm, c).ricci
-    lifted = [mod.apply_spin_lift(nm.mats[j], psi.coeffs) for j in range(d)]
+    ric = curvature(nm, c)
+    lifted = [mod.apply_spin_lift(nm[j], psi.coeffs) for j in range(d)]
     worst = 0.0
     for i in range(d):
         lhs = np.zeros(mod.dim_spinor, dtype=complex)
         for j in range(d):
-            rv = mod.apply_spin_lift(nm.mats[i], lifted[j]) - mod.apply_spin_lift(
-                nm.mats[j], lifted[i]
+            rv = mod.apply_spin_lift(nm[i], lifted[j]) - mod.apply_spin_lift(
+                nm[j], lifted[i]
             )
             for k in range(d):
                 if c[i, j, k] != 0.0:
@@ -235,9 +250,8 @@ def ricci_via_operators(nm, c):
 
     ``ops[i, j] = R(e_i, e_j) = [L_i, L_j] - sum_k c_ij^k L_k`` (``d^4`` entries),
     then ``Ric_xy = sum_j R(e_j, e_x)_{jy}``."""
-    lam = nm.mats
-    prod = np.einsum("iab,jbc->ijac", lam, lam)
-    ops = prod - prod.swapaxes(0, 1) - np.einsum("ijk,kab->ijab", c, lam)
+    prod = np.einsum("iab,jbc->ijac", nm, nm)
+    ops = prod - prod.swapaxes(0, 1) - np.einsum("ijk,kab->ijab", c, nm)
     return np.einsum("jxjy->xy", ops)
 
 
@@ -262,7 +276,7 @@ def test_ricci_matches_milnor_heisenberg_form():
         ]
         for p in params:
             mla = heisenberg_metric(p)
-            ric = curvature(nomizu(mla), mla).ricci
+            ric = curvature(nomizu(mla), mla)
             ref = heisenberg_ricci_milnor(p)
             assert np.max(np.abs(ric - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
             if n <= 6:
@@ -312,7 +326,7 @@ def test_ricci_matches_besse_formula():
     assert any(abs(np.einsum("xii->x", c)).max() > 0.1 for c in structures)
     for c in structures:
         ref = ricci_besse(c)
-        ric = curvature(nomizu(c), c).ricci
+        ric = curvature(nomizu(c), c)
         assert np.max(np.abs(ric - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -323,7 +337,7 @@ def test_ricci_matches_operator_route_on_random_structure_constants():
         c = rng.normal(size=(6, d, d, d))
         c = c - c.swapaxes(-3, -2)
         nm = nomizu(c)
-        ric = curvature(nm, c).ricci
+        ric = curvature(nm, c)
         for k in range(len(c)):
             ref = ricci_via_operators(nomizu(c[k]), c[k])
             assert np.max(np.abs(ric[k] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -331,10 +345,10 @@ def test_ricci_matches_operator_route_on_random_structure_constants():
 
 def torsion_loop(nm, c):
     """Pair-by-pair form of ``torsion_violation`` on one metric's ``ortho_c``."""
-    lam, worst = nm.mats, 0.0
-    for i in range(nm.dim):
-        for j in range(nm.dim):
-            worst = max(worst, float(np.max(np.abs(lam[i][:, j] - lam[j][:, i] - c[i, j]))))
+    d, worst = nm.shape[-1], 0.0
+    for i in range(d):
+        for j in range(d):
+            worst = max(worst, float(np.max(np.abs(nm[i][:, j] - nm[j][:, i] - c[i, j]))))
     return worst
 
 
@@ -363,16 +377,16 @@ def test_batched_connection_matches_per_sample_calls():
         assert metricity.shape == torsion.shape == (len(oc),)
         for k, c in enumerate(oc):
             nm_k = nomizu(c)
-            np.testing.assert_array_equal(nm.mats[k], nm_k.mats)
+            np.testing.assert_array_equal(nm[k], nm_k)
             assert metricity[k] == metricity_violation(nm_k) == 0.0
             assert torsion[k] == torsion_violation(nm_k, c) == torsion_loop(nm_k, c)
             assert torsion[k] <= 1e-12
             single = curvature(nm_k, c)
-            np.testing.assert_allclose(curv.ricci[k], single.ricci, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(curv[k], single, rtol=1e-12, atol=1e-15)
             ref = ricci_via_operators(nm_k, c)
             scale = max(1.0, np.max(np.abs(ref)))
-            assert np.max(np.abs(curv.ricci[k] - ref)) <= 1e-12 * scale
-            assert np.max(np.abs(single.ricci - ref)) <= 1e-12 * scale
+            assert np.max(np.abs(curv[k] - ref)) <= 1e-12 * scale
+            assert np.max(np.abs(single - ref)) <= 1e-12 * scale
             for psi, (ok, residual) in zip(spinors, checks):
                 ok_k, residual_k = ricci_spinorial_check(nm_k, c, psi)
                 assert isinstance(ok_k, bool) and isinstance(residual_k, float)

@@ -305,7 +305,7 @@ def _per_column_gk_residual(mla, a, psi):
     nm = nomizu(mla)
     worst = 0.0
     for i in range(mla.dim):
-        rhs = mod.apply_spin_lift(nm.mats[i], psi.coeffs)
+        rhs = mod.apply_spin_lift(nm[i], psi.coeffs)
         lhs = mod.apply_combo(a[:, i], psi.coeffs)
         denom = max(1.0, float(np.max(np.abs(rhs))))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / denom)
@@ -349,18 +349,18 @@ def test_dual_map_is_the_exact_fit_of_the_basis_duals():
     basis = gks._from_dual(np.eye(9).reshape(9, 3, 3))
     _, misfit, residual = gks._fit(*gks._project(basis, Spinor.one(1), None))
     assert np.all(misfit == 0.0) and np.all(residual == 0.0)
-    t = gks._dual_map(get_module(1))
+    t = gks._dual_map()
     assert t.shape == (9, 9) and not t.flags.writeable
     assert set(t.ravel().tolist()) <= {0.0, 0.25, -0.25, -0.5}
     np.testing.assert_array_equal(t, explicit_A_3d(basis).reshape(9, 9))
-    assert gks._dual_map(get_module(1)) is t  # once per module
+    assert gks._dual_map() is t  # once per process
     with pytest.raises(ValueError, match="read-only"):
         t[0, 0] = 1.0
 
 
 def test_sweep_tensors_follow_the_module_cache(clifford_sign_fault):
-    # the unit-spinor tensors are keyed on the module, so emptying the module
-    # cache alone brings a fault in and takes it out again
+    # the dual map is built from the module on first use; the fault helper empties it
+    # with the module cache, which brings a fault in and takes it out again
     alg = make_bianchi(BianchiFamily("L3(6)"))
     frames = random_frames(3, np.random.default_rng(6), 8)
     clean = sweep_frames(alg, frames).A
@@ -410,12 +410,15 @@ def _oracle_inputs():
 
 
 def _moment_and_rhs(mla, psi):
+    """The Killing system realified on every row, real parts over imaginary parts: the
+    real least-squares reference, independent of ``gks._fit``."""
     mod = get_module(psi.n)
     nm = nomizu(mla)
     cols = np.column_stack(
-        [mod.apply_spin_lift(nm.mats[i], psi.coeffs) for i in range(mla.dim)]
+        [mod.apply_spin_lift(nm[i], psi.coeffs) for i in range(mla.dim)]
     )
-    return mod.moment_matrix(psi), np.vstack([cols.real, cols.imag])
+    m = mod.moment_matrix(psi)
+    return np.vstack([m.real, m.imag]), np.vstack([cols.real, cols.imag])
 
 
 def _stacked_symmetric_lstsq(m, rhs):
@@ -819,7 +822,7 @@ def test_full_report_refuses_a_non_finite_nomizu_map():
     # any spin lift, as the CLI's errstate lets it
     with np.errstate(all="ignore"):
         mla = orthonormalize(make_bianchi(BianchiFamily("L3(4,x)", 1e308)), np.eye(3))
-        assert np.isnan(nomizu(mla).mats).all()
+        assert np.isnan(nomizu(mla)).all()
         with pytest.raises(StructureError, match="Nomizu map is not finite: the structure"):
             full_report(mla)
 

@@ -7,10 +7,12 @@ which is removed on exit; this checkout's working tree is tree B.  Each tree get
 one long-lived child process that imports ``spinlab`` from that tree's ``src/`` and
 the workloads of this checkout's ``perfbench/workloads.py`` (read-only, so both
 trees run the same command lines through the same output gates).  A child first runs
-its workload's warm-up lines and one untimed cycle.
+its workload's warm-up lines and one untimed cycle, whose time sets the round length.
 
-A round times ``CYCLES`` whole cycles in each child, on benchmark seed ``SEED`` and the
-same cycle indices, so a round is one pair of like samples.  The children alternate in
+A round times the same number of whole cycles in each child, on benchmark seed ``SEED``
+and the same cycle indices, so a round is one pair of like samples.  That number is
+``round_cycles`` of the two warm-up cycles: at least ``CYCLES``, and enough for
+``ROUND_SECONDS`` of the slower tree, so a round outlasts the host's short load swings.  The children alternate in
 ABBA order: A first in even rounds and B first in odd ones.  Per workload the tool
 prints the median and interquartile range of each tree's milliseconds per cycle and
 items per second, the ratio B/A of the median cycle times, how many rounds B was
@@ -33,6 +35,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -44,9 +47,10 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 WORKLOADS = ("sweep3d", "oracle3d", "heisenberg_large")
-# cycles per sample: 0.08 s (sweep3d) to 0.5 s (heisenberg_large) of work on a 2-CPU
-# Xeon guest, long against the request round trip to a child
-CYCLES, SEED = 20, 1
+# the fewest cycles per sample, long against the request round trip to a child, and the
+# least seconds of the slower tree per sample: 20 sweep3d cycles are about 0.09 s of work
+# on a 2-CPU Xeon guest, shorter than that host's load swings
+CYCLES, ROUND_SECONDS, SEED = 20, 0.5, 1
 
 
 # ------------------------------------------------------------------ statistics
@@ -84,6 +88,12 @@ def verdict(c: dict) -> str:
     if gap > c["iqr_a"] and 10 * c["b_faster"] >= 9 * c["rounds"]:
         return "faster"
     return "slower" if -gap > c["iqr_a"] else "unresolved"
+
+
+def round_cycles(warm_seconds: list[float]) -> int:
+    """Cycles per round for both trees, from each tree's untimed warm-up cycle:
+    ``max(CYCLES, ceil(ROUND_SECONDS / slower warm-up cycle))``."""
+    return max(CYCLES, math.ceil(ROUND_SECONDS / max(warm_seconds)))
 
 
 # ---------------------------------------------------------------------- child
@@ -202,29 +212,34 @@ def worktree(rev: str):
 
 
 def measure(children: dict[str, Child], workload: str, rounds: int
-            ) -> tuple[dict[str, list[float]], dict[str, list[float]], list[str]]:
-    """Per tree, ms per cycle and items per second of every round, and failures."""
+            ) -> tuple[dict[str, list[float]], dict[str, list[float]], list[str], int]:
+    """Per tree, ms per cycle and items per second of every round, the failures, and
+    the cycles per round."""
     ms = {"A": [], "B": []}
     rate = {"A": [], "B": []}
     problems: list[str] = []
+    warm: list[float] = []
     for tree, proc in children.items():  # warm-up and one untimed cycle
         out = proc.run(workload=workload, seed=SEED, first=0, cycles=1, warm=True)
+        warm.append(out["seconds"])
         problems += [f"{tree} warm-up: {e}" for e in out["errors"]]
+    cycles = round_cycles(warm)
     for r in range(rounds):
         for tree in ("AB" if r % 2 == 0 else "BA"):
-            out = children[tree].run(workload=workload, seed=SEED, first=1 + r * CYCLES,
-                                     cycles=CYCLES)
+            out = children[tree].run(workload=workload, seed=SEED, first=1 + r * cycles,
+                                     cycles=cycles)
             ms[tree].append(out["seconds"] / out["cycles"] * 1e3)
             rate[tree].append(out["items"] / out["seconds"])
             problems += [f"{tree} round {r}: {e}" for e in out["errors"]]
-    return ms, rate, problems
+    return ms, rate, problems, cycles
 
 
-def report(workload: str, ms: dict[str, list[float]], rate: dict[str, list[float]]) -> str:
+def report(workload: str, ms: dict[str, list[float]], rate: dict[str, list[float]],
+           cycles: int) -> str:
     c = compare(ms["A"], ms["B"])
     ia, ib = quartiles(rate["A"]), quartiles(rate["B"])
     return (
-        f"{workload}: ms/cycle A {c['median_a']:.3f} (IQR {c['iqr_a']:.3f}), "
+        f"{workload} ({cycles} cycles a round): ms/cycle A {c['median_a']:.3f} (IQR {c['iqr_a']:.3f}), "
         f"B {c['median_b']:.3f} (IQR {c['iqr_b']:.3f}), B/A {c['ratio']:.4f}; "
         f"items/s A {ia[1]:.1f} (IQR {ia[2] - ia[0]:.1f}), B {ib[1]:.1f} "
         f"(IQR {ib[2] - ib[0]:.1f}); B faster in {c['b_faster']}/{c['rounds']} rounds; "
@@ -247,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.rev!r} is not a commit", file=sys.stderr)
         return 2
     print(f"A = {args.rev} ({commit[:12]}), B = working tree {ROOT}; {args.rounds} rounds of "
-          f"{CYCLES} cycles, seed {SEED}, ABBA order", flush=True)
+          f"at least {CYCLES} cycles and {ROUND_SECONDS} s, seed {SEED}, ABBA order", flush=True)
     failed = False
     with worktree(commit) as tree_a:
         children: dict[str, Child] = {}
@@ -255,8 +270,8 @@ def main(argv: list[str] | None = None) -> int:
             children["A"] = Child(tree_a)
             children["B"] = Child(ROOT)
             for workload in [args.workload] if args.workload else WORKLOADS:
-                ms, rate, problems = measure(children, workload, args.rounds)
-                print(report(workload, ms, rate), flush=True)
+                ms, rate, problems, cycles = measure(children, workload, args.rounds)
+                print(report(workload, ms, rate, cycles), flush=True)
                 for problem in problems:
                     print(f"  FAILED {problem}", flush=True)
                 failed |= bool(problems)
