@@ -56,10 +56,11 @@ from .serialize import (
 
 _HEISENBERG_RE = re.compile(r"^H\(\s*(\d+)\s*\)$")
 
-# Largest --samples, a bound on run time: at the cap table1 takes about 16 s,
-# verify-appendix 20 s and sweep 1.7 s (a child process's wall time on 2 shared
-# CPUs, numpy 2.4 on Linux).  Memory does not grow with --samples (about 42 MB
-# of ru_maxrss), because no sweep pass holds more than GRID_PASS_FRAMES frames.
+# Largest --samples, a bound on run time: at the cap table1 takes about 3.3 s,
+# verify-appendix 5.4 s and sweep --algebra "L3(6)" 0.57 s (median of 3 fresh
+# `python -m spinlab` processes each, wall time, 2 shared Xeon CPUs, numpy 2.4
+# on Linux).  Memory does not grow with --samples (about 42 MB of ru_maxrss),
+# because no sweep pass holds more than GRID_PASS_FRAMES frames.
 MAX_SAMPLES = 200_000
 
 

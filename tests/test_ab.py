@@ -72,6 +72,11 @@ def test_verdict_needs_nine_wins_in_ten_and_a_gap_beyond_a_iqr(ab):
     # slower needs no count of rounds: B faster in 3 of 10, median 15 against 12
     mixed = [9.0, 10.0, 11.0, 16.0, 17.0, 15.0, 15.0, 15.0, 16.0, 17.0]
     assert ab.compare(a, mixed)["b_faster"] == 3 and verdict(mixed) == "slower"
+    # below ten rounds nothing is resolved: 2 wins of 2 with a gap, or a gap the other way
+    two = ab.compare([10.0, 12.0], [7.0, 8.0])
+    assert two["b_faster"] == 2 and two["resolved"] and ab.verdict(two) == "unresolved"
+    assert ab.verdict(ab.compare([10.0, 12.0], [15.0, 16.0])) == "unresolved"
+    assert ab.verdict(ab.compare(a[:9], [x - 2.5 for x in a[:9]])) == "unresolved"
     line = ab.report("oracle3d", {"A": a, "B": nine}, {"A": a, "B": nine}, 20)
     assert line.startswith("oracle3d (20 cycles a round): ms/cycle A 12.000")
     assert line.endswith("B faster in 9/10 rounds; median gap exceeds A's IQR; verdict: faster")

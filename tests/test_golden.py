@@ -1,4 +1,5 @@
-"""The checked-in output golden and the comparator of the output rule.
+"""The checked-in output golden, the comparator of the output rule, and the one runner
+behind the golden and the digest.
 
 ``tools/output_golden.py`` is imported with ``tools/`` on the path.  The golden
 holds each command line's exit code and parsed stdout and stderr; this tree
@@ -7,6 +8,7 @@ exactly, floats within 1e-12 relative, and the rounding-level deviation fields
 within an absolute floor.
 """
 
+import hashlib
 import importlib
 import json
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from spinlab import cli
 from spinlab.gks import family_grid
 
 
@@ -44,8 +47,38 @@ def test_golden_covers_every_command_and_family(golden_tool):
         assert {fam.label for fam in family_grid()} <= {
             argv[2] for argv in lines if argv[0] in ("analyze", "sweep")}
         assert {str(n) for n in range(2, 17)} <= {argv[2] for argv in lines if argv[0] == "heisenberg"}
-        assert set(golden_tool.digest.FAILING) <= set(lines)
+        assert set(golden_tool.FAILING) <= set(lines)
     assert {run["code"] for run in golden} == {0, 2, 3}
+
+
+def test_one_runner_reports_a_raise_and_drops_the_timing_line(golden_tool, monkeypatch):
+    argv = ("analyze", "--algebra", "L3(6)", "--format", "json")
+    golden = [golden_tool.record(argv)]
+    assert golden[0]["code"] == 0
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)  # cli.main looks commands up by name
+    assert golden_tool.run(argv) == ("", "", "raised RuntimeError: boom")
+    assert golden_tool.digest(argv) == hashlib.sha256(b"\0\0raised RuntimeError: boom").hexdigest()
+    problems = golden_tool.check(golden, [golden_tool.record(argv)])
+    assert problems[0] == f"{' '.join(argv)}: code: 0 != 'raised RuntimeError: boom'"
+
+    timed = cli.cmd_heisenberg  # prints its runtime_seconds line after this note
+
+    def noted(args):
+        print("note: kept", file=sys.stderr)
+        return timed(args)
+
+    monkeypatch.setattr(cli, "cmd_heisenberg", noted)
+    for fmt in golden_tool.FORMATS:
+        argv = ("heisenberg", "--n", "2", "--format", fmt)
+        stdout, stderr, code = golden_tool.run(argv)
+        assert stdout and stderr == "note: kept\n" and code == 0
+        blob = "\0".join((stdout, stderr, "0")).encode()
+        assert golden_tool.digest(argv) == hashlib.sha256(blob).hexdigest()
+        assert golden_tool.record(argv)["stderr"] == [["note:", "kept"]]
 
 
 def test_comparator_keeps_the_output_rule(golden_tool):

@@ -19,7 +19,8 @@ items per second, the ratio B/A of the median cycle times, how many rounds B was
 faster in, whether the median gap exceeds A's interquartile range, and a verdict
 (``verdict``): "faster" when B was faster in at least 9 of 10 rounds and its median
 is faster by more than A's interquartile range, "slower" when its median is slower
-by more than that range, and "unresolved" otherwise.  The gap flag alone misreads:
+by more than that range, and "unresolved" otherwise or when fewer than ten rounds
+ran (CI's two-round A/A runs read "unresolved").  The gap flag alone misreads:
 an A/A run can read a gap beyond A's range with B faster in 4 of 10 rounds.  A gate
 failure or a non-zero exit fails the run (exit 1); a bad revision exits 2.  Children
 run with ``OPENBLAS_NUM_THREADS=1`` unless it is set, and write no bytecode.
@@ -51,6 +52,9 @@ WORKLOADS = ("sweep3d", "oracle3d", "heisenberg_large")
 # least seconds of the slower tree per sample: 20 sweep3d cycles are about 0.09 s of work
 # on a 2-CPU Xeon guest, shorter than that host's load swings
 CYCLES, ROUND_SECONDS, SEED = 20, 0.5, 1
+# below ten rounds a verdict is chance: 2 wins in 2 rounds meet "9 of 10", and an A/A
+# run of two rounds has read B faster with a median gap beyond A's IQR
+MIN_ROUNDS = 10
 
 
 # ------------------------------------------------------------------ statistics
@@ -83,7 +87,10 @@ def compare(a: list[float], b: list[float]) -> dict:
 def verdict(c: dict) -> str:
     """The verdict on a ``compare`` result: ``faster`` needs B faster in at least 9 of
     10 rounds and a median gap beyond A's IQR, ``slower`` only a gap beyond A's IQR
-    the other way, and anything else is ``unresolved``."""
+    the other way, and anything else, or fewer than ``MIN_ROUNDS`` rounds, is
+    ``unresolved``."""
+    if c["rounds"] < MIN_ROUNDS:
+        return "unresolved"
     gap = c["median_a"] - c["median_b"]
     if gap > c["iqr_a"] and 10 * c["b_faster"] >= 9 * c["rounds"]:
         return "faster"
