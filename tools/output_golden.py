@@ -100,7 +100,16 @@ FAILING = (
     ("analyze", "--algebra", "L3(2,7)"),
     ("analyze", "--algebra", "L3(6)", "--metric",
      '{"gram": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+    ("analyze", "--algebra", "L3(6)", "--metric", '{"frame_P": {"alpha": -1}}'),
+    ("analyze", "--algebra", "H(5)", "--metric", '{"frame_P": {"alpha": 1}}'),
     ("heisenberg", "--n", "40"),
+    ("heisenberg", "--n", "0"),
+    ("heisenberg", "--n", "2", "--a", "1,2,3"),
+    ("heisenberg", "--n", "1", "--a", "0x10"),
+    ("heisenberg", "--n", "2", "--a", "1,nan"),
+    ("heisenberg", "--n", "1", "--c", "-1"),
+    ("heisenberg", "--n", "1", "--c", "inf"),
+    ("heisenberg", "--n", "2", "--a", "1,2", "--b", "1e-200,1e-200", "--c", "1e200"),
     ("selftest", "--seed", "-1"),
     ("selftest", "--seed", "1", "--tol", "1e-300"),
     ("table1", "--samples", "7", "--tol", "0.5"),
