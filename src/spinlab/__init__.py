@@ -18,9 +18,8 @@ from .algebra import (
 from .catalog import (
     BianchiFamily,
     FAMILY_TAGS,
-    HeisenbergParams,
-    heisenberg_gk_eigenvalues,
     heisenberg_metric,
+    heisenberg_params,
     is_symmetric_family,
     make_bianchi,
     make_heisenberg,

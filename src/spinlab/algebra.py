@@ -139,7 +139,8 @@ class FrameChange:
 
     Columns of ``matrix`` are the orthonormal frame vectors expressed in the
     original basis; for the 3-dimensional case the entries are named
-    ``(alpha, beta, gamma; 0, epsilon, zeta; 0, 0, iota)`` (``from_entries``).
+    ``(alpha, beta, gamma; 0, epsilon, zeta; 0, 0, iota)``, as in the ``frame_P``
+    documents of ``serialize.frame_change_from_obj``.
     """
 
     matrix: np.ndarray
@@ -159,18 +160,6 @@ class FrameChange:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def from_entries(
-        cls,
-        alpha: float,
-        beta: float = 0.0,
-        gamma: float = 0.0,
-        epsilon: float = 1.0,
-        zeta: float = 0.0,
-        iota: float = 1.0,
-    ) -> "FrameChange":
-        return cls(np.array([[alpha, beta, gamma], [0.0, epsilon, zeta], [0.0, 0.0, iota]]))
 
     @classmethod
     def random(cls, dim: int, rng: np.random.Generator) -> "FrameChange":

@@ -15,7 +15,8 @@ Each is elementwise in the frame entries ``(alpha, beta, gamma; 0, epsilon, zeta
 ``(3, 3, 3)`` tensor, or a stack of them, and keeps the leading axes.  The
 Heisenberg closed forms (``heisenberg_ortho_c``, ``heisenberg_spectrum``) take
 parameter stacks ``a, b: (..., n)`` and ``c: (...)`` in the same way;
-``heisenberg_metric`` and ``heisenberg_gk_eigenvalues`` are their one-metric case.
+``heisenberg_params`` validates one parameter set, and ``heisenberg_metric`` builds
+its metric algebra.
 """
 
 from __future__ import annotations
@@ -126,61 +127,47 @@ def make_heisenberg(n: int) -> LieAlgebra:
     return LieAlgebra.from_brackets(2 * n + 1, brackets)
 
 
-@dataclass(frozen=True)
-class HeisenbergParams:
-    """Diagonal metric parameters on the Heisenberg algebra.
+def heisenberg_params(n: int, a=None, b=None, c=1.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validated diagonal metric parameters on the Heisenberg algebra: float ``a, b: (n,)``
+    and a float ``c``.
 
     ``a[p-1]`` and ``b[p-1]`` are the squared norms of ``E_p`` and ``F_p``
-    in the defining basis, ``c`` the squared norm of the centre vector.
+    in the defining basis, ``c`` the squared norm of the centre vector; the
+    defaults are the eigenvalue-separating choice ``a_p = p^2``, ``b_p = c = 1``.
     """
-
-    n: int
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidParameterError(f"n must be >= 1, got {self.n}")
-        if len(self.a) != self.n or len(self.b) != self.n:
-            raise InvalidParameterError("a and b must each have n entries")
-        if not all(0.0 < v < float("inf") for v in (self.c, *self.a, *self.b)):
-            raise InvalidParameterError("Heisenberg metric parameters must be positive and finite")
-        with np.errstate(all="ignore"):
-            ratios = np.float64(self.c) / (np.asarray(self.a) * np.asarray(self.b))
-        if not np.all((ratios > 0.0) & (ratios < np.inf)):
-            raise InvalidParameterError(
-                "Heisenberg metric parameters out of floating-point range: "
-                "every c / (a_p b_p) must be positive and finite"
-            )
-
-    @classmethod
-    def defaults(cls, n: int) -> "HeisenbergParams":
-        """The eigenvalue-separating choice ``a_p = p^2``, ``b_p = c = 1``."""
-        return cls(n, tuple(float(p * p) for p in range(1, n + 1)), (1.0,) * n, 1.0)
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    a = np.arange(1, n + 1, dtype=float) ** 2 if a is None else np.asarray(a, dtype=float)
+    b = np.ones(n) if b is None else np.asarray(b, dtype=float)
+    c = float(c)
+    if a.shape != (n,) or b.shape != (n,):
+        raise InvalidParameterError("a and b must each have n entries")
+    vals = np.r_[c, a, b]
+    if not np.all((vals > 0.0) & (vals < np.inf)):
+        raise InvalidParameterError("Heisenberg metric parameters must be positive and finite")
+    with np.errstate(all="ignore"):
+        ratios = np.float64(c) / (a * b)
+    if not np.all((ratios > 0.0) & (ratios < np.inf)):
+        raise InvalidParameterError(
+            "Heisenberg metric parameters out of floating-point range: "
+            "every c / (a_p b_p) must be positive and finite"
+        )
+    return a, b, c
 
 
-def heisenberg_metric(params: HeisenbergParams) -> MetricLieAlgebra:
+def heisenberg_metric(n: int, a=None, b=None, c=1.0) -> MetricLieAlgebra:
     """Metric Heisenberg algebra with orthonormal frame ``(Z, E_p, F_p)``.
 
-    The Gram matrix is ``diag(c, a_1, b_1, ..., a_n, b_n)``, so the frame
-    scales each basis vector by the reciprocal square root; the structure
-    constants are ``heisenberg_ortho_c`` of the parameters.
+    The parameters are those of ``heisenberg_params``.  The Gram matrix is
+    ``diag(c, a_1, b_1, ..., a_n, b_n)``, so the frame scales each basis vector
+    by the reciprocal square root; the structure constants are
+    ``heisenberg_ortho_c`` of the parameters.
     """
-    alg = make_heisenberg(params.n)
-    diag = [params.c]
-    for ap, bp in zip(params.a, params.b):
-        diag.extend([ap, bp])
-    gram = np.diag(np.asarray(diag, dtype=float))
-    frame = np.diag(1.0 / np.sqrt(np.asarray(diag, dtype=float)))
-    return MetricLieAlgebra(alg, gram, frame, heisenberg_ortho_c(params.a, params.b, params.c))
-
-
-def heisenberg_gk_eigenvalues(params: HeisenbergParams) -> tuple[list[float], float]:
-    """Closed-form GK eigenvalues ``(lambda_1..lambda_n, mu)``: ``heisenberg_spectrum``
-    of one parameter set."""
-    lam, mu = heisenberg_spectrum(params.a, params.b, params.c)
-    return lam.tolist(), float(mu)
+    a, b, c = heisenberg_params(n, a, b, c)
+    diag = np.r_[c, np.column_stack([a, b]).ravel()]
+    return MetricLieAlgebra(
+        make_heisenberg(n), np.diag(diag), np.diag(1.0 / np.sqrt(diag)), heisenberg_ortho_c(a, b, c)
+    )
 
 
 def _heisenberg_coeff(a, b, c) -> np.ndarray:
@@ -191,7 +178,7 @@ def _heisenberg_coeff(a, b, c) -> np.ndarray:
 def heisenberg_ortho_c(a, b, c) -> np.ndarray:
     """Orthonormal structure constants of the diagonal metrics, ``(..., d, d, d)``.
 
-    ``a, b: (..., n)`` and ``c: (...)`` are parameter stacks as in ``HeisenbergParams``
+    ``a, b: (..., n)`` and ``c: (...)`` are parameter stacks as in ``heisenberg_params``
     (not validated here) and ``d = 2n + 1``; ``[E_p, F_p] = sqrt(c / (a_p b_p)) Z``
     in the orthonormal frame, and every other bracket of frame vectors vanishes.
     """

@@ -30,8 +30,8 @@ import numpy as np
 from .algebra import check_jacobi
 from .catalog import (
     BianchiFamily,
-    HeisenbergParams,
-    heisenberg_gk_eigenvalues,
+    heisenberg_params,
+    heisenberg_spectrum,
     make_bianchi,
     make_heisenberg,
 )
@@ -157,41 +157,35 @@ def _table_analyze(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _parse_params(args) -> HeisenbergParams:
+def cmd_heisenberg(args) -> tuple[dict, int]:
+    t0 = time.perf_counter()
     n = args.n
     if n < 1:
         raise InvalidParameterError(f"--n must be >= 1, got {n}")
     check_slots(n)  # before the default lists, which hold n entries each
-    defaults = HeisenbergParams.defaults(n)
 
-    def parse_list(text: str | None, default):
+    def parse_list(text: str | None):
         if text is None:
-            return default
+            return None
         try:
-            vals = tuple(float(v) for v in text.split(","))
+            vals = [float(v) for v in text.split(",")]
         except ValueError as exc:
             raise InvalidParameterError(f"bad parameter list {text!r}") from exc
         if len(vals) != n:
             raise InvalidParameterError(f"expected {n} comma-separated values, got {len(vals)}")
         return vals
 
-    a, b = parse_list(args.a, defaults.a), parse_list(args.b, defaults.b)
-    return HeisenbergParams(n, a, b, args.c)
-
-
-def cmd_heisenberg(args) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    params = _parse_params(args)
-    a_solved, residual = solve_heisenberg(params.a, params.b, params.c)
+    a, b, c = heisenberg_params(n, parse_list(args.a), parse_list(args.b), args.c)
+    a_solved, residual = solve_heisenberg(a, b, c)
     vals, distinct = eigen_analysis(a_solved, args.gap_tol, sym_tol=args.tol)
-    lam, mu = heisenberg_gk_eigenvalues(params)
+    lam, mu = heisenberg_spectrum(a, b, c)
     payload = _require_finite({
-        "n": params.n,
-        "a": list(params.a),
-        "b": list(params.b),
-        "c": params.c,
-        "lambda": lam,
-        "mu": mu,
+        "n": n,
+        "a": a.tolist(),
+        "b": b.tolist(),
+        "c": c,
+        "lambda": lam.tolist(),
+        "mu": float(mu),
         "eigenvalues": [float(v) for v in vals],
         "distinct_count": distinct,
         "solve_residual": float(residual),

@@ -15,7 +15,8 @@ of the spinor space or zero.
 ``MetricLieAlgebra`` or orthonormal structure constants, ``(d, d, d)`` or a
 ``(..., d, d, d)`` stack solved as one system; ``solve_heisenberg`` is its solve on
 the diagonal Heisenberg metrics, behind the ``heisenberg`` command and the
-``selftest`` ladder, and builds no algebra or metric object (only ``analyze`` does).
+``selftest`` ladder, whose parameters ``catalog.heisenberg_params`` validates and
+defaults; it builds no algebra or metric object (only ``analyze`` does).
 ``_project`` is the one builder of ``R``: ``d`` matrix-free spin lifts per system, one
 per column, on the rows ``psi`` reaches (``1 + n + n(n-1)/2`` of ``2**n`` for a basis
 spinor), so the ``H(2n+1)`` ladder reads no ``2**n`` coefficients per report; only the

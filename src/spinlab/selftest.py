@@ -20,10 +20,10 @@ reads the spin lift's product rule, ``clifford._product``, on every row.  Spin-l
 equivariance builds each module size's dense lifts and frame-vector actions as one
 matmul of the drawn weights with the module's cached dense bases, ``_dense_bases``,
 which ``apply_spin_lift`` and ``apply_combo`` build on the identity.  The
-Heisenberg ladder draws each rung's six parameter sets in one call and solves them
-as one stacked Killing system with ``gks.solve_heisenberg``, the solve of the
-``heisenberg`` command, on the stacked structure constants
-``catalog.heisenberg_ortho_c``; it compares ``A`` with the stacked closed form
+Heisenberg ladder stacks each rung's default parameters, ``catalog.heisenberg_params``,
+over five sets drawn in one call and solves them as one stacked Killing system with
+``gks.solve_heisenberg``, the solve of the ``heisenberg`` command, on the stacked
+structure constants ``catalog.heisenberg_ortho_c``; it compares ``A`` with the stacked closed form
 ``heisenberg_spectrum`` and builds no per-metric parameter, algebra or metric object.
 """
 
@@ -37,6 +37,7 @@ import numpy as np
 from .algebra import check_jacobi
 from .catalog import (
     BianchiFamily,
+    heisenberg_params,
     heisenberg_spectrum,
     is_symmetric_family,
     make_heisenberg,
@@ -272,9 +273,9 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
 
     heis_dev, rng = 0.0, np.random.default_rng([seed, 3])
     for n in range(1, _HEISENBERG_N_MAX + 1):  # one draw and one stacked Killing system per rung
-        defaults = np.r_[np.arange(1, n + 1) ** 2, np.ones(n + 1)]  # a_p = p^2, b_p = c = 1
         draws = np.exp(rng.uniform(-1.0, 1.0, size=(_HEISENBERG_PER_N, 2 * n + 1)))
-        rung = np.vstack([defaults, draws])  # a metric a row, a | b | c; draws lie in [1/e, e]
+        # a metric a row, a | b | c: the defaults, then draws in [1/e, e]
+        rung = np.vstack([np.hstack(heisenberg_params(n)), draws])
         a, b, c = rung[:, :n], rung[:, n:-1], rung[:, -1]
         a_solved = solve_heisenberg(a, b, c)[0]
         lam, mu = heisenberg_spectrum(a, b, c)

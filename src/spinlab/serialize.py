@@ -220,12 +220,12 @@ def frame_change_from_obj(obj, dim: int) -> FrameChange:
         _refuse_unknown(obj, set(_GREEK), "frame_P entries")
         if dim != 3:
             raise FormatError("named frame_P entries are for 3-dimensional algebras")
-        vals = {
-            k: _json_real(obj[k], "frame_P") if k in obj
+        al, be, ga, ep, ze, io = (
+            _json_real(obj[k], "frame_P") if k in obj
             else (1.0 if k in ("alpha", "epsilon", "iota") else 0.0)
             for k in _GREEK
-        }
-        return FrameChange.from_entries(**vals)
+        )
+        return FrameChange(np.array([[al, be, ga], [0.0, ep, ze], [0.0, 0.0, io]]))
     if isinstance(obj, list):
         return FrameChange(_json_reals(obj, "frame_P"))
     raise FormatError("frame_P must be an object with named entries or a matrix")

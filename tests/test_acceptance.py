@@ -20,9 +20,9 @@ from spinlab.algebra import (
 )
 from spinlab.catalog import (
     BianchiFamily,
-    HeisenbergParams,
-    heisenberg_gk_eigenvalues,
     heisenberg_metric,
+    heisenberg_params,
+    heisenberg_spectrum,
     is_symmetric_family,
     make_bianchi,
     reference_A,
@@ -78,10 +78,10 @@ def test_criterion_1_heisenberg_eigenvalue_ladder():
     worst_eig = worst_res = 0.0
     distinct_ok = True
     for n in range(1, 9):
-        params = HeisenbergParams.defaults(n)
-        mla = heisenberg_metric(params)
+        params = heisenberg_params(n)
+        mla = heisenberg_metric(n, *params)
         a, residual = solve_endomorphism(mla, Spinor.one(n))
-        lam, mu = heisenberg_gk_eigenvalues(params)
+        lam, mu = heisenberg_spectrum(*params)
         expected = np.sort([mu] + [v for lv in lam for v in (lv, lv)])
         solved, distinct = eigen_analysis(a)
         worst_eig = max(worst_eig, float(np.max(np.abs(solved - expected))))
@@ -257,7 +257,7 @@ def test_criterion_6_structural_suite():
             _, res = ricci_spinorial_check(nm, mla, psi)
             worst_spinorial = max(worst_spinorial, res)
     for n in (1, 2, 3):
-        mla = heisenberg_metric(HeisenbergParams.defaults(n))
+        mla = heisenberg_metric(n)
         nm = nomizu(mla)
         worst_torsion = max(worst_torsion, torsion_violation(nm, mla))
         worst_metricity = max(worst_metricity, metricity_violation(nm))

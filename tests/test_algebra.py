@@ -141,10 +141,10 @@ def test_frame_change_validation():
     with pytest.raises(InvalidFrameError):
         FrameChange(np.array([[1.0, 0.0], [0.5, 1.0]]))
     with pytest.raises(InvalidFrameError):
-        FrameChange.from_entries(alpha=-1.0)
+        FrameChange(np.diag([-1.0, 1.0, 1.0]))
     with pytest.raises(InvalidFrameError):
         FrameChange(np.diag([1.0, 0.0, 1.0]))
-    p = FrameChange.from_entries(2.0, beta=3.0)
+    p = FrameChange(np.array([[2.0, 3.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     assert p.matrix[0, 0] == 2.0 and p.matrix[0, 1] == 3.0 and p.matrix[2, 2] == 1.0
 
 

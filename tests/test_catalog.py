@@ -8,10 +8,9 @@ from spinlab.catalog import (
     BianchiFamily,
     _mat3,
     FAMILY_TAGS,
-    HeisenbergParams,
-    heisenberg_gk_eigenvalues,
     heisenberg_metric,
     heisenberg_ortho_c,
+    heisenberg_params,
     heisenberg_spectrum,
     is_symmetric_family,
     make_bianchi,
@@ -128,59 +127,102 @@ def test_heisenberg_construction():
 
 
 def test_heisenberg_params_validation():
-    with pytest.raises(InvalidParameterError):
-        HeisenbergParams(1, (0.0,), (1.0,), 1.0)
-    with pytest.raises(InvalidParameterError):
-        HeisenbergParams(2, (1.0,), (1.0, 1.0), 1.0)
-    with pytest.raises(InvalidParameterError):
-        HeisenbergParams(1, (1.0,), (1.0,), -2.0)
-    p = HeisenbergParams.defaults(3)
-    assert p.a == (1.0, 4.0, 9.0) and p.b == (1.0, 1.0, 1.0) and p.c == 1.0
+    positive = "Heisenberg metric parameters must be positive and finite"
+    out_of_range = ("Heisenberg metric parameters out of floating-point range: "
+                    "every c / (a_p b_p) must be positive and finite")
+    for args, message in [
+        ((0,), "n must be >= 1, got 0"),
+        ((-3, [1.0], [1.0]), "n must be >= 1, got -3"),
+        ((2, [1.0], [1.0, 1.0]), "a and b must each have n entries"),
+        ((2, None, [1.0, 1.0, 1.0]), "a and b must each have n entries"),
+        ((1, [[1.0]]), "a and b must each have n entries"),
+        ((1, [0.0], [1.0]), positive),
+        ((1, [1.0], [-1.0]), positive),
+        ((1, [1.0], [1.0], -2.0), positive),
+        ((2, [1.0, np.nan]), positive),
+        ((1, None, None, np.inf), positive),
+        ((1, [np.inf], [1.0]), positive),
+        ((2, [1.0, 2.0], [1e-200, 1e-200], 1e200), out_of_range),
+        ((1, [1e200], [1e200], 1e-300), out_of_range),
+    ]:
+        with pytest.raises(InvalidParameterError) as exc:
+            heisenberg_params(*args)
+        assert str(exc.value) == message, args
+    # the n check comes before the lengths, the lengths before the values
+    with pytest.raises(InvalidParameterError, match="n must be >= 1"):
+        heisenberg_params(0, [np.nan], [1.0, 2.0])
+    with pytest.raises(InvalidParameterError, match="each have n entries"):
+        heisenberg_params(2, [np.nan], [1.0, 2.0])
+    a, b, c = heisenberg_params(3)
+    assert a.tolist() == [1.0, 4.0, 9.0] and b.tolist() == [1.0, 1.0, 1.0] and c == 1.0
+    a, b, c = heisenberg_params(2, (2, 0.5), [3, 1.5], 7)
+    assert a.dtype == b.dtype == float and a.shape == b.shape == (2,) and type(c) is float
+
+
+def test_heisenberg_params_default_row_is_the_ladder_row():
+    """``a | b | c`` of the defaults, bit for bit the row ``np.r_[(1..n)^2, 1, ..., 1]``
+    that heads each rung of the ``selftest`` ladder."""
+    for n in range(1, 17):
+        row = np.hstack(heisenberg_params(n))
+        want = np.r_[np.arange(1, n + 1) ** 2, np.ones(n + 1)]
+        assert row.dtype == want.dtype and np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+def test_heisenberg_metric_is_the_closed_form_with_a_diagonal_frame():
+    rng = np.random.default_rng(5)
+    cases = [(n, None, None, 1.0) for n in (1, 2, 5)]
+    cases += [(n, *np.exp(rng.uniform(-2.0, 2.0, size=(2, n))), float(np.exp(rng.uniform(-2, 2))))
+              for n in (1, 3, 6)]
+    for n, a, b, c in cases:
+        mla = heisenberg_metric(n, a, b, c)
+        a, b, c = heisenberg_params(n, a, b, c)
+        diag = np.array([c] + [v for ap, bp in zip(a, b) for v in (ap, bp)])
+        assert np.array_equal(mla.ortho_c.view(np.int64),
+                              heisenberg_ortho_c(a, b, c).view(np.int64)), n
+        assert np.array_equal(mla.gram, np.diag(diag)), n
+        assert np.array_equal(mla.frame, np.diag(1.0 / np.sqrt(diag))), n
+        assert np.array_equal(mla.algebra.c, make_heisenberg(n).c), n
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        heisenberg_metric(2, b=[1.0, 0.0])
 
 
 def test_heisenberg_metric_unit():
-    mla = heisenberg_metric(HeisenbergParams(1, (1.0,), (1.0,), 1.0))
+    mla = heisenberg_metric(1, [1.0], [1.0], 1.0)
     np.testing.assert_allclose(mla.ortho_c, make_heisenberg(1).c, atol=1e-15)
 
 
 def test_heisenberg_metric_scaled():
-    mla = heisenberg_metric(HeisenbergParams(2, (1.0, 4.0), (1.0, 1.0), 1.0))
+    mla = heisenberg_metric(2, [1.0, 4.0], [1.0, 1.0], 1.0)
     assert mla.ortho_c[3, 4, 0] == pytest.approx(0.5, rel=1e-14)
     assert mla.ortho_c[1, 2, 0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_heisenberg_metric_matches_gram_path():
-    params = HeisenbergParams(2, (2.0, 0.5), (3.0, 1.5), 0.7)
-    direct = heisenberg_metric(params)
-    expected_frame_diag = [
-        params.c**-0.5,
-        params.a[0] ** -0.5,
-        params.b[0] ** -0.5,
-        params.a[1] ** -0.5,
-        params.b[1] ** -0.5,
-    ]
+    a, b, c = (2.0, 0.5), (3.0, 1.5), 0.7
+    direct = heisenberg_metric(2, a, b, c)
+    expected_frame_diag = [c**-0.5, a[0] ** -0.5, b[0] ** -0.5, a[1] ** -0.5, b[1] ** -0.5]
     np.testing.assert_allclose(np.diag(direct.frame), expected_frame_diag, rtol=1e-14)
     via_gram = orthonormalize(make_heisenberg(2), direct.gram)
     np.testing.assert_allclose(direct.frame, via_gram.frame, atol=1e-12)
     np.testing.assert_allclose(direct.ortho_c, via_gram.ortho_c, atol=1e-12)
 
 
-def test_heisenberg_gk_eigenvalues():
-    lam, mu = heisenberg_gk_eigenvalues(HeisenbergParams.defaults(3))
+def test_heisenberg_spectrum_defaults():
+    lam, mu = heisenberg_spectrum(*heisenberg_params(3))
     np.testing.assert_allclose(lam, [0.25, 0.125, 1.0 / 12.0], rtol=1e-15)
     assert mu == pytest.approx(-11.0 / 24.0, rel=1e-15)
 
 
-def heisenberg_closed_forms_per_metric(params):
+def heisenberg_closed_forms_per_metric(a, b, c):
     """One bracket and one Python float at a time, ``mu`` by Python's ``sum``: the
     reference for the stacked ``heisenberg_ortho_c`` and ``heisenberg_spectrum``."""
-    n = params.n
+    n = len(a)
     oc = np.zeros((2 * n + 1,) * 3)
     for p in range(1, n + 1):
-        coeff = float(np.sqrt(params.c / (params.a[p - 1] * params.b[p - 1])))
+        coeff = float(np.sqrt(c / (a[p - 1] * b[p - 1])))
         oc[2 * p - 1, 2 * p, 0] = coeff
         oc[2 * p, 2 * p - 1, 0] = -coeff
-    lam = [float(0.25 * np.sqrt(params.c / (ap * bp))) for ap, bp in zip(params.a, params.b)]
+    lam = [float(0.25 * np.sqrt(c / (ap * bp))) for ap, bp in zip(a, b)]
     return oc, lam, -sum(lam)
 
 
@@ -191,20 +233,20 @@ def test_stacked_heisenberg_closed_forms_match_the_per_metric_forms_bit_for_bit(
     rng, pairwise_differs = np.random.default_rng(20), 0
     for n in range(1, 17):
         draws = np.exp(rng.uniform(-3.0, 3.0, size=(30, 2 * n + 1)))
-        params = [HeisenbergParams.defaults(n)] + [
-            HeisenbergParams(n, tuple(row[:n]), tuple(row[n:-1]), float(row[-1])) for row in draws
+        params = [heisenberg_params(n)] + [
+            heisenberg_params(n, row[:n], row[n:-1], row[-1]) for row in draws
         ]
-        a, b, c = (np.array([getattr(p, k) for p in params]) for k in "abc")
+        a, b, c = (np.array([p[k] for p in params]) for k in range(3))
         oc, (lam, mu) = heisenberg_ortho_c(a, b, c), heisenberg_spectrum(a, b, c)
         assert oc.shape == (len(params),) + (2 * n + 1,) * 3 and mu.shape == (len(params),)
         for k, p in enumerate(params):
-            want_oc, want_lam, want_mu = heisenberg_closed_forms_per_metric(p)
+            want_oc, want_lam, want_mu = heisenberg_closed_forms_per_metric(*p)
             assert np.array_equal(bits(oc[k]), bits(want_oc))
             assert np.array_equal(bits(lam[k]), bits(want_lam))
             assert np.array_equal(bits(mu[k]), bits(want_mu)), (n, k)
             # the one-metric entry points are the batch-of-one case
-            assert np.array_equal(bits(heisenberg_metric(p).ortho_c), bits(want_oc))
-            got_lam, got_mu = heisenberg_gk_eigenvalues(p)
+            assert np.array_equal(bits(heisenberg_metric(n, *p).ortho_c), bits(want_oc))
+            got_lam, got_mu = heisenberg_spectrum(*p)
             assert np.array_equal(bits(got_lam), bits(want_lam))
             assert np.array_equal(bits(got_mu), bits(want_mu))
             pairwise_differs += bool(-np.sum(want_lam) != want_mu)
@@ -212,7 +254,7 @@ def test_stacked_heisenberg_closed_forms_match_the_per_metric_forms_bit_for_bit(
 
 
 def test_reference_A_spot_values():
-    p = FrameChange.from_entries(2.0, beta=3.0, epsilon=1.0, iota=1.0).matrix
+    p = np.array([[2.0, 3.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     np.testing.assert_allclose(
         reference_A(fam("L3(1)"), p), np.diag([-0.125, 0.125, 0.125]), atol=1e-15
     )
@@ -244,7 +286,7 @@ def test_reference_asymmetry_values():
     np.testing.assert_array_equal(
         reference_asymmetry(fam("L3(2,x)", -1.0), p), np.zeros((3, 3))
     )
-    p2 = FrameChange.from_entries(1.0, iota=2.0).matrix
+    p2 = np.diag([1.0, 1.0, 2.0])
     np.testing.assert_allclose(
         reference_asymmetry(fam("L3(3)"), p2),
         np.array([[0.0, -2, 0], [2, 0, 0], [0, 0, 0]]),
@@ -255,16 +297,16 @@ def test_reference_asymmetry_values():
 def test_reference_asymmetry_only_sees_iota():
     # for the rotation-type families the skew part depends on iota (and the
     # parameter) alone
-    pa = FrameChange.from_entries(2.0, beta=0.7, gamma=-0.3, epsilon=0.5, zeta=0.9, iota=1.3)
-    pb = FrameChange.from_entries(0.4, beta=-1.0, gamma=0.8, epsilon=2.0, zeta=-0.2, iota=1.3)
+    pa = np.array([[2.0, 0.7, -0.3], [0.0, 0.5, 0.9], [0.0, 0.0, 1.3]])
+    pb = np.array([[0.4, -1.0, 0.8], [0.0, 2.0, -0.2], [0.0, 0.0, 1.3]])
     for f in (fam("L3(2,x)", 0.5), fam("L3(3)"), fam("L3(4,x)", 2.0)):
         np.testing.assert_allclose(
-            reference_asymmetry(f, pa.matrix), reference_asymmetry(f, pb.matrix), atol=1e-15
+            reference_asymmetry(f, pa), reference_asymmetry(f, pb), atol=1e-15
         )
 
 
 def test_reference_eigenvalues():
-    p = FrameChange.from_entries(1.0, beta=0.0, iota=1.0).matrix
+    p = np.eye(3)
     vals = reference_eigenvalues(fam("L3(2,x)", -1.0), p)
     assert sorted(vals) == pytest.approx([-0.5, 0.0, 0.5], abs=1e-15)
     vals = reference_eigenvalues(fam("L3(1)"), np.eye(3))
@@ -289,7 +331,7 @@ def test_symmetric_family_table():
 
 
 def test_reference_ricci_spot_values():
-    h3 = heisenberg_metric(HeisenbergParams(1, (1.0,), (1.0,), 1.0))
+    h3 = heisenberg_metric(1, [1.0], [1.0], 1.0)
     np.testing.assert_allclose(
         reference_ricci_3d(h3.ortho_c), np.diag([0.5, -0.5, -0.5]), atol=1e-15
     )

@@ -479,26 +479,27 @@ def test_heisenberg_tol_reaches_the_symmetry_check_and_leaves_stdout(monkeypatch
     assert seen == [1e-12, 1e-9, 0.5] * 4
 
 
-def _heisenberg_reference(params, fmt):
+def _heisenberg_reference(n, a, b, c, fmt):
     """The ``heisenberg`` command's stdout by way of ``heisenberg_metric`` and the
     one-metric solve: the reference for its structure-constant route."""
-    from spinlab.catalog import heisenberg_gk_eigenvalues, heisenberg_metric
+    from spinlab.catalog import heisenberg_metric, heisenberg_spectrum
     from spinlab.clifford import Spinor
     from spinlab.gks import DEFAULT_GAP_TOL, DEFAULT_TOL, eigen_analysis, solve_endomorphism
     from spinlab.serialize import format_table_float, to_json
 
-    a_solved, residual = solve_endomorphism(heisenberg_metric(params), Spinor.one(params.n))
+    a_solved, residual = solve_endomorphism(heisenberg_metric(n, a, b, c), Spinor.one(n))
     vals, distinct = eigen_analysis(a_solved, DEFAULT_GAP_TOL, sym_tol=DEFAULT_TOL)
-    lam, mu = heisenberg_gk_eigenvalues(params)
+    lam, mu = heisenberg_spectrum(a, b, c)
+    lam, mu = lam.tolist(), float(mu)
     dirac = float(np.trace(a_solved))
     if fmt == "json":
         return to_json({
-            "n": params.n, "a": list(params.a), "b": list(params.b), "c": params.c,
+            "n": n, "a": a.tolist(), "b": b.tolist(), "c": c,
             "lambda": lam, "mu": mu, "eigenvalues": [float(v) for v in vals],
             "distinct_count": distinct, "solve_residual": residual, "dirac_eigenvalue": dirac,
         }) + "\n"
     return "\n".join([
-        f"n: {params.n}",
+        f"n: {n}",
         "lambda: " + ", ".join(format_table_float(v) for v in lam),
         f"mu: {format_table_float(mu)}",
         "eigenvalues: " + ", ".join(format_table_float(v) for v in vals),
@@ -510,14 +511,14 @@ def _heisenberg_reference(params, fmt):
 
 def test_heisenberg_builds_no_algebra_and_matches_the_metric_route(monkeypatch):
     from spinlab import algebra
-    from spinlab.catalog import HeisenbergParams
+    from spinlab.catalog import heisenberg_params
 
-    cases = [((), HeisenbergParams.defaults(n)) for n in range(1, 17)]
+    cases = [((), n, heisenberg_params(n)) for n in range(1, 17)]
     for n, c in ((8, 2.5), (9, 2.5), (16, 0.7)):  # the output digest's non-default lines
         a = [format(1 + 0.37 * p, ".2f") for p in range(1, n + 1)]
         b = [format(2.3 - 0.11 * p, ".2f") for p in range(1, n + 1)]
         flags = ("--a", ",".join(a), "--b", ",".join(b), "--c", str(c))
-        cases.append((flags, HeisenbergParams(n, tuple(map(float, a)), tuple(map(float, b)), c)))
+        cases.append((flags, n, heisenberg_params(n, list(map(float, a)), list(map(float, b)), c)))
     _run_in_process(("heisenberg", "--n", "1"))  # the parser and modules are built and cached
     built = {cls: 0 for cls in (algebra.LieAlgebra, algebra.MetricLieAlgebra)}
     for cls in built:
@@ -526,13 +527,13 @@ def test_heisenberg_builds_no_algebra_and_matches_the_metric_route(monkeypatch):
             post(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
-    for flags, params in cases:
+    for flags, n, params in cases:
         for fmt in ("json", "table"):
             built.update(dict.fromkeys(built, 0))
-            argv = ("heisenberg", "--n", str(params.n), *flags, "--format", fmt)
+            argv = ("heisenberg", "--n", str(n), *flags, "--format", fmt)
             code, out, _ = _run_in_process(argv)
-            assert (code, list(built.values())) == (0, [0, 0]), (params.n, fmt)
-            assert out == _heisenberg_reference(params, fmt), (params.n, fmt)
+            assert (code, list(built.values())) == (0, [0, 0]), (n, fmt)
+            assert out == _heisenberg_reference(n, *params, fmt), (n, fmt)
             assert list(built.values()) == [1, 1]  # the counters do count
 
 

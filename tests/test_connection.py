@@ -11,8 +11,8 @@ from spinlab.algebra import (
 )
 from spinlab.catalog import (
     BianchiFamily,
-    HeisenbergParams,
     heisenberg_metric,
+    heisenberg_params,
     is_symmetric_family,
     make_bianchi,
     make_heisenberg,
@@ -30,7 +30,7 @@ from spinlab.selftest import family_grid
 
 
 def unit_h3():
-    return heisenberg_metric(HeisenbergParams(1, (1.0,), (1.0,), 1.0))
+    return heisenberg_metric(1, (1.0,), (1.0,), 1.0)
 
 
 def abelian(dim=3):
@@ -89,7 +89,7 @@ def test_abelian_nomizu_flat():
 
 
 def test_h5_nomizu_center_rotation():
-    mla = heisenberg_metric(HeisenbergParams(2, (1.0, 4.0), (1.0, 1.0), 1.0))
+    mla = heisenberg_metric(2, (1.0, 4.0), (1.0, 1.0), 1.0)
     lam_z = nomizu(mla)[0]
     expected = np.zeros((5, 5))
     expected[2, 1], expected[1, 2] = -0.5, 0.5
@@ -103,7 +103,7 @@ def test_nomizu_matches_direct_definition():
         alg = make_bianchi(fam)
         mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
         np.testing.assert_allclose(nomizu(mla), nomizu_direct(mla), atol=1e-14)
-    mla = heisenberg_metric(HeisenbergParams(3, (1.0, 4.0, 9.0), (1.0,) * 3, 1.0))
+    mla = heisenberg_metric(3, (1.0, 4.0, 9.0), (1.0,) * 3, 1.0)
     np.testing.assert_allclose(nomizu(mla), nomizu_direct(mla), atol=1e-14)
 
 
@@ -194,7 +194,7 @@ def test_spinorial_ricci_identity_l35_random():
 
 
 def test_spinorial_ricci_identity_heisenberg_higher():
-    mla = heisenberg_metric(HeisenbergParams(2, (1.0, 4.0), (2.0, 1.0), 3.0))
+    mla = heisenberg_metric(2, (1.0, 4.0), (2.0, 1.0), 3.0)
     ok, residual = ricci_spinorial_check(nomizu(mla), mla, Spinor.one(2))
     assert ok and residual <= 1e-12
 
@@ -205,7 +205,7 @@ def test_spinorial_check_with_a_given_ricci_stack_matches_the_plain_call():
         metric_from_frame_change(make_bianchi(fam), FrameChange.random(3, rng)).ortho_c
         for fam in family_grid()
     ])
-    h5 = heisenberg_metric(HeisenbergParams(2, (1.0, 4.0), (2.0, 1.0), 3.0)).ortho_c
+    h5 = heisenberg_metric(2, (1.0, 4.0), (2.0, 1.0), 3.0).ortho_c
     for c, psis in (
         (stack, (Spinor.one(1), Spinor.basis(1, 1))),
         (stack[3], (Spinor.one(1),)),
@@ -255,29 +255,28 @@ def ricci_via_operators(nm, c):
     return np.einsum("jxjy->xy", ops)
 
 
-def heisenberg_ricci_milnor(params):
+def heisenberg_ricci_milnor(a, b, c):
     """Closed-form Ricci matrix of a metric Heisenberg algebra in the frame
     ``(Z, E_1, F_1, ..., E_n, F_n)`` (Milnor, Adv. Math. 21 (1976), 2-step
     nilpotent case): with ``[E_p, F_p] = lambda_p Z``,
     ``Ric(Z, Z) = sum lambda_p^2 / 2``, ``Ric(E_p, E_p) = Ric(F_p, F_p) =
     -lambda_p^2 / 2`` and every off-diagonal entry 0."""
-    lam2 = [params.c / (a * b) for a, b in zip(params.a, params.b)]
+    lam2 = [c / (ap * bp) for ap, bp in zip(a, b)]
     return np.diag([0.5 * sum(lam2)] + [-0.5 * v for v in lam2 for _ in range(2)])
 
 
 def test_ricci_matches_milnor_heisenberg_form():
     rng = np.random.default_rng(71)
     for n in range(1, 17):
-        params = [HeisenbergParams.defaults(n)] + [
-            HeisenbergParams(n, tuple(np.exp(rng.uniform(-1, 1, n))),
-                             tuple(np.exp(rng.uniform(-1, 1, n))),
-                             float(np.exp(rng.uniform(-1, 1))))
+        params = [heisenberg_params(n)] + [
+            heisenberg_params(n, np.exp(rng.uniform(-1, 1, n)), np.exp(rng.uniform(-1, 1, n)),
+                              float(np.exp(rng.uniform(-1, 1))))
             for _ in range(3)
         ]
         for p in params:
-            mla = heisenberg_metric(p)
+            mla = heisenberg_metric(n, *p)
             ric = curvature(nomizu(mla), mla)
-            ref = heisenberg_ricci_milnor(p)
+            ref = heisenberg_ricci_milnor(*p)
             assert np.max(np.abs(ric - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
             if n <= 6:
                 np.testing.assert_allclose(ric, ricci_via_operators(nomizu(mla), mla.ortho_c),
@@ -358,12 +357,12 @@ def _batched_cases():
     for fam in family_grid():
         _, oc = frame_structure(make_bianchi(fam), random_frames(3, rng, 20))
         yield oc, (Spinor.one(1), Spinor.basis(1, 1))
-    params = [HeisenbergParams(2, (1.0, 4.0), (1.0, 1.0), 1.0)] + [
-        HeisenbergParams(2, tuple(np.exp(rng.uniform(-1, 1, 2))),
-                         tuple(np.exp(rng.uniform(-1, 1, 2))), float(np.exp(rng.uniform(-1, 1))))
+    params = [heisenberg_params(2, (1.0, 4.0), (1.0, 1.0), 1.0)] + [
+        heisenberg_params(2, np.exp(rng.uniform(-1, 1, 2)),
+                          np.exp(rng.uniform(-1, 1, 2)), float(np.exp(rng.uniform(-1, 1))))
         for _ in range(7)
     ]
-    oc = np.stack([heisenberg_metric(p).ortho_c for p in params])
+    oc = np.stack([heisenberg_metric(2, *p).ortho_c for p in params])
     psi = Spinor(2, rng.normal(size=4) + 1j * rng.normal(size=4))
     yield oc, (Spinor.one(2), Spinor.basis(2, 1), Spinor.basis(2, 1, 2), psi)
 

@@ -12,9 +12,9 @@ from spinlab.algebra import (
 )
 from spinlab.catalog import (
     BianchiFamily,
-    HeisenbergParams,
-    heisenberg_gk_eigenvalues,
     heisenberg_metric,
+    heisenberg_params,
+    heisenberg_spectrum,
     is_symmetric_family,
     make_bianchi,
     make_heisenberg,
@@ -54,7 +54,7 @@ from spinlab.serialize import to_json
 
 
 def unit_h3():
-    return heisenberg_metric(HeisenbergParams(1, (1.0,), (1.0,), 1.0))
+    return heisenberg_metric(1, (1.0,), (1.0,), 1.0)
 
 
 def family_metric(tag, x=None, seed=None, p=None):
@@ -77,10 +77,10 @@ def test_solve_h3_unit():
 
 def test_solve_heisenberg_ladder():
     for n in (2, 3, 4):
-        params = HeisenbergParams.defaults(n)
-        mla = heisenberg_metric(params)
+        params = heisenberg_params(n)
+        mla = heisenberg_metric(n, *params)
         a, residual = solve_endomorphism(mla, Spinor.one(n))
-        lam, mu = heisenberg_gk_eigenvalues(params)
+        lam, mu = heisenberg_spectrum(*params)
         expected = np.diag([mu] + [v for lv in lam for v in (lv, lv)])
         np.testing.assert_allclose(a, expected, atol=1e-12)
         assert residual <= 1e-12
@@ -92,14 +92,14 @@ def test_heisenberg_ladder_random_parameters():
     rng = np.random.default_rng(2718)
     for n in range(1, 9):
         for _ in range(20):
-            params = HeisenbergParams(
+            params = heisenberg_params(
                 n,
-                tuple(np.exp(rng.uniform(-1, 1, size=n))),
-                tuple(np.exp(rng.uniform(-1, 1, size=n))),
+                np.exp(rng.uniform(-1, 1, size=n)),
+                np.exp(rng.uniform(-1, 1, size=n)),
                 float(np.exp(rng.uniform(-1, 1))),
             )
-            a, residual = solve_endomorphism(heisenberg_metric(params), Spinor.one(n))
-            lam, mu = heisenberg_gk_eigenvalues(params)
+            a, residual = solve_endomorphism(heisenberg_metric(n, *params), Spinor.one(n))
+            lam, mu = heisenberg_spectrum(*params)
             expected = np.diag([mu] + [v for lv in lam for v in (lv, lv)])
             assert np.max(np.abs(a - expected)) <= 1e-10
             assert residual <= 1e-10
@@ -108,9 +108,9 @@ def test_heisenberg_ladder_random_parameters():
 def test_solver_works_past_dense_operator_cutoff():
     # n = 9 (dim 19, spinor dimension 512) exceeds the dense-operator limit;
     # the matrix-free application path must still solve exactly
-    params = HeisenbergParams.defaults(9)
-    a, residual = solve_endomorphism(heisenberg_metric(params), Spinor.one(9))
-    lam, mu = heisenberg_gk_eigenvalues(params)
+    params = heisenberg_params(9)
+    a, residual = solve_endomorphism(heisenberg_metric(9, *params), Spinor.one(9))
+    lam, mu = heisenberg_spectrum(*params)
     expected = np.diag([mu] + [v for lv in lam for v in (lv, lv)])
     np.testing.assert_allclose(a, expected, atol=1e-12)
     assert residual <= 1e-12
@@ -223,8 +223,7 @@ def test_eigen_analysis():
     vals, r = eigen_analysis(a)
     np.testing.assert_allclose(vals, [-0.5, 0.0, 0.5], atol=1e-14)
     assert r == 3
-    params = HeisenbergParams.defaults(4)
-    a, _ = solve_endomorphism(heisenberg_metric(params), Spinor.one(4))
+    a, _ = solve_endomorphism(heisenberg_metric(4), Spinor.one(4))
     _, r = eigen_analysis(a)
     assert r == 5
     with pytest.raises(StructureError):
@@ -269,7 +268,7 @@ def test_basis_reverification_gates_the_space_dimension(monkeypatch):
 
 
 def test_full_report_higher_dim_reports_spinor_only():
-    mla = heisenberg_metric(HeisenbergParams.defaults(2))
+    mla = heisenberg_metric(2)
     report = full_report(mla)
     assert report.gks_space_dim is None
     assert report.is_symmetric and report.solve_residual <= gks.DEFAULT_TOL
@@ -320,13 +319,12 @@ def test_gk_equation_residual_matches_per_column_reference():
         mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
         cases += [(mla, Spinor.one(1)), (mla, Spinor.basis(1, 1))]
     for n in range(1, 7):
-        params = HeisenbergParams(
+        mla = heisenberg_metric(
             n,
-            tuple(np.exp(rng.uniform(-1, 1, size=n))),
-            tuple(np.exp(rng.uniform(-1, 1, size=n))),
+            np.exp(rng.uniform(-1, 1, size=n)),
+            np.exp(rng.uniform(-1, 1, size=n)),
             float(np.exp(rng.uniform(-1, 1))),
         )
-        mla = heisenberg_metric(params)
         dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         cases += [(mla, Spinor.one(n)), (mla, Spinor.basis(n, n)), (mla, Spinor(n, dense))]
     exact = 0
@@ -396,17 +394,17 @@ def _oracle_inputs():
             mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
             yield is_symmetric_family(fam), mla, Spinor.one(1)
     for n in range(1, 9):
-        yield True, heisenberg_metric(HeisenbergParams.defaults(n)), Spinor.one(n)
+        yield True, heisenberg_metric(n), Spinor.one(n)
     for n in range(1, 5):
         for _ in range(5):
-            params = HeisenbergParams(
+            mla = heisenberg_metric(
                 n,
-                tuple(np.exp(rng.uniform(-1, 1, size=n))),
-                tuple(np.exp(rng.uniform(-1, 1, size=n))),
+                np.exp(rng.uniform(-1, 1, size=n)),
+                np.exp(rng.uniform(-1, 1, size=n)),
                 float(np.exp(rng.uniform(-1, 1))),
             )
             coeffs = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            yield False, heisenberg_metric(params), Spinor(n, coeffs)
+            yield False, mla, Spinor(n, coeffs)
 
 
 def _moment_and_rhs(mla, psi):
@@ -480,13 +478,12 @@ def _basis_spinor_inputs():
         mla = metric_from_frame_change(alg, FrameChange.random(3, rng))
         yield mla, Spinor.basis(1, 1)
     for n in range(1, 8):
-        params = HeisenbergParams(
+        mla = heisenberg_metric(
             n,
-            tuple(np.exp(rng.uniform(-1, 1, size=n))),
-            tuple(np.exp(rng.uniform(-1, 1, size=n))),
+            np.exp(rng.uniform(-1, 1, size=n)),
+            np.exp(rng.uniform(-1, 1, size=n)),
             float(np.exp(rng.uniform(-1, 1))),
         )
-        mla = heisenberg_metric(params)
         for slots in ((1,), (n,), tuple(range(1, n + 1)), tuple(range(1, n + 1, 2))):
             yield mla, Spinor.basis(n, *sorted(set(slots)))
         coeffs = np.zeros(2**n, dtype=complex)
@@ -522,16 +519,16 @@ def _stacked_projection_cases():
     basis spinors and a sparse complex one, and a 3-d stack over the grid families."""
     rng = np.random.default_rng(1515)
     for n in range(1, 8):
-        params = [HeisenbergParams.defaults(n)] + [
-            HeisenbergParams(
+        params = [heisenberg_params(n)] + [
+            heisenberg_params(
                 n,
-                tuple(np.exp(rng.uniform(-1, 1, size=n))),
-                tuple(np.exp(rng.uniform(-1, 1, size=n))),
+                np.exp(rng.uniform(-1, 1, size=n)),
+                np.exp(rng.uniform(-1, 1, size=n)),
                 float(np.exp(rng.uniform(-1, 1))),
             )
             for _ in range(4)
         ]
-        mlas = [heisenberg_metric(p) for p in params]
+        mlas = [heisenberg_metric(n, *p) for p in params]
         coeffs = np.zeros(2**n, dtype=complex)
         picks = rng.choice(2**n, size=min(3, 2**n), replace=False)
         coeffs[picks] = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
@@ -583,8 +580,8 @@ def test_asymmetry_matches_table_and_ignores_most_of_the_frame():
     # sharper independence statement: same iota, everything else different
     fam = BianchiFamily("L3(4,x)", 1.5)
     alg = make_bianchi(fam)
-    pa = FrameChange.from_entries(2.0, beta=0.9, gamma=-0.4, epsilon=0.3, zeta=0.8, iota=1.1)
-    pb = FrameChange.from_entries(0.5, beta=-0.2, gamma=0.6, epsilon=1.7, zeta=-0.9, iota=1.1)
+    pa = FrameChange(np.array([[2.0, 0.9, -0.4], [0.0, 0.3, 0.8], [0.0, 0.0, 1.1]]))
+    pb = FrameChange(np.array([[0.5, -0.2, 0.6], [0.0, 1.7, -0.9], [0.0, 0.0, 1.1]]))
     aa, _ = solve_endomorphism(metric_from_frame_change(alg, pa), Spinor.one(1))
     ab, _ = solve_endomorphism(metric_from_frame_change(alg, pb), Spinor.one(1))
     np.testing.assert_allclose(aa - aa.T, ab - ab.T, atol=1e-12)
@@ -618,7 +615,7 @@ def test_solver_matches_reference_A():
 def test_frame_change_example_downstream_A():
     # alpha=2, beta=3, epsilon=iota=1 gives det(P)/(4 alpha^2) = 1/8
     fam, p, mla = family_metric(
-        "L3(1)", p=FrameChange.from_entries(2.0, beta=3.0, epsilon=1.0, iota=1.0)
+        "L3(1)", p=FrameChange(np.array([[2.0, 3.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     )
     a, _ = solve_endomorphism(mla, Spinor.one(1))
     np.testing.assert_allclose(a, np.diag([-0.125, 0.125, 0.125]), atol=1e-14)

@@ -10,9 +10,9 @@ from spinlab import algebra, catalog, cli, gks, selftest
 from spinlab.algebra import FrameChange, metric_from_frame_change, random_frames
 from spinlab.catalog import (
     BianchiFamily,
-    HeisenbergParams,
-    heisenberg_gk_eigenvalues,
     heisenberg_metric,
+    heisenberg_params,
+    heisenberg_spectrum,
     is_symmetric_family,
     make_bianchi,
     reference_A,
@@ -101,16 +101,16 @@ def family_deviations(fam, frames, a, ortho_c):
 
 
 def _heisenberg_sweep(seed):
-    """The ladder's metrics one ``HeisenbergParams`` at a time, by rung, the default
+    """The ladder's metrics one ``(n, a, b, c)`` at a time, by rung, the default
     first: the per-metric reference for ``run_selftest``'s one draw per rung."""
     rng = np.random.default_rng(seed)
-    out = [HeisenbergParams.defaults(n) for n in range(1, _HEISENBERG_N_MAX + 1)]
+    out = [(n, *heisenberg_params(n)) for n in range(1, _HEISENBERG_N_MAX + 1)]
     for n in range(1, _HEISENBERG_N_MAX + 1):
         for _ in range(_HEISENBERG_PER_N):
-            a = tuple(np.exp(rng.uniform(-1.0, 1.0, size=n)))
-            b = tuple(np.exp(rng.uniform(-1.0, 1.0, size=n)))
+            a = np.exp(rng.uniform(-1.0, 1.0, size=n))
+            b = np.exp(rng.uniform(-1.0, 1.0, size=n))
             c = float(np.exp(rng.uniform(-1.0, 1.0)))
-            out.append(HeisenbergParams(n, a, b, c))
+            out.append((n, *heisenberg_params(n, a, b, c)))
     return out
 
 
@@ -154,9 +154,9 @@ def run_selftest_per_sample(seed):
         _check("dirac_trace_identity", dirac_dev, 1e-12),
     ]
     heis_dev = 0.0
-    for params in _heisenberg_sweep([seed, 3]):
-        a_solved, _ = solve_endomorphism(heisenberg_metric(params), Spinor.one(params.n))
-        lam_vals, mu = heisenberg_gk_eigenvalues(params)
+    for n, a, b, c in _heisenberg_sweep([seed, 3]):
+        a_solved, _ = solve_endomorphism(heisenberg_metric(n, a, b, c), Spinor.one(n))
+        lam_vals, mu = heisenberg_spectrum(a, b, c)
         expected = np.diag([mu] + [v for lv in lam_vals for v in (lv, lv)])
         heis_dev = max(heis_dev, float(np.max(np.abs(a_solved - expected))))
     checks.append(_check("heisenberg_eigenvalue_ladder", heis_dev, 1e-10))
@@ -268,15 +268,15 @@ def test_ladder_draws_each_rung_in_one_call_with_the_per_metric_stream(monkeypat
             (1 + _HEISENBERG_PER_N, n) for n in range(1, _HEISENBERG_N_MAX + 1)
         ]
         for n, (a, b, c) in enumerate(stacks, start=1):
-            rung = [p for p in ladder if p.n == n]  # the default first, then the draws
-            for got, name in ((a, "a"), (b, "b"), (c[:, None], "c")):
-                want = np.array([np.atleast_1d(getattr(p, name)) for p in rung])
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, n, name)
+            rung = [abc for m, *abc in ladder if m == n]  # the default first, then the draws
+            for k, got in enumerate((a, b, c[:, None])):
+                want = np.array([np.atleast_1d(p[k]) for p in rung])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, n, "abc"[k])
 
 
 def test_run_selftest_builds_no_per_metric_heisenberg_objects(monkeypatch):
     run_selftest(seed=1)  # per-process constants first
-    built = {cls: 0 for cls in (algebra.LieAlgebra, algebra.MetricLieAlgebra, HeisenbergParams)}
+    built = {cls: 0 for cls in (algebra.LieAlgebra, algebra.MetricLieAlgebra)}
     for cls in built:
         def counting(self, cls=cls, post=cls.__post_init__):
             built[cls] += 1
@@ -287,9 +287,9 @@ def test_run_selftest_builds_no_per_metric_heisenberg_objects(monkeypatch):
         built.update(dict.fromkeys(built, 0))
         run_selftest(seed=seed)
         # the only algebras are catalog_jacobi's H(3)..H(9), no metric object at all
-        assert list(built.values()) == [4, 0, 0], built
-    catalog.heisenberg_metric(HeisenbergParams.defaults(2))  # the counters do count
-    assert list(built.values()) == [5, 1, 1]
+        assert list(built.values()) == [4, 0], built
+    catalog.heisenberg_metric(2)  # the counters do count
+    assert list(built.values()) == [5, 1]
 
 
 def verify_appendix_per_sample(samples, seed, tol):
@@ -389,8 +389,8 @@ def test_eigen_analysis_runs_only_where_a_reducer_reads_eigenvalues(monkeypatch)
     assert len(stacks) == 1 and stacks[0].shape == (10, 3, 3)
     # a report keeps the guarded call: one eigen_analysis, on its own A
     guarded.clear()
-    report = gks.full_report(metric_from_frame_change(make_bianchi(BianchiFamily("L3(6)")),
-                                                      FrameChange.from_entries(1.3, 0.2)))
+    frame = FrameChange(np.array([[1.3, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    report = gks.full_report(metric_from_frame_change(make_bianchi(BianchiFamily("L3(6)")), frame))
     assert report.is_symmetric and len(guarded) == 1
     np.testing.assert_array_equal(guarded[0], report.A)
 
