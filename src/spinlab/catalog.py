@@ -163,6 +163,7 @@ def heisenberg_metric(n: int, a=None, b=None, c=1.0) -> MetricLieAlgebra:
     by the reciprocal square root; the structure constants are
     ``heisenberg_ortho_c`` of the parameters.
     """
+    check_slots(n)  # before the default parameters, which hold n entries each
     a, b, c = heisenberg_params(n, a, b, c)
     diag = np.r_[c, np.column_stack([a, b]).ravel()]
     return MetricLieAlgebra(

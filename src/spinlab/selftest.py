@@ -17,9 +17,10 @@ to the spinorial Ricci identity on both basis spinors and to the closed-form Ric
 Every closed form is evaluated on a whole frame stack, the family closed forms once
 per run of same-tag families, so no check loops over samples; the Clifford relations check
 reads the spin lift's product rule, ``clifford._product``, on every row.  Spin-lift
-equivariance builds each module size's dense lifts and frame-vector actions as one
-matmul of the drawn weights with the module's cached dense bases, ``_dense_bases``,
-which ``apply_spin_lift`` and ``apply_combo`` build on the identity.  The
+equivariance checks each module size's pairs in chunks of ``_EQUIVARIANCE_CHUNK``: a
+chunk's dense lifts and frame-vector actions are one matmul of its drawn weights with
+the module's cached dense bases, ``_dense_bases``, which ``apply_spin_lift`` and
+``apply_combo`` build on the identity.  The
 Heisenberg ladder stacks each rung's default parameters, ``catalog.heisenberg_params``,
 over five sets drawn in one call and solves them as one stacked Killing system with
 ``gks.solve_heisenberg``, the solve of the ``heisenberg`` command, on the stacked
@@ -68,6 +69,8 @@ from .gks import (
 )
 
 _EQUIVARIANCE_N_MAX, _EQUIVARIANCE_PAIRS = 4, 100  # spin_lift_equivariance_n_upto4
+# pairs per commutator stack: at n = 4 a chunk of 25 peaks near 0.7 MB, all 100 near 2.2 MB
+_EQUIVARIANCE_CHUNK = 25
 _HEISENBERG_N_MAX, _HEISENBERG_PER_N = 6, 5  # heisenberg_eigenvalue_ladder
 
 
@@ -81,8 +84,9 @@ def _check(name: str, deviation: float, tol: float) -> dict:
 
 
 def _skew_vector_pairs(rng: np.random.Generator, d: int, pairs: int):
-    """``pairs`` random ``(omega, v)`` in one draw: per pair a ``(d, d)`` matrix
-    ``g`` with ``omega = g - g^T``, then ``v``, the order of one draw per pair."""
+    """``pairs`` random ``(omega, v)`` in one call: per pair a ``(d, d)`` matrix
+    ``g`` with ``omega = g - g^T``, then ``v``, the order of one draw per pair.  Calls
+    on one generator continue its stream, so chunks of pairs draw what one call draws."""
     draws = rng.uniform(-1.0, 1.0, size=(pairs, d * d + d))
     g = draws[:, : d * d].reshape(pairs, d, d)
     return g - g.swapaxes(-1, -2), draws[:, d * d :]
@@ -110,10 +114,11 @@ def _dense_bases(mod: CliffordModule) -> tuple[np.ndarray, ...]:
 
 def _equivariance(seed) -> float:
     """Worst deviation of [lift(omega), v.] from (omega v). over random draws,
-    all pairs of one module size checked in one stacked commutator.
+    the pairs of one module size checked in stacked commutators of at most
+    ``_EQUIVARIANCE_CHUNK`` pairs, each chunk drawn in turn from one generator.
 
-    The dense operators are linear in their weights: the lifts are one matmul of the
-    drawn ``omega[b, a]`` with the cached lifts of the ``E_ba``, the frame-vector
+    The dense operators are linear in their weights: a chunk's lifts are one matmul of
+    the drawn ``omega[b, a]`` with the cached lifts of the ``E_ba``, the frame-vector
     actions of ``v`` and ``omega v`` one matmul with the cached actions.  Every float
     of a basis is 0, +-1/2 or +-1, so each product is exact; a matmul that adds them in
     pair order, as ``apply_spin_lift`` does, gives the ``spin_lift`` route's deviation
@@ -123,13 +128,15 @@ def _equivariance(seed) -> float:
     for n in range(1, _EQUIVARIANCE_N_MAX + 1):
         mod = get_module(n)
         b, a, lifts, actions = _dense_bases(mod)
-        omega, v = _skew_vector_pairs(rng, mod.dim_frame, _EQUIVARIANCE_PAIRS)
-        omega = mod._require_skew(omega)
         shape = (-1, mod.dim_spinor, mod.dim_spinor)
-        lift = (omega[:, b, a] @ lifts).view(complex).reshape(shape).swapaxes(-1, -2)
-        weights = np.concatenate([v, (omega @ v[..., None])[..., 0]])
-        ev, et = np.split((weights @ actions).view(complex).reshape(shape).swapaxes(-1, -2), 2)
-        worst = max(worst, float(np.max(np.abs(lift @ ev - ev @ lift - et))))
+        for start in range(0, _EQUIVARIANCE_PAIRS, _EQUIVARIANCE_CHUNK):
+            pairs = min(_EQUIVARIANCE_CHUNK, _EQUIVARIANCE_PAIRS - start)
+            omega, v = _skew_vector_pairs(rng, mod.dim_frame, pairs)
+            omega = mod._require_skew(omega)
+            lift = (omega[:, b, a] @ lifts).view(complex).reshape(shape).swapaxes(-1, -2)
+            weights = np.concatenate([v, (omega @ v[..., None])[..., 0]])
+            ev, et = np.split((weights @ actions).view(complex).reshape(shape).swapaxes(-1, -2), 2)
+            worst = max(worst, float(np.max(np.abs(lift @ ev - ev @ lift - et))))
     return worst
 
 

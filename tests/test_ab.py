@@ -5,6 +5,7 @@ a worktree or starts a child process.
 """
 
 import importlib
+import resource
 import sys
 from pathlib import Path
 
@@ -77,9 +78,11 @@ def test_verdict_needs_nine_wins_in_ten_and_a_gap_beyond_a_iqr(ab):
     assert two["b_faster"] == 2 and two["resolved"] and ab.verdict(two) == "unresolved"
     assert ab.verdict(ab.compare([10.0, 12.0], [15.0, 16.0])) == "unresolved"
     assert ab.verdict(ab.compare(a[:9], [x - 2.5 for x in a[:9]])) == "unresolved"
-    line = ab.report("oracle3d", {"A": a, "B": nine}, {"A": a, "B": nine}, 20)
+    line, rss = ab.report("oracle3d", {"A": a, "B": nine}, {"A": a, "B": nine},
+                          {"A": 44.31, "B": 41.7}, 20).split("\n")
     assert line.startswith("oracle3d (20 cycles a round): ms/cycle A 12.000")
     assert line.endswith("B faster in 9/10 rounds; median gap exceeds A's IQR; verdict: faster")
+    assert rss == "  peak RSS of each child so far (no verdict): A 44.3 MB, B 41.7 MB"
 
 
 def test_round_cycles_fill_the_round_for_the_slower_tree(ab):
@@ -98,6 +101,9 @@ def test_run_cycles_counts_items_and_gate_failures(ab, monkeypatch):
     good = ab.run_cycles(cli.main, oracle, seed=1, first=0, cycles=1)
     assert good["items"] == items and good["failed"] == 0 and good["errors"] == []
     assert good["cycles"] == 1 and good["seconds"] > 0.0
+    # in-process, the "child" is this process: its peak so far, in MB
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert isinstance(good["peak_rss_mb"], float) and 0.0 < good["peak_rss_mb"] <= peak
     # a command line that exits 0 with output its gate refuses fails its items
     quiet = ab.run_cycles(lambda argv: 0, oracle, seed=1, first=0, cycles=2)
     assert quiet["failed"] == quiet["items"] == 2 * items

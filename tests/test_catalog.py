@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from spinlab.catalog import (
     reference_eigenvalues,
     reference_ricci_3d,
 )
-from spinlab.errors import InvalidParameterError
+from spinlab.errors import InvalidParameterError, UnsupportedDimensionError
 
 
 def fam(tag, x=None):
@@ -184,6 +186,27 @@ def test_heisenberg_metric_is_the_closed_form_with_a_diagonal_frame():
         assert np.array_equal(mla.algebra.c, make_heisenberg(n).c), n
     with pytest.raises(InvalidParameterError, match="positive and finite"):
         heisenberg_metric(2, b=[1.0, 0.0])
+
+
+def test_heisenberg_metric_refuses_too_many_slots_before_its_parameters():
+    heisenberg_metric(1)  # the module-level constants are built outside the trace
+    message = ("spinors with 1000000 slots (dimension 2000001) exceed the "
+               "supported maximum of 16 slots (dimension 33)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedDimensionError) as exc:
+            heisenberg_metric(10**6)  # its default parameters first would peak near 48 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message and peak < 1e6, peak
+    with pytest.raises(UnsupportedDimensionError) as slots:
+        make_heisenberg(10**6)
+    assert str(slots.value) == message
+    for n in (0, -3):  # the slot check passes these on to the n check
+        with pytest.raises(InvalidParameterError) as exc:
+            heisenberg_metric(n)
+        assert str(exc.value) == f"n must be >= 1, got {n}"
 
 
 def test_heisenberg_metric_unit():

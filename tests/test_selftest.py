@@ -198,6 +198,16 @@ def test_equivariance_bases_combine_bit_for_bit():
             np.testing.assert_array_equal(actions[i], mod.vector_matrix(i + 1))
 
 
+def test_chunked_equivariance_matches_one_stack_bit_for_bit(monkeypatch):
+    # a chunk size that does not divide the pairs (a short last chunk), all pairs in
+    # one chunk, and one pair a chunk: the draws and the deviation are the same
+    assert selftest._EQUIVARIANCE_CHUNK == 25
+    for chunk in (7, 100, 1):
+        monkeypatch.setattr(selftest, "_EQUIVARIANCE_CHUNK", chunk)
+        for seed in (1, 2, 17, 1234567):
+            assert _equivariance([seed, 1]) == equivariance_stacked([seed, 1]), (chunk, seed)
+
+
 def test_equivariance_bases_follow_the_module_cache(clifford_sign_fault):
     # the dense bases are keyed on the module, so emptying the module cache alone
     # brings a fault in and takes it out again
@@ -480,6 +490,18 @@ def test_sweep_peak_memory_does_not_grow_with_the_sample_count():
         finally:
             tracemalloc.stop()
         assert peak <= 12e6, peak
+
+
+def test_equivariance_peak_memory_is_one_chunk_of_commutators():
+    # all 100 n = 4 pairs in one stacked commutator peak near 2.2 MB, a chunk of 25 near 0.7 MB
+    _equivariance([5, 1])  # the modules and dense bases are built outside the trace
+    tracemalloc.start()
+    try:
+        _equivariance([5, 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 def test_verify_appendix_command_formats_the_payload(capsys):

@@ -21,7 +21,10 @@ faster in, whether the median gap exceeds A's interquartile range, and a verdict
 is faster by more than A's interquartile range, "slower" when its median is slower
 by more than that range, and "unresolved" otherwise or when fewer than ten rounds
 ran (CI's two-round A/A runs read "unresolved").  The gap flag alone misreads:
-an A/A run can read a gap beyond A's range with B faster in 4 of 10 rounds.  A gate
+an A/A run can read a gap beyond A's range with B faster in 4 of 10 rounds.  A second
+line gives each child's peak resident set size (``ru_maxrss``) after the workload,
+with no verdict.  One child serves every workload of a run, so that figure is the
+peak of this workload and every one before it; ``--workload`` gives one workload's.  A gate
 failure or a non-zero exit fails the run (exit 1); a bad revision exits 2.  Children
 run with ``OPENBLAS_NUM_THREADS=1`` unless it is set, and write no bytecode.
 
@@ -38,6 +41,7 @@ import io
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -138,7 +142,8 @@ def run_cycles(main, workload, seed: int, first: int, cycles: int) -> dict:
                 failed += inv.items
                 errors = (errors + [problem])[:5]
     return {"seconds": seconds, "cycles": cycles, "items": items, "failed": failed,
-            "errors": errors}
+            "errors": errors,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def child(tree: str) -> None:
@@ -218,12 +223,13 @@ def worktree(rev: str):
             git("worktree", "remove", "--force", str(path))
 
 
-def measure(children: dict[str, Child], workload: str, rounds: int
-            ) -> tuple[dict[str, list[float]], dict[str, list[float]], list[str], int]:
-    """Per tree, ms per cycle and items per second of every round, the failures, and
-    the cycles per round."""
+def measure(children: dict[str, Child], workload: str, rounds: int) -> tuple[
+        dict[str, list[float]], dict[str, list[float]], dict[str, float], list[str], int]:
+    """Per tree, ms per cycle and items per second of every round and the child's peak
+    RSS in MB after the last; then the failures and the cycles per round."""
     ms = {"A": [], "B": []}
     rate = {"A": [], "B": []}
+    rss = {}
     problems: list[str] = []
     warm: list[float] = []
     for tree, proc in children.items():  # warm-up and one untimed cycle
@@ -237,12 +243,14 @@ def measure(children: dict[str, Child], workload: str, rounds: int
                                      cycles=cycles)
             ms[tree].append(out["seconds"] / out["cycles"] * 1e3)
             rate[tree].append(out["items"] / out["seconds"])
+            rss[tree] = out["peak_rss_mb"]
             problems += [f"{tree} round {r}: {e}" for e in out["errors"]]
-    return ms, rate, problems, cycles
+    return ms, rate, rss, problems, cycles
 
 
 def report(workload: str, ms: dict[str, list[float]], rate: dict[str, list[float]],
-           cycles: int) -> str:
+           rss: dict[str, float], cycles: int) -> str:
+    """The timing line with its verdict, then each child's peak RSS so far."""
     c = compare(ms["A"], ms["B"])
     ia, ib = quartiles(rate["A"]), quartiles(rate["B"])
     return (
@@ -251,7 +259,8 @@ def report(workload: str, ms: dict[str, list[float]], rate: dict[str, list[float
         f"items/s A {ia[1]:.1f} (IQR {ia[2] - ia[0]:.1f}), B {ib[1]:.1f} "
         f"(IQR {ib[2] - ib[0]:.1f}); B faster in {c['b_faster']}/{c['rounds']} rounds; "
         f"median gap {'exceeds' if c['resolved'] else 'within'} A's IQR; "
-        f"verdict: {verdict(c)}"
+        f"verdict: {verdict(c)}\n"
+        f"  peak RSS of each child so far (no verdict): A {rss['A']:.1f} MB, B {rss['B']:.1f} MB"
     )
 
 
@@ -277,8 +286,8 @@ def main(argv: list[str] | None = None) -> int:
             children["A"] = Child(tree_a)
             children["B"] = Child(ROOT)
             for workload in [args.workload] if args.workload else WORKLOADS:
-                ms, rate, problems, cycles = measure(children, workload, args.rounds)
-                print(report(workload, ms, rate, cycles), flush=True)
+                ms, rate, rss, problems, cycles = measure(children, workload, args.rounds)
+                print(report(workload, ms, rate, rss, cycles), flush=True)
                 for problem in problems:
                     print(f"  FAILED {problem}", flush=True)
                 failed |= bool(problems)
