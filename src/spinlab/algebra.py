@@ -85,11 +85,15 @@ class LieAlgebra:
         return cls(dim, c)
 
 
-def jacobi_violation(alg: LieAlgebra) -> float:
-    """Maximum absolute entry of the Jacobi tensor of ``alg``."""
-    t = np.einsum("ijm,mkl->ijkl", alg.c, alg.c)
-    jac = t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)
-    return float(np.max(np.abs(jac))) if jac.size else 0.0
+def jacobi_violation(alg: LieAlgebra | np.ndarray) -> float | np.ndarray:
+    """Maximum absolute entry of the Jacobi tensor of ``alg``, a ``LieAlgebra`` or
+    structure constants ``(..., d, d, d)``: a float, or one maximum per algebra of a
+    stack.  A NaN constant gives a NaN maximum."""
+    c = alg.c if isinstance(alg, LieAlgebra) else np.asarray(alg, dtype=float)
+    t = np.einsum("...ijm,...mkl->...ijkl", c, c)
+    jac = t + np.moveaxis(t, -2, -4) + np.moveaxis(t, -4, -2)  # cyclic sum over (i, j, k)
+    worst = np.max(np.abs(jac), axis=(-4, -3, -2, -1), initial=0.0)
+    return float(worst) if c.ndim == 3 else worst
 
 
 def check_jacobi(alg: LieAlgebra, tol: float = 1e-9) -> tuple[bool, float]:

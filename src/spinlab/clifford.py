@@ -415,14 +415,15 @@ def cliff_relations_check(n: int) -> tuple[bool, float]:
     """Verify ``e_i e_j + e_j e_i = -2 delta_ij`` on the whole spinor space.
 
     Returns ``(ok, max_violation)`` of ``coef_ij + coef_ji + 2 delta_ij`` from
-    ``_product`` over all frame index pairs, ``ok`` when it is at most 1e-12.
+    ``_product`` over all frame index pairs, ``ok`` when it is at most 1e-12: a NaN
+    coefficient gives ``(False, nan)``.
     """
     mod = get_module(n)
-    frames = np.arange(mod.dim_frame)
-    worst = 0.0
+    frames, passes = np.arange(mod.dim_frame), []
     # passes of at most the rows of a dense operator: at n = 16, 20 MB and not 3 GB
     for rows in np.arange(mod.dim_spinor).reshape(-1, min(mod.dim_spinor, 1 << _DENSE_LIMIT)):
         coef = _product(frames[:, None, None], frames[:, None], rows)[1]  # (d, d, rows)
         anti = coef + coef.swapaxes(0, 1) + 2.0 * np.eye(mod.dim_frame)[..., None]
-        worst = max(worst, float(np.max(np.abs(anti))))
+        passes.append(np.max(np.abs(anti)))
+    worst = float(np.max(passes))
     return worst <= 1e-12, worst

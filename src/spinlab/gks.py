@@ -36,10 +36,10 @@ only solves, and each pass's reducer judges what it reads, one row per family.  
 ``_r_summary``.
 
 Constants that never change are built once per process, on first use, and are
-read-only: the grid families, their algebras and stacked structure constants
-(``_grid_stack``) and the row of each family (``_grid_rows``), the index arrays of
-``algebra.random_frames`` and the dual map.  The Heisenberg algebras and metrics are
-not cached: at n = 12..16 their tensors would stay resident for the life of the process.
+read-only: the grid families and their stacked structure constants (``_grid_stack``),
+the row of each family (``_grid_rows``), the index arrays of ``algebra.random_frames``
+and the dual map.  The Heisenberg algebras and metrics are not cached: at n = 12..16
+their tensors would stay resident for the life of the process.
 """
 
 from __future__ import annotations
@@ -309,10 +309,10 @@ def full_report(
 
     basis_residual = None
     if d == 3 and solved:
-        basis_residual = max(
+        basis_residual = float(np.max([  # numpy's max, so a NaN residual fails
             gk_equation_residual(mla, a, Spinor.one(1), _nm=nm),
             gk_equation_residual(mla, a, Spinor.basis(1, 1), _nm=nm),
-        )
+        ]))
         solved = basis_residual <= tol
     ric = curvature(nm, mla)
     return GKReport(
@@ -447,7 +447,7 @@ def genericity_sweep(
     """
     # a grid member reuses its cached row; any other family goes to make_bianchi
     row = _grid_rows().get((family.tag, str(family.x)))
-    c = make_bianchi(family).c[None] if row is None else _grid_stack()[2][row : row + 1]
+    c = make_bianchi(family).c[None] if row is None else _grid_stack()[1][row : row + 1]
     tallies = sweep_grid([seed], samples, _r_tally(tol, gap_tol), ((family,), c)).sum(axis=1)
     (total,), (symmetric,), (modal_r,), _ = _r_summary(tallies)
     counts = tallies[0].tolist()
@@ -490,14 +490,11 @@ def family_grid() -> list[BianchiFamily]:
 
 
 @lru_cache(maxsize=1)
-def _grid_stack() -> tuple[tuple[BianchiFamily, ...], tuple[LieAlgebra, ...], np.ndarray]:
-    """The ``FAMILY_GRID`` families, their algebras and their stacked ``(13, 3, 3, 3)``
-    structure constants, built on first use and read-only for the rest of the process."""
+def _grid_stack() -> tuple[tuple[BianchiFamily, ...], np.ndarray]:
+    """The ``FAMILY_GRID`` families and their stacked ``(13, 3, 3, 3)`` structure
+    constants, built on first use and read-only for the rest of the process."""
     fams = tuple(family_grid())
-    algs = tuple(make_bianchi(fam) for fam in fams)
-    cs = np.stack([alg.c for alg in algs])
-    cs.setflags(write=False)
-    return fams, algs, cs
+    return fams, _freeze(np.stack([make_bianchi(fam).c for fam in fams]))
 
 
 @lru_cache(maxsize=1)
@@ -523,7 +520,7 @@ def sweep_grid(seeds, samples: int, reduce, grid=None):
     FrameSweep)`` returns an ``(F, k)`` array, one row per family, and only those rows
     outlive a pass: callers combine a family's chunks with ``.sum(axis=1)`` or
     ``.max(axis=1)``."""
-    fams, cs = grid if grid is not None else _grid_stack()[::2]  # (families, constants)
+    fams, cs = grid if grid is not None else _grid_stack()
     rngs, rows = [np.random.default_rng(seed) for seed in seeds], []
     step = max(1, GRID_PASS_FRAMES // (samples or 1))  # 0 samples: one empty pass
     chunks = [min(GRID_PASS_FRAMES, samples - k) for k in range(0, samples or 1, GRID_PASS_FRAMES)]

@@ -187,6 +187,21 @@ def test_relations_check_matches_dense_reference(clifford_sign_fault):
         cliff_relations_check(MAX_SLOTS + 1)
 
 
+def test_a_nan_product_fails_the_relations_check(monkeypatch):
+    # NaN coefficients on the last spinor row, in the last row pass: n = 9 takes two passes
+    product, last = clifford._product, None
+
+    def nan_on_last_row(a, b, rows):
+        src, coef = product(a, b, rows)
+        return src, np.where(rows == last, np.nan, coef)
+
+    monkeypatch.setattr(clifford, "_product", nan_on_last_row)
+    for n in (1, 6, 9):
+        last = 2**n - 1
+        ok, worst = cliff_relations_check(n)
+        assert ok is False and np.isnan(worst), n
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 5))
 def test_every_frame_vector_squares_to_minus_one(data, n):

@@ -2,6 +2,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 from test_clifford import relations_dense
 from test_connection import ricci_spinorial_loop
 from test_gks import GRID_SAMPLES, grid_layout
@@ -220,19 +221,19 @@ def test_equivariance_bases_follow_the_module_cache(clifford_sign_fault):
 
 def test_catalog_jacobi_checks_the_cached_grid_algebras_on_every_call(monkeypatch):
     checked = []
-    check = selftest.check_jacobi
+    violation = selftest.jacobi_violation
 
-    def recording(alg, *args):
+    def recording(alg):
         checked.append(alg)
-        return check(alg, *args)
+        return violation(alg)
 
-    monkeypatch.setattr(selftest, "check_jacobi", recording)
+    monkeypatch.setattr(selftest, "jacobi_violation", recording)
     for _ in range(2):
         checked.clear()
         assert _catalog_jacobi() == 0.0
-        grid = [alg.c for alg in checked[: len(FAMILY_GRID)]]
-        np.testing.assert_array_equal(grid, [make_bianchi(fam).c for fam in family_grid()])
-        assert [alg.dim for alg in checked[len(FAMILY_GRID) :]] == [3, 5, 7, 9]
+        assert checked[0] is gks._grid_stack()[1]  # the cached stack, in one call
+        np.testing.assert_array_equal(checked[0], [make_bianchi(fam).c for fam in family_grid()])
+        assert [alg.dim for alg in checked[1:]] == [3, 5, 7, 9]
 
 
 def test_run_selftest_builds_one_ricci_stack_per_grid_pass(monkeypatch):
@@ -473,6 +474,55 @@ def test_a_nan_deviation_in_an_early_chunk_fails_its_family(monkeypatch):
     first, *rest = payload["results"]
     assert np.isnan(first["max_A_deviation"]) and first["pass"] is False
     assert all(r["pass"] for r in rest) and payload["all_pass"] is False
+
+
+def _nan_ladder(monkeypatch):  # every rung's solved A is NaN
+    solve = selftest.solve_heisenberg
+    monkeypatch.setattr(selftest, "solve_heisenberg", lambda *abc: (solve(*abc)[0] * np.nan, None))
+
+
+def _nan_equivariance_chunk(monkeypatch):  # the chunks of n = 1 draw NaN vectors, n > 1 not
+    draw = selftest._skew_vector_pairs
+
+    def nan_at_n1(rng, d, pairs):
+        omega, v = draw(rng, d, pairs)
+        return omega, v * np.nan if d == 3 else v
+
+    monkeypatch.setattr(selftest, "_skew_vector_pairs", nan_at_n1)
+
+
+def _nan_jacobi(monkeypatch):  # one grid family's violation is NaN
+    violation = selftest.jacobi_violation
+
+    def nan_row(alg):
+        got = violation(alg)
+        if np.ndim(got):  # the grid stack
+            got[4] = np.nan
+        return got
+
+    monkeypatch.setattr(selftest, "jacobi_violation", nan_row)
+
+
+def _nan_relations(monkeypatch):  # the check of n = 3 reads NaN
+    check = selftest.cliff_relations_check
+    monkeypatch.setattr(selftest, "cliff_relations_check",
+                        lambda n: (False, np.nan) if n == 3 else check(n))
+
+
+@pytest.mark.parametrize("name, inject", [
+    ("heisenberg_eigenvalue_ladder", _nan_ladder),
+    ("spin_lift_equivariance_n_upto4", _nan_equivariance_chunk),
+    ("catalog_jacobi", _nan_jacobi),
+    ("clifford_relations_nupto6", _nan_relations),
+])
+def test_a_nan_part_fails_its_selftest_check(monkeypatch, name, inject):
+    # each check folds its parts with numpy's max: Python's max(0.0, nan) is 0.0
+    inject(monkeypatch)
+    payload = run_selftest(seed=1)
+    assert [c["name"] for c in payload["checks"] if not c["pass"]] == [name]
+    check = next(c for c in payload["checks"] if c["name"] == name)
+    assert np.isnan(check["deviation"]) and payload["all_pass"] is False
+    assert cli.main(["selftest"]) == 2
 
 
 def test_sweep_peak_memory_does_not_grow_with_the_sample_count():

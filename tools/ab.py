@@ -5,8 +5,10 @@
 ``<rev>`` (tree A) is checked out with ``git worktree`` into a temporary directory,
 which is removed on exit; this checkout's working tree is tree B.  Each tree gets
 one long-lived child process that imports ``spinlab`` from that tree's ``src/`` and
-the workloads of this checkout's ``perfbench/workloads.py`` (read-only, so both
-trees run the same command lines through the same output gates).  A child first runs
+the workloads of this checkout's ``perfbench/workloads.py``, and runs and gates each
+command line with the ``run_invocation`` and ``gate`` of its ``perfbench/run.py``
+(read-only, so both trees run the same command lines through the same output gates,
+and a failed item is what the benchmark counts as one).  A child first runs
 its workload's warm-up lines and one untimed cycle, whose time sets the round length.
 
 A round times the same number of whole cycles in each child, on benchmark seed ``SEED``
@@ -20,7 +22,7 @@ faster in, whether the median gap exceeds A's interquartile range, and a verdict
 (``verdict``): "faster" when B was faster in at least 9 of 10 rounds and its median
 is faster by more than A's interquartile range, "slower" when its median is slower
 by more than that range, and "unresolved" otherwise or when fewer than ten rounds
-ran (CI's two-round A/A runs read "unresolved").  The gap flag alone misreads:
+ran (CI's two-round A/A run reads "unresolved").  The gap flag alone misreads:
 an A/A run can read a gap beyond A's range with B faster in 4 of 10 rounds.  A second
 line gives each child's peak resident set size (``ru_maxrss``) after the workload,
 with no verdict.  One child serves every workload of a run, so that figure is the
@@ -28,9 +30,9 @@ peak of this workload and every one before it; ``--workload`` gives one workload
 failure or a non-zero exit fails the run (exit 1); a bad revision exits 2.  Children
 run with ``OPENBLAS_NUM_THREADS=1`` unless it is set, and write no bytecode.
 
-A/A check, the checked-out commit against itself::
+A/A check, the checked-out commit against itself on every workload::
 
-    python tools/ab.py HEAD --workload oracle3d --rounds 2
+    python tools/ab.py HEAD --rounds 2
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -110,33 +111,18 @@ def round_cycles(warm_seconds: list[float]) -> int:
 # ---------------------------------------------------------------------- child
 def run_cycles(main, workload, seed: int, first: int, cycles: int) -> dict:
     """Run cycles ``first .. first + cycles - 1`` of ``workload`` through ``main``,
-    each command line gated as ``perfbench/run.py`` gates it; stdout and stderr of
-    the command lines are discarded."""
-    import workloads as wl  # perfbench/, put on the path by the caller
+    each command line run and gated by ``perfbench/run.py``'s ``run_invocation`` and
+    ``gate``; stdout and stderr of the command lines are discarded."""
+    from run import gate, run_invocation  # perfbench/, put on the path by the caller
 
     items = failed = 0
     errors: list[str] = []
     seconds = 0.0
     for k in range(first, first + cycles):
         for inv in workload.cycle(seed, k):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                t0 = perf_counter()
-                try:
-                    code = main(list(inv.argv))
-                except SystemExit as exc:  # argparse rejects a command line this way
-                    code = exc.code
-                except Exception as exc:  # a traceback is a failed item, not a dead child
-                    code = f"{type(exc).__name__}: {exc}"
-                seconds += perf_counter() - t0
-            problem = "" if code == 0 else f"{inv.slot}: exit {code}"
-            if not problem:
-                try:
-                    doc = wl.parse_output(out.getvalue())
-                    wl.check_finite(doc)
-                    inv.gate(doc)
-                except (wl.GateError, KeyError, TypeError) as exc:
-                    problem = f"{inv.slot}: {type(exc).__name__}: {exc}"
+            wall, code, stdout, error = run_invocation(main, inv.argv)
+            seconds += wall
+            problem = gate(inv, code, stdout, error)
             items += inv.items
             if problem:
                 failed += inv.items
