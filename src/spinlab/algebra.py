@@ -55,6 +55,8 @@ class LieAlgebra:
                 f"structure tensor has shape {arr.shape}, "
                 f"expected {(self.dim,) * 3}"
             )
+        if not np.isfinite(arr).all():  # a NaN or mirrored inf would pass the defect test
+            raise StructureError("structure constants must be finite")
         scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
         defect = float(np.max(np.abs(arr + arr.transpose(1, 0, 2))))
         if defect > _ANTISYMMETRY_TOL * scale:
@@ -90,7 +92,10 @@ def jacobi_violation(alg: LieAlgebra | np.ndarray) -> float | np.ndarray:
     structure constants ``(..., d, d, d)``: a float, or one maximum per algebra of a
     stack.  A NaN constant gives a NaN maximum."""
     c = alg.c if isinstance(alg, LieAlgebra) else np.asarray(alg, dtype=float)
-    t = np.einsum("...ijm,...mkl->...ijkl", c, c)
+    b, d = c.shape[:-3], c.shape[-1]
+    # t[..., i, j, k, l] = sum_m c[..., i, j, m] c[..., m, k, l] as one BLAS matmul, which
+    # np.einsum does not route this contraction to
+    t = (c.reshape(b + (d * d, d)) @ c.reshape(b + (d, d * d))).reshape(b + (d,) * 4)
     jac = t + np.moveaxis(t, -2, -4) + np.moveaxis(t, -4, -2)  # cyclic sum over (i, j, k)
     worst = np.max(np.abs(jac), axis=(-4, -3, -2, -1), initial=0.0)
     return float(worst) if c.ndim == 3 else worst

@@ -25,8 +25,9 @@ none: there the constants are a 3x3 matrix ``C`` under Hodge duality, ``c[a, b, 
 eps_abe C[e, :]`` (Milnor, 1976), a frame ``P`` takes ``C`` to ``det(P) P^-1 C P^-T``,
 and Nomizu, lift and fit are linear, so ``sweep_frames`` applies one constant ``9 x 9``
 map, ``_dual_map``, which ``_project`` and ``_fit`` build once per process from the
-nine basis duals.  It returns the duals and ``A``; the ``(..., 3, 3, 3)`` constants
-``FrameSweep.ortho_c`` are scattered from the duals only when a reducer reads them.
+nine basis duals.  It returns the plain pair ``(dual, A)``; the ``(..., 3, 3, 3)``
+constants are scattered from the duals (``_from_dual``) only by the one caller whose
+reducers read them, ``selftest.closed_form_sweep``.
 ``sweep_grid`` is the one driver of seeded frame sweeps: ``table1_rows``
 and the closed-form comparison of ``selftest`` run it over the 13 ``FAMILY_GRID``
 families, ``genericity_sweep`` over one family.  No ``sweep_frames`` pass holds more
@@ -45,7 +46,7 @@ their tensors would stay resident for the life of the process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -354,24 +355,11 @@ def _dual_map() -> np.ndarray:
     return _freeze(_fit(*_project(basis, Spinor.one(1), None))[0].reshape(9, 9))
 
 
-@dataclass(frozen=True)
-class FrameSweep:
-    """Per-sample arrays of ``sweep_frames``: the ``(..., 3, 3)`` Hodge duals of the
-    orthonormal structure constants and ``A``.  ``ortho_c``, the ``(..., 3, 3, 3)``
-    constants themselves, is scattered from ``dual`` on first read and kept, so a reducer
-    that reads only ``A`` (``_r_tally``) never builds it."""
-
-    dual: np.ndarray
-    A: np.ndarray
-
-    @cached_property
-    def ortho_c(self) -> np.ndarray:
-        return _from_dual(self.dual)
-
-
-def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> FrameSweep:
+def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The unit-spinor ``A`` of ``full_report`` for a ``(N, 3, 3)`` frame stack, no verdict.
 
+    Returns ``(dual, A)``, both ``(..., 3, 3)``: ``dual`` holds the Hodge duals of the
+    orthonormal structure constants, which ``_from_dual`` scatters to ``(..., 3, 3, 3)``.
     ``(F, 3, 3, 3)`` structure constants with ``(F, N, 3, 3)`` frames keep the family axis.
     ``A = C'.ravel() @ _dual_map`` for the frame's dual ``C' = det(P) P^-1 C P^-T``, built
     as a symmetric part plus the skew part of axial vector ``w P`` (``w = -tr c / 2``), so
@@ -398,7 +386,7 @@ def sweep_frames(alg: LieAlgebra | np.ndarray, frames: np.ndarray) -> FrameSweep
         raise StructureError(
             "A is not finite: the structure constants are out of floating-point range"
         )
-    return FrameSweep(dual.reshape(frames.shape), a.reshape(frames.shape))
+    return dual.reshape(frames.shape), a.reshape(frames.shape)
 
 
 def _r_tally(tol: float, gap_tol: float):
@@ -407,11 +395,11 @@ def _r_tally(tol: float, gap_tol: float):
     One verdict a pass: the symmetric samples go to ``_spectrum``, not ``eigen_analysis``,
     whose guard would judge them again, and a pass with none makes no ``_spectrum`` call."""
 
-    def tally(fams, frames, batch: FrameSweep) -> np.ndarray:
-        symmetric = _symmetric(batch.A, tol)
+    def tally(fams, frames, dual, a) -> np.ndarray:
+        symmetric = _symmetric(a, tol)
         distinct = np.zeros(symmetric.shape, dtype=int)
         if symmetric.any():  # four of the seven families never have a symmetric sample
-            distinct[symmetric] = _spectrum(batch.A[symmetric], gap_tol)[1]
+            distinct[symmetric] = _spectrum(a[symmetric], gap_tol)[1]
         return (distinct[..., None] == np.arange(4)).sum(axis=-2)
 
     return tally
@@ -516,10 +504,10 @@ def sweep_grid(seeds, samples: int, reduce, grid=None):
     ``GRID_PASS_FRAMES`` samples, one pass solves ``max(1, GRID_PASS_FRAMES // samples)``
     consecutive families whole; past that, each family runs alone as successive chunks of
     at most ``GRID_PASS_FRAMES`` frames drawn from its one generator, which gives the
-    frames of one draw bit for bit.  ``reduce(families, (F, n, 3, 3) frames, (F, n)
-    FrameSweep)`` returns an ``(F, k)`` array, one row per family, and only those rows
-    outlive a pass: callers combine a family's chunks with ``.sum(axis=1)`` or
-    ``.max(axis=1)``."""
+    frames of one draw bit for bit.  ``reduce(families, (F, n, 3, 3) frames, dual, A)``,
+    given the ``(F, n, 3, 3)`` pair of ``sweep_frames``, returns an ``(F, k)`` array, one
+    row per family, and only those rows outlive a pass: callers combine a family's chunks
+    with ``.sum(axis=1)`` or ``.max(axis=1)``."""
     fams, cs = grid if grid is not None else _grid_stack()
     rngs, rows = [np.random.default_rng(seed) for seed in seeds], []
     step = max(1, GRID_PASS_FRAMES // (samples or 1))  # 0 samples: one empty pass
@@ -528,9 +516,9 @@ def sweep_grid(seeds, samples: int, reduce, grid=None):
         for n in chunks:  # several only when a pass holds one family: rows stay in grid order
             draws = [rng.uniform(-1.0, 1.0, (n, 6)) for rng in rngs[i : i + step]]
             frames = _frames_from_draws(3, np.array(draws))  # random_frames(3, rng, n) per rng
-            batch = sweep_frames(cs[i : i + step], frames)
-            rows.append(reduce(fams[i : i + step], frames, batch))
-            del draws, frames, batch  # let go of this pass before the next draw
+            dual, a = sweep_frames(cs[i : i + step], frames)
+            rows.append(reduce(fams[i : i + step], frames, dual, a))
+            del draws, frames, dual, a  # let go of this pass before the next draw
     return np.concatenate(rows).reshape(len(fams), len(chunks), -1)
 
 

@@ -11,6 +11,8 @@ The 3-d closed-form comparison, ``closed_form_sweep``, is one ``gks.sweep_grid``
 over the 13 grid families, shared by ``verify_appendix`` (the ``verify-appendix``
 command) and ``run_selftest``; each reduces every pass's ``(F, N)`` stacks at once
 to one row of per-family maxima and flags, and combines a family's chunks by max.
+Both read the constants, so ``closed_form_sweep`` scatters each pass's duals to the
+``(F, N, 3, 3, 3)`` ``ortho_c`` once (``gks._from_dual``) and hands them plain arrays.
 The sweep only solves: ``verify_appendix`` judges symmetry itself (``gks._symmetric``)
 and takes no ``gap_tol``; the ``run_selftest`` grid pass computes no verdict or eigenvalues.
 The ``run_selftest`` grid pass builds one Ricci stack with ``curvature`` and passes it
@@ -58,6 +60,7 @@ from .connection import (
 )
 from .gks import (
     FAMILY_GRID,
+    _from_dual,
     _grid_stack,
     _symmetric,
     dirac_trace_3d,
@@ -175,12 +178,14 @@ def closed_form_sweep(seed, samples: int, reduce):
     """The seeded comparison of the solver with the closed forms, as one ``sweep_grid``.
 
     Family ``idx`` of ``FAMILY_GRID`` gets ``samples`` frames from ``default_rng([seed,
-    idx])``; ``reduce(families, (F, n, 3, 3) frames, FrameSweep, (F, n, 3)
-    closed_form_deviations)`` returns one row per family, and the result is ``sweep_grid``'s
-    ``(families, chunks, k)`` array."""
+    idx])``; ``reduce(families, (F, n, 3, 3) frames, (F, n, 3, 3) A, (F, n, 3, 3, 3)
+    ortho_c, (F, n, 3) closed_form_deviations)`` returns one row per family, and the result
+    is ``sweep_grid``'s ``(families, chunks, k)`` array.  Both reducers read ``ortho_c``, so
+    each pass scatters it from the sweep's duals once, here."""
 
-    def compare(fams, frames, b):
-        return reduce(fams, frames, b, closed_form_deviations(fams, frames, b.A, b.ortho_c))
+    def compare(fams, frames, dual, a):
+        ortho_c = _from_dual(dual)
+        return reduce(fams, frames, a, ortho_c, closed_form_deviations(fams, frames, a, ortho_c))
 
     seeds = [[seed, idx] for idx in range(len(FAMILY_GRID))]
     return sweep_grid(seeds, samples, compare)
@@ -197,9 +202,9 @@ def verify_appendix(samples: int, seed: int, tol: float) -> dict:
     deviation (0 without a display), a flag for a closed-form eigenvalue display
     and a flag for a mismatched verdict; the chunks of a family combine by max."""
 
-    def check(fams, frames, batch, devs):
+    def check(fams, frames, a, ortho_c, devs):
         expected = np.array([is_symmetric_family(fam) for fam in fams])[:, None]
-        symmetric, conditions = _symmetric(batch.A, tol), symmetry_conditions_3d(batch.ortho_c, tol)
+        symmetric, conditions = _symmetric(a, tol), symmetry_conditions_3d(ortho_c, tol)
         rows = np.zeros((len(fams), 6))
         rows[:, :3] = np.max(devs, axis=1)
         rows[:, 5] = np.any((symmetric != expected) | (conditions != expected), axis=-1)
@@ -207,7 +212,7 @@ def verify_appendix(samples: int, seed: int, tol: float) -> dict:
         closed = {k: ref for k, ref in closed.items() if ref is not None}
         if closed:  # one eigen_analysis call for every family with closed-form eigenvalues
             ref = np.sort(list(closed.values()), axis=-1)
-            vals = eigen_analysis(batch.A[list(closed)])[0]  # the values need no gap_tol
+            vals = eigen_analysis(a[list(closed)])[0]  # the values need no gap_tol
             escale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
             rows[list(closed), 3] = np.max(np.max(np.abs(vals - ref), axis=-1) / escale, axis=-1)
             rows[list(closed), 4] = 1.0
@@ -248,16 +253,16 @@ def run_selftest(tol: float | None = None, seed: int = 1) -> dict:
     checks.append(_check("spin_lift_equivariance_n_upto4", _equivariance([seed, 1]), t(1e-12)))
     checks.append(_check("catalog_jacobi", _catalog_jacobi(), t(1e-10)))
 
-    def grid_checks(fams, frames, batch, devs):  # per-family maxima, one row per family
-        ortho_c, psis = batch.ortho_c, (Spinor.one(1), Spinor.basis(1, 1))
+    def grid_checks(fams, frames, a, ortho_c, devs):  # per-family maxima, one row per family
+        psis = Spinor.one(1), Spinor.basis(1, 1)
         nm, sym = nomizu(ortho_c), np.array([is_symmetric_family(fam) for fam in fams])
         ric = curvature(nm, ortho_c)  # one stack for both Ricci checks
         spinorial = np.maximum(*(ricci_spinorial_check(nm, ortho_c, p, _ricci=ric)[1] for p in psis))
-        ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(batch.A.shape[:-2])
+        ref, ricci_dev = reference_ricci_3d(ortho_c[sym]), np.zeros(a.shape[:-2])
         rscale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
         # symmetric families only: 0 elsewhere
         ricci_dev[sym] = np.max(np.abs(ric[sym] - ref), axis=(-2, -1)) / rscale
-        dirac = np.abs(np.trace(batch.A, axis1=-2, axis2=-1) - dirac_trace_3d(ortho_c))
+        dirac = np.abs(np.trace(a, axis1=-2, axis2=-1) - dirac_trace_3d(ortho_c))
         per_sample = (metricity_violation(nm), torsion_violation(nm, ortho_c), spinorial, ricci_dev)
         return np.max(np.concatenate([np.stack([*per_sample, dirac], -1), devs], axis=-1), axis=1)
 

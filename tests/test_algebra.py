@@ -72,12 +72,22 @@ def test_jacobi_einsum_matches_loop_oracle():
         )
 
 
+def _jacobi_einsum(c):
+    """The Jacobi maxima through ``np.einsum``, the contraction ``jacobi_violation`` made
+    before it took one matmul."""
+    t = np.einsum("...ijm,...mkl->...ijkl", c, c)
+    jac = t + np.moveaxis(t, -2, -4) + np.moveaxis(t, -4, -2)
+    return np.max(np.abs(jac), axis=(-4, -3, -2, -1), initial=0.0)
+
+
 def test_stacked_jacobi_violation_matches_per_algebra_calls():
     # a stack gives each algebra's float bit for bit: the 13 grid constants, and random
-    # antisymmetric stacks, which the loop oracle checks as well
+    # antisymmetric stacks of several sizes, which the loop oracle checks as well
     rng = np.random.default_rng(12)
     raw = rng.uniform(-1, 1, size=(6, 4, 4, 4))
-    for cs in (_grid_stack()[1], raw - raw.swapaxes(-3, -2)):
+    more = [rng.uniform(-1, 1, size=(k, d, d, d)) for k, d in ((6, 3), (3, 5), (2, 7))]
+    randoms = [r - r.swapaxes(-3, -2) for r in (raw, *more)]
+    for cs in (_grid_stack()[1], *randoms):
         stacked = jacobi_violation(cs)
         algs = [LieAlgebra(c.shape[-1], c) for c in cs]
         assert stacked.shape == (len(cs),)
@@ -86,6 +96,9 @@ def test_stacked_jacobi_violation_matches_per_algebra_calls():
         np.testing.assert_allclose(stacked, [jacobi_violation_loops(alg) for alg in algs],
                                    rtol=1e-13, atol=1e-15)
     assert jacobi_violation(raw[None, :2] - raw[None, :2].swapaxes(-3, -2)).shape == (1, 2)
+    # the catalog constants keep the einsum contraction's maxima bit for bit
+    for c in (_grid_stack()[1], *(make_heisenberg(n).c for n in range(1, 17))):
+        assert np.asarray(jacobi_violation(c)).tobytes() == _jacobi_einsum(c).tobytes()
 
 
 def test_structure_validation():
@@ -97,6 +110,15 @@ def test_structure_validation():
         LieAlgebra(3, bad)
     with pytest.raises(StructureError):
         LieAlgebra.from_brackets(3, {(1, 4): {1: 1.0}})
+    # non-finite constants are refused before the antisymmetry test, which a NaN pair
+    # (not antisymmetric) and a mirrored inf pair would pass
+    for pair in ((np.nan, np.nan), (np.inf, -np.inf), (-np.inf, np.inf), (np.inf, 0.0)):
+        bad = np.zeros((3, 3, 3))
+        bad[0, 1, 2], bad[1, 0, 2] = pair
+        with pytest.raises(StructureError, match="structure constants must be finite"):
+            LieAlgebra(3, bad)
+    with pytest.raises(StructureError, match="structure constants must be finite"):
+        LieAlgebra.from_brackets(3, {(1, 2): {3: np.nan}})
 
 
 def test_orthonormalize_identity_gram():

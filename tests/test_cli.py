@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +203,8 @@ def test_env_seed_fallback():
     assert "Traceback" not in negative.stderr
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPINLAB_SEED", raising=False)  # as run_cli runs a fresh process
     missing_dir = tmp_path / "missing" / "report.json"
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000, encoding="utf-8")
@@ -253,6 +255,11 @@ def test_exit_codes(tmp_path):
           '{"dim": 3.9, "brackets": [{"i": 2, "j": 3, "coeffs": [1, 0, 0]}]}'), 3),
         (("analyze", "--algebra", '{"dim": true, "brackets": []}'), 3),
         (("analyze", "--algebra", '{"dim": 3.0, "brackets": []}'), 3),
+        # non-finite structure constants
+        (("analyze", "--algebra",
+          '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, NaN]}]}'), 2),
+        (("analyze", "--algebra",
+          '{"dim": 3, "brackets": [{"i": 2, "j": 3, "coeffs": [-Infinity, 0, 0]}]}'), 2),
         (("analyze", "--algebra",
           '{"dim": 3, "brackets": [{"i": 2.7, "j": 3, "coeffs": [1, 0, 0]}]}'), 3),
         (("analyze", "--algebra",
@@ -291,12 +298,31 @@ def test_exit_codes(tmp_path):
         # the upper side of that seed's overflow boundary, near 6.18e307
         (("sweep", "--algebra", "L3(4,6.25e307)", "--samples", "5", "--seed", "1"), 2),
     ]
+    # every line runs in this process; one line per exit path of cli.main runs in a
+    # fresh process too (malformed JSON, a missing --output directory and the deep JSON
+    # file exit 3, a domain error 2), as does the overflow boundary pair below
+    fresh = {
+        ("analyze", "--algebra", '{"dim": 3, "brackets": ['),
+        ("analyze", "--algebra", "L3(1)", "--output", str(missing_dir)),
+        ("analyze", "--algebra", str(deep)),
+        ("analyze", "--algebra", "L3(2,7)"),
+    }
+    assert fresh <= {args for args, _ in cases}
     for args, code in cases:
-        res = run_cli(*args)
-        assert res.returncode == code, args
-        assert res.stdout == "", args
-        assert "Traceback" not in res.stderr, args
-        assert len(res.stderr.strip().splitlines()) == 1, args
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # every warning, as a fresh process prints it
+            got, out, err = _run_in_process(args)  # an exception fails the test
+        err += "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                       for w in caught)
+        runs = [(got, out, err)]
+        if args in fresh:
+            res = run_cli(*args)
+            runs.append((res.returncode, res.stdout, res.stderr))
+        for got, out, err in runs:
+            assert got == code, args
+            assert out == "", args
+            assert "Traceback" not in err, args
+            assert len(err.strip().splitlines()) == 1, args
     # both sides of the boundary: a finite report below it, the one overflow line above it
     below = run_cli("sweep", "--algebra", "L3(4,6.1e307)", "--samples", "5", "--seed", "1")
     assert below.returncode == 0 and json.loads(below.stdout)["symmetric_count"] == 0

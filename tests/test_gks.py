@@ -31,12 +31,11 @@ from spinlab.errors import (
     StructureError,
     UnsupportedDimensionError,
 )
-from spinlab import gks
+from spinlab import gks, selftest
 from spinlab.gks import (
     FAMILY_GRID,
     GRID_PASS_FRAMES,
     TABLE1_ROWS,
-    FrameSweep,
     dirac_trace_3d,
     eigen_analysis,
     explicit_A_3d,
@@ -49,7 +48,7 @@ from spinlab.gks import (
     symmetry_conditions_3d,
     table1_rows,
 )
-from spinlab.selftest import verify_appendix
+from spinlab.selftest import closed_form_sweep, verify_appendix
 from spinlab.serialize import to_json
 
 
@@ -194,7 +193,7 @@ def test_stacked_symmetry_conditions_match_per_sample_calls():
     seen = set()
     for idx, (tag, x) in enumerate(FAMILY_GRID):
         frames = random_frames(3, np.random.default_rng([11, idx]), 20)
-        oc = sweep_frames(make_bianchi(BianchiFamily(tag, x)), frames).ortho_c
+        oc = gks._from_dual(sweep_frames(make_bianchi(BianchiFamily(tag, x)), frames)[0])
         for tol in (1e-9, 1e-300, 1.0):
             stacked = symmetry_conditions_3d(oc, tol)
             assert stacked.shape == (20,) and stacked.dtype == bool
@@ -367,11 +366,11 @@ def test_sweep_tensors_follow_the_module_cache(clifford_sign_fault):
     # with the module cache, which brings a fault in and takes it out again
     alg = make_bianchi(BianchiFamily("L3(6)"))
     frames = random_frames(3, np.random.default_rng(6), 8)
-    clean = sweep_frames(alg, frames).A
+    clean = sweep_frames(alg, frames)[1]
     with clifford_sign_fault():
-        faulty = sweep_frames(alg, frames).A
+        faulty = sweep_frames(alg, frames)[1]
     assert np.all(np.isfinite(faulty)) and not np.array_equal(faulty, clean)
-    np.testing.assert_array_equal(sweep_frames(alg, frames).A, clean)
+    np.testing.assert_array_equal(sweep_frames(alg, frames)[1], clean)
 
 
 def test_symmetric_solve_certifies_obstruction():
@@ -677,25 +676,25 @@ def test_sweep_frames_matches_scalar_pipeline():
     for tag, x in FAMILY_GRID:
         alg = make_bianchi(BianchiFamily(tag, x))
         frames = random_frames(3, rng, 25)
-        batch = sweep_frames(alg, frames)
+        dual, batch_a = sweep_frames(alg, frames)
+        ortho_c = gks._from_dual(dual)
         counts = []
         for k, frame in enumerate(frames):
             mla = metric_from_frame_change(alg, FrameChange(frame))
             a, residual = solve_endomorphism(mla, Spinor.one(1))
-            assert np.max(np.abs(batch.A[k] - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
-            assert np.max(np.abs(batch.ortho_c[k] - mla.ortho_c)) <= 1e-12 * max(
+            assert np.max(np.abs(batch_a[k] - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+            assert np.max(np.abs(ortho_c[k] - mla.ortho_c)) <= 1e-12 * max(
                 1.0, np.max(np.abs(mla.ortho_c))
             )
             assert residual <= 1e-12  # in dimension 3 every frame direction is solved exactly
             # the verdicts a reducer takes from the solve: _symmetric, then eigen_analysis
             report = full_report(mla)
-            symmetric, distinct = _verdicts(batch.A[k : k + 1])
+            symmetric, distinct = _verdicts(batch_a[k : k + 1])
             assert symmetric[0] == report.is_symmetric
             assert distinct[0] == (report.distinct_count or 0)
             counts.append(report.distinct_count or 0)
-        # the r tally of genericity_sweep and table1_rows, bins 0..3
-        one_pass = FrameSweep(batch.dual[None], batch.A[None])  # (1, N) arrays
-        tally = gks._r_tally(1e-9, 1e-7)(None, frames[None], one_pass)[0]
+        # the r tally of genericity_sweep and table1_rows, bins 0..3, on (1, N) arrays
+        tally = gks._r_tally(1e-9, 1e-7)(None, frames[None], dual[None], batch_a[None])[0]
         assert tally.tolist() == np.bincount(counts, minlength=4).tolist()
     with pytest.raises(UnsupportedDimensionError, match="frame sweep needs dimension 3"):
         sweep_frames(make_heisenberg(2), random_frames(5, rng, 2))
@@ -738,16 +737,17 @@ def test_dual_kernel_matches_frame_structure():
     stacks = [(cs, random_frames(3, rng, 13 * 200).reshape(13, 200, 3, 3)),
               (antisym - antisym.swapaxes(1, 2), random_frames(3, rng, 2000).reshape(40, 50, 3, 3))]
     for c, frames in stacks:
-        batch = sweep_frames(c, frames)
+        dual, batch_a = sweep_frames(c, frames)
+        ortho_c = gks._from_dual(dual)
         _, want = frame_structure(c[:, None], frames)
         scale = np.max(np.abs(want), axis=(-3, -2, -1))
-        assert np.all(np.max(np.abs(batch.ortho_c - want), axis=(-3, -2, -1)) <= 1e-14 * scale)
-        diag = batch.ortho_c[..., range(3), range(3), :]
+        assert np.all(np.max(np.abs(ortho_c - want), axis=(-3, -2, -1)) <= 1e-14 * scale)
+        diag = ortho_c[..., range(3), range(3), :]
         assert np.all(diag == 0.0) and not np.any(np.signbit(diag))  # +0.0, not 0 * negative
-        np.testing.assert_array_equal(batch.ortho_c, -batch.ortho_c.swapaxes(-3, -2))
+        np.testing.assert_array_equal(ortho_c, -ortho_c.swapaxes(-3, -2))
         a, _ = solve_endomorphism(want, Spinor.one(1))
         a_scale = np.max(np.abs(a), axis=(-2, -1))
-        assert np.all(np.max(np.abs(batch.A - a), axis=(-2, -1)) <= 1e-14 * a_scale)
+        assert np.all(np.max(np.abs(batch_a - a), axis=(-2, -1)) <= 1e-14 * a_scale)
 
 
 def test_sweep_A_is_exactly_symmetric_where_the_dual_is():
@@ -759,7 +759,7 @@ def test_sweep_A_is_exactly_symmetric_where_the_dual_is():
         for tag, x in FAMILY_GRID if is_symmetric_family(BianchiFamily(tag, x))]
     for dual in duals:
         frames = _wide_frames(rng, len(dual) * 30).reshape(len(dual), 30, 3, 3)
-        a = sweep_frames(gks._from_dual(dual), frames).A
+        a = sweep_frames(gks._from_dual(dual), frames)[1]
         np.testing.assert_array_equal(a, a.swapaxes(-1, -2))
         assert np.all(gks._symmetric(a, 1e-300))
 
@@ -784,20 +784,30 @@ def test_sweep_frames_refuses_a_frame_with_a_lower_entry():
         sweep_frames(alg, frames)
 
 
-def test_frame_sweep_scatters_ortho_c_from_the_dual_on_first_read():
-    cs = gks._grid_stack()[1]
-    frames = random_frames(3, np.random.default_rng(8), 13 * 6).reshape(13, 6, 3, 3)
-    batch = sweep_frames(cs, frames)
-    assert batch.dual.shape == (13, 6, 3, 3) and "ortho_c" not in vars(batch)
-    oc = batch.ortho_c
-    assert batch.ortho_c is oc  # kept after the first read
-    want = gks._from_dual(batch.dual)
+def test_closed_form_sweep_hands_its_reducers_ortho_c_scattered_from_the_duals():
+    passes = []
+
+    def reduce(fams, frames, a, ortho_c, devs):
+        passes.append((frames, a, ortho_c))
+        return np.zeros((len(fams), 1))
+
+    closed_form_sweep(8, 6, reduce)  # one pass of 13 families
+    ((frames, a, oc),) = passes
+    dual, want_a = sweep_frames(gks._grid_stack()[1], frames)
+    want = gks._from_dual(dual)
     assert oc.shape == (13, 6, 3, 3, 3) and oc.tobytes() == want.tobytes()  # bit for bit
+    assert a.tobytes() == want_a.tobytes()
 
 
 def test_r_sweeps_never_scatter_ortho_c_and_verify_appendix_scatters_once_a_pass(monkeypatch):
     calls, scatter = [], gks._from_dual
-    monkeypatch.setattr(gks, "_from_dual", lambda dual: calls.append(dual.shape) or scatter(dual))
+
+    def recording(dual):
+        calls.append(dual.shape)
+        return scatter(dual)
+
+    for module in (gks, selftest):  # the definition and selftest's imported binding
+        monkeypatch.setattr(module, "_from_dual", recording)
     table1_rows(10, 1, 1e-7, 1e-9)
     for name in ("L3(6)", "L3(2,0.25)"):  # a grid member and a family off the grid
         genericity_sweep(BianchiFamily.parse(name), GRID_PASS_FRAMES + 3, 2)
@@ -891,8 +901,7 @@ def genericity_sweep_one_draw(family, samples, seed, gap_tol=1e-7, tol=1e-9):
     """The unchunked reference for ``genericity_sweep``: one ``random_frames`` draw and
     one ``sweep_frames`` pass of every sample, tallied by a sorting ``np.unique``."""
     frames = random_frames(3, np.random.default_rng(seed), samples)
-    batch = sweep_frames(make_bianchi(family), frames)
-    symmetric, distinct = _verdicts(batch.A, tol, gap_tol)
+    symmetric, distinct = _verdicts(sweep_frames(make_bianchi(family), frames)[1], tol, gap_tol)
     stats = _unique_r_stats(distinct, symmetric)
     return {"family": family.label, "samples": samples, **stats}
 
@@ -1020,11 +1029,11 @@ def test_family_stacked_sweep_matches_per_family_sweeps():
     algs = [make_bianchi(BianchiFamily(tag, x)) for tag, x in FAMILY_GRID]
     frames = random_frames(3, np.random.default_rng(12), 13 * 9).reshape(13, 9, 3, 3)
     batch = sweep_frames(np.stack([alg.c for alg in algs]), frames)
-    assert batch.A.shape == (13, 9, 3, 3) and batch.ortho_c.shape == (13, 9, 3, 3, 3)
+    assert [arr.shape for arr in batch] == [(13, 9, 3, 3)] * 2
     for f, alg in enumerate(algs):
         one = sweep_frames(alg, frames[f])
-        for name, arr in vars(one).items():
-            np.testing.assert_array_equal(getattr(batch, name)[f], arr, err_msg=name)
+        for name, stacked, arr in zip(("dual", "A"), batch, one):
+            np.testing.assert_array_equal(stacked[f], arr, err_msg=name)
 
 
 def _unique_r_stats(distinct, symmetric):
@@ -1046,15 +1055,14 @@ _SKEW = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def _r_tally_of(distinct, symmetric):
-    """The ``_r_tally`` row of a hand-built one-family ``FrameSweep``: per sample a diagonal
-    ``A`` with ``distinct`` distinct eigenvalues, plus ``_SKEW`` where not ``symmetric``."""
+    """The ``_r_tally`` row of a hand-built one-family pass: per sample a diagonal ``A``
+    with ``distinct`` distinct eigenvalues, plus ``_SKEW`` where not ``symmetric``."""
     n = len(distinct)
     a = np.zeros((n, 3, 3))
     a[:, range(3), range(3)] = _SPECTRA[np.maximum(distinct, 1) - 1]
     a[~symmetric] += _SKEW
-    batch = FrameSweep(np.zeros((1, n, 3, 3)), a[None])
-    reduce = gks._r_tally(1e-9, 1e-7)
-    return reduce((BianchiFamily("L3(6)"),), np.zeros((1, n, 3, 3)), batch)[0]
+    zeros = np.zeros((1, n, 3, 3))
+    return gks._r_tally(1e-9, 1e-7)((BianchiFamily("L3(6)"),), zeros, zeros, a[None])[0]
 
 
 def _chunked_r_tally(distinct, symmetric):

@@ -311,11 +311,11 @@ def verify_appendix_per_sample(samples, seed, tol):
         fam = BianchiFamily(tag, x)
         expected_sym = is_symmetric_family(fam)
         frames = random_frames(3, np.random.default_rng([seed, idx]), samples)
-        batch = sweep_frames(make_bianchi(fam), frames)
+        dual, a = sweep_frames(make_bianchi(fam), frames)
         devs = np.zeros(3)
         eigen_dev = None
         verdicts_ok = True
-        for frame, ortho_c, a_solved in zip(frames, batch.ortho_c, batch.A):
+        for frame, ortho_c, a_solved in zip(frames, gks._from_dual(dual), a):
             devs = np.maximum(devs, family_deviations(fam, frame, a_solved, ortho_c))
             verdicts_ok &= bool(gks._symmetric(a_solved, tol)) == expected_sym
             verdicts_ok &= symmetry_conditions_3d(ortho_c, tol) == expected_sym
@@ -391,7 +391,7 @@ def test_eigen_analysis_runs_only_where_a_reducer_reads_eigenvalues(monkeypatch)
     closed = {idx: fam for idx, fam in enumerate(family_grid())
               if reference_eigenvalues(fam, np.eye(3)) is not None}
     assert [fam.label for fam in closed.values()] == ["L3(1)", "L3(2,-1)", "L3(4,0)"]
-    want = [sweep_frames(make_bianchi(fam), random_frames(3, np.random.default_rng([1, idx]), 10)).A
+    want = [sweep_frames(make_bianchi(fam), random_frames(3, np.random.default_rng([1, idx]), 10))[1]
             for idx, fam in closed.items()]
     assert len(stacks) == 1
     np.testing.assert_array_equal(stacks[0], want)
@@ -413,19 +413,20 @@ def test_closed_form_sweep_matches_per_family_sweeps():
     for samples in GRID_SAMPLES:
         layout, done = [], [0] * len(fams)  # per family, the samples reduced so far
 
-        def check(pass_fams, frames, batch, devs):
+        def check(pass_fams, frames, a, ortho_c, devs):
             layout.append((tuple(pass_fams), frames.shape[1]))
             for k, fam in enumerate(pass_fams):
                 idx = fams.index(fam)
                 chunk = np.s_[done[idx] : done[idx] + frames.shape[1]]
                 done[idx] += frames.shape[1]
                 want_frames = random_frames(3, np.random.default_rng([3, idx]), samples)[chunk]
-                want = sweep_frames(make_bianchi(fam), want_frames)
+                want_dual, want_a = sweep_frames(make_bianchi(fam), want_frames)
+                want_oc = gks._from_dual(want_dual)
                 np.testing.assert_array_equal(frames[k], want_frames)
-                for name, arr in vars(want).items():
-                    np.testing.assert_array_equal(getattr(batch, name)[k], arr, err_msg=name)
+                np.testing.assert_array_equal(a[k], want_a)
+                np.testing.assert_array_equal(ortho_c[k], want_oc)
                 np.testing.assert_array_equal(
-                    devs[k], family_deviations(fam, want_frames, want.A, want.ortho_c)
+                    devs[k], family_deviations(fam, want_frames, want_a, want_oc)
                 )
             return np.array([[fams.index(fam), frames.shape[1]] for fam in pass_fams])
 
